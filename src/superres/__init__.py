@@ -64,6 +64,7 @@ from .state_model import (
 from .sweep import (
     SweepRecord,
     SweepSpec,
+    SweepTable,
     emit,
     figure_preset,
     max_oracle_delta,
@@ -120,6 +121,7 @@ __all__ = [
     "theta_from_concurrence",
     "SweepRecord",
     "SweepSpec",
+    "SweepTable",
     "emit",
     "figure_preset",
     "max_oracle_delta",

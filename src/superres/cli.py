@@ -19,6 +19,7 @@ from . import sweep as sweep_mod
 from .errors import ConfigurationError, ContractViolationError, DomainError
 from .sweep import (
     SweepSpec,
+    SweepTable,
     VERIFY_TOLERANCE,
     emit,
     figure_preset,
@@ -114,7 +115,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "figure":
             blocks = figure_preset(args.preset)
-            records = []
+            tables = []
             for spec in blocks:
                 spec.fmt = args.format
                 spec.sigma = args.sigma
@@ -126,8 +127,9 @@ def main(argv=None) -> int:
                 if args.phi != 0.0:
                     raise DomainError("figure presets require phi = 0")
                 spec.validate()
-                records.extend(run_sweep(spec))
-            _emit_records(records, args.format, args.out, include_deltas=args.oracle)
+                tables.append(run_sweep(spec))
+            _emit_records(SweepTable.concat(tables), args.format, args.out,
+                          include_deltas=args.oracle)
             return 0
 
         spec = _spec_from_args(args, args.command)

@@ -24,17 +24,26 @@ Nuisance-corrected precisions:
 
     H_s = F_ss - F_st^2 / F_tt,     H_theta = F_tt - F_st^2 / F_ss.
 
-``H_s`` is invariant under reparametrizing the nuisance by coherence
-``gamma = cos(theta)`` or by concurrence; both charts are provided through
-exact Jacobian transport of the theta-parametrized matrix.
+Because ``d lambda1 = -d lambda2`` the classical (eigenvalue) part of the
+QFIM has rank one and ``F_st^2 / F_tt`` cancels it exactly, leaving the
+closed form
+
+    H_s = 4 (lambda1 a3^2 + lambda2 a4^2),
+
+which every chart uses.  ``H_s`` is invariant under reparametrizing the
+nuisance by coherence ``gamma = cos(theta)`` or by concurrence; both charts
+are provided through exact Jacobian transport of the theta-parametrized
+matrix.
 
 Degenerate corners (all at phi = 0, s > 0):
 
 * ``theta = 0``: lambda1 vanishes; individual SLD entries diverge but the
-  QFIM terms have finite limits ``F_ss -> 4 a4^2``, ``F_tt -> (1-d)/(1+d)``,
-  ``F_st -> 0``, substituted whenever ``lambda1 < 1e-12``.  (Exactly at the
-  point the state is pure and the pointwise theta-information is zero; the
-  continuous extension is what the precision surfaces plot.)
+  QFIM terms have finite limits ``F_ss -> H_s = 4 lambda2 a4^2``,
+  ``F_tt -> (1-d)/(1+d)``, ``F_st -> 0``, substituted only where
+  ``lambda1 == 0`` (theta = 0, or underflow); any positive ``lambda1`` takes
+  the exact formulas.  (Exactly at the point the state is pure and the
+  pointwise theta-information is zero; the continuous extension is what
+  the precision surfaces plot.)
 * ``gamma = 1``: the coherence chart has an infinite nuisance block;
   ``precision_gamma`` returns the limiting ``h_s`` with ``h_nuisance = inf``.
 * concurrence at its reachable maximum (theta = pi/2): the concurrence
@@ -51,7 +60,6 @@ import numpy as np
 from .errors import DegenerateGeometryError, DomainError
 from .state_model import (
     ModelParams,
-    SpectralData,
     one_minus_d,
     one_minus_d_squared,
     overlap,
@@ -59,7 +67,6 @@ from .state_model import (
     theta_from_concurrence,
 )
 
-_LAMBDA_FLOOR = 1e-12       # below this, use the analytic theta -> 0 limits
 _SUPPORT_CUTOFF = 1e-12     # eigenvalue-pair cutoff in the SLD eigenframe sum
 _NUISANCE_FLOOR = 1e-14     # F_tt below this (with F_st ~ 0): no correction
 
@@ -178,31 +185,36 @@ def sld_pair(p: ModelParams) -> SldPair:
     )
 
 
-def _theta_limit_qfim(spec: SpectralData, e: float) -> tuple[float, float, float]:
-    """theta -> 0 limits: (F_ss, F_tt, F_st) = (4 a4^2, (1-d)/(1+d), 0)."""
-    return 4.0 * spec.a4 * spec.a4, e / (2.0 - e), 0.0
+def _theta_chart(p: ModelParams) -> tuple[float, float, float, float]:
+    """``(F_ss, F_tt, F_st, H_s)`` for (s, theta).
+
+    Diagonal SLD contributions enter in the cancelled form
+    ``(d lambda)^2 / lambda``; at ``lambda1 == 0`` (theta = 0, or underflow)
+    the analytic limits take over.  Because ``d lambda1 = -d lambda2`` the
+    classical block is rank one, and ``F_st^2 / F_tt`` removes it exactly:
+    ``H_s`` is the quantum term ``4 (lambda1 a3^2 + lambda2 a4^2)``.
+    ``F_ss`` adds the classical term to that same float, so
+    ``0 <= H_s <= F_ss`` holds bit for bit.
+    """
+    _require_regular(p, "qfim")
+    lam1, lam2, dl1s, dl2s, dl1t, dl2t, _, spec = _lambda_derivatives(p)
+    h_s = 4.0 * (lam1 * spec.a3 ** 2 + lam2 * spec.a4 ** 2)
+    if lam1 == 0.0:
+        e = one_minus_d(p.s, p.sigma)
+        return h_s, e / (2.0 - e), 0.0, h_s
+    f_ss = dl1s * dl1s / lam1 + dl2s * dl2s / lam2 + h_s
+    f_tt = dl1t * dl1t / lam1 + dl2t * dl2t / lam2
+    f_st = dl1s * dl1t / lam1 + dl2s * dl2t / lam2
+    return f_ss, f_tt, f_st, h_s
 
 
 def qfim(p: ModelParams) -> Qfim2:
     """QFIM for (s, theta), assembled from the eigenframe element formulas.
 
-    Diagonal SLD contributions enter in the cancelled form
-    ``(d lambda)^2 / lambda`` so that nothing blows up as ``lambda1 -> 0``;
-    below ``lambda1 = 1e-12`` the analytic limits take over.
+    At theta = 0 it returns the continuous limits
+    ``(F_ss, F_tt, F_st) = (4 lambda2 a4^2, (1-d)/(1+d), 0)``.
     """
-    _require_regular(p, "qfim")
-    lam1, lam2, dl1s, dl2s, dl1t, dl2t, _, spec = _lambda_derivatives(p)
-    if lam1 < _LAMBDA_FLOOR:
-        e = one_minus_d(p.s, p.sigma)
-        f_ss, f_tt, f_st = _theta_limit_qfim(spec, e)
-    else:
-        f_ss = (
-            dl1s * dl1s / lam1
-            + dl2s * dl2s / lam2
-            + 4.0 * (lam1 * spec.a3 ** 2 + lam2 * spec.a4 ** 2)
-        )
-        f_tt = dl1t * dl1t / lam1 + dl2t * dl2t / lam2
-        f_st = dl1s * dl1t / lam1 + dl2s * dl2t / lam2
+    f_ss, f_tt, f_st, _ = _theta_chart(p)
     return Qfim2(f_ss=f_ss, f_tt=f_tt, f_st=f_st, tag="theta")
 
 
@@ -221,20 +233,31 @@ def qfim_from_slds(rho: Rho4, slds: SldPair) -> Qfim2:
     return Qfim2(f_ss=elem(ls, ls), f_tt=elem(lt, lt), f_st=elem(ls, lt), tag="theta")
 
 
-def _h_pair(f_ss: float, f_tt: float, f_st: float) -> PrecisionPair:
+def _h_pair(f_ss: float, f_tt: float, f_st: float, h_s: float) -> PrecisionPair:
     if f_tt < _NUISANCE_FLOOR and abs(f_st) < _NUISANCE_FLOOR:
         # no nuisance information and no cross term: no correction to apply
-        return PrecisionPair(h_s=f_ss, h_nuisance=f_tt)
-    return PrecisionPair(
-        h_s=f_ss - f_st * f_st / f_tt,
-        h_nuisance=f_tt - f_st * f_st / f_ss,
-    )
+        return PrecisionPair(h_s=h_s, h_nuisance=f_tt)
+    return PrecisionPair(h_s=h_s, h_nuisance=f_tt - f_st * f_st / f_ss)
 
 
 def precision(p: ModelParams) -> PrecisionPair:
     """Nuisance-corrected informations ``H_s`` and ``H_theta``."""
-    q = qfim(p)
-    return _h_pair(q.f_ss, q.f_tt, q.f_st)
+    return _h_pair(*_theta_chart(p))
+
+
+def _gamma_chart(s: float, sigma: float, gamma: float) -> tuple[float, float, float, float]:
+    """``(G_ss, G_gg, G_sg, H_s)``: the theta chart transported to gamma."""
+    if not (0.0 <= gamma <= 1.0):
+        raise DomainError(f"gamma must lie in [0, 1], got {gamma}")
+    if gamma == 1.0:
+        raise DomainError(
+            "the coherence-parametrized matrix diverges at gamma = 1; "
+            "precision_gamma handles that limit"
+        )
+    theta = math.acos(gamma)
+    f_ss, f_tt, f_st, h_s = _theta_chart(ModelParams(s=s, sigma=sigma, theta=theta))
+    j = -1.0 / math.sin(theta)
+    return f_ss, f_tt * j * j, f_st * j, h_s
 
 
 def qfim_gamma(s: float, sigma: float, gamma: float) -> Qfim2:
@@ -244,35 +267,33 @@ def qfim_gamma(s: float, sigma: float, gamma: float) -> Qfim2:
     ``d theta/d gamma = -1/sin(theta)``.  At ``gamma = 1`` the nuisance
     block diverges; use :func:`precision_gamma`, which carries the limit.
     """
-    if not (0.0 <= gamma <= 1.0):
-        raise DomainError(f"gamma must lie in [0, 1], got {gamma}")
-    if gamma == 1.0:
-        raise DomainError(
-            "the coherence-parametrized matrix diverges at gamma = 1; "
-            "precision_gamma handles that limit"
-        )
-    theta = math.acos(gamma)
-    q = qfim(ModelParams(s=s, sigma=sigma, theta=theta))
-    j = -1.0 / math.sin(theta)
-    return Qfim2(f_ss=q.f_ss, f_tt=q.f_tt * j * j, f_st=q.f_st * j, tag="gamma")
+    g_ss, g_gg, g_sg, _ = _gamma_chart(s, sigma, gamma)
+    return Qfim2(f_ss=g_ss, f_tt=g_gg, f_st=g_sg, tag="gamma")
 
 
 def precision_gamma(s: float, sigma: float, gamma: float) -> PrecisionPair:
     """``H_s`` and ``H_gamma`` under the coherence nuisance.
 
-    ``H_s`` equals the theta-chart value exactly (reparametrization
-    invariance).  At ``gamma = 1`` it takes the theta -> 0 limit
-    ``H_s = F_ss = 4 a4^2`` while ``H_gamma`` diverges (returned as inf).
+    ``H_s`` is the chart-invariant closed form.  At ``gamma = 1`` it takes
+    the theta -> 0 limit ``H_s = F_ss = 4 lambda2 a4^2`` while ``H_gamma``
+    diverges (returned as inf).
     """
     if gamma == 1.0:
-        q = qfim(ModelParams(s=s, sigma=sigma, theta=0.0))
-        return PrecisionPair(h_s=q.f_ss, h_nuisance=math.inf)
-    g = qfim_gamma(s, sigma, gamma)
-    return _h_pair(g.f_ss, g.f_tt, g.f_st)
+        h_s = _theta_chart(ModelParams(s=s, sigma=sigma, theta=0.0))[3]
+        return PrecisionPair(h_s=h_s, h_nuisance=math.inf)
+    return _h_pair(*_gamma_chart(s, sigma, gamma))
 
 
-def _concurrence_chart(s: float, sigma: float, c: float):
-    """theta and the Jacobian rows of (s, theta) w.r.t. (s, C)."""
+def _concurrence_chart(s: float, sigma: float, c: float) -> tuple[float, float, float, float]:
+    """``(G_ss, G_CC, G_sC, H_s)``: the theta chart transported to (s, C).
+
+    The concurrence depends on both ``s`` and ``theta``, so the chart mixes
+    the parameters:  with ``t_s = d theta/ds|_C`` and ``t_C = d theta/dC|_s``,
+
+        G_ss = F_ss + 2 t_s F_st + t_s^2 F_tt
+        G_sC = t_C (F_st + t_s F_tt)
+        G_CC = t_C^2 F_tt.
+    """
     theta = theta_from_concurrence(s, sigma, c)
     ct = math.cos(theta)
     if ct < 1e-9:
@@ -284,31 +305,23 @@ def _concurrence_chart(s: float, sigma: float, c: float):
     om = one_minus_d_squared(s, sigma)
     th_c = 1.0 / (ct * math.sqrt(om))                      # d theta/dC at fixed s
     th_s = math.sin(theta) * tri.d * tri.d1 / (ct * om)    # d theta/ds at fixed C
-    return theta, th_s, th_c
+    f_ss, f_tt, f_st, h_s = _theta_chart(ModelParams(s=s, sigma=sigma, theta=theta))
+    g_ss = f_ss + 2.0 * th_s * f_st + th_s * th_s * f_tt
+    g_sc = th_c * (f_st + th_s * f_tt)
+    g_cc = th_c * th_c * f_tt
+    return g_ss, g_cc, g_sc, h_s
 
 
 def qfim_concurrence(s: float, sigma: float, c: float) -> Qfim2:
-    """QFIM for (s, C): Jacobian transport of the theta-parametrized matrix.
-
-    The concurrence depends on both ``s`` and ``theta``, so the chart mixes
-    the parameters:  with ``t_s = d theta/ds|_C`` and ``t_C = d theta/dC|_s``,
-
-        G_ss = F_ss + 2 t_s F_st + t_s^2 F_tt
-        G_sC = t_C (F_st + t_s F_tt)
-        G_CC = t_C^2 F_tt.
-    """
-    theta, th_s, th_c = _concurrence_chart(s, sigma, c)
-    q = qfim(ModelParams(s=s, sigma=sigma, theta=theta))
-    g_ss = q.f_ss + 2.0 * th_s * q.f_st + th_s * th_s * q.f_tt
-    g_sc = th_c * (q.f_st + th_s * q.f_tt)
-    g_cc = th_c * th_c * q.f_tt
+    """QFIM for (s, C): Jacobian transport of the theta-parametrized matrix
+    (formulas in :func:`_concurrence_chart`)."""
+    g_ss, g_cc, g_sc, _ = _concurrence_chart(s, sigma, c)
     return Qfim2(f_ss=g_ss, f_tt=g_cc, f_st=g_sc, tag="concurrence")
 
 
 def precision_concurrence(s: float, sigma: float, c: float) -> PrecisionPair:
     """``H_s`` and ``H_C`` under the concurrence nuisance (theta < pi/2)."""
-    g = qfim_concurrence(s, sigma, c)
-    return _h_pair(g.f_ss, g.f_tt, g.f_st)
+    return _h_pair(*_concurrence_chart(s, sigma, c))
 
 
 def commutator_expectation(p: ModelParams) -> float:

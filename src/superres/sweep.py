@@ -7,37 +7,34 @@ Concurrence requests beyond the reachable maximum at a given separation are
 emitted with ``status=out_of_reach`` (fields other than the request left
 blank) so that rectangular surface layouts survive.  Identical specs produce
 byte-identical output files.
+
+A block is evaluated in one array pass: the closed forms of
+``fisher_single`` and ``qfim_two_param`` are restated over the broadcast
+``(s, nuisance)`` grid, operation for operation, with each scalar branch
+turned into a mask.  Functions of one axis alone go through ``math``, so
+theta- and coherence-nuisance blocks agree with the scalar API bit for
+bit; in concurrence blocks theta depends on both axes and goes through
+numpy's vectorized arcsin/arccos/cos/sin, which may differ by an ulp.
+Results come back as a columnar :class:`SweepTable`, and the emitters
+format whole rows from its columns.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable
 
 import numpy as np
 
-from .errors import DomainError, OutOfReachError
-from .fisher_single import f_tot_coherence, f_tot_concurrence
+from .errors import DomainError
+from .fisher_single import _EPS
 from .numeric_oracle import GridField, default_grid, numeric_pure_qfi, numeric_qfim, _psf
-from .qfim_two_param import (
-    precision,
-    precision_concurrence,
-    precision_gamma,
-    qfim,
-    qfim_concurrence,
-    qfim_gamma,
-)
-from .state_model import (
-    ModelParams,
-    concurrence,
-    concurrence_max,
-    overlap,
-    spectral,
-    theta_from_concurrence,
-)
+from .qfim_two_param import _NUISANCE_FLOOR
+from .state_model import ModelParams, concurrence_max
 
 MODES = ("single", "qfim", "verify")
 NUISANCES = ("theta", "concurrence", "coherence")
@@ -80,8 +77,8 @@ class SweepSpec:
             )
         if self.fmt not in FORMATS:
             raise DomainError(f"format must be one of {FORMATS}, got {self.fmt!r}")
-        if not (self.sigma > 0.0):
-            raise DomainError(f"sigma must be positive, got {self.sigma}")
+        if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
+            raise DomainError(f"sigma must be positive and finite, got {self.sigma}")
         if self.phi != 0.0:
             raise DomainError(
                 f"closed-form sweeps require phi = 0, got phi = {self.phi}"
@@ -91,6 +88,8 @@ class SweepSpec:
             self.nuisance_range = (0.0, top, 50)
         for name, rng in (("s", self.s_range), ("nuisance", self.nuisance_range)):
             lo, hi, steps = rng
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise DomainError(f"{name}-range must be finite, got {rng}")
             if steps < 1:
                 raise DomainError(f"{name}-steps must be >= 1, got {steps}")
             if hi < lo:
@@ -134,6 +133,66 @@ class SweepRecord:
     delta_f_st: float | None = None
 
 
+class SweepTable(Sequence):
+    """Columnar sweep result: one float64 array per field in ``CSV_FIELDS``
+    and ``DELTA_FIELDS`` (NaN marks a blank cell) and one status per row.
+
+    It behaves as a read-only sequence of :class:`SweepRecord`; a record is
+    built only when its row is accessed, with blank cells as ``None``.
+    """
+
+    def __init__(self, columns: dict[str, np.ndarray], status: Sequence[str]):
+        self.columns = columns
+        self.status = list(status)
+
+    @classmethod
+    def from_records(cls, records: Iterable[SweepRecord]) -> SweepTable:
+        records = list(records)
+        columns = {
+            name: np.array([np.nan if (v := getattr(r, name)) is None else v
+                            for r in records], dtype=float)
+            for name in _FIELDS
+        }
+        return cls(columns, [r.status for r in records])
+
+    @classmethod
+    def concat(cls, tables: Iterable[SweepTable]) -> SweepTable:
+        tables = list(tables)
+        columns = {name: np.concatenate([t.columns[name] for t in tables])
+                   for name in _FIELDS}
+        return cls(columns, [st for t in tables for st in t.status])
+
+    def __len__(self) -> int:
+        return len(self.status)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return SweepTable({n: c[index] for n, c in self.columns.items()},
+                              self.status[index])
+        i = range(len(self))[index]
+        return _record({n: float(c[i]) for n, c in self.columns.items()}, self.status[i])
+
+    def __iter__(self):
+        names = list(self.columns)
+        for values, status in zip(zip(*(self.columns[n].tolist() for n in names)),
+                                  self.status):
+            yield _record(dict(zip(names, values)), status)
+
+
+_FIELDS = CSV_FIELDS + DELTA_FIELDS
+# populated on out-of-reach rows too, so that surface layouts stay rectangular
+_KEPT_OUT_OF_REACH = {"s", "sigma", "C", "d"}
+
+
+def _record(values: dict[str, float], status: str) -> SweepRecord:
+    return SweepRecord(**{n: None if v != v else v for n, v in values.items()},
+                       status=status)
+
+
+def _as_table(records: Iterable[SweepRecord]) -> SweepTable:
+    return records if isinstance(records, SweepTable) else SweepTable.from_records(records)
+
+
 def _axis(rng: tuple[float, float, int]) -> np.ndarray:
     lo, hi, steps = rng
     return np.array([lo]) if steps == 1 else np.linspace(lo, hi, steps)
@@ -163,114 +222,206 @@ def _numeric_f_tot(s: float, sigma: float, theta: float, n_points: int,
     return total
 
 
-def _single_record(spec: SweepSpec, s: float, nu: float) -> SweepRecord:
-    sigma = spec.sigma
-    d = overlap(s, sigma).d
-    if spec.nuisance == "concurrence":
-        if s == 0.0:
-            # only C = 0 is reachable; that column is the full-coherence limit
-            if nu > 0.0:
-                return SweepRecord(s=s, sigma=sigma, C=nu, d=d, status="out_of_reach")
-            rec = f_tot_coherence(s, sigma, 1.0)
-        else:
-            try:
-                rec = f_tot_concurrence(s, sigma, nu)
-            except OutOfReachError:
-                return SweepRecord(s=s, sigma=sigma, C=nu, d=d, status="out_of_reach")
-    elif spec.nuisance == "coherence":
-        rec = f_tot_coherence(s, sigma, nu)
+def _on_axis(fn, x: np.ndarray) -> np.ndarray:
+    """``fn``, a ``math`` function, element by element over an axis-shaped
+    array: quantities of one axis alone then match the scalar API bit for
+    bit, at the cost of O(steps) calls per block."""
+    return np.array([fn(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _single_block(nuisance: str, s, nu, sigma: float, d, om) -> dict:
+    """Columns of a single-mode block: ``f_tot_coherence`` and
+    ``f_tot_concurrence`` cell by cell, with their branches as masks."""
+    sig2 = sigma * sigma
+    sig4 = sig2 * sig2
+
+    def coherence_form(gamma):
+        return (
+            1.0 / (4.0 * sig2)
+            - gamma * d * (4.0 * sig2 - s * s) / (16.0 * sig4)
+            - gamma * gamma * d * d * s * s
+            / (8.0 * sig4 * (1.0 + gamma * gamma + 2.0 * d * gamma))
+        )
+
+    if nuisance == "concurrence":
+        c = nu
+        # at s = 0 (om = 0) this leaves only the C = 0 column in reach
+        reach = ~(c * c - om > 1e-12 * om)
+        rem = om - c * c
+        rem = np.where(rem < 4.0 * _EPS * om, 0.0, rem)
+        root = np.sqrt(rem)
+        root_om = np.sqrt(om)
+        den = om + rem + 2.0 * d * root_om * root
+        f = (
+            1.0 / (4.0 * sig2)
+            - d * (4.0 * sig2 - s * s) * root / (16.0 * sig4 * root_om)
+            - d * d * s * s * rem / (8.0 * sig4 * den)
+        )
+        gamma = np.minimum(root / root_om, 1.0)
+        # the s = 0, C = 0 cell is the full-coherence limit
+        at_zero = (s == 0.0) & (c == 0.0)
+        gamma = np.where(at_zero, 1.0, gamma)
+        f = np.where(at_zero, coherence_form(1.0), f)
+        theta = np.arccos(gamma)
+        C = c
     else:
-        rec = f_tot_coherence(s, sigma, math.cos(nu))
-    out = SweepRecord(
-        s=s, sigma=sigma, theta=rec.theta, gamma=rec.gamma,
-        C=rec.concurrence, d=d, f_tot=rec.f_tot,
+        gamma = nu if nuisance == "coherence" else _on_axis(math.cos, nu)
+        f = coherence_form(gamma)
+        theta = _on_axis(math.acos, gamma)
+        C = np.sqrt((1.0 - gamma * gamma) * om)
+        reach = np.True_
+    return {"theta": theta, "gamma": gamma, "C": C, "f_tot": f, "_reach": reach}
+
+
+def _qfim_block(nuisance: str, s, nu, sigma: float, d, om) -> dict:
+    """Columns of a qfim-mode block: the theta-chart QFIM of ``qfim`` (with
+    ``spectral``'s a3, a4), its transport to the block's chart, and the
+    precisions, with each scalar branch as a mask."""
+    sig2 = sigma * sigma
+    e = -_on_axis(math.expm1, -s * s / (8.0 * sigma * sigma))      # 1 - d
+    d1 = -(s / (4.0 * sig2)) * d
+    t = s * s / (8.0 * sig2)
+    a3sq = np.where(
+        t < 1e-3,
+        t * (1.0 - t * t / 30.0) / (48.0 * sig2),
+        (2.0 * (e - t) - e * e + 2.0 * t * e) / (16.0 * sig2 * e * e),
     )
-    if spec.oracle:
-        num = _numeric_f_tot(s, sigma, rec.theta, spec.grid_points,
-                             spec.fd_step if spec.fd_step is not None else 1e-5 * sigma,
-                             spec.grid_halfwidth)
-        out.delta_f_tot = abs(out.f_tot - num) / max(abs(num), 1e-300)
-    return out
+    a4sq = (2.0 * e - e * e + 2.0 * t - 2.0 * t * e) / (16.0 * sig2 * (2.0 - e) ** 2)
+    a3 = np.sqrt(np.maximum(a3sq, 0.0))
+    a4 = np.sqrt(np.maximum(a4sq, 0.0))
 
-
-def _qfim_record(spec: SweepSpec, s: float, nu: float) -> SweepRecord:
-    sigma = spec.sigma
-    d = overlap(s, sigma).d
-    out = SweepRecord(s=s, sigma=sigma, d=d)
-    if spec.nuisance == "theta":
-        p = ModelParams(s=s, sigma=sigma, theta=nu)
-        q = qfim(p)
-        h = precision(p)
-        out.theta, out.gamma, out.C = nu, math.cos(nu), concurrence(p)
-        out.f_ss, out.f_tt, out.f_st = q.f_ss, q.f_tt, q.f_st
-        out.h_s, out.h_nuisance = h.h_s, h.h_nuisance
-    elif spec.nuisance == "coherence":
-        out.gamma = nu
-        out.theta = math.acos(nu)
-        out.C = concurrence(ModelParams(s=s, sigma=sigma, theta=out.theta))
-        if nu == 1.0:
-            h = precision_gamma(s, sigma, 1.0)
-            out.f_ss, out.h_s = h.h_s, h.h_s   # H_s = G_ss in this limit
-        else:
-            q = qfim_gamma(s, sigma, nu)
-            h = precision_gamma(s, sigma, nu)
-            out.f_ss, out.f_tt, out.f_st = q.f_ss, q.f_tt, q.f_st
-            out.h_s, out.h_nuisance = h.h_s, h.h_nuisance
+    if nuisance == "concurrence":
+        c_max = np.sqrt(om)
+        reach = ~(nu * nu - c_max * c_max > 1e-12 * c_max * c_max)
+        theta = np.arcsin(np.minimum(nu / c_max, 1.0))
+        ct, st, sin_half = np.cos(theta), np.sin(theta), np.sin(theta / 2.0)
     else:
-        c_max = concurrence_max(s, sigma)
-        if nu * nu - c_max * c_max > 1e-12 * c_max * c_max:
-            return SweepRecord(s=s, sigma=sigma, C=nu, d=d, status="out_of_reach")
-        out.C = nu
-        out.theta = theta_from_concurrence(s, sigma, nu)
-        out.gamma = math.cos(out.theta)
-        try:
-            q = qfim_concurrence(s, sigma, nu)
-            h = precision_concurrence(s, sigma, nu)
-            out.f_ss, out.f_tt, out.f_st = q.f_ss, q.f_tt, q.f_st
-            out.h_s, out.h_nuisance = h.h_s, h.h_nuisance
-        except DomainError:
-            # concurrence chart singular at maximum reach; H_s is
-            # chart-invariant so report it from the theta chart
-            out.h_s = precision(ModelParams(s=s, sigma=sigma, theta=out.theta)).h_s
-    if spec.oracle:
-        _attach_qfim_deltas(spec, s, out)
-    return out
+        reach = np.True_
+        theta = nu if nuisance == "theta" else _on_axis(math.acos, nu)
+        ct, st = _on_axis(math.cos, theta), _on_axis(math.sin, theta)
+        sin_half = _on_axis(math.sin, theta / 2.0)
+    omc = 2.0 * sin_half ** 2                               # 1 - cos(theta)
+    den = 1.0 + d * ct
+    lam1 = e * omc / (2.0 * den)
+    lam2 = (2.0 - e) * (1.0 + ct) / (2.0 * den)
+    y = d1 * st * st / (2.0 * den * den)                    # dlam2/ds = -dlam1/ds
+    x = om * st / (2.0 * den * den)                         # dlam1/dtheta = -dlam2/dtheta
+    h_s = 4.0 * (lam1 * a3 ** 2 + lam2 * a4 ** 2)
+    pure = lam1 == 0.0                                      # theta = 0 limits
+    f_ss = np.where(pure, h_s, y * y / lam1 + y * y / lam2 + h_s)
+    f_tt = np.where(pure, e / (2.0 - e), x * x / lam1 + x * x / lam2)
+    f_st = np.where(pure, 0.0, -(y * x / lam1 + y * x / lam2))
+
+    if nuisance == "theta":
+        g_ss, g_tt, g_st = f_ss, f_tt, f_st
+        gamma = ct
+    elif nuisance == "coherence":
+        j = -1.0 / st
+        # gamma = 1: infinite nuisance block, only F_ss = H_s survives
+        g_ss = f_ss
+        g_tt = np.where(nu == 1.0, np.nan, f_tt * j * j)
+        g_st = np.where(nu == 1.0, np.nan, f_st * j)
+        gamma = nu
+    else:
+        th_c = 1.0 / (ct * np.sqrt(om))
+        th_s = st * d * d1 / (ct * om)
+        # the chart is singular at maximum reach; H_s is chart-invariant
+        chart = ~(ct < 1e-9)
+        g_ss = np.where(chart, f_ss + 2.0 * th_s * f_st + th_s * th_s * f_tt, np.nan)
+        g_tt = np.where(chart, th_c * th_c * f_tt, np.nan)
+        g_st = np.where(chart, th_c * (f_st + th_s * f_tt), np.nan)
+        gamma = ct
+    floor = (g_tt < _NUISANCE_FLOOR) & (np.abs(g_st) < _NUISANCE_FLOOR)
+    h_n = np.where(floor, g_tt, g_tt - g_st * g_st / g_ss)
+    C = nu if nuisance == "concurrence" else st * np.sqrt(om)
+    return {"theta": theta, "gamma": gamma, "C": C,
+            "f_ss": g_ss, "f_tt": g_tt, "f_st": g_st, "h_s": h_s, "h_nuisance": h_n,
+            "_reach": reach, "_lam1": lam1,
+            "_theta_f_ss": f_ss, "_theta_f_tt": f_tt, "_theta_f_st": f_st}
 
 
-def _attach_qfim_deltas(spec: SweepSpec, s: float, out: SweepRecord) -> None:
-    """Oracle deltas always compare the theta-parametrized matrix."""
-    p = ModelParams(s=s, sigma=spec.sigma, theta=out.theta)
-    ana = qfim(p)
-    num = numeric_qfim(p, fd_step=spec.fd_step, n_points=spec.grid_points,
-                       halfwidth=spec.grid_halfwidth)
-    out.delta_f_ss = abs(ana.f_ss - num.f_ss) / max(abs(num.f_ss), 1e-300)
-    if spectral(p).lambda1 >= 1e-12:
-        # below the floor the analytic side reports the continuous limit
-        # while the pointwise derivative vanishes; only f_ss is comparable
-        out.delta_f_tt = abs(ana.f_tt - num.f_tt) / max(abs(num.f_tt), 1e-300)
-        out.delta_f_st = abs(ana.f_st - num.f_st) / max(abs(num.f_st), 1e-300)
+def _kernel(spec: SweepSpec) -> dict[str, np.ndarray]:
+    """Evaluate a whole block at once over the broadcast ``(s, nuisance)``
+    grid, every quantity exactly once per cell, flattened s-major.
+
+    Returns the populated columns (unmasked), the ``_reach`` mask, and the
+    theta-chart QFIM and ``lambda1`` the oracle compares (``_``-prefixed).
+    """
+    s = _axis(spec.s_range)[:, None]
+    nu = _axis(spec.nuisance_range)[None, :]
+    sigma = spec.sigma
+    block = _single_block if spec.mode == "single" else _qfim_block
+    # masked cells (out of reach, chart singularities) may divide by zero;
+    # the finiteness check below catches any unmasked overflow
+    with np.errstate(all="ignore"):
+        d = _on_axis(math.exp, -s * s / (8.0 * sigma * sigma))
+        om = -_on_axis(math.expm1, -s * s / (4.0 * sigma * sigma))     # 1 - d^2
+        cells = block(spec.nuisance, s, nu, sigma, d, om)
+    cells.update(s=s, sigma=sigma, d=d)
+    if spec.nuisance == "concurrence":
+        cells["C"] = nu                       # the request, also out of reach
+    shape = (s.size, nu.size)
+    cells = {name: np.broadcast_to(v, shape).ravel() for name, v in cells.items()}
+    reach = cells["_reach"]
+    must = ("theta", "gamma", "C", "d", "f_tot" if spec.mode == "single" else "h_s")
+    bad = reach & ~np.logical_and.reduce([np.isfinite(cells[n]) for n in must])
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(
+            f"the closed forms do not resolve s = {float(cells['s'][i])!r} with "
+            f"{spec.nuisance} = {float(nu.ravel()[i % nu.size])!r} at sigma = {sigma!r}"
+        )
+    return cells
 
 
-def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
-    """Evaluate the Cartesian product of the two axes, s-major."""
+def run_sweep(spec: SweepSpec) -> SweepTable:
+    """Evaluate the Cartesian product of the two axes, s-major, in one
+    array pass (see :func:`_kernel`)."""
     spec.validate()
-    records = []
-    make = _single_record if spec.mode == "single" else _qfim_record
-    for s in _axis(spec.s_range):
-        for nu in _axis(spec.nuisance_range):
-            records.append(make(spec, float(s), float(nu)))
-    return records
+    cells = _kernel(spec)
+    reach = cells["_reach"]
+    columns = {name: np.where(reach | (name in _KEPT_OUT_OF_REACH),
+                              cells.get(name, np.nan), np.nan)
+               for name in _FIELDS}
+    status = ["ok" if r else "out_of_reach" for r in reach.tolist()]
+    if spec.oracle:
+        _attach_deltas(spec, columns, cells, np.flatnonzero(reach))
+    return SweepTable(columns, status)
+
+
+def _attach_deltas(spec: SweepSpec, columns: dict[str, np.ndarray], cells: dict,
+                   rows: np.ndarray) -> None:
+    """Grid-oracle relative deltas for the in-reach rows; qfim deltas always
+    compare the theta-parametrized matrix."""
+    fd_step = spec.fd_step if spec.fd_step is not None else 1e-5 * spec.sigma
+    for i in rows.tolist():
+        s, theta = float(columns["s"][i]), float(columns["theta"][i])
+        if spec.mode == "single":
+            num = _numeric_f_tot(s, spec.sigma, theta, spec.grid_points, fd_step,
+                                 spec.grid_halfwidth)
+            columns["delta_f_tot"][i] = _rel_delta(columns["f_tot"][i], num)
+            continue
+        num = numeric_qfim(ModelParams(s=s, sigma=spec.sigma, theta=theta),
+                           fd_step=spec.fd_step, n_points=spec.grid_points,
+                           halfwidth=spec.grid_halfwidth)
+        columns["delta_f_ss"][i] = _rel_delta(cells["_theta_f_ss"][i], num.f_ss)
+        if cells["_lam1"][i] >= 1e-12:
+            # the oracle's spectral sum drops eigenvalue pairs below its 1e-12
+            # support cutoff, so below that only f_ss is comparable
+            columns["delta_f_tt"][i] = _rel_delta(cells["_theta_f_tt"][i], num.f_tt)
+            columns["delta_f_st"][i] = _rel_delta(cells["_theta_f_st"][i], num.f_st)
+
+
+def _rel_delta(analytic: float, numeric: float) -> float:
+    return abs(analytic - numeric) / max(abs(numeric), 1e-300)
 
 
 def max_oracle_delta(records: Iterable[SweepRecord]) -> float:
     """Largest populated oracle delta (0.0 if none are populated)."""
-    worst = 0.0
-    for rec in records:
-        for name in DELTA_FIELDS:
-            v = getattr(rec, name)
-            if v is not None:
-                worst = max(worst, v)
-    return worst
+    columns = _as_table(records).columns
+    deltas = np.concatenate([columns[name] for name in DELTA_FIELDS])
+    deltas = deltas[~np.isnan(deltas)]
+    return float(deltas.max()) if deltas.size else 0.0
 
 
 def figure_preset(name: str) -> list[SweepSpec]:
@@ -309,22 +460,6 @@ def figure_preset(name: str) -> list[SweepSpec]:
     return presets[name]
 
 
-def _fmt(v: float | None) -> str:
-    if v is None or not math.isfinite(v):
-        return ""
-    return f"{v:.16e}"
-
-
-def _record_dict(rec: SweepRecord, include_deltas: bool) -> dict:
-    out = {}
-    for name in CSV_FIELDS + (DELTA_FIELDS if include_deltas else ()):
-        v = getattr(rec, name)
-        if v is not None and math.isfinite(v):
-            out[name] = v
-    out["status"] = rec.status
-    return out
-
-
 def emit(records: Iterable[SweepRecord], fmt: str, destination: str | Path | IO[str],
          include_deltas: bool = False) -> None:
     """Write records as CSV (17-significant-digit scientific notation) or
@@ -332,26 +467,83 @@ def emit(records: Iterable[SweepRecord], fmt: str, destination: str | Path | IO[
     byte-identical across runs for identical inputs."""
     if fmt not in FORMATS:
         raise DomainError(f"format must be one of {FORMATS}, got {fmt!r}")
-    records = list(records)
+    table = _as_table(records)
     if hasattr(destination, "write"):
-        _emit_stream(records, fmt, destination, include_deltas)
+        _emit_stream(table, fmt, destination, include_deltas)
         return
     path = Path(destination)
     try:
         with open(path, "w", newline="") as fh:
-            _emit_stream(records, fmt, fh, include_deltas)
+            _emit_stream(table, fmt, fh, include_deltas)
     except OSError as exc:
         raise OSError(f"cannot write sweep output to {path}: {exc}") from exc
 
 
-def _emit_stream(records: list[SweepRecord], fmt: str, fh: IO[str],
-                 include_deltas: bool) -> None:
+_CHUNK_ROWS = 256
+
+
+def _csv_row_format(names: tuple[str, ...], present: int, status: str) -> str:
+    # "%.0s" consumes a blank cell's text and prints nothing
+    cells = ["%s" if present >> k & 1 else "%.0s" for k in range(len(names))]
+    return ",".join(cells) + "," + status.replace("%", "%%") + "\n"
+
+
+def _json_row_format(names: tuple[str, ...], present: int, status: str) -> str:
+    # the layout of json.dump(..., indent=2): one key per line
+    entries, skipped = [], ""
+    for k, name in enumerate(names):
+        if present >> k & 1:
+            entries.append(f'{skipped}    "{name}": %s')
+            skipped = ""
+        else:
+            skipped += "%.0s"
+    entries.append(f'{skipped}    "status": ' + json.dumps(status).replace("%", "%%"))
+    return "  {\n" + ",\n".join(entries) + "\n  }"
+
+
+def _emit_stream(table: SweepTable, fmt: str, fh: IO[str], include_deltas: bool) -> None:
+    names = CSV_FIELDS + (DELTA_FIELDS if include_deltas else ())
     if fmt == "csv":
-        names = CSV_FIELDS + (DELTA_FIELDS if include_deltas else ()) + ("status",)
-        fh.write(",".join(names) + "\n")
-        for rec in records:
-            cells = [_fmt(getattr(rec, n)) for n in names[:-1]]
-            fh.write(",".join(cells + [rec.status]) + "\n")
+        fh.write(",".join(names + ("status",)) + "\n")
+        # 17 significant digits, as f"{v:.16e}"
+        for chunk in _formatted_rows(table, names, "%.16e", _csv_row_format):
+            fh.write("".join(chunk))
+    elif not len(table):
+        fh.write("[]\n")
     else:
-        json.dump([_record_dict(r, include_deltas) for r in records], fh, indent=2)
-        fh.write("\n")
+        sep = "[\n"
+        # floats as json writes them, by float.__repr__
+        for chunk in _formatted_rows(table, names, "%r", _json_row_format):
+            fh.write(sep + ",\n".join(chunk))
+            sep = ",\n"
+        fh.write("\n]\n")
+
+
+def _formatted_rows(table: SweepTable, names: tuple[str, ...], cell_format: str,
+                    row_format):
+    """Yield the rows a chunk at a time, each assembled whole by one cached
+    ``%`` template per pattern of populated cells and status."""
+    weights = 1 << np.arange(len(names), dtype=np.int64)
+    templates: dict[tuple[int, str], str] = {}
+    for lo in range(0, len(table), _CHUNK_ROWS):
+        hi = lo + _CHUNK_ROWS
+        cols = [table.columns[n][lo:hi] for n in names]
+        present = (np.isfinite(np.stack(cols, axis=1)) @ weights).tolist()
+        keys = list(zip(present, table.status[lo:hi]))
+        for key in set(keys).difference(templates):
+            templates[key] = row_format(names, *key)
+        rows = zip(*(_format_column(c, cell_format) for c in cols))
+        yield [templates[k] % row for k, row in zip(keys, rows)]
+
+
+def _format_column(col: np.ndarray, cell_format: str) -> list[str]:
+    """Each cell as text.  A column that mostly repeats values (s, sigma
+    and d along the nuisance axis, the nuisance axis along s) formats each
+    distinct bit pattern once (bits, so that 0.0 and -0.0 stay apart)."""
+    bits, inverse = np.unique(np.asarray(col, dtype=np.float64).view(np.int64),
+                              return_inverse=True)
+    if 2 * bits.size > col.size:
+        return [cell_format % v for v in col.tolist()]
+    text = np.array([cell_format % v for v in bits.view(np.float64).tolist()],
+                    dtype=object)
+    return text[inverse].tolist()

@@ -280,3 +280,50 @@ def test_h_s_positive_off_the_corner():
 def test_concurrence_descriptor_consistency():
     p = ModelParams(2.0, 1.0, math.pi / 4)
     assert concurrence(p) == pytest.approx(0.5621923864784001, abs=1e-12)
+
+
+def mp_theta_chart(s, theta, sigma=1.0):
+    """(F_ss, F_tt, F_st, H_s) at 50 digits: the eigenvalue derivatives by
+    mpmath's numerical differentiation, H_s by its definition."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        s, theta, sigma = mp.mpf(s), mp.mpf(theta), mp.mpf(sigma)
+
+        def lams(sv, th):
+            d = mp.exp(-sv**2 / (8 * sigma**2))
+            den = 1 + d * mp.cos(th)
+            return (1 - d) * (1 - mp.cos(th)) / (2 * den), (1 + d) * (1 + mp.cos(th)) / (2 * den)
+
+        l1, l2 = lams(s, theta)
+        d = mp.exp(-s**2 / (8 * sigma**2))
+        d1 = -(s / (4 * sigma**2)) * d
+        u = 1 - s**2 / (4 * sigma**2)
+        a3sq = (1 + d * u) / (16 * sigma**2 * (1 - d)) - d1**2 / (4 * (1 - d)**2)
+        a4sq = (1 - d * u) / (16 * sigma**2 * (1 + d)) - d1**2 / (4 * (1 + d)**2)
+        l1s, l2s = (mp.diff(lambda x: lams(x, theta)[k], s) for k in (0, 1))
+        l1t, l2t = (mp.diff(lambda x: lams(s, x)[k], theta) for k in (0, 1))
+        f_ss = l1s**2 / l1 + l2s**2 / l2 + 4 * (l1 * a3sq + l2 * a4sq)
+        f_tt = l1t**2 / l1 + l2t**2 / l2
+        f_st = l1s * l1t / l1 + l2s * l2t / l2
+        return [float(v) for v in (f_ss, f_tt, f_st, f_ss - f_st**2 / f_tt)]
+
+
+class TestSmallLambda1:
+    """Tiny but positive lambda1, where theta is not small against s: the
+    exact formulas hold there, not the theta -> 0 limits."""
+
+    @pytest.mark.parametrize("s, theta", [(1e-3, 1e-3), (1e-3, 3e-3), (1e-4, 0.05)])
+    def test_matches_mpmath(self, s, theta):
+        p = ModelParams(s, 1.0, theta)
+        assert spectral(p).lambda1 < 1e-12
+        q, h = qfim(p), precision(p)
+        want = mp_theta_chart(s, theta)
+        for got, ref in zip((q.f_ss, q.f_tt, q.f_st, h.h_s), want):
+            assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_h_s_bounded_by_f_ss_exactly(self):
+        for p in random_params(30, seed=21, theta_min=0.0) + [ModelParams(2.0, 1.0, 0.0)]:
+            q, h = qfim(p), precision(p)
+            assert 0.0 <= h.h_s <= q.f_ss
+        at_zero = ModelParams(0.7, 1.0, 0.0)
+        assert precision(at_zero).h_s == qfim(at_zero).f_ss

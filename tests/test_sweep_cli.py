@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -6,9 +7,31 @@ import sys
 import numpy as np
 import pytest
 
-from superres import DomainError, SweepSpec, emit, figure_preset, run_sweep
+from superres import (
+    DomainError,
+    ModelParams,
+    OutOfReachError,
+    SweepRecord,
+    SweepSpec,
+    SweepTable,
+    concurrence,
+    concurrence_max,
+    emit,
+    f_tot_coherence,
+    f_tot_concurrence,
+    figure_preset,
+    overlap,
+    precision,
+    precision_concurrence,
+    precision_gamma,
+    qfim,
+    qfim_concurrence,
+    qfim_gamma,
+    run_sweep,
+    theta_from_concurrence,
+)
 from superres.cli import main
-from superres.sweep import CSV_FIELDS, max_oracle_delta
+from superres.sweep import CSV_FIELDS, DELTA_FIELDS, max_oracle_delta
 
 
 def small_single_spec(**kw):
@@ -40,6 +63,9 @@ class TestSweepSpec:
             dict(s_range=(0.5, 2.0, 0)),
             dict(nuisance_range=(-0.2, 1.0, 5)),
             dict(mode="qfim", s_range=(0.0, 2.0, 5)),
+            dict(sigma=math.inf),
+            dict(s_range=(0.5, math.inf, 5)),
+            dict(nuisance="concurrence", nuisance_range=(0.0, math.nan, 3)),
         ],
     )
     def test_rejects_invalid(self, kw):
@@ -114,6 +140,11 @@ class TestRunSweep:
         recs = run_sweep(spec)
         assert recs[0].status == "ok"
         assert recs[0].h_s is not None and recs[0].f_tt is None
+
+    def test_unresolvable_scale_is_a_domain_error(self):
+        # sigma^4 underflows: the closed forms would give NaN in every cell
+        with pytest.raises(DomainError, match="do not resolve"):
+            run_sweep(small_single_spec(sigma=1e-160))
 
     def test_oracle_deltas(self):
         spec = SweepSpec(mode="verify", nuisance="theta",
@@ -275,3 +306,180 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert out.exists()
+
+
+def scalar_cell(spec, s, nu):
+    """One sweep cell computed point by point from the scalar API, the way
+    the sweep did before it became an array kernel: (status, populated
+    fields)."""
+    sigma = spec.sigma
+    d = overlap(s, sigma).d
+    out_of_reach = ("out_of_reach", {"C": nu, "d": d})
+    if spec.mode == "single":
+        if spec.nuisance == "concurrence":
+            if s == 0.0:
+                if nu > 0.0:
+                    return out_of_reach
+                rec = f_tot_coherence(s, sigma, 1.0)
+            else:
+                try:
+                    rec = f_tot_concurrence(s, sigma, nu)
+                except OutOfReachError:
+                    return out_of_reach
+        else:
+            gamma = nu if spec.nuisance == "coherence" else math.cos(nu)
+            rec = f_tot_coherence(s, sigma, gamma)
+        return "ok", {"theta": rec.theta, "gamma": rec.gamma, "C": rec.concurrence,
+                      "d": d, "f_tot": rec.f_tot}
+    if spec.nuisance == "theta":
+        p = ModelParams(s, sigma, nu)
+        cells = {"theta": nu, "gamma": math.cos(nu), "C": concurrence(p)}
+        q, h = qfim(p), precision(p)
+    elif spec.nuisance == "coherence":
+        theta = math.acos(nu)
+        cells = {"theta": theta, "gamma": nu,
+                 "C": concurrence(ModelParams(s, sigma, theta))}
+        if nu == 1.0:
+            h_s = precision_gamma(s, sigma, 1.0).h_s
+            return "ok", {**cells, "d": d, "f_ss": h_s, "h_s": h_s}
+        q, h = qfim_gamma(s, sigma, nu), precision_gamma(s, sigma, nu)
+    else:
+        c_max = concurrence_max(s, sigma)
+        if nu * nu - c_max * c_max > 1e-12 * c_max * c_max:
+            return out_of_reach
+        theta = theta_from_concurrence(s, sigma, nu)
+        cells = {"theta": theta, "gamma": math.cos(theta), "C": nu}
+        try:
+            q, h = qfim_concurrence(s, sigma, nu), precision_concurrence(s, sigma, nu)
+        except DomainError:
+            h_s = precision(ModelParams(s, sigma, theta)).h_s
+            return "ok", {**cells, "d": d, "h_s": h_s}
+    return "ok", {**cells, "d": d, "f_ss": q.f_ss, "f_tt": q.f_tt, "f_st": q.f_st,
+                  "h_s": h.h_s, "h_nuisance": h.h_nuisance}
+
+
+class TestKernelMatchesScalarApi:
+    """The array kernel against the scalar API, cell by cell, on every preset.
+
+    In the concurrence blocks theta depends on both axes and goes through
+    numpy's arcsin/arccos/cos/sin, which may differ from ``math``'s by an
+    ulp; the concurrence chart's ``1/cos(theta)`` near maximum reach
+    amplifies that in the transported cells."""
+
+    TIGHT = 1e-13
+    AMPLIFIED = 1e-8
+
+    @pytest.mark.parametrize("preset", ["fig1a", "fig1b", "fig1c", "fig2a", "fig2b"])
+    def test_preset_cells(self, preset):
+        for block in figure_preset(preset):
+            spec = dataclasses.replace(
+                block,
+                s_range=(*block.s_range[:2], min(block.s_range[2], 40)),
+                nuisance_range=(*block.nuisance_range[:2], 40),
+            )
+            table = run_sweep(spec)
+            s_axis = np.linspace(*spec.s_range) if spec.s_range[2] > 1 else [spec.s_range[0]]
+            cells = [(float(s), float(nu)) for s in s_axis
+                     for nu in np.linspace(*spec.nuisance_range)]
+            assert len(table) == len(cells)
+            for rec, (s, nu) in zip(table, cells):
+                status, want = scalar_cell(spec, s, nu)
+                assert rec.status == status and rec.s == s and rec.sigma == 1.0
+                for name in CSV_FIELDS[2:]:
+                    got = getattr(rec, name)
+                    if name not in want:
+                        assert got is None, (preset, s, nu, name)
+                        continue
+                    amplified = spec.nuisance == "concurrence" and name in (
+                        "f_ss", "f_tt", "f_st", "h_nuisance")
+                    tol = self.AMPLIFIED if amplified else self.TIGHT
+                    assert got == pytest.approx(want[name], rel=tol, abs=0.0), \
+                        (preset, s, nu, name)
+
+
+def mixed_table():
+    """Every row shape a table holds: in-reach and out-of-reach rows, the
+    gamma = 1 column, an oracle delta, and an infinite cell."""
+    qfim_block = run_sweep(SweepSpec(mode="qfim", nuisance="coherence",
+                                     s_range=(0.5, 2.0, 2), nuisance_range=(0.0, 1.0, 3)))
+    single_block = run_sweep(small_single_spec(nuisance="concurrence",
+                                               s_range=(0.3, 0.3, 1),
+                                               nuisance_range=(0.0, 0.5, 3)))
+    extra = SweepTable.from_records([
+        SweepRecord(s=1.0, sigma=1.0, h_s=0.125, h_nuisance=math.inf,
+                    delta_f_ss=3e-9),
+    ])
+    return SweepTable.concat([qfim_block, single_block, extra])
+
+
+def read_back(path, fmt):
+    """Columns of an emitted file (NaN for blank cells) and its statuses."""
+    names = CSV_FIELDS + DELTA_FIELDS
+    if fmt == "csv":
+        header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+        assert tuple(header) == names + ("status",)
+        cols = {n: [float(r[j]) if r[j] else math.nan for r in rows]
+                for j, n in enumerate(names)}
+        return cols, [r[-1] for r in rows]
+    data = json.loads(path.read_text())
+    return ({n: [obj.get(n, math.nan) for obj in data] for n in names},
+            [obj["status"] for obj in data])
+
+
+class TestSweepTable:
+    def test_sequence_behaviour(self):
+        table = run_sweep(small_single_spec())
+        records = list(table)
+        assert len(table) == len(records) == 20
+        assert table[-1] == records[-1] and table[3] == records[3]
+        assert list(table[2:5]) == records[2:5]
+        with pytest.raises(IndexError):
+            table[20]
+        assert all(isinstance(r, SweepRecord) and r.f_ss is None for r in records)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_round_trip_through_emit(self, tmp_path, fmt):
+        table = mixed_table()
+        assert set(table.status) == {"ok", "out_of_reach"}
+        out = tmp_path / f"table.{fmt}"
+        emit(table, fmt, out, include_deltas=True)
+        cols, status = read_back(out, fmt)
+        assert status == table.status
+        for name in CSV_FIELDS + DELTA_FIELDS:
+            col = table.columns[name]
+            np.testing.assert_array_equal(cols[name], np.where(np.isfinite(col), col, np.nan))
+        assert math.isnan(cols["h_nuisance"][-1])        # inf is emitted blank
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_empty_table(self, tmp_path, fmt):
+        out = tmp_path / f"empty.{fmt}"
+        emit(SweepTable.from_records([]), fmt, out)
+        expected = ",".join(CSV_FIELDS + ("status",)) if fmt == "csv" else "[]"
+        assert out.read_text() == expected + "\n"
+
+    def test_signed_zeros_keep_their_sign(self, tmp_path):
+        records = [SweepRecord(s=1.0, sigma=1.0, f_st=v) for v in (0.0, -0.0) * 3]
+        out = tmp_path / "zeros.csv"
+        emit(records, "csv", out)
+        column = [line.split(",")[CSV_FIELDS.index("f_st")]
+                  for line in out.read_text().splitlines()[1:]]
+        assert column == [f"{r.f_st:.16e}" for r in records]
+
+    @pytest.mark.parametrize("include_deltas", [False, True])
+    def test_bytes_match_cell_by_cell_formatting(self, tmp_path, include_deltas):
+        """Whole-row templates write what per-cell formatting and json.dump
+        write."""
+        records = list(mixed_table())
+        names = CSV_FIELDS + (DELTA_FIELDS if include_deltas else ())
+        cells = [{n: getattr(r, n) for n in names
+                  if getattr(r, n) is not None and math.isfinite(getattr(r, n))}
+                 for r in records]
+        csv_text = ",".join(names + ("status",)) + "\n" + "".join(
+            ",".join(f"{c[n]:.16e}" if n in c else "" for n in names) + f",{r.status}\n"
+            for c, r in zip(cells, records))
+        json_text = json.dumps([{**c, "status": r.status} for c, r in zip(cells, records)],
+                               indent=2) + "\n"
+        for fmt, expected in (("csv", csv_text), ("json", json_text)):
+            out = tmp_path / f"rows.{fmt}"
+            emit(records, fmt, out, include_deltas=include_deltas)
+            assert out.read_text() == expected
