@@ -16,8 +16,8 @@ In that frame, with ``B = dd/ds`` and ``den = 1 + d cos(theta)``,
 The SLD for parameter ``i`` solves ``d rho/di = (L rho + rho L)/2`` and in
 the eigenframe is ``L[k,l] = 2 <e_k|d rho|e_l> / (lambda_k + lambda_l)``
 restricted to pairs with nonvanishing eigenvalue sum.  QFIM elements follow
-either from those matrix elements (the route used here, in the cancelled
-form ``(d lambda)^2 / lambda``) or from the generic trace rule
+either from those matrix elements (the route used here, with the
+eigenvalue part cancelled in closed form) or from the generic trace rule
 ``F_ij = Tr[rho (L_i L_j + L_j L_i)]/2`` (kept for consistency checks).
 
 Nuisance-corrected precisions:
@@ -37,13 +37,18 @@ matrix.
 
 Degenerate corners (all at phi = 0, s > 0):
 
-* ``theta = 0``: lambda1 vanishes; individual SLD entries diverge but the
-  QFIM terms have finite limits ``F_ss -> H_s = 4 lambda2 a4^2``,
-  ``F_tt -> (1-d)/(1+d)``, ``F_st -> 0``, substituted only where
-  ``lambda1 == 0`` (theta = 0, or underflow); any positive ``lambda1`` takes
-  the exact formulas.  (Exactly at the point the state is pure and the
-  pointwise theta-information is zero; the continuous extension is what
-  the precision surfaces plot.)
+* ``theta = 0``: lambda1 vanishes and individual SLD entries diverge, but
+  in the QFIM the ``1/lambda1`` cancels against the ``sin^2(theta)`` of the
+  derivatives.  The classical block
+
+      F_ss - H_s = (B sin(theta))^2 / ((1 - d^2) den^2),
+      F_tt = (1 - d^2) / den^2,     F_st = -B sin(theta) / den^2
+
+  is regular for every theta and takes its continuous limits
+  ``F_ss -> H_s = 4 lambda2 a4^2``, ``F_tt -> (1-d)/(1+d)``, ``F_st -> 0``
+  at theta = 0 with no switch.  (Exactly at the point the state is pure
+  and the pointwise theta-information is zero; the continuous extension is
+  what the precision surfaces plot.)
 * ``gamma = 1``: the coherence chart has an infinite nuisance block;
   ``precision_gamma`` returns the limiting ``h_s`` with ``h_nuisance = inf``.
 * concurrence at its reachable maximum (theta = pi/2): the concurrence
@@ -188,30 +193,34 @@ def sld_pair(p: ModelParams) -> SldPair:
 def _theta_chart(p: ModelParams) -> tuple[float, float, float, float]:
     """``(F_ss, F_tt, F_st, H_s)`` for (s, theta).
 
-    Diagonal SLD contributions enter in the cancelled form
-    ``(d lambda)^2 / lambda``; at ``lambda1 == 0`` (theta = 0, or underflow)
-    the analytic limits take over.  Because ``d lambda1 = -d lambda2`` the
-    classical block is rank one, and ``F_st^2 / F_tt`` removes it exactly:
-    ``H_s`` is the quantum term ``4 (lambda1 a3^2 + lambda2 a4^2)``.
-    ``F_ss`` adds the classical term to that same float, so
-    ``0 <= H_s <= F_ss`` holds bit for bit.
+    The diagonal SLD contributions ``(d lambda)^2 / lambda`` sum, with
+    ``d lambda1 = -d lambda2`` and ``lambda1 + lambda2 = 1``, to
+    ``(d lambda1)^2 / (lambda1 lambda2)``, where
+    ``lambda1 lambda2 = (1 - d^2) sin^2(theta) / (4 den^2)``.  The
+    ``sin^2(theta)`` cancels, leaving the rank-one classical block
+    ``v v^T / ((1 - d^2) den^2)`` with ``v = (B sin(theta), -(1 - d^2))``,
+    regular at theta = 0.  ``F_st^2 / F_tt`` removes it exactly, so ``H_s``
+    is the quantum term ``4 (lambda1 a3^2 + lambda2 a4^2)``; ``F_ss`` adds
+    the classical term to that same float, so ``0 <= H_s <= F_ss`` holds
+    bit for bit.
     """
     _require_regular(p, "qfim")
-    lam1, lam2, dl1s, dl2s, dl1t, dl2t, _, spec = _lambda_derivatives(p)
+    lam1, lam2, *_, tri, spec = _lambda_derivatives(p)
+    om = one_minus_d_squared(p.s, p.sigma)
+    den = 1.0 + tri.d * math.cos(p.theta)
+    b = tri.d1 * math.sin(p.theta)
     h_s = 4.0 * (lam1 * spec.a3 ** 2 + lam2 * spec.a4 ** 2)
-    if lam1 == 0.0:
-        e = one_minus_d(p.s, p.sigma)
-        return h_s, e / (2.0 - e), 0.0, h_s
-    f_ss = dl1s * dl1s / lam1 + dl2s * dl2s / lam2 + h_s
-    f_tt = dl1t * dl1t / lam1 + dl2t * dl2t / lam2
-    f_st = dl1s * dl1t / lam1 + dl2s * dl2t / lam2
+    f_ss = b * b / (om * den * den) + h_s
+    f_tt = om / (den * den)
+    f_st = -b / (den * den)
     return f_ss, f_tt, f_st, h_s
 
 
 def qfim(p: ModelParams) -> Qfim2:
-    """QFIM for (s, theta), assembled from the eigenframe element formulas.
+    """QFIM for (s, theta), assembled from the eigenframe element formulas
+    (closed forms in :func:`_theta_chart`).
 
-    At theta = 0 it returns the continuous limits
+    At theta = 0 these reduce to the continuous limits
     ``(F_ss, F_tt, F_st) = (4 lambda2 a4^2, (1-d)/(1+d), 0)``.
     """
     f_ss, f_tt, f_st, _ = _theta_chart(p)

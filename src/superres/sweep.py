@@ -245,8 +245,8 @@ def _single_block(nuisance: str, s, nu, sigma: float, d, om) -> dict:
 
     if nuisance == "concurrence":
         c = nu
-        # at s = 0 (om = 0) this leaves only the C = 0 column in reach
-        reach = ~(c * c - om > 1e-12 * om)
+        # at s = 0 only the C = 0 column is reachable
+        reach = np.where(s == 0.0, c == 0.0, ~(c * c - om > 1e-12 * om))
         rem = om - c * c
         rem = np.where(rem < 4.0 * _EPS * om, 0.0, rem)
         root = np.sqrt(rem)
@@ -263,14 +263,11 @@ def _single_block(nuisance: str, s, nu, sigma: float, d, om) -> dict:
         gamma = np.where(at_zero, 1.0, gamma)
         f = np.where(at_zero, coherence_form(1.0), f)
         theta = np.arccos(gamma)
-        C = c
-    else:
-        gamma = nu if nuisance == "coherence" else _on_axis(math.cos, nu)
-        f = coherence_form(gamma)
-        theta = _on_axis(math.acos, gamma)
-        C = np.sqrt((1.0 - gamma * gamma) * om)
-        reach = np.True_
-    return {"theta": theta, "gamma": gamma, "C": C, "f_tot": f, "_reach": reach}
+        return {"theta": theta, "gamma": gamma, "f_tot": f, "_reach": reach}
+    gamma = nu if nuisance == "coherence" else _on_axis(math.cos, nu)
+    return {"theta": _on_axis(math.acos, gamma), "gamma": gamma,
+            "C": np.sqrt((1.0 - gamma * gamma) * om),
+            "f_tot": coherence_form(gamma), "_reach": np.True_}
 
 
 def _qfim_block(nuisance: str, s, nu, sigma: float, d, om) -> dict:
@@ -304,13 +301,11 @@ def _qfim_block(nuisance: str, s, nu, sigma: float, d, om) -> dict:
     den = 1.0 + d * ct
     lam1 = e * omc / (2.0 * den)
     lam2 = (2.0 - e) * (1.0 + ct) / (2.0 * den)
-    y = d1 * st * st / (2.0 * den * den)                    # dlam2/ds = -dlam1/ds
-    x = om * st / (2.0 * den * den)                         # dlam1/dtheta = -dlam2/dtheta
+    b = d1 * st
     h_s = 4.0 * (lam1 * a3 ** 2 + lam2 * a4 ** 2)
-    pure = lam1 == 0.0                                      # theta = 0 limits
-    f_ss = np.where(pure, h_s, y * y / lam1 + y * y / lam2 + h_s)
-    f_tt = np.where(pure, e / (2.0 - e), x * x / lam1 + x * x / lam2)
-    f_st = np.where(pure, 0.0, -(y * x / lam1 + y * x / lam2))
+    f_ss = b * b / (om * den * den) + h_s
+    f_tt = om / (den * den)
+    f_st = -b / (den * den)
 
     if nuisance == "theta":
         g_ss, g_tt, g_st = f_ss, f_tt, f_st
@@ -333,11 +328,13 @@ def _qfim_block(nuisance: str, s, nu, sigma: float, d, om) -> dict:
         gamma = ct
     floor = (g_tt < _NUISANCE_FLOOR) & (np.abs(g_st) < _NUISANCE_FLOOR)
     h_n = np.where(floor, g_tt, g_tt - g_st * g_st / g_ss)
-    C = nu if nuisance == "concurrence" else st * np.sqrt(om)
-    return {"theta": theta, "gamma": gamma, "C": C,
-            "f_ss": g_ss, "f_tt": g_tt, "f_st": g_st, "h_s": h_s, "h_nuisance": h_n,
-            "_reach": reach, "_lam1": lam1,
-            "_theta_f_ss": f_ss, "_theta_f_tt": f_tt, "_theta_f_st": f_st}
+    cells = {"theta": theta, "gamma": gamma,
+             "f_ss": g_ss, "f_tt": g_tt, "f_st": g_st, "h_s": h_s, "h_nuisance": h_n,
+             "_reach": reach, "_lam1": lam1,
+             "_theta_f_ss": f_ss, "_theta_f_tt": f_tt, "_theta_f_st": f_st}
+    if nuisance != "concurrence":
+        cells["C"] = st * np.sqrt(om)
+    return cells
 
 
 def _kernel(spec: SweepSpec) -> dict[str, np.ndarray]:
@@ -532,18 +529,6 @@ def _formatted_rows(table: SweepTable, names: tuple[str, ...], cell_format: str,
         keys = list(zip(present, table.status[lo:hi]))
         for key in set(keys).difference(templates):
             templates[key] = row_format(names, *key)
-        rows = zip(*(_format_column(c, cell_format) for c in cols))
+        rows = zip(*([cell_format % v for v in c.tolist()] for c in cols))
         yield [templates[k] % row for k, row in zip(keys, rows)]
 
-
-def _format_column(col: np.ndarray, cell_format: str) -> list[str]:
-    """Each cell as text.  A column that mostly repeats values (s, sigma
-    and d along the nuisance axis, the nuisance axis along s) formats each
-    distinct bit pattern once (bits, so that 0.0 and -0.0 stay apart)."""
-    bits, inverse = np.unique(np.asarray(col, dtype=np.float64).view(np.int64),
-                              return_inverse=True)
-    if 2 * bits.size > col.size:
-        return [cell_format % v for v in col.tolist()]
-    text = np.array([cell_format % v for v in bits.view(np.float64).tolist()],
-                    dtype=object)
-    return text[inverse].tolist()

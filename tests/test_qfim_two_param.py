@@ -321,6 +321,19 @@ class TestSmallLambda1:
         for got, ref in zip((q.f_ss, q.f_tt, q.f_st, h.h_s), want):
             assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("theta", [1e-200, 1.5e-161, 1e-155, 1e-152, 1e-140])
+    def test_underflowing_lambda1_takes_the_limit(self, theta):
+        # lambda1 and (d lambda1)^2 underflow here, partly or wholly; the
+        # cancelled closed form never divides by them
+        p = ModelParams(1.0, 1.0, theta)
+        e = -math.expm1(-1.0 / 8.0)
+        q, h = qfim(p), precision(p)
+        assert spectral(p).lambda1 < 1e-139
+        assert q.f_tt == pytest.approx(e / (2.0 - e), rel=1e-15)
+        assert h.h_nuisance == pytest.approx(e / (2.0 - e), rel=1e-15)
+        assert q.f_ss == h.h_s == precision(ModelParams(1.0, 1.0, 0.0)).h_s
+        assert 0.0 < q.f_st < 1e-139
+
     def test_h_s_bounded_by_f_ss_exactly(self):
         for p in random_params(30, seed=21, theta_min=0.0) + [ModelParams(2.0, 1.0, 0.0)]:
             q, h = qfim(p), precision(p)

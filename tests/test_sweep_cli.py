@@ -105,6 +105,14 @@ class TestRunSweep:
         assert len(marked) == 5                       # C_max(0.3) ~ 0.149
         assert all(r.f_tot is None and r.C is not None for r in marked)
 
+    def test_s_zero_reaches_only_c_zero(self):
+        # C^2 underflows for these C > 0; they stay out of reach all the same
+        spec = small_single_spec(nuisance="concurrence", s_range=(0.0, 0.0, 1),
+                                 nuisance_range=(0.0, 1e-170, 3))
+        recs = run_sweep(spec)
+        assert [r.status for r in recs] == ["ok", "out_of_reach", "out_of_reach"]
+        assert recs[0].f_tot == f_tot_coherence(0.0, 1.0, 1.0).f_tot
+
     def test_theta_nuisance(self):
         spec = small_single_spec(nuisance="theta",
                                  nuisance_range=(0.0, math.pi / 2, 3))
@@ -140,6 +148,17 @@ class TestRunSweep:
         recs = run_sweep(spec)
         assert recs[0].status == "ok"
         assert recs[0].h_s is not None and recs[0].f_tt is None
+
+    def test_qfim_underflowing_lambda1_takes_the_limit(self):
+        # lambda1 is subnormal at theta = 1.5e-161 and the squared derivative
+        # underflows; the closed form still gives F_tt -> (1-d)/(1+d)
+        spec = SweepSpec(mode="qfim", nuisance="theta", s_range=(1.0, 1.0, 1),
+                         nuisance_range=(0.0, 1.5e-161, 2))
+        e = -math.expm1(-1.0 / 8.0)
+        for r in run_sweep(spec):
+            assert r.f_tt == pytest.approx(e / (2.0 - e), rel=1e-15)
+            assert r.h_nuisance == pytest.approx(e / (2.0 - e), rel=1e-15)
+            assert r.f_ss == r.h_s
 
     def test_unresolvable_scale_is_a_domain_error(self):
         # sigma^4 underflows: the closed forms would give NaN in every cell
