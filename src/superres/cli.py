@@ -23,7 +23,7 @@ from .sweep import (
     VERIFY_TOLERANCE,
     emit,
     figure_preset,
-    max_oracle_delta,
+    worst_oracle_delta,
     run_sweep,
 )
 
@@ -135,7 +135,7 @@ def main(argv=None) -> int:
         spec = _spec_from_args(args, args.command)
         records = run_sweep(spec)
         if args.command == "verify":
-            worst = max_oracle_delta(records)
+            worst, at, element = worst_oracle_delta(records)
             ok = worst < VERIFY_TOLERANCE
             print(
                 f"verify: {len(records)} points, max relative QFIM delta "
@@ -143,6 +143,9 @@ def main(argv=None) -> int:
                 f"{'PASS' if ok else 'FAIL'}",
                 file=sys.stderr,
             )
+            if at is not None:
+                print(f"verify: worst delta in {element} at s = {at.s!r}, "
+                      f"theta = {at.theta!r}", file=sys.stderr)
             if args.out is not None:
                 _emit_records(records, args.format, args.out, include_deltas=True)
             return 0 if ok else 3

@@ -64,12 +64,17 @@ def f_tot_coherence(s: float, sigma: float, gamma: float) -> FiRecord:
     d = overlap(s, sigma).d   # validates s, sigma
     sig2 = sigma * sigma
     sig4 = sig2 * sig2
-    f = (
-        1.0 / (4.0 * sig2)
-        - gamma * d * (4.0 * sig2 - s * s) / (16.0 * sig4)
-        - gamma * gamma * d * d * s * s
-        / (8.0 * sig4 * (1.0 + gamma * gamma + 2.0 * d * gamma))
-    )
+    if d == 0.0:
+        # no overlap left: both correction terms vanish (where s^2 overflows
+        # they would read d * s^2 = 0 * inf)
+        f = 1.0 / (4.0 * sig2)
+    else:
+        f = (
+            1.0 / (4.0 * sig2)
+            - gamma * d * (4.0 * sig2 - s * s) / (16.0 * sig4)
+            - gamma * gamma * d * d * s * s
+            / (8.0 * sig4 * (1.0 + gamma * gamma + 2.0 * d * gamma))
+        )
     om = one_minus_d_squared(s, sigma)
     return FiRecord(
         s=s,
@@ -94,7 +99,7 @@ def f_tot_concurrence(s: float, sigma: float, c: float) -> FiRecord:
     OutOfReachError
         If ``c`` exceeds the reachable maximum (beyond rounding slack).
     """
-    if c < 0.0:
+    if not (c >= 0.0):
         raise DomainError(f"concurrence must be nonnegative, got {c}")
     if s == 0.0:
         raise DegenerateGeometryError(
@@ -115,11 +120,14 @@ def f_tot_concurrence(s: float, sigma: float, c: float) -> FiRecord:
     root = math.sqrt(rem)
     root_om = math.sqrt(om)
     den = om + rem + 2.0 * d * root_om * root   # = 2 - 2 d^2 - c^2 + 2 d sqrt(om) sqrt(rem)
-    f = (
-        1.0 / (4.0 * sig2)
-        - d * (4.0 * sig2 - s * s) * root / (16.0 * sig4 * root_om)
-        - d * d * s * s * rem / (8.0 * sig4 * den)
-    )
+    if d == 0.0:
+        f = 1.0 / (4.0 * sig2)      # as in f_tot_coherence
+    else:
+        f = (
+            1.0 / (4.0 * sig2)
+            - d * (4.0 * sig2 - s * s) * root / (16.0 * sig4 * root_om)
+            - d * d * s * s * rem / (8.0 * sig4 * den)
+        )
     gamma = min(root / root_om, 1.0)
     return FiRecord(
         s=s,

@@ -6,10 +6,24 @@ closed forms from the analytic modules are reused.  The two-source state is
 held literally as a (grid x 2) array over the auxiliary basis, so partial
 traces and purities are actual matrix operations.
 
-Defaults (4096 points, halfwidth ``8 sigma + s``, central differences with
-step ``1e-5 sigma``, support cutoff ``1e-12``) keep truncation and round-off
-each below ~1e-8 over the tested parameter range; every oracle evaluation
-runs in well under a second.
+The QFIM and the weighted FI of single mode are computed one separation
+row at a time.  The grid work depends on ``s`` alone and is done once for
+all thetas of the row: a six-vector basis made orthonormal by a Householder
+QR of its ``sqrt(w)``-scaled columns (well conditioned however close to
+collinear the vectors get at small s), and the projections on it of both
+sources at ``s`` and of their changes at the four other separations
+``s + k fd_step`` of a fourth-order central stencil (k = -2..2).  Theta
+and phi only set the branch coefficients of the projected 6x6 density
+matrices, whose differences, eigendecompositions and spectral sums run
+stacked.  Each difference is formed from the change of a state (the sample
+changes as ``h expm1(...)``, trigonometric changes in product form), never
+as a small difference of two O(1) states, so the stencil's round-off
+scales with the derivative rather than with ``eps / fd_step``.
+
+Defaults (4096 points, halfwidth ``8 sigma + s``, step ``1e-4 sigma``,
+support cutoff ``1e-12``) keep truncation and round-off each below ~1e-11
+relative for s from 1e-3 sigma up; a row of oracle evaluations runs in a
+few milliseconds.
 """
 
 from __future__ import annotations
@@ -184,53 +198,160 @@ def numeric_pure_qfi(family: Callable[[float], GridField], s: float,
 
 
 def _orthonormal_fd_basis(grid: Grid, s: float, sigma: float) -> np.ndarray:
-    """Six-vector orthonormal basis spanning both sources and their first
-    two spatial derivatives — enough to hold every state within O(fd_step^3)
-    during finite differencing in s."""
+    """Six grid vectors, as the columns of an ``(n_points, 6)`` array,
+    orthonormal under the trapezoid weights, spanning both sources and their
+    first two spatial derivatives.  The separation derivative of the state
+    lies in that span, and what the projection drops of a stencil state is
+    of third order in its offset and smooth in it, so the differences of the
+    projected states still converge to the derivative.
+
+    At small ``s`` the six spanning vectors are nearly collinear, so the
+    basis is a Householder QR of the ``sqrt(w)``-scaled vectors: it is
+    orthonormal to round-off however ill-conditioned they are.
+    """
     sig2 = sigma * sigma
-    vecs = []
-    for sign in (+1.0, -1.0):
+    root_w = np.sqrt(grid.weights)
+    scaled = np.empty((grid.n_points, 6))
+    for j, sign in ((0, +1.0), (3, -1.0)):
         u = grid.x + sign * s / 2.0
-        base = _psf(u, sigma)
-        vecs.append(base)
-        vecs.append(-(u / (2.0 * sig2)) * base)
-        vecs.append((u * u / (4.0 * sig2 * sig2) - 1.0 / (2.0 * sig2)) * base)
-    basis = []
-    w = grid.weights
-    for v in vecs:
-        v = v.astype(complex)
-        for b in basis:
-            v = v - (w @ (b.conj() * v)) * b
-        v = v / math.sqrt(float(np.real(w @ (v.conj() * v))))
-        basis.append(v)
-    return np.array(basis)
+        base = _psf(u, sigma) * root_w
+        scaled[:, j] = base
+        scaled[:, j + 1] = -(u / (2.0 * sig2)) * base
+        scaled[:, j + 2] = (u * u / (4.0 * sig2 * sig2) - 1.0 / (2.0 * sig2)) * base
+    q = np.linalg.qr(scaled)[0]
+    q /= root_w[:, None]
+    return q
 
 
-def _project_rho(basis: np.ndarray, grid: Grid, s: float, sigma: float,
-                 theta: float, phi: float) -> np.ndarray:
-    phi1, phi2 = _branch_columns(grid, s, sigma, theta, phi)
-    n2 = float(np.real(grid.weights @ (phi1.conj() * phi1 + phi2.conj() * phi2)))
-    c1 = basis.conj() @ (grid.weights * phi1)
-    c2 = basis.conj() @ (grid.weights * phi2)
-    return (np.outer(c1, c1.conj()) + np.outer(c2, c2.conj())) / n2
+# fourth-order central first derivative over the offsets -2..2 (in steps)
+_OFFSETS = np.arange(-2.0, 3.0)
+_CENTER = 2
+
+
+def _fd(samples: np.ndarray, step: float) -> np.ndarray:
+    """Derivative from samples at the ``_OFFSETS`` (axis 1) of one step."""
+    return (8.0 * (samples[:, 3] - samples[:, 1])
+            - (samples[:, 4] - samples[:, 0])) / (12.0 * step)
+
+
+@dataclass(frozen=True)
+class _RowSamples:
+    """The grid work of one separation row, shared by all its nuisances:
+    the basis coordinates of both sources at ``s`` and their changes at the
+    stencil separations ``s + k fd_step``."""
+
+    plus: np.ndarray      # (6,) coordinates of h(x + s/2)
+    minus: np.ndarray     # (6,) coordinates of h(x - s/2)
+    d_plus: np.ndarray    # (5, 6) coordinates of h(x + s_k/2) - h(x + s/2)
+    d_minus: np.ndarray   # (5, 6) coordinates of h(x - s_k/2) - h(x - s/2)
+    step: float
+
+
+def _row_samples(s: float, sigma: float, fd_step: float | None, n_points: int,
+                 halfwidth: float | None) -> _RowSamples:
+    step = 1e-4 * sigma if fd_step is None else fd_step
+    if not (1e-6 * sigma <= step <= 1e-4 * sigma):
+        raise DomainError(
+            f"fd_step must lie in [1e-6, 1e-4] * sigma, got {step}"
+        )
+    grid = default_grid(s, sigma, n_points=n_points, halfwidth=halfwidth)
+    _check_fit(grid, s, sigma)
+    basis_w = _orthonormal_fd_basis(grid, s, sigma)
+    basis_w *= grid.weights[:, None]
+    shift = step * _OFFSETS / 2.0
+    coords = {}
+    for name, sign in (("plus", +1.0), ("minus", -1.0)):
+        u = grid.x + sign * s / 2.0
+        h = _psf(u, sigma)
+        # h(u + sign shift) - h(u) as h(u) expm1(...), free of cancellation
+        diff = h[:, None] * np.expm1(-sign * shift * (2.0 * u[:, None] + sign * shift)
+                                      / (4.0 * sigma * sigma))
+        coords[name] = h @ basis_w
+        coords["d_" + name] = diff.T @ basis_w
+    return _RowSamples(step=step, **coords)
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a[..., :, None] * b[..., None, :].conj()
+
+
+def _norm2(a: np.ndarray) -> np.ndarray:
+    return np.sum((a * a.conj()).real, axis=-1)
+
+
+def _change(x0: np.ndarray, dx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``|x0 + dx><x0 + dx| - |x0><x0|`` and its trace, computed from ``dx``
+    so that their round-off scales with the change."""
+    return (_outer(x0, dx) + _outer(dx, x0) + _outer(dx, dx),
+            2.0 * np.sum(x0.conj() * dx, axis=-1).real + _norm2(dx))
 
 
 def _hermitize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * (m + np.swapaxes(m, -1, -2).conj())
 
 
 def _qfim_element(lams: np.ndarray, da: np.ndarray, db: np.ndarray,
-                  cutoff: float) -> float:
+                  cutoff: float) -> np.ndarray:
     """Spectral-sum QFIM element
-    ``sum_{k,l: lam_k+lam_l > cutoff} 2 Re[da_kl db_lk] / (lam_k + lam_l)``."""
-    total = 0.0
-    n = len(lams)
-    for k in range(n):
-        for j in range(n):
-            den = lams[k] + lams[j]
-            if den > cutoff:
-                total += 2.0 * float((da[k, j] * db[j, k]).real) / den
-    return total
+    ``sum_{k,l: lam_k+lam_l > cutoff} 2 Re[da_kl db_lk] / (lam_k + lam_l)``
+    over the last two axes of stacked eigenframe derivatives; symmetric in
+    ``da``, ``db`` bit for bit."""
+    den = lams[..., :, None] + lams[..., None, :]
+    terms = np.divide((da * np.swapaxes(db, -1, -2)).real, den,
+                      out=np.zeros(den.shape), where=den > cutoff)
+    return (terms + np.swapaxes(terms, -1, -2)).sum(axis=(-2, -1))
+
+
+def numeric_qfim_row(s: float, sigma: float, thetas, phi: float = 0.0,
+                     fd_step: float | None = None, rank_cutoff: float = 1e-12,
+                     n_points: int = 4096, halfwidth: float | None = None) -> list[Qfim2]:
+    """QFIM for (s, theta) at every theta of ``thetas``, one separation row
+    at a time; see :func:`numeric_qfim`, which is its one-element case.
+
+    The grid work depends on ``s`` alone and is done once per row; each
+    theta only sets the branch coefficients ``cos(theta) e^{i phi}`` and
+    ``sin(theta) e^{i phi}`` of the projected 6x6 density matrices, whose
+    changes over the stencil, eigendecompositions and spectral sums run
+    stacked.
+    """
+    if s == 0.0:
+        raise DomainError("numeric_qfim requires s > 0")
+    if rank_cutoff < 1e-13:
+        warnings.warn(
+            "rank_cutoff below 1e-13 amplifies round-off in the spectral sum",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    row = _row_samples(s, sigma, fd_step, n_points, halfwidth)
+    theta = np.asarray(thetas, dtype=float).reshape(-1, 1)
+    phase = np.exp(1j * phi)
+    ct, st = np.cos(theta), np.sin(theta)
+    a0 = row.plus + (ct * phase) * row.minus                 # (m, 6)
+    v0 = st * row.minus
+    # changes of the branch amplitudes over the ten states a theta: the s
+    # stencil at theta, then the theta stencil at s (trig differences in
+    # product form, free of cancellation)
+    half = row.step * _OFFSETS / 2.0
+    d_ct = -2.0 * np.sin(half) * np.sin(theta + half)
+    d_st = 2.0 * np.sin(half) * np.cos(theta + half)
+    da = np.concatenate([row.d_plus + (ct * phase)[..., None] * row.d_minus,
+                         (d_ct * phase)[..., None] * row.minus], axis=1)
+    dv = np.concatenate([st[..., None] * row.d_minus, d_st[..., None] * row.minus], axis=1)
+    m0 = _outer(a0, a0) + _outer(v0, v0)
+    n0 = (_norm2(a0) + _norm2(v0))[:, None]
+    (dm_a, dn_a), (dm_v, dn_v) = _change(a0[:, None], da), _change(v0[:, None], dv)
+    dm, dn = dm_a + dm_v, dn_a + dn_v
+    # rho at each state minus rho at the center
+    d_rho = (dm - m0[:, None] * (dn / n0)[..., None, None]) / (n0 + dn)[..., None, None]
+    lams, vecs = np.linalg.eigh(m0 / n0[..., None])
+    vecs_h = np.swapaxes(vecs, -1, -2).conj()
+    ds = _hermitize(vecs_h @ _fd(d_rho[:, :5], row.step) @ vecs)
+    dt = _hermitize(vecs_h @ _fd(d_rho[:, 5:], row.step) @ vecs)
+    f_ss = _qfim_element(lams, ds, ds, rank_cutoff)
+    f_tt = _qfim_element(lams, dt, dt, rank_cutoff)
+    f_st = _qfim_element(lams, ds, dt, rank_cutoff)
+    return [Qfim2(f_ss=a, f_tt=b, f_st=c, tag="theta")
+            for a, b, c in zip(f_ss.tolist(), f_tt.tolist(), f_st.tolist())]
 
 
 def numeric_qfim(p: ModelParams, fd_step: float | None = None,
@@ -239,42 +360,49 @@ def numeric_qfim(p: ModelParams, fd_step: float | None = None,
     """QFIM for (s, theta) by central finite differences of the projected
     density matrix and the spectral SLD sum.  Supports any phi.
 
-    ``fd_step`` must lie in ``[1e-6, 1e-4] * sigma`` (default ``1e-5 sigma``);
-    a very small ``rank_cutoff`` amplifies round-off in the near-null
-    subspace and triggers a diagnostic warning.
+    The density matrices are projected on a six-vector basis (both sources
+    and their first two derivatives at ``s``, orthonormalized by a weighted
+    QR) and differenced with a fourth-order central stencil, each term
+    formed from its change against the center state.  ``fd_step``
+    must lie in ``[1e-6, 1e-4] * sigma`` (default ``1e-4 sigma``); a very
+    small ``rank_cutoff`` amplifies round-off in the near-null subspace and
+    triggers a diagnostic warning.  This is the one-element case of
+    :func:`numeric_qfim_row`, so a result does not depend on how many
+    thetas share its row.
     """
-    if p.s == 0.0:
-        raise DomainError("numeric_qfim requires s > 0")
-    eps = 1e-5 * p.sigma if fd_step is None else fd_step
-    if not (1e-6 * p.sigma <= eps <= 1e-4 * p.sigma):
-        raise DomainError(
-            f"fd_step must lie in [1e-6, 1e-4] * sigma, got {eps}"
-        )
-    if rank_cutoff < 1e-13:
-        warnings.warn(
-            "rank_cutoff below 1e-13 amplifies round-off in the spectral sum",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    grid = default_grid(p.s, p.sigma, n_points=n_points, halfwidth=halfwidth)
-    _check_fit(grid, p.s, p.sigma)
-    basis = _orthonormal_fd_basis(grid, p.s, p.sigma)
+    return numeric_qfim_row(p.s, p.sigma, [p.theta], p.phi, fd_step=fd_step,
+                            rank_cutoff=rank_cutoff, n_points=n_points,
+                            halfwidth=halfwidth)[0]
 
-    def rho(sv, tv):
-        return _project_rho(basis, grid, sv, p.sigma, tv, p.phi)
 
-    r0 = _hermitize(rho(p.s, p.theta))
-    drs = (rho(p.s + eps, p.theta) - rho(p.s - eps, p.theta)) / (2.0 * eps)
-    drt = (rho(p.s, p.theta + eps) - rho(p.s, p.theta - eps)) / (2.0 * eps)
-    lams, vecs = np.linalg.eigh(r0)
-    ds = _hermitize(vecs.conj().T @ drs @ vecs)
-    dt = _hermitize(vecs.conj().T @ drt @ vecs)
-    return Qfim2(
-        f_ss=_qfim_element(lams, ds, ds, rank_cutoff),
-        f_tt=_qfim_element(lams, dt, dt, rank_cutoff),
-        f_st=_qfim_element(lams, ds, dt, rank_cutoff),
-        tag="theta",
-    )
+def _branch_fi(a0: np.ndarray, da: np.ndarray, step: float) -> np.ndarray:
+    """``4 (<d psi|d psi> - <psi|d psi>^2)`` of the normalized branch
+    ``psi = a / |a|``, from its real basis coordinates ``a0`` (m, 6) at ``s``
+    and their changes ``da`` (m, 5, 6) over the stencil."""
+    dn = _change(a0[:, None], da)[1]                 # |a_k|^2 - |a_0|^2
+    r0 = np.sqrt(_norm2(a0))[:, None]
+    r = np.sqrt(r0 * r0 + dn)
+    d_psi = da / r[..., None] - a0[:, None] * (dn / (r * r0 * (r + r0)))[..., None]
+    deriv = _fd(d_psi, step)
+    return 4.0 * (_norm2(deriv) - np.sum(a0 / r0 * deriv, axis=-1) ** 2)
+
+
+def _numeric_f_tot(s: float, sigma: float, thetas, n_points: int = 4096,
+                   fd_step: float | None = None, halfwidth: float | None = None):
+    """Grid reconstruction of the weighted FI ``N1 F1 + N2 F2`` (the oracle
+    side of single mode) at every theta of ``thetas``, from the same row
+    samples and stencil as :func:`numeric_qfim_row`: ``F1``/``F2`` are the
+    pure-state FIs of the normalized branches ``h_+ + cos(theta) h_-`` and
+    ``h_-``, ``N1 = <Phi_1|Phi_1>``, ``N2 = sin^2(theta) / 2``.  Returns an
+    array of the shape of ``thetas``."""
+    row = _row_samples(s, sigma, fd_step, n_points, halfwidth)
+    theta = np.asarray(thetas, dtype=float)
+    g = np.cos(theta).reshape(-1, 1)
+    a0 = row.plus + g * row.minus
+    f1 = _branch_fi(a0, row.d_plus + g[..., None] * row.d_minus, row.step)
+    f2 = _branch_fi(row.minus[None], row.d_minus[None], row.step)
+    total = 0.5 * _norm2(a0) * f1 + 0.5 * np.sin(theta).ravel() ** 2 * f2
+    return total.reshape(theta.shape)
 
 
 def hg_coefficients(s: float, sigma: float, n_max: int) -> np.ndarray:

@@ -30,10 +30,12 @@ closed form
 
     H_s = 4 (lambda1 a3^2 + lambda2 a4^2),
 
-which every chart uses.  ``H_s`` is invariant under reparametrizing the
-nuisance by coherence ``gamma = cos(theta)`` or by concurrence; both charts
-are provided through exact Jacobian transport of the theta-parametrized
-matrix.
+which every chart uses.  Since ``det F = F_tt H_s``, the nuisance
+precision is ``H_theta = F_tt H_s / F_ss`` in every chart, which avoids the
+cancellation of ``F_tt - F_st^2 / F_ss`` at small s.  ``H_s`` is invariant
+under reparametrizing the nuisance by coherence ``gamma = cos(theta)`` or by
+concurrence; both charts are provided through exact Jacobian transport of
+the theta-parametrized matrix.
 
 Degenerate corners (all at phi = 0, s > 0):
 
@@ -213,6 +215,10 @@ def _theta_chart(p: ModelParams) -> tuple[float, float, float, float]:
     f_ss = b * b / (om * den * den) + h_s
     f_tt = om / (den * den)
     f_st = -b / (den * den)
+    if not math.isfinite(f_ss + f_tt + f_st):
+        raise DomainError(
+            f"the closed forms do not resolve s = {p.s!r} at sigma = {p.sigma!r}"
+        )
     return f_ss, f_tt, f_st, h_s
 
 
@@ -246,7 +252,9 @@ def _h_pair(f_ss: float, f_tt: float, f_st: float, h_s: float) -> PrecisionPair:
     if f_tt < _NUISANCE_FLOOR and abs(f_st) < _NUISANCE_FLOOR:
         # no nuisance information and no cross term: no correction to apply
         return PrecisionPair(h_s=h_s, h_nuisance=f_tt)
-    return PrecisionPair(h_s=h_s, h_nuisance=f_tt - f_st * f_st / f_ss)
+    # det F = F_tt H_s, so H_nuisance = det F / F_ss without the cancellation
+    # of F_tt - F_st^2 / F_ss
+    return PrecisionPair(h_s=h_s, h_nuisance=f_tt * h_s / f_ss)
 
 
 def precision(p: ModelParams) -> PrecisionPair:

@@ -37,6 +37,20 @@ from dataclasses import dataclass
 from .errors import DegenerateGeometryError, DomainError, OutOfReachError
 
 _HALF_PI = math.pi / 2
+_INF = math.inf
+# the closed forms divide by sigma^4: inside this range it and its
+# reciprocal are normal floats
+_SIGMA_MIN, _SIGMA_MAX = 1e-75, 1e75
+
+
+def _reject_s_sigma(s: float, sigma: float) -> None:
+    """Raise the ``DomainError`` for an out-of-range ``(s, sigma)``.  Callers
+    test the range inline, as
+    ``_SIGMA_MIN <= sigma <= _SIGMA_MAX and 0.0 <= s < _INF`` (NaN fails
+    it), to keep a function call off the scalar hot path."""
+    if not (_SIGMA_MIN <= sigma <= _SIGMA_MAX):
+        raise DomainError(f"sigma must lie in [{_SIGMA_MIN:g}, {_SIGMA_MAX:g}], got {sigma}")
+    raise DomainError(f"separation s must be finite and nonnegative, got {s}")
 
 
 @dataclass(frozen=True)
@@ -48,7 +62,7 @@ class ModelParams:
     s : float
         Source separation (length units), ``s >= 0``.
     sigma : float
-        PSF width (length units), ``sigma > 0``.
+        PSF width (length units), ``1e-75 <= sigma <= 1e75``.
     theta : float
         Auxiliary mixing angle in radians, ``0 <= theta <= pi/2``.
     phi : float
@@ -63,10 +77,8 @@ class ModelParams:
     phi: float = 0.0
 
     def __post_init__(self):
-        if not (self.sigma > 0.0) or not math.isfinite(self.sigma):
-            raise DomainError(f"sigma must be positive and finite, got {self.sigma}")
-        if self.s < 0.0 or not math.isfinite(self.s):
-            raise DomainError(f"separation s must be nonnegative, got {self.s}")
+        if not (_SIGMA_MIN <= self.sigma <= _SIGMA_MAX and 0.0 <= self.s < _INF):
+            _reject_s_sigma(self.s, self.sigma)
         if not (0.0 <= self.theta <= _HALF_PI):
             raise DomainError(f"theta must lie in [0, pi/2], got {self.theta}")
         if not (-math.pi < self.phi <= math.pi):
@@ -116,12 +128,11 @@ def overlap(s: float, sigma: float) -> OverlapTriple:
     Raises
     ------
     DomainError
-        If ``sigma <= 0`` or ``s < 0``.
+        If ``s`` is negative or not finite, or ``sigma`` lies outside
+        ``[1e-75, 1e75]`` (NaN included).
     """
-    if not (sigma > 0.0) or not math.isfinite(sigma):
-        raise DomainError(f"sigma must be positive and finite, got {sigma}")
-    if s < 0.0 or not math.isfinite(s):
-        raise DomainError(f"separation s must be nonnegative, got {s}")
+    if not (_SIGMA_MIN <= sigma <= _SIGMA_MAX and 0.0 <= s < _INF):
+        _reject_s_sigma(s, sigma)
     sig2 = sigma * sigma
     d = math.exp(-s * s / (8.0 * sig2))
     d1 = -(s / (4.0 * sig2)) * d
@@ -148,10 +159,8 @@ def one_minus_d_squared(s: float, sigma: float) -> float:
 
 def concurrence_max(s: float, sigma: float) -> float:
     """Largest reachable concurrence at separation ``s``: ``sqrt(1 - d^2)``."""
-    if not (sigma > 0.0):
-        raise DomainError(f"sigma must be positive, got {sigma}")
-    if s < 0.0:
-        raise DomainError(f"separation s must be nonnegative, got {s}")
+    if not (_SIGMA_MIN <= sigma <= _SIGMA_MAX and 0.0 <= s < _INF):
+        _reject_s_sigma(s, sigma)
     return math.sqrt(one_minus_d_squared(s, sigma))
 
 
@@ -193,7 +202,7 @@ def theta_from_concurrence(s: float, sigma: float, c: float) -> float:
     OutOfReachError
         If ``c`` exceeds ``C_max = sqrt(1 - d^2)`` (beyond rounding slack).
     """
-    if c < 0.0:
+    if not (c >= 0.0):
         raise DomainError(f"concurrence must be nonnegative, got {c}")
     if s == 0.0:
         raise DegenerateGeometryError(

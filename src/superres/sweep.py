@@ -32,9 +32,9 @@ import numpy as np
 
 from .errors import DomainError
 from .fisher_single import _EPS
-from .numeric_oracle import GridField, default_grid, numeric_pure_qfi, numeric_qfim, _psf
+from .numeric_oracle import _numeric_f_tot, numeric_qfim_row
 from .qfim_two_param import _NUISANCE_FLOOR
-from .state_model import ModelParams, concurrence_max
+from .state_model import concurrence_max
 
 MODES = ("single", "qfim", "verify")
 NUISANCES = ("theta", "concurrence", "coherence")
@@ -198,30 +198,6 @@ def _axis(rng: tuple[float, float, int]) -> np.ndarray:
     return np.array([lo]) if steps == 1 else np.linspace(lo, hi, steps)
 
 
-def _numeric_f_tot(s: float, sigma: float, theta: float, n_points: int,
-                   fd_step: float, halfwidth: float | None = None) -> float:
-    """Grid reconstruction of the weighted FI (oracle side of single mode)."""
-    grid = default_grid(s, sigma, n_points=n_points, halfwidth=halfwidth)
-    g = math.cos(theta)
-    w = grid.weights
-
-    def phi1_hat(sv: float) -> GridField:
-        u = _psf(grid.x + sv / 2.0, sigma) + g * _psf(grid.x - sv / 2.0, sigma)
-        return GridField(grid=grid, values=u / math.sqrt(float(w @ (u * u))))
-
-    def phi2_hat(sv: float) -> GridField:
-        v = _psf(grid.x - sv / 2.0, sigma)
-        return GridField(grid=grid, values=v / math.sqrt(float(w @ (v * v))))
-
-    u0 = _psf(grid.x + s / 2.0, sigma) + g * _psf(grid.x - s / 2.0, sigma)
-    n1 = 0.5 * float(w @ (u0 * u0))
-    n2 = 0.5 * math.sin(theta) ** 2
-    total = n1 * numeric_pure_qfi(phi1_hat, s, fd_step)
-    if n2 > 0.0:
-        total += n2 * numeric_pure_qfi(phi2_hat, s, fd_step)
-    return total
-
-
 def _on_axis(fn, x: np.ndarray) -> np.ndarray:
     """``fn``, a ``math`` function, element by element over an axis-shaped
     array: quantities of one axis alone then match the scalar API bit for
@@ -243,6 +219,10 @@ def _single_block(nuisance: str, s, nu, sigma: float, d, om) -> dict:
             / (8.0 * sig4 * (1.0 + gamma * gamma + 2.0 * d * gamma))
         )
 
+    def no_overlap(f):
+        # d = 0: both correction terms vanish (0 * inf where s^2 overflows)
+        return np.where(d == 0.0, 1.0 / (4.0 * sig2), f)
+
     if nuisance == "concurrence":
         c = nu
         # at s = 0 only the C = 0 column is reachable
@@ -263,11 +243,11 @@ def _single_block(nuisance: str, s, nu, sigma: float, d, om) -> dict:
         gamma = np.where(at_zero, 1.0, gamma)
         f = np.where(at_zero, coherence_form(1.0), f)
         theta = np.arccos(gamma)
-        return {"theta": theta, "gamma": gamma, "f_tot": f, "_reach": reach}
+        return {"theta": theta, "gamma": gamma, "f_tot": no_overlap(f), "_reach": reach}
     gamma = nu if nuisance == "coherence" else _on_axis(math.cos, nu)
     return {"theta": _on_axis(math.acos, gamma), "gamma": gamma,
             "C": np.sqrt((1.0 - gamma * gamma) * om),
-            "f_tot": coherence_form(gamma), "_reach": np.True_}
+            "f_tot": no_overlap(coherence_form(gamma)), "_reach": np.True_}
 
 
 def _qfim_block(nuisance: str, s, nu, sigma: float, d, om) -> dict:
@@ -327,7 +307,7 @@ def _qfim_block(nuisance: str, s, nu, sigma: float, d, om) -> dict:
         g_st = np.where(chart, th_c * (f_st + th_s * f_tt), np.nan)
         gamma = ct
     floor = (g_tt < _NUISANCE_FLOOR) & (np.abs(g_st) < _NUISANCE_FLOOR)
-    h_n = np.where(floor, g_tt, g_tt - g_st * g_st / g_ss)
+    h_n = np.where(floor, g_tt, g_tt * h_s / g_ss)       # as _h_pair
     cells = {"theta": theta, "gamma": gamma,
              "f_ss": g_ss, "f_tt": g_tt, "f_st": g_st, "h_s": h_s, "h_nuisance": h_n,
              "_reach": reach, "_lam1": lam1,
@@ -388,37 +368,51 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
 
 def _attach_deltas(spec: SweepSpec, columns: dict[str, np.ndarray], cells: dict,
                    rows: np.ndarray) -> None:
-    """Grid-oracle relative deltas for the in-reach rows; qfim deltas always
-    compare the theta-parametrized matrix."""
-    fd_step = spec.fd_step if spec.fd_step is not None else 1e-5 * spec.sigma
-    for i in rows.tolist():
-        s, theta = float(columns["s"][i]), float(columns["theta"][i])
+    """Grid-oracle relative deltas for the in-reach rows, one oracle call per
+    separation: sweeps are s-major, so the rows of one ``s`` are contiguous.
+    qfim deltas always compare the theta-parametrized matrix."""
+    if not rows.size:
+        return
+    grid_kw = {"fd_step": spec.fd_step, "n_points": spec.grid_points,
+               "halfwidth": spec.grid_halfwidth}
+    s_col = columns["s"][rows]
+    for group in np.split(rows, np.flatnonzero(s_col[1:] != s_col[:-1]) + 1):
+        s, thetas = float(columns["s"][group[0]]), columns["theta"][group]
         if spec.mode == "single":
-            num = _numeric_f_tot(s, spec.sigma, theta, spec.grid_points, fd_step,
-                                 spec.grid_halfwidth)
-            columns["delta_f_tot"][i] = _rel_delta(columns["f_tot"][i], num)
+            num = _numeric_f_tot(s, spec.sigma, thetas, **grid_kw)
+            columns["delta_f_tot"][group] = _rel_delta(columns["f_tot"][group], num)
             continue
-        num = numeric_qfim(ModelParams(s=s, sigma=spec.sigma, theta=theta),
-                           fd_step=spec.fd_step, n_points=spec.grid_points,
-                           halfwidth=spec.grid_halfwidth)
-        columns["delta_f_ss"][i] = _rel_delta(cells["_theta_f_ss"][i], num.f_ss)
-        if cells["_lam1"][i] >= 1e-12:
-            # the oracle's spectral sum drops eigenvalue pairs below its 1e-12
-            # support cutoff, so below that only f_ss is comparable
-            columns["delta_f_tt"][i] = _rel_delta(cells["_theta_f_tt"][i], num.f_tt)
-            columns["delta_f_st"][i] = _rel_delta(cells["_theta_f_st"][i], num.f_st)
+        row = numeric_qfim_row(s, spec.sigma, thetas, **grid_kw)
+        # the oracle's spectral sum drops eigenvalue pairs below its 1e-12
+        # support cutoff, so below that only f_ss is comparable
+        comparable = cells["_lam1"][group] >= 1e-12
+        for name in ("f_ss", "f_tt", "f_st"):
+            delta = _rel_delta(cells["_theta_" + name][group],
+                               np.array([getattr(q, name) for q in row]))
+            columns["delta_" + name][group] = (
+                delta if name == "f_ss" else np.where(comparable, delta, np.nan))
 
 
-def _rel_delta(analytic: float, numeric: float) -> float:
-    return abs(analytic - numeric) / max(abs(numeric), 1e-300)
+def _rel_delta(analytic, numeric):
+    return np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-300)
+
+
+def worst_oracle_delta(
+        records: Iterable[SweepRecord]) -> tuple[float, SweepRecord | None, str | None]:
+    """Largest populated oracle delta with the record it sits on and its
+    element (``f_tot``, ``f_ss``, ...); ``(0.0, None, None)`` if none are
+    populated."""
+    table = _as_table(records)
+    deltas = np.stack([table.columns[name] for name in DELTA_FIELDS])
+    if np.isnan(deltas).all():
+        return 0.0, None, None
+    k, i = np.unravel_index(np.nanargmax(deltas), deltas.shape)
+    return float(deltas[k, i]), table[int(i)], DELTA_FIELDS[k][len("delta_"):]
 
 
 def max_oracle_delta(records: Iterable[SweepRecord]) -> float:
     """Largest populated oracle delta (0.0 if none are populated)."""
-    columns = _as_table(records).columns
-    deltas = np.concatenate([columns[name] for name in DELTA_FIELDS])
-    deltas = deltas[~np.isnan(deltas)]
-    return float(deltas.max()) if deltas.size else 0.0
+    return worst_oracle_delta(records)[0]
 
 
 def figure_preset(name: str) -> list[SweepSpec]:

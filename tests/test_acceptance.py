@@ -102,7 +102,7 @@ def test_criterion_06_oracle_equivalence():
             for theta in (math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2):
                 p = ModelParams(s, 1.0, theta)
                 ana = qfim(p)
-                num = numeric_qfim(p)   # defaults: 4096 points, fd step 1e-5
+                num = numeric_qfim(p)   # defaults: 4096 points, 4th-order fd step 1e-4 sigma
                 for a, n in ((ana.f_ss, num.f_ss), (ana.f_tt, num.f_tt),
                              (ana.f_st, num.f_st)):
                     assert abs(a - n) / abs(n) < 1e-6, (s, theta, a, n)

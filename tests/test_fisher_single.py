@@ -19,8 +19,7 @@ from superres import (
     pure_state_fi,
     weighted_fi_reconstruct,
 )
-from superres.numeric_oracle import _psf
-from superres.sweep import _numeric_f_tot
+from superres.numeric_oracle import _numeric_f_tot, _psf
 
 # oracle-pinned anchors (grid-reconstructed weighted FI agrees to <= 1e-9)
 F_S03_FULL_COHERENCE = 0.005593418701544485
@@ -61,6 +60,11 @@ class TestCoherenceForm:
         with pytest.raises(DomainError):
             f_tot_coherence(1.0, 1.0, gamma)
 
+    def test_far_separation_asymptote(self):
+        # s^2 overflows: the d-weighted terms used to give 0 * inf = NaN
+        assert f_tot_coherence(1e200, 1.0, 0.5).f_tot == 0.25
+        assert f_tot_concurrence(1e200, 1.0, 0.5).f_tot == 0.25
+
 
 class TestConcurrenceForm:
     def test_zero_concurrence_equals_full_coherence(self):
@@ -84,6 +88,13 @@ class TestConcurrenceForm:
     def test_degenerate_at_zero_separation(self):
         with pytest.raises(DegenerateGeometryError):
             f_tot_concurrence(0.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("s, sigma, c", [(1.0, 1.0, math.nan),
+                                             (math.nan, 1.0, 0.1),
+                                             (1.0, math.nan, 0.1)])
+    def test_rejects_nan(self, s, sigma, c):
+        with pytest.raises(DomainError):
+            f_tot_concurrence(s, sigma, c)
 
 
 def test_equivalence_of_the_two_forms():

@@ -17,9 +17,16 @@ from superres import (
     numeric_concurrence,
     numeric_pure_qfi,
     numeric_qfim,
+    qfim,
     two_source_state,
 )
-from superres.numeric_oracle import _psf, _qfim_element
+from superres.numeric_oracle import (
+    _numeric_f_tot,
+    _orthonormal_fd_basis,
+    _psf,
+    _qfim_element,
+    numeric_qfim_row,
+)
 
 D_S2 = 0.6065306597126334
 FSS_TH0_S2 = 0.1199805936513259
@@ -129,6 +136,30 @@ class TestNumericQfim:
     def test_tiny_cutoff_warns(self):
         with pytest.warns(RuntimeWarning):
             numeric_qfim(ModelParams(1.0, 1.0, 0.5), rank_cutoff=1e-15)
+
+
+class TestRowKernel:
+    def test_basis_orthonormal_at_small_separation(self):
+        # the six spanning vectors are nearly collinear at s = 1e-3
+        grid = default_grid(1e-3, 1.0)
+        b = _orthonormal_fd_basis(grid, 1e-3, 1.0)
+        assert np.abs(b.T @ (grid.weights[:, None] * b) - np.eye(6)).max() < 1e-12
+
+    def test_row_equals_one_point_calls(self):
+        # a result does not depend on how many thetas share its row
+        thetas = np.linspace(0.0, math.pi / 2, 7)
+        row = numeric_qfim_row(1.3, 1.0, thetas, phi=0.4)
+        assert row == [numeric_qfim(ModelParams(1.3, 1.0, t, phi=0.4)) for t in thetas]
+        f_row = _numeric_f_tot(1.3, 1.0, thetas)
+        assert f_row.tolist() == [_numeric_f_tot(1.3, 1.0, t) for t in thetas]
+
+    @pytest.mark.parametrize("s", [1e-3, 1e-2])
+    def test_stencil_round_off_scales_with_the_change(self, s):
+        # F_ss is ~3e-8 at s = 1e-3, theta = 0; differencing whole O(1)
+        # states would leave an eps / fd_step round-off of ~3e-8 relative
+        for theta in (0.0, math.pi / 4):
+            p = ModelParams(s, 1.0, theta)
+            assert numeric_qfim(p).f_ss == pytest.approx(qfim(p).f_ss, rel=1e-9)
 
 
 class TestNumericConcurrence:

@@ -287,25 +287,40 @@ def mp_theta_chart(s, theta, sigma=1.0):
     mpmath's numerical differentiation, H_s by its definition."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(50):
-        s, theta, sigma = mp.mpf(s), mp.mpf(theta), mp.mpf(sigma)
-
-        def lams(sv, th):
-            d = mp.exp(-sv**2 / (8 * sigma**2))
-            den = 1 + d * mp.cos(th)
-            return (1 - d) * (1 - mp.cos(th)) / (2 * den), (1 + d) * (1 + mp.cos(th)) / (2 * den)
-
-        l1, l2 = lams(s, theta)
-        d = mp.exp(-s**2 / (8 * sigma**2))
-        d1 = -(s / (4 * sigma**2)) * d
-        u = 1 - s**2 / (4 * sigma**2)
-        a3sq = (1 + d * u) / (16 * sigma**2 * (1 - d)) - d1**2 / (4 * (1 - d)**2)
-        a4sq = (1 - d * u) / (16 * sigma**2 * (1 + d)) - d1**2 / (4 * (1 + d)**2)
-        l1s, l2s = (mp.diff(lambda x: lams(x, theta)[k], s) for k in (0, 1))
-        l1t, l2t = (mp.diff(lambda x: lams(s, x)[k], theta) for k in (0, 1))
-        f_ss = l1s**2 / l1 + l2s**2 / l2 + 4 * (l1 * a3sq + l2 * a4sq)
-        f_tt = l1t**2 / l1 + l2t**2 / l2
-        f_st = l1s * l1t / l1 + l2s * l2t / l2
+        f_ss, f_tt, f_st = _mp_theta_qfim(mp, s, theta, sigma)
         return [float(v) for v in (f_ss, f_tt, f_st, f_ss - f_st**2 / f_tt)]
+
+
+def mp_h_gamma(s, gamma, sigma=1.0):
+    """H_gamma = (F_tt - F_st^2 / F_ss) / sin^2(theta) at 50 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        theta = mp.acos(mp.mpf(gamma))
+        f_ss, f_tt, f_st = _mp_theta_qfim(mp, s, theta, sigma)
+        return float((f_tt - f_st**2 / f_ss) / mp.sin(theta) ** 2)
+
+
+def _mp_theta_qfim(mp, s, theta, sigma):
+    """(F_ss, F_tt, F_st) as mpf at the working precision of the caller."""
+    s, theta, sigma = mp.mpf(s), mp.mpf(theta), mp.mpf(sigma)
+
+    def lams(sv, th):
+        d = mp.exp(-sv**2 / (8 * sigma**2))
+        den = 1 + d * mp.cos(th)
+        return (1 - d) * (1 - mp.cos(th)) / (2 * den), (1 + d) * (1 + mp.cos(th)) / (2 * den)
+
+    l1, l2 = lams(s, theta)
+    d = mp.exp(-s**2 / (8 * sigma**2))
+    d1 = -(s / (4 * sigma**2)) * d
+    u = 1 - s**2 / (4 * sigma**2)
+    a3sq = (1 + d * u) / (16 * sigma**2 * (1 - d)) - d1**2 / (4 * (1 - d)**2)
+    a4sq = (1 - d * u) / (16 * sigma**2 * (1 + d)) - d1**2 / (4 * (1 + d)**2)
+    l1s, l2s = (mp.diff(lambda x: lams(x, theta)[k], s) for k in (0, 1))
+    l1t, l2t = (mp.diff(lambda x: lams(s, x)[k], theta) for k in (0, 1))
+    f_ss = l1s**2 / l1 + l2s**2 / l2 + 4 * (l1 * a3sq + l2 * a4sq)
+    f_tt = l1t**2 / l1 + l2t**2 / l2
+    f_st = l1s * l1t / l1 + l2s * l2t / l2
+    return f_ss, f_tt, f_st
 
 
 class TestSmallLambda1:
@@ -340,3 +355,18 @@ class TestSmallLambda1:
             assert 0.0 <= h.h_s <= q.f_ss
         at_zero = ModelParams(0.7, 1.0, 0.0)
         assert precision(at_zero).h_s == qfim(at_zero).f_ss
+
+
+@pytest.mark.parametrize("s", [1e-3, 1e-2, 0.1, 1.0])
+@pytest.mark.parametrize("gamma", [0.1, 0.3166, 0.6, 0.95])
+def test_h_nuisance_matches_mpmath(s, gamma):
+    # F_tt - F_st^2 / F_ss cancels at small s (1.4e-9 off here); F_tt H_s / F_ss
+    # does not
+    got = precision_gamma(s, 1.0, gamma).h_nuisance
+    assert got == pytest.approx(mp_h_gamma(s, gamma), rel=1e-13, abs=0.0)
+
+
+def test_unresolvable_sigma_is_a_domain_error():
+    # sigma^2 underflows to 0, which the closed forms divide by
+    with pytest.raises(DomainError):
+        precision(ModelParams(1.0, 1e-300, 0.3))

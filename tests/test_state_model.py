@@ -110,6 +110,11 @@ class TestConcurrence:
         p = ModelParams(2.0, 1.0, math.pi / 4)
         assert abs(concurrence(p) - concurrence_normalized(p)) > 0.1
 
+    @pytest.mark.parametrize("s, sigma", [(math.nan, 1.0), (1.0, math.nan)])
+    def test_max_rejects_nan(self, s, sigma):
+        with pytest.raises(DomainError):
+            concurrence_max(s, sigma)
+
 
 class TestThetaFromConcurrence:
     def test_endpoints(self):
@@ -127,6 +132,13 @@ class TestThetaFromConcurrence:
     def test_degenerate_at_zero_separation(self):
         with pytest.raises(DegenerateGeometryError):
             theta_from_concurrence(0.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("s, sigma, c", [(1.0, 1.0, math.nan),
+                                             (math.nan, 1.0, 0.1),
+                                             (1.0, math.nan, 0.1)])
+    def test_rejects_nan(self, s, sigma, c):
+        with pytest.raises(DomainError):
+            theta_from_concurrence(s, sigma, c)
 
     def test_round_trip(self):
         for s in np.linspace(0.2, 5.0, 12):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -160,6 +161,12 @@ class TestRunSweep:
             assert r.h_nuisance == pytest.approx(e / (2.0 - e), rel=1e-15)
             assert r.f_ss == r.h_s
 
+    @pytest.mark.parametrize("nuisance", ["coherence", "concurrence"])
+    def test_far_separation_asymptote(self, nuisance):
+        spec = SweepSpec(mode="single", nuisance=nuisance, s_range=(1e200, 1e200, 1),
+                         nuisance_range=(0.0, 1.0, 3))
+        assert [r.f_tot for r in run_sweep(spec)] == [0.25] * 3
+
     def test_unresolvable_scale_is_a_domain_error(self):
         # sigma^4 underflows: the closed forms would give NaN in every cell
         with pytest.raises(DomainError, match="do not resolve"):
@@ -300,14 +307,26 @@ class TestCli:
         assert code == 0
         assert "PASS" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("s", ["1e-3", "1e-2"])
+    def test_verify_passes_at_small_separation(self, s, capsys):
+        # nearly collinear basis vectors here; 4096 grid points, tolerance 1e-6
+        code = main(["verify", "--s-min", s, "--s-max", s, "--s-steps", "1",
+                     "--grid-points", "4096"])
+        first, where = capsys.readouterr().err.splitlines()
+        assert code == 0
+        assert re.fullmatch(r"verify: 4 points, max relative QFIM delta \S+ "
+                            r"\(tolerance 1e-06\): PASS", first)
+        assert re.fullmatch(rf"verify: worst delta in f_(ss|tt|st) at "
+                            rf"s = {float(s)!r}, theta = [0-9.e-]+", where)
+
     def test_verify_failure_exit_code(self, monkeypatch, capsys):
         from superres import Qfim2
         from superres import sweep as sweep_mod
 
-        def broken(p, **kw):
-            return Qfim2(f_ss=1.0, f_tt=1.0, f_st=0.0, tag="theta")
+        def broken(s, sigma, thetas, **kw):
+            return [Qfim2(f_ss=1.0, f_tt=1.0, f_st=0.0, tag="theta") for _ in thetas]
 
-        monkeypatch.setattr(sweep_mod, "numeric_qfim", broken)
+        monkeypatch.setattr(sweep_mod, "numeric_qfim_row", broken)
         code = main([
             "verify", "--s-min", "1.0", "--s-max", "1.0", "--s-steps", "1",
             "--n-min", "1.0", "--n-max", "1.0", "--n-steps", "1",
