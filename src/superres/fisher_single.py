@@ -53,6 +53,33 @@ class FiRecord:
     f_tot: float
 
 
+def _coherence_form(s, sigma, d, gamma):
+    """``F_tot`` in terms of coherence (module docstring), ``d > 0``, for
+    floats and arrays alike."""
+    sig2 = sigma * sigma
+    sig4 = sig2 * sig2
+    return (
+        1.0 / (4.0 * sig2)
+        - gamma * d * (4.0 * sig2 - s * s) / (16.0 * sig4)
+        - gamma * gamma * d * d * s * s
+        / (8.0 * sig4 * (1.0 + gamma * gamma + 2.0 * d * gamma))
+    )
+
+
+def _concurrence_form(s, sigma, d, om, rem, root, root_om):
+    """``F_tot`` in terms of concurrence (module docstring), ``d > 0``, from
+    ``om = 1 - d^2``, ``rem = om - C^2`` and their square roots ``root_om``,
+    ``root``, for floats and arrays alike."""
+    sig2 = sigma * sigma
+    sig4 = sig2 * sig2
+    den = om + rem + 2.0 * d * root_om * root   # = 2 - 2 d^2 - c^2 + 2 d sqrt(om) sqrt(rem)
+    return (
+        1.0 / (4.0 * sig2)
+        - d * (4.0 * sig2 - s * s) * root / (16.0 * sig4 * root_om)
+        - d * d * s * s * rem / (8.0 * sig4 * den)
+    )
+
+
 def f_tot_coherence(s: float, sigma: float, gamma: float) -> FiRecord:
     """Total FI as a function of separation and coherence ``gamma`` in [0, 1].
 
@@ -62,19 +89,9 @@ def f_tot_coherence(s: float, sigma: float, gamma: float) -> FiRecord:
     if not (0.0 <= gamma <= 1.0):
         raise DomainError(f"gamma must lie in [0, 1], got {gamma}")
     d = overlap(s, sigma).d   # validates s, sigma
-    sig2 = sigma * sigma
-    sig4 = sig2 * sig2
-    if d == 0.0:
-        # no overlap left: both correction terms vanish (where s^2 overflows
-        # they would read d * s^2 = 0 * inf)
-        f = 1.0 / (4.0 * sig2)
-    else:
-        f = (
-            1.0 / (4.0 * sig2)
-            - gamma * d * (4.0 * sig2 - s * s) / (16.0 * sig4)
-            - gamma * gamma * d * d * s * s
-            / (8.0 * sig4 * (1.0 + gamma * gamma + 2.0 * d * gamma))
-        )
+    # no overlap left: both correction terms vanish (where s^2 overflows
+    # they would read d * s^2 = 0 * inf)
+    f = 1.0 / (4.0 * sigma * sigma) if d == 0.0 else _coherence_form(s, sigma, d, gamma)
     om = one_minus_d_squared(s, sigma)
     return FiRecord(
         s=s,
@@ -106,8 +123,6 @@ def f_tot_concurrence(s: float, sigma: float, c: float) -> FiRecord:
             "the concurrence form is singular at s = 0; use f_tot_coherence"
         )
     d = overlap(s, sigma).d
-    sig2 = sigma * sigma
-    sig4 = sig2 * sig2
     om = one_minus_d_squared(s, sigma)
     if c * c - om > 1e-12 * om:
         raise OutOfReachError(c, math.sqrt(om))
@@ -119,15 +134,9 @@ def f_tot_concurrence(s: float, sigma: float, c: float) -> FiRecord:
         rem = 0.0
     root = math.sqrt(rem)
     root_om = math.sqrt(om)
-    den = om + rem + 2.0 * d * root_om * root   # = 2 - 2 d^2 - c^2 + 2 d sqrt(om) sqrt(rem)
-    if d == 0.0:
-        f = 1.0 / (4.0 * sig2)      # as in f_tot_coherence
-    else:
-        f = (
-            1.0 / (4.0 * sig2)
-            - d * (4.0 * sig2 - s * s) * root / (16.0 * sig4 * root_om)
-            - d * d * s * s * rem / (8.0 * sig4 * den)
-        )
+    # d = 0 as in f_tot_coherence
+    f = 1.0 / (4.0 * sigma * sigma) if d == 0.0 else _concurrence_form(
+        s, sigma, d, om, rem, root, root_om)
     gamma = min(root / root_om, 1.0)
     return FiRecord(
         s=s,

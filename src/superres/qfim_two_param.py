@@ -67,10 +67,9 @@ import numpy as np
 from .errors import DegenerateGeometryError, DomainError
 from .state_model import (
     ModelParams,
-    one_minus_d,
-    one_minus_d_squared,
-    overlap,
-    spectral,
+    _angle_terms,
+    _eigenvalues,
+    _separation_terms,
     theta_from_concurrence,
 )
 
@@ -121,18 +120,13 @@ def _require_regular(p: ModelParams, what: str) -> None:
 
 
 def _lambda_derivatives(p: ModelParams):
-    """lambda1/2, their s- and theta-derivatives, and the spectral data."""
-    tri = overlap(p.s, p.sigma)
-    e = one_minus_d(p.s, p.sigma)           # 1 - d
-    ct = math.cos(p.theta)
-    st = math.sin(p.theta)
-    omc = 2.0 * math.sin(p.theta / 2.0) ** 2    # 1 - cos(theta)
-    den = 1.0 + tri.d * ct
-    lam1 = e * omc / (2.0 * den)
-    lam2 = (2.0 - e) * (1.0 + ct) / (2.0 * den)
-    y = tri.d1 * st * st / (2.0 * den * den)    # dlam2/ds; dlam1/ds = -y
-    x = one_minus_d_squared(p.s, p.sigma) * st / (2.0 * den * den)  # dlam1/dtheta
-    return lam1, lam2, -y, y, x, -x, tri, spectral(p)
+    """lambda1/2, their s- and theta-derivatives, and a3, a4."""
+    _, d1, _, om, a3, a4 = terms = _separation_terms(p.s, p.sigma)
+    ct, st, omc = _angle_terms(p.theta)
+    lam1, lam2, den = _eigenvalues(terms[0], terms[2], ct, omc)
+    y = d1 * st * st / (2.0 * den * den)    # dlam2/ds; dlam1/ds = -y
+    x = om * st / (2.0 * den * den)         # dlam1/dtheta
+    return lam1, lam2, -y, y, x, -x, a3, a4
 
 
 def rho4(p: ModelParams) -> Rho4:
@@ -145,12 +139,12 @@ def rho4(p: ModelParams) -> Rho4:
 def drho_ds(p: ModelParams) -> np.ndarray:
     """Separation derivative of the reduced state in the four-mode frame."""
     _require_regular(p, "drho_ds")
-    lam1, lam2, dl1, dl2, _, _, _, spec = _lambda_derivatives(p)
+    lam1, lam2, dl1, dl2, _, _, a3, a4 = _lambda_derivatives(p)
     m = np.zeros((4, 4))
     m[0, 0] = dl1
     m[1, 1] = dl2
-    m[0, 2] = m[2, 0] = lam1 * spec.a3
-    m[1, 3] = m[3, 1] = lam2 * spec.a4
+    m[0, 2] = m[2, 0] = lam1 * a3
+    m[1, 3] = m[3, 1] = lam2 * a4
     return m
 
 
@@ -158,7 +152,7 @@ def drho_dtheta(p: ModelParams) -> np.ndarray:
     """Mixing-angle derivative: ``diag(+x, -x, 0, 0)`` (eigenvectors are
     theta-independent, so no off-diagonal support)."""
     _require_regular(p, "drho_dtheta")
-    _, _, _, _, x, _, _, _ = _lambda_derivatives(p)
+    x = _lambda_derivatives(p)[4]
     m = np.zeros((4, 4))
     m[0, 0] = x
     m[1, 1] = -x
@@ -192,8 +186,11 @@ def sld_pair(p: ModelParams) -> SldPair:
     )
 
 
-def _theta_chart(p: ModelParams) -> tuple[float, float, float, float]:
-    """``(F_ss, F_tt, F_st, H_s)`` for (s, theta).
+def _theta_block(terms, ct, st, omc):
+    """``(lambda1, lambda2, F_ss, F_tt, F_st, H_s)`` for (s, theta) from the
+    separation terms of :func:`state_model._separation_terms` and the angle
+    terms ``cos theta``, ``sin theta``, ``1 - cos theta``.  Arithmetic
+    only, so the scalar API and the sweep kernel share it.
 
     The diagonal SLD contributions ``(d lambda)^2 / lambda`` sum, with
     ``d lambda1 = -d lambda2`` and ``lambda1 + lambda2 = 1``, to
@@ -206,20 +203,59 @@ def _theta_chart(p: ModelParams) -> tuple[float, float, float, float]:
     the classical term to that same float, so ``0 <= H_s <= F_ss`` holds
     bit for bit.
     """
-    _require_regular(p, "qfim")
-    lam1, lam2, *_, tri, spec = _lambda_derivatives(p)
-    om = one_minus_d_squared(p.s, p.sigma)
-    den = 1.0 + tri.d * math.cos(p.theta)
-    b = tri.d1 * math.sin(p.theta)
-    h_s = 4.0 * (lam1 * spec.a3 ** 2 + lam2 * spec.a4 ** 2)
+    d, d1, e, om, a3, a4 = terms
+    lam1, lam2, den = _eigenvalues(d, e, ct, omc)
+    b = d1 * st
+    h_s = 4.0 * (lam1 * (a3 * a3) + lam2 * (a4 * a4))
     f_ss = b * b / (om * den * den) + h_s
     f_tt = om / (den * den)
     f_st = -b / (den * den)
-    if not math.isfinite(f_ss + f_tt + f_st):
+    return lam1, lam2, f_ss, f_tt, f_st, h_s
+
+
+def _to_gamma(f_ss, f_tt, f_st, st):
+    """The theta-chart matrix transported to coherence ``gamma = cos(theta)``
+    by ``d theta/d gamma = -1/sin(theta)``: ``(G_ss, G_gg, G_sg)``."""
+    j = -1.0 / st
+    return f_ss, f_tt * j * j, f_st * j
+
+
+def _to_concurrence(f_ss, f_tt, f_st, terms, ct, st, c_max):
+    """The theta-chart matrix transported to (s, C), ``C = sin(theta)
+    sqrt(1 - d^2)``, ``c_max = sqrt(1 - d^2)``: ``(G_ss, G_CC, G_sC)``.
+
+    The concurrence depends on both ``s`` and ``theta``, so the chart mixes
+    the parameters:  with ``t_s = d theta/ds|_C`` and ``t_C = d theta/dC|_s``,
+
+        G_ss = F_ss + 2 t_s F_st + t_s^2 F_tt
+        G_sC = t_C (F_st + t_s F_tt)
+        G_CC = t_C^2 F_tt.
+    """
+    d, d1, _, om, _, _ = terms
+    th_c = 1.0 / (ct * c_max)                  # d theta/dC at fixed s
+    th_s = st * d * d1 / (ct * om)             # d theta/ds at fixed C
+    g_ss = f_ss + 2.0 * th_s * f_st + th_s * th_s * f_tt
+    return g_ss, th_c * th_c * f_tt, th_c * (f_st + th_s * f_tt)
+
+
+def _h_nuisance(g_ss, g_tt, h_s):
+    # det F = F_tt H_s, so H_nuisance = det F / F_ss without the cancellation
+    # of F_tt - F_st^2 / F_ss
+    return g_tt * h_s / g_ss
+
+
+def _theta_chart(p: ModelParams):
+    """``(terms, cos theta, sin theta, (F_ss, F_tt, F_st, H_s))`` at one
+    point: the separation terms computed once, for the chart transports."""
+    _require_regular(p, "qfim")
+    terms = _separation_terms(p.s, p.sigma)
+    ct, st, omc = _angle_terms(p.theta)
+    f = _theta_block(terms, ct, st, omc)[2:]
+    if not math.isfinite(f[0] + f[1] + f[2]):
         raise DomainError(
             f"the closed forms do not resolve s = {p.s!r} at sigma = {p.sigma!r}"
         )
-    return f_ss, f_tt, f_st, h_s
+    return terms, ct, st, f
 
 
 def qfim(p: ModelParams) -> Qfim2:
@@ -229,7 +265,7 @@ def qfim(p: ModelParams) -> Qfim2:
     At theta = 0 these reduce to the continuous limits
     ``(F_ss, F_tt, F_st) = (4 lambda2 a4^2, (1-d)/(1+d), 0)``.
     """
-    f_ss, f_tt, f_st, _ = _theta_chart(p)
+    f_ss, f_tt, f_st, _ = _theta_chart(p)[3]
     return Qfim2(f_ss=f_ss, f_tt=f_tt, f_st=f_st, tag="theta")
 
 
@@ -252,14 +288,12 @@ def _h_pair(f_ss: float, f_tt: float, f_st: float, h_s: float) -> PrecisionPair:
     if f_tt < _NUISANCE_FLOOR and abs(f_st) < _NUISANCE_FLOOR:
         # no nuisance information and no cross term: no correction to apply
         return PrecisionPair(h_s=h_s, h_nuisance=f_tt)
-    # det F = F_tt H_s, so H_nuisance = det F / F_ss without the cancellation
-    # of F_tt - F_st^2 / F_ss
-    return PrecisionPair(h_s=h_s, h_nuisance=f_tt * h_s / f_ss)
+    return PrecisionPair(h_s=h_s, h_nuisance=_h_nuisance(f_ss, f_tt, h_s))
 
 
 def precision(p: ModelParams) -> PrecisionPair:
     """Nuisance-corrected informations ``H_s`` and ``H_theta``."""
-    return _h_pair(*_theta_chart(p))
+    return _h_pair(*_theta_chart(p)[3])
 
 
 def _gamma_chart(s: float, sigma: float, gamma: float) -> tuple[float, float, float, float]:
@@ -271,10 +305,9 @@ def _gamma_chart(s: float, sigma: float, gamma: float) -> tuple[float, float, fl
             "the coherence-parametrized matrix diverges at gamma = 1; "
             "precision_gamma handles that limit"
         )
-    theta = math.acos(gamma)
-    f_ss, f_tt, f_st, h_s = _theta_chart(ModelParams(s=s, sigma=sigma, theta=theta))
-    j = -1.0 / math.sin(theta)
-    return f_ss, f_tt * j * j, f_st * j, h_s
+    _, _, st, (f_ss, f_tt, f_st, h_s) = _theta_chart(
+        ModelParams(s=s, sigma=sigma, theta=math.acos(gamma)))
+    return (*_to_gamma(f_ss, f_tt, f_st, st), h_s)
 
 
 def qfim_gamma(s: float, sigma: float, gamma: float) -> Qfim2:
@@ -296,37 +329,23 @@ def precision_gamma(s: float, sigma: float, gamma: float) -> PrecisionPair:
     diverges (returned as inf).
     """
     if gamma == 1.0:
-        h_s = _theta_chart(ModelParams(s=s, sigma=sigma, theta=0.0))[3]
+        h_s = _theta_chart(ModelParams(s=s, sigma=sigma, theta=0.0))[3][3]
         return PrecisionPair(h_s=h_s, h_nuisance=math.inf)
     return _h_pair(*_gamma_chart(s, sigma, gamma))
 
 
 def _concurrence_chart(s: float, sigma: float, c: float) -> tuple[float, float, float, float]:
-    """``(G_ss, G_CC, G_sC, H_s)``: the theta chart transported to (s, C).
-
-    The concurrence depends on both ``s`` and ``theta``, so the chart mixes
-    the parameters:  with ``t_s = d theta/ds|_C`` and ``t_C = d theta/dC|_s``,
-
-        G_ss = F_ss + 2 t_s F_st + t_s^2 F_tt
-        G_sC = t_C (F_st + t_s F_tt)
-        G_CC = t_C^2 F_tt.
-    """
+    """``(G_ss, G_CC, G_sC, H_s)``: the theta chart transported to (s, C)
+    (see :func:`_to_concurrence`)."""
     theta = theta_from_concurrence(s, sigma, c)
-    ct = math.cos(theta)
-    if ct < 1e-9:
+    if math.cos(theta) < 1e-9:
         raise DomainError(
             "the concurrence chart is singular at the reachable maximum "
             "(theta = pi/2); use the theta or gamma chart there"
         )
-    tri = overlap(s, sigma)
-    om = one_minus_d_squared(s, sigma)
-    th_c = 1.0 / (ct * math.sqrt(om))                      # d theta/dC at fixed s
-    th_s = math.sin(theta) * tri.d * tri.d1 / (ct * om)    # d theta/ds at fixed C
-    f_ss, f_tt, f_st, h_s = _theta_chart(ModelParams(s=s, sigma=sigma, theta=theta))
-    g_ss = f_ss + 2.0 * th_s * f_st + th_s * th_s * f_tt
-    g_sc = th_c * (f_st + th_s * f_tt)
-    g_cc = th_c * th_c * f_tt
-    return g_ss, g_cc, g_sc, h_s
+    terms, ct, st, (f_ss, f_tt, f_st, h_s) = _theta_chart(
+        ModelParams(s=s, sigma=sigma, theta=theta))
+    return (*_to_concurrence(f_ss, f_tt, f_st, terms, ct, st, math.sqrt(terms[3])), h_s)
 
 
 def qfim_concurrence(s: float, sigma: float, c: float) -> Qfim2:

@@ -147,11 +147,6 @@ def coherence_of(theta: float) -> float:
     return math.cos(theta)
 
 
-def one_minus_d(s: float, sigma: float) -> float:
-    """``1 - d`` evaluated without cancellation (accurate at small s)."""
-    return -math.expm1(-s * s / (8.0 * sigma * sigma))
-
-
 def one_minus_d_squared(s: float, sigma: float) -> float:
     """``1 - d^2`` evaluated without cancellation (accurate at small s)."""
     return -math.expm1(-s * s / (4.0 * sigma * sigma))
@@ -218,6 +213,47 @@ def theta_from_concurrence(s: float, sigma: float, c: float) -> float:
     return math.asin(z)
 
 
+def _separation_terms(s, sigma):
+    """``(d, d' = dd/ds, 1 - d, 1 - d^2, a3, a4)``, the terms that depend on
+    the separation alone; the caller checks the range.  With
+    ``t = s^2/8 sigma^2``,
+
+        a3^2 = [1 + d(1 - 2t)] / (16 sigma^2 (1-d)) - d'^2/(4(1-d)^2),
+        a4^2 = [1 - d(1 - 2t)] / (16 sigma^2 (1+d)) - d'^2/(4(1+d)^2)
+
+    are written so that their leading small-s terms cancel algebraically
+    (both are O(t)); below ``t = 1e-3`` the a3 numerator, an O(t^3) residue
+    of O(t^2) pieces, runs out of bits and its series takes over.
+    """
+    sig2 = sigma * sigma
+    t = s * s / (8.0 * sig2)
+    d = math.exp(-t)
+    d1 = -(s / (4.0 * sig2)) * d
+    e = -math.expm1(-t)                         # 1 - d
+    om = -math.expm1(-s * s / (4.0 * sig2))     # 1 - d^2
+    if t < 1e-3:
+        a3sq = t * (1.0 - t * t / 30.0) / (48.0 * sig2)
+    else:
+        a3sq = (2.0 * (e - t) - e * e + 2.0 * t * e) / (16.0 * sig2 * e * e)
+    a4sq = (2.0 * e - e * e + 2.0 * t - 2.0 * t * e) / (16.0 * sig2 * ((2.0 - e) * (2.0 - e)))
+    return d, d1, e, om, math.sqrt(max(a3sq, 0.0)), math.sqrt(max(a4sq, 0.0))
+
+
+def _angle_terms(theta, cos=math.cos, sin=math.sin):
+    """``(cos theta, sin theta, 1 - cos theta)``, the last as
+    ``2 sin^2(theta/2)`` (no cancellation at small theta); pass numpy's
+    ``cos``/``sin`` for arrays."""
+    half = sin(theta / 2.0)
+    return cos(theta), sin(theta), 2.0 * (half * half)
+
+
+def _eigenvalues(d, e, ct, omc):
+    """``(lambda1, lambda2, den = 1 + d cos theta)`` from ``d``, ``e = 1 - d``,
+    ``cos theta`` and ``1 - cos theta``, for floats and arrays alike."""
+    den = 1.0 + d * ct
+    return e * omc / (2.0 * den), (2.0 - e) * (1.0 + ct) / (2.0 * den), den
+
+
 def spectral(p: ModelParams) -> SpectralData:
     """Eigensystem data of the reduced spatial state at phi = 0.
 
@@ -228,10 +264,8 @@ def spectral(p: ModelParams) -> SpectralData:
         lambda1 = (1 - d)(1 - cos theta) / (2 (1 + d cos theta)),
         lambda2 = (1 + d)(1 + cos theta) / (2 (1 + d cos theta)).
 
-    The derivative-direction norms are
-
-        a3^2 = [1 + d(1 - s^2/4 sigma^2)] / (16 sigma^2 (1-d)) - d1^2/(4(1-d)^2),
-        a4^2 = [1 - d(1 - s^2/4 sigma^2)] / (16 sigma^2 (1+d)) - d1^2/(4(1+d)^2).
+    The derivative-direction norms ``a3``, ``a4`` are those of
+    :func:`_separation_terms`.
 
     Raises
     ------
@@ -243,26 +277,7 @@ def spectral(p: ModelParams) -> SpectralData:
         raise DegenerateGeometryError(
             "the antisymmetric mode direction is undefined at s = 0"
         )
-    sig2 = p.sigma * p.sigma
-    t = p.s * p.s / (8.0 * sig2)
-    e = -math.expm1(-t)          # 1 - d, no cancellation
-    ct = math.cos(p.theta)
-    omc = 2.0 * math.sin(p.theta / 2.0) ** 2   # 1 - cos(theta), no cancellation
-    den = 1.0 + (1.0 - e) * ct
-    lam1 = e * omc / (2.0 * den)
-    lam2 = (2.0 - e) * (1.0 + ct) / (2.0 * den)
-    # a3^2 / a4^2 in forms whose leading small-s terms cancel algebraically,
-    # not in floating point (required near s -> 0 where both are O(s^2));
-    # below t = 1e-3 even the combined a3 numerator (an O(t^3) residue of
-    # O(t^2) pieces) runs out of bits, so its series takes over there
-    if t < 1e-3:
-        a3sq = t * (1.0 - t * t / 30.0) / (48.0 * sig2)
-    else:
-        a3sq = (2.0 * (e - t) - e * e + 2.0 * t * e) / (16.0 * sig2 * e * e)
-    a4sq = (2.0 * e - e * e + 2.0 * t - 2.0 * t * e) / (16.0 * sig2 * (2.0 - e) ** 2)
-    return SpectralData(
-        lambda1=lam1,
-        lambda2=lam2,
-        a3=math.sqrt(max(a3sq, 0.0)),
-        a4=math.sqrt(max(a4sq, 0.0)),
-    )
+    d, _, e, _, a3, a4 = _separation_terms(p.s, p.sigma)
+    ct, _, omc = _angle_terms(p.theta)
+    lam1, lam2, _ = _eigenvalues(d, e, ct, omc)
+    return SpectralData(lambda1=lam1, lambda2=lam2, a3=a3, a4=a4)

@@ -8,13 +8,16 @@ emitted with ``status=out_of_reach`` (fields other than the request left
 blank) so that rectangular surface layouts survive.  Identical specs produce
 byte-identical output files.
 
-A block is evaluated in one array pass: the closed forms of
-``fisher_single`` and ``qfim_two_param`` are restated over the broadcast
-``(s, nuisance)`` grid, operation for operation, with each scalar branch
-turned into a mask.  Functions of one axis alone go through ``math``, so
-theta- and coherence-nuisance blocks agree with the scalar API bit for
-bit; in concurrence blocks theta depends on both axes and goes through
-numpy's vectorized arcsin/arccos/cos/sin, which may differ by an ulp.
+A block is evaluated in one array pass: the kernel calls the same
+closed forms as the scalar API (``fisher_single._coherence_form`` and
+``_concurrence_form``, ``qfim_two_param._theta_block`` and its chart
+transports), which use only ``+ - * /`` and so take the broadcast
+``(s, nuisance)`` grid as they take floats; each scalar branch becomes a
+mask.  Functions of one axis alone, ``state_model._separation_terms``
+among them, go through the scalar API once per axis value, so theta- and
+coherence-nuisance blocks agree with it bit for bit; in concurrence blocks
+theta depends on both axes and goes through numpy's vectorized
+arcsin/arccos/cos/sin, which may differ by an ulp.
 Results come back as a columnar :class:`SweepTable`, and the emitters
 format whole rows from its columns.
 """
@@ -31,10 +34,16 @@ from typing import IO, Iterable
 import numpy as np
 
 from .errors import DomainError
-from .fisher_single import _EPS
+from .fisher_single import _EPS, _coherence_form, _concurrence_form
 from .numeric_oracle import _numeric_f_tot, numeric_qfim_row
-from .qfim_two_param import _NUISANCE_FLOOR
-from .state_model import concurrence_max
+from .qfim_two_param import (
+    _NUISANCE_FLOOR,
+    _h_nuisance,
+    _theta_block,
+    _to_concurrence,
+    _to_gamma,
+)
+from .state_model import _angle_terms, _separation_terms, concurrence_max
 
 MODES = ("single", "qfim", "verify")
 NUISANCES = ("theta", "concurrence", "coherence")
@@ -198,30 +207,23 @@ def _axis(rng: tuple[float, float, int]) -> np.ndarray:
     return np.array([lo]) if steps == 1 else np.linspace(lo, hi, steps)
 
 
-def _on_axis(fn, x: np.ndarray) -> np.ndarray:
-    """``fn``, a ``math`` function, element by element over an axis-shaped
-    array: quantities of one axis alone then match the scalar API bit for
-    bit, at the cost of O(steps) calls per block."""
-    return np.array([fn(v) for v in x.ravel().tolist()]).reshape(x.shape)
+def _on_axis(fn, x: np.ndarray):
+    """``fn``, a scalar function, element by element over an axis-shaped
+    array (a tuple of arrays if ``fn`` returns a tuple): quantities of one
+    axis alone then match the scalar API bit for bit, at the cost of
+    O(steps) calls per block."""
+    out = np.array([fn(v) for v in x.ravel().tolist()])
+    return tuple(c.reshape(x.shape) for c in out.T) if out.ndim == 2 else out.reshape(x.shape)
 
 
-def _single_block(nuisance: str, s, nu, sigma: float, d, om) -> dict:
+def _single_block(nuisance: str, s, nu, sigma: float, terms) -> dict:
     """Columns of a single-mode block: ``f_tot_coherence`` and
     ``f_tot_concurrence`` cell by cell, with their branches as masks."""
-    sig2 = sigma * sigma
-    sig4 = sig2 * sig2
-
-    def coherence_form(gamma):
-        return (
-            1.0 / (4.0 * sig2)
-            - gamma * d * (4.0 * sig2 - s * s) / (16.0 * sig4)
-            - gamma * gamma * d * d * s * s
-            / (8.0 * sig4 * (1.0 + gamma * gamma + 2.0 * d * gamma))
-        )
+    d, _, _, om, _, _ = terms
 
     def no_overlap(f):
         # d = 0: both correction terms vanish (0 * inf where s^2 overflows)
-        return np.where(d == 0.0, 1.0 / (4.0 * sig2), f)
+        return np.where(d == 0.0, 1.0 / (4.0 * sigma * sigma), f)
 
     if nuisance == "concurrence":
         c = nu
@@ -231,83 +233,53 @@ def _single_block(nuisance: str, s, nu, sigma: float, d, om) -> dict:
         rem = np.where(rem < 4.0 * _EPS * om, 0.0, rem)
         root = np.sqrt(rem)
         root_om = np.sqrt(om)
-        den = om + rem + 2.0 * d * root_om * root
-        f = (
-            1.0 / (4.0 * sig2)
-            - d * (4.0 * sig2 - s * s) * root / (16.0 * sig4 * root_om)
-            - d * d * s * s * rem / (8.0 * sig4 * den)
-        )
+        f = _concurrence_form(s, sigma, d, om, rem, root, root_om)
         gamma = np.minimum(root / root_om, 1.0)
         # the s = 0, C = 0 cell is the full-coherence limit
         at_zero = (s == 0.0) & (c == 0.0)
         gamma = np.where(at_zero, 1.0, gamma)
-        f = np.where(at_zero, coherence_form(1.0), f)
+        f = np.where(at_zero, _coherence_form(s, sigma, d, 1.0), f)
         theta = np.arccos(gamma)
         return {"theta": theta, "gamma": gamma, "f_tot": no_overlap(f), "_reach": reach}
     gamma = nu if nuisance == "coherence" else _on_axis(math.cos, nu)
     return {"theta": _on_axis(math.acos, gamma), "gamma": gamma,
             "C": np.sqrt((1.0 - gamma * gamma) * om),
-            "f_tot": no_overlap(coherence_form(gamma)), "_reach": np.True_}
+            "f_tot": no_overlap(_coherence_form(s, sigma, d, gamma)), "_reach": np.True_}
 
 
-def _qfim_block(nuisance: str, s, nu, sigma: float, d, om) -> dict:
-    """Columns of a qfim-mode block: the theta-chart QFIM of ``qfim`` (with
-    ``spectral``'s a3, a4), its transport to the block's chart, and the
-    precisions, with each scalar branch as a mask."""
-    sig2 = sigma * sigma
-    e = -_on_axis(math.expm1, -s * s / (8.0 * sigma * sigma))      # 1 - d
-    d1 = -(s / (4.0 * sig2)) * d
-    t = s * s / (8.0 * sig2)
-    a3sq = np.where(
-        t < 1e-3,
-        t * (1.0 - t * t / 30.0) / (48.0 * sig2),
-        (2.0 * (e - t) - e * e + 2.0 * t * e) / (16.0 * sig2 * e * e),
-    )
-    a4sq = (2.0 * e - e * e + 2.0 * t - 2.0 * t * e) / (16.0 * sig2 * (2.0 - e) ** 2)
-    a3 = np.sqrt(np.maximum(a3sq, 0.0))
-    a4 = np.sqrt(np.maximum(a4sq, 0.0))
-
+def _qfim_block(nuisance: str, s, nu, sigma: float, terms) -> dict:
+    """Columns of a qfim-mode block: the theta-chart QFIM of ``qfim``, its
+    transport to the block's chart, and the precisions, with each scalar
+    branch as a mask."""
+    om = terms[3]
     if nuisance == "concurrence":
         c_max = np.sqrt(om)
         reach = ~(nu * nu - c_max * c_max > 1e-12 * c_max * c_max)
         theta = np.arcsin(np.minimum(nu / c_max, 1.0))
-        ct, st, sin_half = np.cos(theta), np.sin(theta), np.sin(theta / 2.0)
+        ct, st, omc = _angle_terms(theta, np.cos, np.sin)
     else:
         reach = np.True_
         theta = nu if nuisance == "theta" else _on_axis(math.acos, nu)
-        ct, st = _on_axis(math.cos, theta), _on_axis(math.sin, theta)
-        sin_half = _on_axis(math.sin, theta / 2.0)
-    omc = 2.0 * sin_half ** 2                               # 1 - cos(theta)
-    den = 1.0 + d * ct
-    lam1 = e * omc / (2.0 * den)
-    lam2 = (2.0 - e) * (1.0 + ct) / (2.0 * den)
-    b = d1 * st
-    h_s = 4.0 * (lam1 * a3 ** 2 + lam2 * a4 ** 2)
-    f_ss = b * b / (om * den * den) + h_s
-    f_tt = om / (den * den)
-    f_st = -b / (den * den)
+        ct, st, omc = _on_axis(_angle_terms, theta)
+    lam1, _, f_ss, f_tt, f_st, h_s = _theta_block(terms, ct, st, omc)
 
     if nuisance == "theta":
         g_ss, g_tt, g_st = f_ss, f_tt, f_st
         gamma = ct
     elif nuisance == "coherence":
-        j = -1.0 / st
+        g_ss, g_tt, g_st = _to_gamma(f_ss, f_tt, f_st, st)
         # gamma = 1: infinite nuisance block, only F_ss = H_s survives
-        g_ss = f_ss
-        g_tt = np.where(nu == 1.0, np.nan, f_tt * j * j)
-        g_st = np.where(nu == 1.0, np.nan, f_st * j)
+        g_tt = np.where(nu == 1.0, np.nan, g_tt)
+        g_st = np.where(nu == 1.0, np.nan, g_st)
         gamma = nu
     else:
-        th_c = 1.0 / (ct * np.sqrt(om))
-        th_s = st * d * d1 / (ct * om)
         # the chart is singular at maximum reach; H_s is chart-invariant
         chart = ~(ct < 1e-9)
-        g_ss = np.where(chart, f_ss + 2.0 * th_s * f_st + th_s * th_s * f_tt, np.nan)
-        g_tt = np.where(chart, th_c * th_c * f_tt, np.nan)
-        g_st = np.where(chart, th_c * (f_st + th_s * f_tt), np.nan)
+        g_ss, g_tt, g_st = (np.where(chart, g, np.nan) for g in
+                            _to_concurrence(f_ss, f_tt, f_st, terms, ct, st, c_max))
         gamma = ct
     floor = (g_tt < _NUISANCE_FLOOR) & (np.abs(g_st) < _NUISANCE_FLOOR)
-    h_n = np.where(floor, g_tt, g_tt * h_s / g_ss)       # as _h_pair
+    h_n = np.where(floor, g_tt, _h_nuisance(g_ss, g_tt, h_s))       # as _h_pair
     cells = {"theta": theta, "gamma": gamma,
              "f_ss": g_ss, "f_tt": g_tt, "f_st": g_st, "h_s": h_s, "h_nuisance": h_n,
              "_reach": reach, "_lam1": lam1,
@@ -326,15 +298,17 @@ def _kernel(spec: SweepSpec) -> dict[str, np.ndarray]:
     """
     s = _axis(spec.s_range)[:, None]
     nu = _axis(spec.nuisance_range)[None, :]
-    sigma = spec.sigma
+    # a numpy sigma: where sigma^2 underflows, the scalar forms give inf/NaN
+    # (caught below) instead of raising ZeroDivisionError
+    sigma = np.float64(spec.sigma)
     block = _single_block if spec.mode == "single" else _qfim_block
     # masked cells (out of reach, chart singularities) may divide by zero;
     # the finiteness check below catches any unmasked overflow
     with np.errstate(all="ignore"):
-        d = _on_axis(math.exp, -s * s / (8.0 * sigma * sigma))
-        om = -_on_axis(math.expm1, -s * s / (4.0 * sigma * sigma))     # 1 - d^2
-        cells = block(spec.nuisance, s, nu, sigma, d, om)
-    cells.update(s=s, sigma=sigma, d=d)
+        # the scalar API's separation terms, one call per separation
+        terms = _on_axis(lambda v: _separation_terms(v, sigma), s)
+        cells = block(spec.nuisance, s, nu, sigma, terms)
+    cells.update(s=s, sigma=sigma, d=terms[0])
     if spec.nuisance == "concurrence":
         cells["C"] = nu                       # the request, also out of reach
     shape = (s.size, nu.size)
@@ -346,7 +320,7 @@ def _kernel(spec: SweepSpec) -> dict[str, np.ndarray]:
         i = int(np.argmax(bad))
         raise DomainError(
             f"the closed forms do not resolve s = {float(cells['s'][i])!r} with "
-            f"{spec.nuisance} = {float(nu.ravel()[i % nu.size])!r} at sigma = {sigma!r}"
+            f"{spec.nuisance} = {float(nu.ravel()[i % nu.size])!r} at sigma = {spec.sigma!r}"
         )
     return cells
 
