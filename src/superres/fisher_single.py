@@ -112,18 +112,20 @@ def f_tot_concurrence(s: float, sigma: float, c: float) -> FiRecord:
     Raises
     ------
     DegenerateGeometryError
-        At ``s = 0``; approach that column through the coherence form.
+        At ``s = 0``, or where ``1 - d^2`` underflows to 0 (``s`` below
+        ~1e-162 sigma); approach that column through the coherence form.
     OutOfReachError
         If ``c`` exceeds the reachable maximum (beyond rounding slack).
     """
     if not (c >= 0.0):
         raise DomainError(f"concurrence must be nonnegative, got {c}")
-    if s == 0.0:
-        raise DegenerateGeometryError(
-            "the concurrence form is singular at s = 0; use f_tot_coherence"
-        )
     d = overlap(s, sigma).d
     om = one_minus_d_squared(s, sigma)
+    if om == 0.0:
+        # at s = 0, and where 1 - d^2 underflows (s below ~1e-162 sigma)
+        raise DegenerateGeometryError(
+            f"the concurrence form is singular at s = {s!r}; use f_tot_coherence"
+        )
     if c * c - om > 1e-12 * om:
         raise OutOfReachError(c, math.sqrt(om))
     rem = om - c * c

@@ -249,13 +249,15 @@ def _theta_chart(p: ModelParams):
     point: the separation terms computed once, for the chart transports."""
     _require_regular(p, "qfim")
     terms = _separation_terms(p.s, p.sigma)
-    ct, st, omc = _angle_terms(p.theta)
-    f = _theta_block(terms, ct, st, omc)[2:]
-    if not math.isfinite(f[0] + f[1] + f[2]):
-        raise DomainError(
-            f"the closed forms do not resolve s = {p.s!r} at sigma = {p.sigma!r}"
-        )
-    return terms, ct, st, f
+    # the block divides by 1 - d^2, which underflows for s below ~1e-162 sigma
+    if terms[3] > 0.0:
+        ct, st, omc = _angle_terms(p.theta)
+        f = _theta_block(terms, ct, st, omc)[2:]
+        if math.isfinite(f[0] + f[1] + f[2]):
+            return terms, ct, st, f
+    raise DomainError(
+        f"the closed forms do not resolve s = {p.s!r} at sigma = {p.sigma!r}"
+    )
 
 
 def qfim(p: ModelParams) -> Qfim2:

@@ -193,17 +193,18 @@ def theta_from_concurrence(s: float, sigma: float, c: float) -> float:
     ------
     DegenerateGeometryError
         At ``s = 0``, where only ``C = 0`` is reachable and theta is
-        undetermined.
+        undetermined, and where ``1 - d^2`` underflows to 0.
     OutOfReachError
         If ``c`` exceeds ``C_max = sqrt(1 - d^2)`` (beyond rounding slack).
     """
     if not (c >= 0.0):
         raise DomainError(f"concurrence must be nonnegative, got {c}")
-    if s == 0.0:
-        raise DegenerateGeometryError(
-            "at s = 0 every theta yields zero concurrence; theta is undetermined"
-        )
     c_max = concurrence_max(s, sigma)
+    if c_max == 0.0:
+        # at s = 0, and where 1 - d^2 underflows (s below ~1e-162 sigma)
+        raise DegenerateGeometryError(
+            f"at s = {s!r} every theta yields zero concurrence; theta is undetermined"
+        )
     z = c / c_max
     if z > 1.0:
         # a few ulps of slack so that C_max itself round-trips
@@ -223,7 +224,10 @@ def _separation_terms(s, sigma):
 
     are written so that their leading small-s terms cancel algebraically
     (both are O(t)); below ``t = 1e-3`` the a3 numerator, an O(t^3) residue
-    of O(t^2) pieces, runs out of bits and its series takes over.
+    of O(t^2) pieces, runs out of bits and its series takes over.  The a4
+    numerator, and the a3 one from ``t = 1`` up, carry t as ``2 t d``;
+    as ``2 t - 2 t e`` it cancels to 0 once t passes ~1e17, while below
+    ``t = 1`` that second form is the more accurate for a3.
     """
     sig2 = sigma * sigma
     t = s * s / (8.0 * sig2)
@@ -233,9 +237,11 @@ def _separation_terms(s, sigma):
     om = -math.expm1(-s * s / (4.0 * sig2))     # 1 - d^2
     if t < 1e-3:
         a3sq = t * (1.0 - t * t / 30.0) / (48.0 * sig2)
-    else:
+    elif t < 1.0:
         a3sq = (2.0 * (e - t) - e * e + 2.0 * t * e) / (16.0 * sig2 * e * e)
-    a4sq = (2.0 * e - e * e + 2.0 * t - 2.0 * t * e) / (16.0 * sig2 * ((2.0 - e) * (2.0 - e)))
+    else:
+        a3sq = (2.0 * e - e * e - 2.0 * t * d) / (16.0 * sig2 * e * e)
+    a4sq = (2.0 * e - e * e + 2.0 * t * d) / (16.0 * sig2 * ((2.0 - e) * (2.0 - e)))
     return d, d1, e, om, math.sqrt(max(a3sq, 0.0)), math.sqrt(max(a4sq, 0.0))
 
 

@@ -314,7 +314,8 @@ def _kernel(spec: SweepSpec) -> dict[str, np.ndarray]:
     shape = (s.size, nu.size)
     cells = {name: np.broadcast_to(v, shape).ravel() for name, v in cells.items()}
     reach = cells["_reach"]
-    must = ("theta", "gamma", "C", "d", "f_tot" if spec.mode == "single" else "h_s")
+    must = ("theta", "gamma", "C", "d") + (
+        ("f_tot",) if spec.mode == "single" else ("h_s", "_theta_f_ss", "_theta_f_tt", "_theta_f_st"))
     bad = reach & ~np.logical_and.reduce([np.isfinite(cells[n]) for n in must])
     if bad.any():
         i = int(np.argmax(bad))

@@ -65,6 +65,10 @@ class TestCoherenceForm:
         assert f_tot_coherence(1e200, 1.0, 0.5).f_tot == 0.25
         assert f_tot_concurrence(1e200, 1.0, 0.5).f_tot == 0.25
 
+    def test_tiny_separation(self):
+        # 1 - d^2 underflows to 0; the coherence form never divides by it
+        assert f_tot_coherence(1e-200, 1.0, 0.5).f_tot == 0.125
+
 
 class TestConcurrenceForm:
     def test_zero_concurrence_equals_full_coherence(self):
@@ -88,6 +92,11 @@ class TestConcurrenceForm:
     def test_degenerate_at_zero_separation(self):
         with pytest.raises(DegenerateGeometryError):
             f_tot_concurrence(0.0, 1.0, 0.0)
+
+    def test_underflowing_one_minus_d_squared_is_a_domain_error(self):
+        # 1 - d^2 = 0 in floating point, as at s = 0; it used to divide by it
+        with pytest.raises(DomainError):
+            f_tot_concurrence(1e-200, 1.0, 0.0)
 
     @pytest.mark.parametrize("s, sigma, c", [(1.0, 1.0, math.nan),
                                              (math.nan, 1.0, 0.1),

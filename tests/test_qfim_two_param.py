@@ -366,6 +366,29 @@ def test_h_nuisance_matches_mpmath(s, gamma):
     assert got == pytest.approx(mp_h_gamma(s, gamma), rel=1e-13, abs=0.0)
 
 
+@pytest.mark.parametrize("s", [1e8, 1e9, 1e10])
+def test_far_separation_h_s_matches_mpmath(s):
+    # a3^2 = a4^2 = 0 used to give H_s = 0 here, and H_theta = 0/0
+    want = mp_theta_chart(s, 0.7)[3]
+    assert precision(ModelParams(s, 1.0, 0.7)).h_s == pytest.approx(want, rel=1e-15, abs=0.0)
+    assert precision_gamma(s, 1.0, math.cos(0.7)).h_s == pytest.approx(want, rel=1e-15)
+    assert precision_concurrence(s, 1.0, math.sin(0.7)).h_s == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.parametrize("call", [lambda: precision(ModelParams(1e-200, 1.0, 0.3)),
+                                  lambda: qfim(ModelParams(1e-170, 1.0, 0.3))],
+                         ids=["precision", "qfim"])
+def test_underflowing_one_minus_d_squared_is_a_domain_error(call):
+    # the theta block divides by 1 - d^2, which is 0 in floating point here
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_tiny_separation_resolves_while_one_minus_d_squared_is_normal():
+    h = precision_gamma(1e-100, 1.0, 0.5)
+    assert math.isfinite(h.h_s) and math.isfinite(h.h_nuisance) and h.h_s > 0.0
+
+
 def test_unresolvable_sigma_is_a_domain_error():
     # sigma^2 underflows to 0, which the closed forms divide by
     with pytest.raises(DomainError):

@@ -133,6 +133,11 @@ class TestThetaFromConcurrence:
         with pytest.raises(DegenerateGeometryError):
             theta_from_concurrence(0.0, 1.0, 0.0)
 
+    def test_underflowing_reach_is_a_domain_error(self):
+        # 1 - d^2 underflows to 0, which the inversion divides by
+        with pytest.raises(DomainError):
+            theta_from_concurrence(1e-200, 1.0, 0.0)
+
     @pytest.mark.parametrize("s, sigma, c", [(1.0, 1.0, math.nan),
                                              (math.nan, 1.0, 0.1),
                                              (1.0, math.nan, 0.1)])
@@ -148,6 +153,18 @@ class TestThetaFromConcurrence:
                 theta = theta_from_concurrence(s, 1.0, c)
                 back = concurrence(ModelParams(s, 1.0, theta))
                 assert abs(back - c) < 1e-12
+
+
+def mp_norms_squared(s, sigma=1.0):
+    """``(a3^2, a4^2)`` as 50-digit mpf from their defining expressions."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        s, sigma = mp.mpf(s), mp.mpf(sigma)
+        d = mp.exp(-s**2 / (8 * sigma**2))
+        d1 = -(s / (4 * sigma**2)) * d
+        u = 1 - s**2 / (4 * sigma**2)
+        return ((1 + d * u) / (16 * sigma**2 * (1 - d)) - d1**2 / (4 * (1 - d)**2),
+                (1 - d * u) / (16 * sigma**2 * (1 + d)) - d1**2 / (4 * (1 + d)**2))
 
 
 class TestSpectral:
@@ -191,6 +208,25 @@ class TestSpectral:
         spec = spectral(ModelParams(s, 1.0, 0.3))
         assert spec.a3**2 == pytest.approx(t / 48.0, rel=1e-3)
         assert spec.a4**2 == pytest.approx(t / 16.0, rel=1e-3)
+
+    @pytest.mark.parametrize("s", [1e8, 1e9, 1e10])
+    def test_far_separation_norms_match_mpmath(self, s):
+        # with t = s^2/8 sigma^2 written as 2t - 2te, the t terms cancelled
+        # to a3^2 = a4^2 = 0 from s ~ 1e9 on
+        spec = spectral(ModelParams(s, 1.0, 0.7))
+        for got, want in zip((spec.a3 * spec.a3, spec.a4 * spec.a4), mp_norms_squared(s)):
+            assert got == pytest.approx(float(want), rel=1e-15, abs=0.0)
+
+    def test_norms_match_mpmath_on_log_grid(self):
+        # measured worst: a3^2 3.0e-10 (s ~ 0.1, just above the series
+        # switch), a4^2 7.3e-16 (8e-15 with the 2t - 2te numerator)
+        worst3 = worst4 = 0.0
+        for s in np.logspace(-4, math.log10(20.0), 400):
+            spec = spectral(ModelParams(float(s), 1.0, 0.7))
+            want3, want4 = mp_norms_squared(float(s))
+            worst3 = max(worst3, float(abs(spec.a3 * spec.a3 / want3 - 1)))
+            worst4 = max(worst4, float(abs(spec.a4 * spec.a4 / want4 - 1)))
+        assert worst3 < 3.5e-10 and worst4 < 1e-15
 
     def test_degenerate_and_phase_rejections(self):
         with pytest.raises(DegenerateGeometryError):

@@ -285,6 +285,25 @@ class TestCli:
         assert main(["single", "--phi", "0.4"]) == 2
         assert "phi" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        # 1 - d^2 underflows: f_ss used to be blank on status=ok rows
+        ["qfim", "--s-min", "1e-170", "--s-max", "1e-170", "--s-steps", "1", "--n-steps", "3"],
+        # sigma^2 overflows: f_ss and h_nuisance likewise
+        ["qfim", "--sigma", "1e300", "--s-steps", "3", "--n-steps", "3"],
+        # sigma^2 underflows: a ZeroDivisionError traceback (exit 1)
+        ["single", "--sigma", "1e-300"],
+    ], ids=["tiny-s", "huge-sigma", "tiny-sigma"])
+    def test_unresolved_cells_exit_code(self, argv, capsys):
+        assert main(argv) == 2
+        assert "do not resolve" in capsys.readouterr().err
+
+    def test_tiny_separation_single_coherence(self, capsys):
+        argv = ["single", "--nuisance", "coherence", "--s-min", "1e-200",
+                "--s-max", "1e-200", "--s-steps", "1", "--n-steps", "3"]
+        assert main(argv) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 3 and all(r.endswith(",ok") for r in rows)
+
     def test_unknown_preset_exit_code(self, capsys):
         assert main(["figure", "fig9"]) == 2
 
