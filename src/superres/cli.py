@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage or domain error, 3 verification failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -21,6 +22,7 @@ from .sweep import (
     SweepSpec,
     SweepTable,
     VERIFY_TOLERANCE,
+    default_ranges,
     emit,
     figure_preset,
     worst_oracle_delta,
@@ -71,8 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _default_ranges(mode: str, nuisance: str):
     if mode == "verify":
         return (0.5, 3.0, 4), (math.pi / 8, _HALF_PI, 4)
-    top = _HALF_PI if nuisance == "theta" else 1.0
-    return (1e-3, 5.0, 50), (0.0, top, 50)
+    return default_ranges(nuisance)
 
 
 def _range_from_args(args, defaults, prefix: str):
@@ -84,6 +85,10 @@ def _range_from_args(args, defaults, prefix: str):
     if getattr(args, f"{prefix}_steps") is not None:
         steps = getattr(args, f"{prefix}_steps")
     return (lo, hi, steps)
+
+
+def _with_steps(rng, steps):
+    return rng if steps is None else (*rng[:2], steps)
 
 
 def _spec_from_args(args, mode: str) -> SweepSpec:
@@ -115,19 +120,14 @@ def main(argv=None) -> int:
     try:
         if args.command == "figure":
             blocks = figure_preset(args.preset)
-            tables = []
-            for spec in blocks:
-                spec.fmt = args.format
-                spec.sigma = args.sigma
-                spec.oracle = args.oracle
-                if args.s_steps is not None:
-                    spec.s_range = (spec.s_range[0], spec.s_range[1], args.s_steps)
-                if args.n_steps is not None:
-                    spec.nuisance_range = (*spec.nuisance_range[:2], args.n_steps)
-                if args.phi != 0.0:
-                    raise DomainError("figure presets require phi = 0")
-                spec.validate()
-                tables.append(run_sweep(spec))
+            if args.phi != 0.0:
+                raise DomainError("figure presets require phi = 0")
+            blocks = [dataclasses.replace(
+                spec, fmt=args.format, sigma=args.sigma, oracle=args.oracle,
+                s_range=_with_steps(spec.s_range, args.s_steps),
+                nuisance_range=_with_steps(spec.nuisance_range, args.n_steps))
+                for spec in blocks]
+            tables = [run_sweep(spec) for spec in blocks]
             _emit_records(SweepTable.concat(tables), args.format, args.out,
                           include_deltas=args.oracle)
             return 0

@@ -58,16 +58,22 @@ VERIFY_TOLERANCE = 1e-6
 _HALF_PI = math.pi / 2
 
 
-@dataclass
+def default_ranges(nuisance: str) -> tuple[tuple[float, float, int], tuple[float, float, int]]:
+    """The ``(min, max, steps)`` of the s and nuisance axes when none are given."""
+    return (1e-3, 5.0, 50), (0.0, _HALF_PI if nuisance == "theta" else 1.0, 50)
+
+
+@dataclass(frozen=True)
 class SweepSpec:
-    """Validated description of one sweep block."""
+    """Validated description of one sweep block; ``dataclasses.replace``
+    derives a variant and validates it again."""
 
     mode: str
     nuisance: str = "coherence"
     sigma: float = 1.0
     phi: float = 0.0
-    s_range: tuple[float, float, int] = (1e-3, 5.0, 50)
-    nuisance_range: tuple[float, float, int] | None = None
+    s_range: tuple[float, float, int] | None = None         # default_ranges
+    nuisance_range: tuple[float, float, int] | None = None  # default_ranges
     fmt: str = "csv"
     oracle: bool = False
     grid_points: int = 4096
@@ -75,6 +81,9 @@ class SweepSpec:
     fd_step: float | None = None
 
     def __post_init__(self):
+        for name, default in zip(("s_range", "nuisance_range"), default_ranges(self.nuisance)):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, default)
         self.validate()
 
     def validate(self) -> None:
@@ -92,9 +101,6 @@ class SweepSpec:
             raise DomainError(
                 f"closed-form sweeps require phi = 0, got phi = {self.phi}"
             )
-        if self.nuisance_range is None:
-            top = _HALF_PI if self.nuisance == "theta" else 1.0
-            self.nuisance_range = (0.0, top, 50)
         for name, rng in (("s", self.s_range), ("nuisance", self.nuisance_range)):
             lo, hi, steps = rng
             if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -329,7 +335,6 @@ def _kernel(spec: SweepSpec) -> dict[str, np.ndarray]:
 def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate the Cartesian product of the two axes, s-major, in one
     array pass (see :func:`_kernel`)."""
-    spec.validate()
     cells = _kernel(spec)
     reach = cells["_reach"]
     columns = {name: np.where(reach | (name in _KEPT_OUT_OF_REACH),

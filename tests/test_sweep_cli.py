@@ -73,6 +73,17 @@ class TestSweepSpec:
         with pytest.raises(DomainError):
             small_single_spec(**kw)
 
+    def test_frozen_and_revalidated_on_replace(self):
+        spec = small_single_spec()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.sigma = 2.0
+        assert dataclasses.replace(spec, sigma=2.0).sigma == 2.0
+        with pytest.raises(DomainError):
+            dataclasses.replace(spec, s_range=(0.5, 2.0, 0))
+
+    def test_defaults_fill_s_range(self):
+        assert SweepSpec(mode="qfim").s_range == (1e-3, 5.0, 50)
+
     def test_verify_forces_theta(self):
         with pytest.raises(DomainError):
             SweepSpec(mode="verify", nuisance="coherence", s_range=(0.5, 1.0, 2))
