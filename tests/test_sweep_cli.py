@@ -427,12 +427,15 @@ def scalar_cell(spec, s, nu):
 
 
 class TestKernelMatchesScalarApi:
-    """The array kernel against the scalar API, cell by cell, on every preset.
+    """The array kernel against the scalar API, cell by cell, on every preset
+    and on theta-nuisance blocks.
 
-    In the concurrence blocks theta depends on both axes and goes through
-    numpy's arcsin/arccos/cos/sin, which may differ from ``math``'s by an
-    ulp; the concurrence chart's ``1/cos(theta)`` near maximum reach
-    amplifies that in the transported cells."""
+    Kernel and scalar API call the same closed forms, and quantities of one
+    axis alone go through ``math`` in both, so theta- and coherence-nuisance
+    blocks agree exactly.  In the concurrence blocks theta depends on both
+    axes and goes through numpy's arcsin/arccos/cos/sin, which may differ
+    from ``math``'s by an ulp; the concurrence chart's ``1/cos(theta)`` near
+    maximum reach amplifies that in the transported cells."""
 
     TIGHT = 1e-13
     AMPLIFIED = 1e-8
@@ -440,29 +443,37 @@ class TestKernelMatchesScalarApi:
     @pytest.mark.parametrize("preset", ["fig1a", "fig1b", "fig1c", "fig2a", "fig2b"])
     def test_preset_cells(self, preset):
         for block in figure_preset(preset):
-            spec = dataclasses.replace(
+            self.check_cells(dataclasses.replace(
                 block,
                 s_range=(*block.s_range[:2], min(block.s_range[2], 40)),
                 nuisance_range=(*block.nuisance_range[:2], 40),
-            )
-            table = run_sweep(spec)
-            s_axis = np.linspace(*spec.s_range) if spec.s_range[2] > 1 else [spec.s_range[0]]
-            cells = [(float(s), float(nu)) for s in s_axis
-                     for nu in np.linspace(*spec.nuisance_range)]
-            assert len(table) == len(cells)
-            for rec, (s, nu) in zip(table, cells):
-                status, want = scalar_cell(spec, s, nu)
-                assert rec.status == status and rec.s == s and rec.sigma == 1.0
-                for name in CSV_FIELDS[2:]:
-                    got = getattr(rec, name)
-                    if name not in want:
-                        assert got is None, (preset, s, nu, name)
-                        continue
-                    amplified = spec.nuisance == "concurrence" and name in (
-                        "f_ss", "f_tt", "f_st", "h_nuisance")
+            ))
+
+    @pytest.mark.parametrize("mode", ["single", "qfim"])
+    def test_theta_blocks(self, mode):
+        self.check_cells(SweepSpec(mode=mode, nuisance="theta", s_range=(1e-3, 5.0, 40),
+                                   nuisance_range=(0.0, math.pi / 2, 40)))
+
+    def check_cells(self, spec):
+        table = run_sweep(spec)
+        s_axis = np.linspace(*spec.s_range) if spec.s_range[2] > 1 else [spec.s_range[0]]
+        cells = [(float(s), float(nu)) for s in s_axis
+                 for nu in np.linspace(*spec.nuisance_range)]
+        assert len(table) == len(cells)
+        for rec, (s, nu) in zip(table, cells):
+            status, want = scalar_cell(spec, s, nu)
+            assert rec.status == status and rec.s == s and rec.sigma == 1.0
+            for name in CSV_FIELDS[2:]:
+                got = getattr(rec, name)
+                where = (spec.mode, spec.nuisance, s, nu, name)
+                if name not in want:
+                    assert got is None, where
+                elif spec.nuisance != "concurrence":
+                    assert got == want[name], where
+                else:
+                    amplified = name in ("f_ss", "f_tt", "f_st", "h_nuisance")
                     tol = self.AMPLIFIED if amplified else self.TIGHT
-                    assert got == pytest.approx(want[name], rel=tol, abs=0.0), \
-                        (preset, s, nu, name)
+                    assert got == pytest.approx(want[name], rel=tol, abs=0.0), where
 
 
 def mixed_table():
