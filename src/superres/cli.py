@@ -70,29 +70,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _default_ranges(mode: str, nuisance: str):
-    if mode == "verify":
-        return (0.5, 3.0, 4), (math.pi / 8, _HALF_PI, 4)
-    return default_ranges(nuisance)
+# verify samples a coarse grid away from the theta = 0 corner
+_VERIFY_RANGES = (0.5, 3.0, 4), (math.pi / 8, _HALF_PI, 4)
 
 
-def _range_from_args(args, defaults, prefix: str):
-    lo, hi, steps = defaults
-    if getattr(args, f"{prefix}_min") is not None:
-        lo = getattr(args, f"{prefix}_min")
-    if getattr(args, f"{prefix}_max") is not None:
-        hi = getattr(args, f"{prefix}_max")
-    if getattr(args, f"{prefix}_steps") is not None:
-        steps = getattr(args, f"{prefix}_steps")
-    return (lo, hi, steps)
-
-
-def _with_steps(rng, steps):
-    return rng if steps is None else (*rng[:2], steps)
+def _range_from_args(args, defaults, prefix: str, keys=("min", "max", "steps")):
+    """``defaults`` with the ``--<prefix>-<key>`` options that were given."""
+    given = {k: getattr(args, f"{prefix}_{k}") for k in keys}
+    return tuple(d if given.get(k) is None else given[k]
+                 for d, k in zip(defaults, ("min", "max", "steps")))
 
 
 def _spec_from_args(args, mode: str) -> SweepSpec:
-    s_default, n_default = _default_ranges(mode, args.nuisance)
+    s_default, n_default = (_VERIFY_RANGES if mode == "verify"
+                            else default_ranges(args.nuisance))
     return SweepSpec(
         mode=mode,
         nuisance=args.nuisance,
@@ -109,10 +100,8 @@ def _spec_from_args(args, mode: str) -> SweepSpec:
 
 
 def _emit_records(records, fmt, out_path, include_deltas) -> None:
-    if out_path is None:
-        emit(records, fmt, sys.stdout, include_deltas=include_deltas)
-    else:
-        emit(records, fmt, out_path, include_deltas=include_deltas)
+    emit(records, fmt, sys.stdout if out_path is None else out_path,
+         include_deltas=include_deltas)
 
 
 def main(argv=None) -> int:
@@ -124,11 +113,11 @@ def main(argv=None) -> int:
                 raise DomainError("figure presets require phi = 0")
             blocks = [dataclasses.replace(
                 spec, fmt=args.format, sigma=args.sigma, oracle=args.oracle,
-                s_range=_with_steps(spec.s_range, args.s_steps),
-                nuisance_range=_with_steps(spec.nuisance_range, args.n_steps))
+                s_range=_range_from_args(args, spec.s_range, "s", keys=("steps",)),
+                nuisance_range=_range_from_args(args, spec.nuisance_range, "n",
+                                                keys=("steps",)))
                 for spec in blocks]
-            tables = [run_sweep(spec) for spec in blocks]
-            _emit_records(SweepTable.concat(tables), args.format, args.out,
+            _emit_records(SweepTable.concat(map(run_sweep, blocks)), args.format, args.out,
                           include_deltas=args.oracle)
             return 0
 

@@ -122,7 +122,6 @@ def f_tot_concurrence(s: float, sigma: float, c: float) -> FiRecord:
     d = overlap(s, sigma).d
     om = one_minus_d_squared(s, sigma)
     if om == 0.0:
-        # at s = 0, and where 1 - d^2 underflows (s below ~1e-162 sigma)
         raise DegenerateGeometryError(
             f"the concurrence form is singular at s = {s!r}; use f_tot_coherence"
         )
@@ -136,9 +135,8 @@ def f_tot_concurrence(s: float, sigma: float, c: float) -> FiRecord:
         rem = 0.0
     root = math.sqrt(rem)
     root_om = math.sqrt(om)
-    # d = 0 as in f_tot_coherence
-    f = 1.0 / (4.0 * sigma * sigma) if d == 0.0 else _concurrence_form(
-        s, sigma, d, om, rem, root, root_om)
+    f = (1.0 / (4.0 * sigma * sigma) if d == 0.0     # as in f_tot_coherence
+         else _concurrence_form(s, sigma, d, om, rem, root, root_om))
     gamma = min(root / root_om, 1.0)
     return FiRecord(
         s=s,

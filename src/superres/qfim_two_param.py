@@ -188,20 +188,12 @@ def sld_pair(p: ModelParams) -> SldPair:
 
 def _theta_block(terms, ct, st, omc):
     """``(lambda1, lambda2, F_ss, F_tt, F_st, H_s)`` for (s, theta) from the
-    separation terms of :func:`state_model._separation_terms` and the angle
-    terms ``cos theta``, ``sin theta``, ``1 - cos theta``.  Arithmetic
-    only, so the scalar API and the sweep kernel share it.
-
-    The diagonal SLD contributions ``(d lambda)^2 / lambda`` sum, with
-    ``d lambda1 = -d lambda2`` and ``lambda1 + lambda2 = 1``, to
-    ``(d lambda1)^2 / (lambda1 lambda2)``, where
-    ``lambda1 lambda2 = (1 - d^2) sin^2(theta) / (4 den^2)``.  The
-    ``sin^2(theta)`` cancels, leaving the rank-one classical block
-    ``v v^T / ((1 - d^2) den^2)`` with ``v = (B sin(theta), -(1 - d^2))``,
-    regular at theta = 0.  ``F_st^2 / F_tt`` removes it exactly, so ``H_s``
-    is the quantum term ``4 (lambda1 a3^2 + lambda2 a4^2)``; ``F_ss`` adds
-    the classical term to that same float, so ``0 <= H_s <= F_ss`` holds
-    bit for bit.
+    separation terms of :func:`state_model._separation_terms` and
+    ``cos theta``, ``sin theta``, ``1 - cos theta``, for floats and arrays
+    alike.  The classical block is the rank-one form of the module
+    docstring, in which ``(d lambda1)^2 / (lambda1 lambda2)`` has lost its
+    ``sin^2(theta)``; ``F_ss`` adds it to the same ``H_s`` float, so
+    ``0 <= H_s <= F_ss`` holds bit for bit.
     """
     d, d1, e, om, a3, a4 = terms
     lam1, lam2, den = _eigenvalues(d, e, ct, omc)
@@ -221,15 +213,11 @@ def _to_gamma(f_ss, f_tt, f_st, st):
 
 
 def _to_concurrence(f_ss, f_tt, f_st, terms, ct, st, c_max):
-    """The theta-chart matrix transported to (s, C), ``C = sin(theta)
-    sqrt(1 - d^2)``, ``c_max = sqrt(1 - d^2)``: ``(G_ss, G_CC, G_sC)``.
-
-    The concurrence depends on both ``s`` and ``theta``, so the chart mixes
-    the parameters:  with ``t_s = d theta/ds|_C`` and ``t_C = d theta/dC|_s``,
-
-        G_ss = F_ss + 2 t_s F_st + t_s^2 F_tt
-        G_sC = t_C (F_st + t_s F_tt)
-        G_CC = t_C^2 F_tt.
+    """The theta-chart matrix transported to (s, C), ``(G_ss, G_CC, G_sC)``,
+    with ``c_max = sqrt(1 - d^2)``.  ``C = sin(theta) c_max`` depends on
+    both parameters: with ``t_s = d theta/ds|_C`` and ``t_C = d theta/dC|_s``,
+    ``G_ss = F_ss + 2 t_s F_st + t_s^2 F_tt``, ``G_sC = t_C (F_st + t_s F_tt)``
+    and ``G_CC = t_C^2 F_tt``.
     """
     d, d1, _, om, _, _ = terms
     th_c = 1.0 / (ct * c_max)                  # d theta/dC at fixed s
@@ -239,8 +227,8 @@ def _to_concurrence(f_ss, f_tt, f_st, terms, ct, st, c_max):
 
 
 def _h_nuisance(g_ss, g_tt, h_s):
-    # det F = F_tt H_s, so H_nuisance = det F / F_ss without the cancellation
-    # of F_tt - F_st^2 / F_ss
+    """``det F / F_ss = F_tt H_s / F_ss``, free of the cancellation in
+    ``F_tt - F_st^2 / F_ss``."""
     return g_tt * h_s / g_ss
 
 
@@ -262,7 +250,7 @@ def _theta_chart(p: ModelParams):
 
 def qfim(p: ModelParams) -> Qfim2:
     """QFIM for (s, theta), assembled from the eigenframe element formulas
-    (closed forms in :func:`_theta_chart`).
+    (closed forms in :func:`_theta_block`).
 
     At theta = 0 these reduce to the continuous limits
     ``(F_ss, F_tt, F_st) = (4 lambda2 a4^2, (1-d)/(1+d), 0)``.
@@ -339,14 +327,13 @@ def precision_gamma(s: float, sigma: float, gamma: float) -> PrecisionPair:
 def _concurrence_chart(s: float, sigma: float, c: float) -> tuple[float, float, float, float]:
     """``(G_ss, G_CC, G_sC, H_s)``: the theta chart transported to (s, C)
     (see :func:`_to_concurrence`)."""
-    theta = theta_from_concurrence(s, sigma, c)
-    if math.cos(theta) < 1e-9:
+    terms, ct, st, (f_ss, f_tt, f_st, h_s) = _theta_chart(
+        ModelParams(s=s, sigma=sigma, theta=theta_from_concurrence(s, sigma, c)))
+    if ct < 1e-9:
         raise DomainError(
             "the concurrence chart is singular at the reachable maximum "
             "(theta = pi/2); use the theta or gamma chart there"
         )
-    terms, ct, st, (f_ss, f_tt, f_st, h_s) = _theta_chart(
-        ModelParams(s=s, sigma=sigma, theta=theta))
     return (*_to_concurrence(f_ss, f_tt, f_st, terms, ct, st, math.sqrt(terms[3])), h_s)
 
 

@@ -201,7 +201,6 @@ def theta_from_concurrence(s: float, sigma: float, c: float) -> float:
         raise DomainError(f"concurrence must be nonnegative, got {c}")
     c_max = concurrence_max(s, sigma)
     if c_max == 0.0:
-        # at s = 0, and where 1 - d^2 underflows (s below ~1e-162 sigma)
         raise DegenerateGeometryError(
             f"at s = {s!r} every theta yields zero concurrence; theta is undetermined"
         )
@@ -215,19 +214,17 @@ def theta_from_concurrence(s: float, sigma: float, c: float) -> float:
 
 
 def _separation_terms(s, sigma):
-    """``(d, d' = dd/ds, 1 - d, 1 - d^2, a3, a4)``, the terms that depend on
-    the separation alone; the caller checks the range.  With
-    ``t = s^2/8 sigma^2``,
+    """``(d, d' = dd/ds, 1 - d, 1 - d^2, a3, a4)``, the terms of the
+    separation alone (the caller checks the range).  With ``t = s^2/8 sigma^2``
 
         a3^2 = [1 + d(1 - 2t)] / (16 sigma^2 (1-d)) - d'^2/(4(1-d)^2),
-        a4^2 = [1 - d(1 - 2t)] / (16 sigma^2 (1+d)) - d'^2/(4(1+d)^2)
+        a4^2 = [1 - d(1 - 2t)] / (16 sigma^2 (1+d)) - d'^2/(4(1+d)^2),
 
-    are written so that their leading small-s terms cancel algebraically
-    (both are O(t)); below ``t = 1e-3`` the a3 numerator, an O(t^3) residue
-    of O(t^2) pieces, runs out of bits and its series takes over.  The a4
-    numerator, and the a3 one from ``t = 1`` up, carry t as ``2 t d``;
-    as ``2 t - 2 t e`` it cancels to 0 once t passes ~1e17, while below
-    ``t = 1`` that second form is the more accurate for a3.
+    written so that their leading O(1/t) pieces cancel algebraically; below
+    ``t = 1e-3`` the a3 numerator (an O(t^3) residue) runs out of bits and a
+    series takes over.  Large t enters as ``2 t d``: as ``2 t - 2 t e`` it
+    cancels to 0 past t ~ 1e17 (for a3 that form is kept below t = 1, where
+    it is the more accurate).
     """
     sig2 = sigma * sigma
     t = s * s / (8.0 * sig2)

@@ -8,13 +8,11 @@ emitted with ``status=out_of_reach`` (fields other than the request left
 blank) so that rectangular surface layouts survive.  Identical specs produce
 byte-identical output files.
 
-A block is evaluated in one array pass: the kernel calls the same
-closed forms as the scalar API (``fisher_single._coherence_form`` and
-``_concurrence_form``, ``qfim_two_param._theta_block`` and its chart
-transports), which use only ``+ - * /`` and so take the broadcast
+A block is evaluated in one array pass that calls the scalar API's closed
+forms, written with ``+ - * /`` only so that they take the broadcast
 ``(s, nuisance)`` grid as they take floats; each scalar branch becomes a
-mask.  Functions of one axis alone, ``state_model._separation_terms``
-among them, go through the scalar API once per axis value, so theta- and
+mask.  Functions of one axis alone (``state_model._separation_terms``
+among them) go through the scalar API once per axis value, so theta- and
 coherence-nuisance blocks agree with it bit for bit; in concurrence blocks
 theta depends on both axes and goes through numpy's vectorized
 arcsin/arccos/cos/sin, which may differ by an ulp.
@@ -84,9 +82,6 @@ class SweepSpec:
         for name, default in zip(("s_range", "nuisance_range"), default_ranges(self.nuisance)):
             if getattr(self, name) is None:
                 object.__setattr__(self, name, default)
-        self.validate()
-
-    def validate(self) -> None:
         if self.mode not in MODES:
             raise DomainError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.nuisance not in NUISANCES:
@@ -275,8 +270,7 @@ def _qfim_block(nuisance: str, s, nu, sigma: float, terms) -> dict:
     elif nuisance == "coherence":
         g_ss, g_tt, g_st = _to_gamma(f_ss, f_tt, f_st, st)
         # gamma = 1: infinite nuisance block, only F_ss = H_s survives
-        g_tt = np.where(nu == 1.0, np.nan, g_tt)
-        g_st = np.where(nu == 1.0, np.nan, g_st)
+        g_tt, g_st = (np.where(nu == 1.0, np.nan, g) for g in (g_tt, g_st))
         gamma = nu
     else:
         # the chart is singular at maximum reach; H_s is chart-invariant
