@@ -51,6 +51,7 @@ class TestSweepSpec:
         spec = SweepSpec(mode="single", nuisance="theta")
         lo, hi, steps = spec.nuisance_range
         assert (lo, hi) == (0.0, math.pi / 2) and steps == 50
+        assert spec.s_range == (1e-3, 5.0, 50)
 
     @pytest.mark.parametrize(
         "kw",
@@ -80,9 +81,6 @@ class TestSweepSpec:
         assert dataclasses.replace(spec, sigma=2.0).sigma == 2.0
         with pytest.raises(DomainError):
             dataclasses.replace(spec, s_range=(0.5, 2.0, 0))
-
-    def test_defaults_fill_s_range(self):
-        assert SweepSpec(mode="qfim").s_range == (1e-3, 5.0, 50)
 
     def test_verify_forces_theta(self):
         with pytest.raises(DomainError):
