@@ -113,7 +113,7 @@ def f_tot_concurrence(s: float, sigma: float, c: float) -> FiRecord:
     ------
     DegenerateGeometryError
         At ``s = 0``, or where ``1 - d^2`` underflows to 0 (``s`` below
-        ~1e-162 sigma); approach that column through the coherence form.
+        ~3e-162 sigma); approach that column through the coherence form.
     OutOfReachError
         If ``c`` exceeds the reachable maximum (beyond rounding slack).
     """

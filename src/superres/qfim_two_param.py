@@ -121,9 +121,9 @@ def _require_regular(p: ModelParams, what: str) -> None:
 
 def _lambda_derivatives(p: ModelParams):
     """lambda1/2, their s- and theta-derivatives, and a3, a4."""
-    _, d1, _, om, a3, a4 = terms = _separation_terms(p.s, p.sigma)
+    d, d1, e, om, a3, a4 = _separation_terms(p.s, p.sigma)
     ct, st, omc = _angle_terms(p.theta)
-    lam1, lam2, den = _eigenvalues(terms[0], terms[2], ct, omc)
+    lam1, lam2, den = _eigenvalues(d, e, ct, omc)
     y = d1 * st * st / (2.0 * den * den)    # dlam2/ds; dlam1/ds = -y
     x = om * st / (2.0 * den * den)         # dlam1/dtheta
     return lam1, lam2, -y, y, x, -x, a3, a4
@@ -237,7 +237,7 @@ def _theta_chart(p: ModelParams):
     point: the separation terms computed once, for the chart transports."""
     _require_regular(p, "qfim")
     terms = _separation_terms(p.s, p.sigma)
-    # the block divides by 1 - d^2, which underflows for s below ~1e-162 sigma
+    # the block divides by 1 - d^2, which underflows for s below ~3e-162 sigma
     if terms[3] > 0.0:
         ct, st, omc = _angle_terms(p.theta)
         f = _theta_block(terms, ct, st, omc)[2:]
