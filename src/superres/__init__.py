@@ -2,13 +2,12 @@
 entangled versus coherent sources.
 
 Closed-form single-parameter Fisher information, the two-parameter quantum
-Fisher information matrix built from symmetric logarithmic derivatives, an
+Fisher information matrix with its nuisance-corrected precisions, an
 independent position-grid oracle, and deterministic sweep tooling.
 """
 
 from .errors import (
     ConfigurationError,
-    ContractViolationError,
     DegenerateGeometryError,
     DomainError,
     OutOfReachError,
@@ -17,37 +16,26 @@ from .fisher_single import (
     FiRecord,
     f_tot_coherence,
     f_tot_concurrence,
-    pure_state_fi,
     weighted_fi_reconstruct,
 )
 from .numeric_oracle import (
     Grid,
     GridField,
     default_grid,
-    hg_coefficients,
     make_sources,
     numeric_concurrence,
-    numeric_pure_qfi,
     numeric_qfim,
     two_source_state,
 )
 from .qfim_two_param import (
     PrecisionPair,
     Qfim2,
-    Rho4,
-    SldPair,
-    commutator_expectation,
-    drho_ds,
-    drho_dtheta,
     precision,
     precision_concurrence,
     precision_gamma,
     qfim,
     qfim_concurrence,
-    qfim_from_slds,
     qfim_gamma,
-    rho4,
-    sld_pair,
 )
 from .state_model import (
     ModelParams,
@@ -67,7 +55,6 @@ from .sweep import (
     SweepTable,
     emit,
     figure_preset,
-    max_oracle_delta,
     run_sweep,
 )
 
@@ -75,40 +62,28 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigurationError",
-    "ContractViolationError",
     "DegenerateGeometryError",
     "DomainError",
     "OutOfReachError",
     "FiRecord",
     "f_tot_coherence",
     "f_tot_concurrence",
-    "pure_state_fi",
     "weighted_fi_reconstruct",
     "Grid",
     "GridField",
     "default_grid",
-    "hg_coefficients",
     "make_sources",
     "numeric_concurrence",
-    "numeric_pure_qfi",
     "numeric_qfim",
     "two_source_state",
     "PrecisionPair",
     "Qfim2",
-    "Rho4",
-    "SldPair",
-    "commutator_expectation",
-    "drho_ds",
-    "drho_dtheta",
     "precision",
     "precision_concurrence",
     "precision_gamma",
     "qfim",
     "qfim_concurrence",
-    "qfim_from_slds",
     "qfim_gamma",
-    "rho4",
-    "sld_pair",
     "ModelParams",
     "OverlapTriple",
     "SpectralData",
@@ -124,6 +99,5 @@ __all__ = [
     "SweepTable",
     "emit",
     "figure_preset",
-    "max_oracle_delta",
     "run_sweep",
 ]

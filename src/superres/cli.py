@@ -17,7 +17,7 @@ import math
 import sys
 
 from . import sweep as sweep_mod
-from .errors import ConfigurationError, ContractViolationError, DomainError
+from .errors import ConfigurationError, DomainError
 from .sweep import (
     SweepSpec,
     SweepTable,
@@ -140,7 +140,7 @@ def main(argv=None) -> int:
             return 0 if ok else 3
         _emit_records(records, args.format, args.out, include_deltas=spec.oracle)
         return 0
-    except (DomainError, ConfigurationError, ContractViolationError) as exc:
+    except (DomainError, ConfigurationError) as exc:
         print(f"superres: error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -26,9 +26,4 @@ class OutOfReachError(DomainError):
 
 class ConfigurationError(ValueError):
     """A numerical configuration cannot hold the requested computation
-    (grid too narrow, basis truncation too short, ...)."""
-
-
-class ContractViolationError(ValueError):
-    """A caller-supplied object violated a stated contract
-    (e.g. a state family that is not normalized)."""
+    (a malformed grid, or one too narrow for the sources)."""

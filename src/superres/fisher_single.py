@@ -28,15 +28,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
-from .errors import (
-    ContractViolationError,
-    DegenerateGeometryError,
-    DomainError,
-    OutOfReachError,
-)
-from .state_model import ModelParams, one_minus_d_squared, overlap
+from .errors import DegenerateGeometryError, DomainError, OutOfReachError
+from .state_model import _OM_MIN, ModelParams, one_minus_d_squared, overlap
 
 _EPS = math.ulp(1.0)
 
@@ -112,8 +106,8 @@ def f_tot_concurrence(s: float, sigma: float, c: float) -> FiRecord:
     Raises
     ------
     DegenerateGeometryError
-        At ``s = 0``, or where ``1 - d^2`` underflows to 0 (``s`` below
-        ~3e-162 sigma); approach that column through the coherence form.
+        At ``s = 0``, or where ``1 - d^2`` is subnormal (``s`` below
+        ~3e-154 sigma); approach that column through the coherence form.
     OutOfReachError
         If ``c`` exceeds the reachable maximum (beyond rounding slack).
     """
@@ -121,7 +115,7 @@ def f_tot_concurrence(s: float, sigma: float, c: float) -> FiRecord:
         raise DomainError(f"concurrence must be nonnegative, got {c}")
     d = overlap(s, sigma).d
     om = one_minus_d_squared(s, sigma)
-    if om == 0.0:
+    if om < _OM_MIN:
         raise DegenerateGeometryError(
             f"the concurrence form is singular at s = {s!r}; use f_tot_coherence"
         )
@@ -146,49 +140,6 @@ def f_tot_concurrence(s: float, sigma: float, c: float) -> FiRecord:
         concurrence=c,
         f_tot=f,
     )
-
-
-def pure_state_fi(
-    family: Callable[[float], object],
-    s: float,
-    fd_step: float = 1e-5,
-) -> float:
-    """Fisher information ``2 Tr[(d rho/ds)^2]`` of a normalized pure-state
-    family given on a position grid.
-
-    ``family(s)`` must return a grid field (any object with ``values`` and a
-    ``grid`` carrying trapezoid ``weights``) normalized to one for every
-    ``s`` in a neighborhood.  The derivative is taken by central differences
-    and the trace is evaluated exactly through the rank-2 structure of the
-    differenced projector:
-
-        2 Tr[(d rho)^2] = 4 [ <m|m><delta|delta> + <m|delta>^2 ],
-
-    with ``m`` the midpoint average and ``delta`` the central difference of
-    the state vectors.  For a normalized family this equals
-    ``4 (<d psi|d psi> - <psi|d psi>^2)``.
-
-    Raises
-    ------
-    ContractViolationError
-        If either sampled state deviates from unit norm by more than 1e-8.
-    """
-    lo = family(s - fd_step)
-    hi = family(s + fd_step)
-    w = lo.grid.weights
-    vlo, vhi = lo.values, hi.values
-    for v in (vlo, vhi):
-        nrm = float(w @ (v * v))
-        if abs(nrm - 1.0) > 1e-8:
-            raise ContractViolationError(
-                f"pure_state_fi requires a normalized family; got |psi|^2 = {nrm!r}"
-            )
-    m = 0.5 * (vhi + vlo)
-    delta = (vhi - vlo) / (2.0 * fd_step)
-    mm = float(w @ (m * m))
-    dd = float(w @ (delta * delta))
-    md = float(w @ (m * delta))
-    return 4.0 * (mm * dd + md * md)
 
 
 def weighted_fi_reconstruct(p: ModelParams, variant: str = "quantum-only") -> float:
@@ -228,8 +179,11 @@ def weighted_fi_reconstruct(p: ModelParams, variant: str = "quantum-only") -> fl
     n2 = 0.5 * (1.0 - g * g)
 
     # <du|du> = (1+g^2)/16 sigma^2 + 2 g <dh_+|dh_->, with
-    # <dh_+|dh_-> = -d (4 sigma^2 - s^2)/(64 sigma^4); <u|du> = g d1
-    dudu = (1.0 + g * g) / (16.0 * sig2) - 2.0 * g * d * (4.0 * sig2 - p.s * p.s) / (64.0 * sig4)
+    # <dh_+|dh_-> = -d (4 sigma^2 - s^2)/(64 sigma^4); <u|du> = g d1.  With no
+    # overlap left the cross term vanishes (d * s^2 = 0 * inf where s^2 overflows)
+    dudu = (1.0 + g * g) / (16.0 * sig2)
+    if d != 0.0:
+        dudu -= 2.0 * g * d * (4.0 * sig2 - p.s * p.s) / (64.0 * sig4)
     f1 = 4.0 * (dudu / big_m - (g * d1) ** 2 / (big_m * big_m))
     f2 = 1.0 / (4.0 * sig2)
 

@@ -31,13 +31,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolationError, DomainError
+from .errors import ConfigurationError, DomainError
 from .qfim_two_param import Qfim2
-from .state_model import ModelParams
+from .state_model import _INF, _SIGMA_MAX, _SIGMA_MIN, ModelParams, _reject_s_sigma
 
 _FIT_SLACK = 1e-4   # tolerance (in sigma units) so FD probes at s +- eps fit
 
@@ -62,8 +61,9 @@ class Grid:
             raise ConfigurationError(
                 f"n_points must be a power of two >= 1024, got {n}"
             )
-        if not (self.halfwidth > 0.0):
-            raise ConfigurationError(f"halfwidth must be positive, got {self.halfwidth}")
+        if not (0.0 < self.halfwidth < math.inf):
+            raise ConfigurationError(
+                f"halfwidth must be positive and finite, got {self.halfwidth}")
         self.x = np.linspace(-self.halfwidth, self.halfwidth, n)
         w = np.full(n, self.spacing)
         w[0] *= 0.5
@@ -106,24 +106,27 @@ def _psf(x: np.ndarray, sigma: float) -> np.ndarray:
     return (2.0 * math.pi * sigma * sigma) ** (-0.25) * np.exp(-x * x / (4.0 * sigma * sigma))
 
 
-def _check_fit(grid: Grid, s: float, sigma: float) -> None:
+def _fitted_grid(s: float, sigma: float, grid: Grid | None = None,
+                 n_points: int = 4096, halfwidth: float | None = None) -> Grid:
+    """``grid`` (by default :func:`default_grid`) for sources at separation
+    ``s``, after checking ``(s, sigma)`` by the model's range rule and the
+    grid's margin; every oracle entry point goes through it."""
+    if not (_SIGMA_MIN <= sigma <= _SIGMA_MAX and 0.0 <= s < _INF):
+        _reject_s_sigma(s, sigma)
+    if grid is None:
+        grid = default_grid(s, sigma, n_points=n_points, halfwidth=halfwidth)
     if not grid.fits(s, sigma):
         raise ConfigurationError(
             f"grid halfwidth {grid.halfwidth} too narrow for s = {s}, "
             f"sigma = {sigma} (needs at least 8 sigma + s)"
         )
+    return grid
 
 
 def make_sources(s: float, sigma: float, grid: Grid | None = None) -> tuple[GridField, GridField]:
     """Sampled displaced PSF amplitudes ``h(x + s/2)``, ``h(x - s/2)``,
     unit-normalized under the trapezoid rule."""
-    if not (sigma > 0.0):
-        raise DomainError(f"sigma must be positive, got {sigma}")
-    if s < 0.0:
-        raise DomainError(f"separation s must be nonnegative, got {s}")
-    if grid is None:
-        grid = default_grid(s, sigma)
-    _check_fit(grid, s, sigma)
+    grid = _fitted_grid(s, sigma, grid)
     fields = []
     for sign in (+1.0, -1.0):
         v = _psf(grid.x + sign * s / 2.0, sigma)
@@ -149,9 +152,7 @@ def _branch_columns(grid: Grid, s: float, sigma: float, theta: float, phi: float
 def two_source_state(p: ModelParams, grid: Grid | None = None) -> np.ndarray:
     """Unit-norm two-source state as a literal (n_points, 2) array over the
     auxiliary basis ``{phi_1, phi_1_perp}``."""
-    if grid is None:
-        grid = default_grid(p.s, p.sigma)
-    _check_fit(grid, p.s, p.sigma)
+    grid = _fitted_grid(p.s, p.sigma, grid)
     phi1, phi2 = _branch_columns(grid, p.s, p.sigma, p.theta, p.phi)
     state = np.stack([phi1, phi2], axis=1)
     n2 = float(np.real(np.einsum("i,ik,ik->", grid.weights, state.conj(), state)))
@@ -174,27 +175,6 @@ def numeric_concurrence(p: ModelParams, n_points: int = 4096,
     det = float(np.real(rho_aux[0, 0] * rho_aux[1, 1]
                         - rho_aux[0, 1] * rho_aux[1, 0]))
     return 2.0 * math.sqrt(max(0.0, det))
-
-
-def numeric_pure_qfi(family: Callable[[float], GridField], s: float,
-                     fd_step: float = 1e-5) -> float:
-    """Pure-state Fisher information via the overlap-derivative form
-    ``4 (<d psi|d psi> - <psi|d psi>^2)`` with a central-difference
-    derivative.  The family must stay unit-normalized (checked to 1e-8)."""
-    mid = family(s)
-    lo = family(s - fd_step)
-    hi = family(s + fd_step)
-    w = mid.grid.weights
-    for f in (mid, lo, hi):
-        nrm = float(w @ (f.values * f.values))
-        if abs(nrm - 1.0) > 1e-8:
-            raise ContractViolationError(
-                f"numeric_pure_qfi requires a normalized family; got |psi|^2 = {nrm!r}"
-            )
-    delta = (hi.values - lo.values) / (2.0 * fd_step)
-    dd = float(w @ (delta * delta))
-    pd = float(w @ (mid.values * delta))
-    return 4.0 * (dd - pd * pd)
 
 
 def _orthonormal_fd_basis(grid: Grid, s: float, sigma: float) -> np.ndarray:
@@ -249,13 +229,12 @@ class _RowSamples:
 
 def _row_samples(s: float, sigma: float, fd_step: float | None, n_points: int,
                  halfwidth: float | None) -> _RowSamples:
+    grid = _fitted_grid(s, sigma, n_points=n_points, halfwidth=halfwidth)
     step = 1e-4 * sigma if fd_step is None else fd_step
     if not (1e-6 * sigma <= step <= 1e-4 * sigma):
         raise DomainError(
             f"fd_step must lie in [1e-6, 1e-4] * sigma, got {step}"
         )
-    grid = default_grid(s, sigma, n_points=n_points, halfwidth=halfwidth)
-    _check_fit(grid, s, sigma)
     basis_w = _orthonormal_fd_basis(grid, s, sigma)
     basis_w *= grid.weights[:, None]
     shift = step * _OFFSETS / 2.0
@@ -376,8 +355,8 @@ def numeric_qfim(p: ModelParams, fd_step: float | None = None,
 
 
 def _branch_fi(a0: np.ndarray, da: np.ndarray, step: float) -> np.ndarray:
-    """``4 (<d psi|d psi> - <psi|d psi>^2)`` of the normalized branch
-    ``psi = a / |a|``, from its real basis coordinates ``a0`` (m, 6) at ``s``
+    """The oracle's pure-state FI, ``4 (<d psi|d psi> - <psi|d psi>^2)``, of
+    the normalized branch ``psi = a / |a|``, from its real basis coordinates ``a0`` (m, 6) at ``s``
     and their changes ``da`` (m, 5, 6) over the stencil."""
     dn = _change(a0[:, None], da)[1]                 # |a_k|^2 - |a_0|^2
     r0 = np.sqrt(_norm2(a0))[:, None]
@@ -403,37 +382,3 @@ def _numeric_f_tot(s: float, sigma: float, thetas, n_points: int = 4096,
     f2 = _branch_fi(row.minus[None], row.d_minus[None], row.step)
     total = 0.5 * _norm2(a0) * f1 + 0.5 * np.sin(theta).ravel() ** 2 * f2
     return total.reshape(theta.shape)
-
-
-def hg_coefficients(s: float, sigma: float, n_max: int) -> np.ndarray:
-    """Hermite-Gauss expansion coefficients of the displaced source.
-
-    In the width-``sigma`` Hermite-Gauss basis the source ``h(x - s/2)``
-    has coefficients ``c_n = exp(-a^2/2) a^n / sqrt(n!)`` with
-    ``a = s / (4 sigma)``; the mirrored source carries ``(-1)^n c_n``, so
-    that ``sum_n (-1)^n c_n^2`` reproduces the overlap ``d``.
-
-    Raises
-    ------
-    DomainError
-        If ``n_max < 20``.
-    ConfigurationError
-        If the truncation residual ``1 - sum c_n^2`` exceeds 1e-12.
-    """
-    if n_max < 20:
-        raise DomainError(f"n_max must be at least 20, got {n_max}")
-    if not (sigma > 0.0):
-        raise DomainError(f"sigma must be positive, got {sigma}")
-    if s < 0.0:
-        raise DomainError(f"separation s must be nonnegative, got {s}")
-    a = s / (4.0 * sigma)
-    c = np.empty(n_max + 1)
-    c[0] = math.exp(-a * a / 2.0)
-    for n in range(1, n_max + 1):
-        c[n] = c[n - 1] * a / math.sqrt(n)
-    residual = 1.0 - float(c @ c)
-    if residual > 1e-12:
-        raise ConfigurationError(
-            f"n_max = {n_max} too small: truncation residual {residual:.3e} > 1e-12"
-        )
-    return c

@@ -1,6 +1,6 @@
-"""Two-parameter estimation: density-matrix derivatives, symmetric
-logarithmic derivatives, the quantum Fisher information matrix, and the
-nuisance-corrected precision quantities.
+"""Two-parameter estimation: the quantum Fisher information matrix of
+(s, theta) in closed form, its transports to the coherence and concurrence
+charts, and the nuisance-corrected precision quantities.
 
 Everything is expressed in the orthonormal frame ``{e1, e2, e3, e4}`` where
 ``e1``/``e2`` are the antisymmetric/symmetric eigenmodes of the reduced
@@ -15,10 +15,12 @@ In that frame, with ``B = dd/ds`` and ``den = 1 + d cos(theta)``,
 
 The SLD for parameter ``i`` solves ``d rho/di = (L rho + rho L)/2`` and in
 the eigenframe is ``L[k,l] = 2 <e_k|d rho|e_l> / (lambda_k + lambda_l)``
-restricted to pairs with nonvanishing eigenvalue sum.  QFIM elements follow
-either from those matrix elements (the route used here, with the
-eigenvalue part cancelled in closed form) or from the generic trace rule
-``F_ij = Tr[rho (L_i L_j + L_j L_i)]/2`` (kept for consistency checks).
+restricted to pairs with nonvanishing eigenvalue sum.  The QFIM elements
+here follow from those matrix elements, with the eigenvalue part cancelled
+in closed form.  The test suite's reference (``tests/helpers.py``) builds
+the 4x4 operators and checks these elements against the generic trace rule
+``F_ij = Tr[rho (L_i L_j + L_j L_i)]/2`` and joint optimality,
+``Tr(rho [L_s, L_theta]) = 0``.
 
 Nuisance-corrected precisions:
 
@@ -62,10 +64,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DegenerateGeometryError, DomainError
 from .state_model import (
+    _OM_MIN,
     ModelParams,
     _angle_terms,
     _eigenvalues,
@@ -73,26 +74,7 @@ from .state_model import (
     theta_from_concurrence,
 )
 
-_SUPPORT_CUTOFF = 1e-12     # eigenvalue-pair cutoff in the SLD eigenframe sum
 _NUISANCE_FLOOR = 1e-14     # F_tt below this (with F_st ~ 0): no correction
-
-
-@dataclass(frozen=True)
-class Rho4:
-    """Reduced spatial state in the four-mode frame (diagonal, rank <= 2)."""
-
-    matrix: np.ndarray
-    s: float
-    sigma: float
-    theta: float
-
-
-@dataclass(frozen=True)
-class SldPair:
-    """Symmetric logarithmic derivatives for separation and mixing angle."""
-
-    l_s: np.ndarray       # units 1/length
-    l_theta: np.ndarray   # dimensionless
 
 
 @dataclass(frozen=True)
@@ -111,79 +93,6 @@ class PrecisionPair:
 
     h_s: float
     h_nuisance: float
-
-
-def _require_regular(p: ModelParams, what: str) -> None:
-    p.require_phi_zero(what)
-    if p.s == 0.0:
-        raise DegenerateGeometryError(f"{what} is undefined at s = 0")
-
-
-def _lambda_derivatives(p: ModelParams):
-    """lambda1/2, their s- and theta-derivatives, and a3, a4."""
-    d, d1, e, om, a3, a4 = _separation_terms(p.s, p.sigma)
-    ct, st, omc = _angle_terms(p.theta)
-    lam1, lam2, den = _eigenvalues(d, e, ct, omc)
-    y = d1 * st * st / (2.0 * den * den)    # dlam2/ds; dlam1/ds = -y
-    x = om * st / (2.0 * den * den)         # dlam1/dtheta
-    return lam1, lam2, -y, y, x, -x, a3, a4
-
-
-def rho4(p: ModelParams) -> Rho4:
-    """Unit-trace reduced spatial state: ``diag(lambda1, lambda2, 0, 0)``."""
-    _require_regular(p, "rho4")
-    lam1, lam2, *_ = _lambda_derivatives(p)
-    return Rho4(matrix=np.diag([lam1, lam2, 0.0, 0.0]), s=p.s, sigma=p.sigma, theta=p.theta)
-
-
-def drho_ds(p: ModelParams) -> np.ndarray:
-    """Separation derivative of the reduced state in the four-mode frame."""
-    _require_regular(p, "drho_ds")
-    lam1, lam2, dl1, dl2, _, _, a3, a4 = _lambda_derivatives(p)
-    m = np.zeros((4, 4))
-    m[0, 0] = dl1
-    m[1, 1] = dl2
-    m[0, 2] = m[2, 0] = lam1 * a3
-    m[1, 3] = m[3, 1] = lam2 * a4
-    return m
-
-
-def drho_dtheta(p: ModelParams) -> np.ndarray:
-    """Mixing-angle derivative: ``diag(+x, -x, 0, 0)`` (eigenvectors are
-    theta-independent, so no off-diagonal support)."""
-    _require_regular(p, "drho_dtheta")
-    x = _lambda_derivatives(p)[4]
-    m = np.zeros((4, 4))
-    m[0, 0] = x
-    m[1, 1] = -x
-    return m
-
-
-def _sld_from_derivative(lams: np.ndarray, drho: np.ndarray) -> np.ndarray:
-    l = np.zeros_like(drho)
-    for k in range(4):
-        for j in range(4):
-            den = lams[k] + lams[j]
-            if den > _SUPPORT_CUTOFF:
-                l[k, j] = 2.0 * drho[k, j] / den
-    return l
-
-
-def sld_pair(p: ModelParams) -> SldPair:
-    """SLD operators for (s, theta) in the four-mode frame.
-
-    Solves the defining relation entry-wise in the eigenframe; entries on
-    eigenvalue pairs summing to (numerically) zero are unconstrained and set
-    to zero.  Nonzero structure: ``L_s`` at (1,1), (2,2), (1,3), (2,4) (with
-    symmetric partners), ``L_theta`` at (1,1), (2,2) only.
-    """
-    _require_regular(p, "sld_pair")
-    lam1, lam2, *_ = _lambda_derivatives(p)
-    lams = np.array([lam1, lam2, 0.0, 0.0])
-    return SldPair(
-        l_s=_sld_from_derivative(lams, drho_ds(p)),
-        l_theta=_sld_from_derivative(lams, drho_dtheta(p)),
-    )
 
 
 def _theta_block(terms, ct, st, omc):
@@ -235,10 +144,12 @@ def _h_nuisance(g_ss, g_tt, h_s):
 def _theta_chart(p: ModelParams):
     """``(terms, cos theta, sin theta, (F_ss, F_tt, F_st, H_s))`` at one
     point: the separation terms computed once, for the chart transports."""
-    _require_regular(p, "qfim")
+    p.require_phi_zero("qfim")
+    if p.s == 0.0:
+        raise DegenerateGeometryError("qfim is undefined at s = 0")
     terms = _separation_terms(p.s, p.sigma)
-    # the block divides by 1 - d^2, which underflows for s below ~3e-162 sigma
-    if terms[3] > 0.0:
+    # the block divides by 1 - d^2, which is subnormal for s below ~3e-154 sigma
+    if terms[3] >= _OM_MIN:
         ct, st, omc = _angle_terms(p.theta)
         f = _theta_block(terms, ct, st, omc)[2:]
         if math.isfinite(f[0] + f[1] + f[2]):
@@ -257,21 +168,6 @@ def qfim(p: ModelParams) -> Qfim2:
     """
     f_ss, f_tt, f_st, _ = _theta_chart(p)[3]
     return Qfim2(f_ss=f_ss, f_tt=f_tt, f_st=f_st, tag="theta")
-
-
-def qfim_from_slds(rho: Rho4, slds: SldPair) -> Qfim2:
-    """QFIM through the generic trace rule ``F_ij = Tr[rho {L_i, L_j}]/2``.
-
-    Redundant with :func:`qfim` by construction; kept as the independent
-    internal-consistency route.
-    """
-    r = rho.matrix
-    ls, lt = slds.l_s, slds.l_theta
-
-    def elem(a, b):
-        return 0.5 * float(np.trace(r @ (a @ b + b @ a)))
-
-    return Qfim2(f_ss=elem(ls, ls), f_tt=elem(lt, lt), f_st=elem(ls, lt), tag="theta")
 
 
 def _h_pair(f_ss: float, f_tt: float, f_st: float, h_s: float) -> PrecisionPair:
@@ -347,12 +243,3 @@ def qfim_concurrence(s: float, sigma: float, c: float) -> Qfim2:
 def precision_concurrence(s: float, sigma: float, c: float) -> PrecisionPair:
     """``H_s`` and ``H_C`` under the concurrence nuisance (theta < pi/2)."""
     return _h_pair(*_concurrence_chart(s, sigma, c))
-
-
-def commutator_expectation(p: ModelParams) -> float:
-    """``Tr(rho [L_s, L_theta])`` — zero for this family, so one optimal
-    measurement can serve both parameters."""
-    r = rho4(p).matrix
-    slds = sld_pair(p)
-    comm = slds.l_s @ slds.l_theta - slds.l_theta @ slds.l_s
-    return float(np.trace(r @ comm))

@@ -32,6 +32,7 @@ the state normalized to unit trace, and the physically normalized concurrence
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DegenerateGeometryError, DomainError, OutOfReachError
@@ -41,6 +42,9 @@ _INF = math.inf
 # the closed forms divide by sigma^4: inside this range it and its
 # reciprocal are normal floats
 _SIGMA_MIN, _SIGMA_MAX = 1e-75, 1e75
+# the smallest normal float: a 1 - d^2 below it (s below ~3e-154 sigma) has
+# lost bits, so the forms that divide by it or by its root reject it
+_OM_MIN = sys.float_info.min
 
 
 def _reject_s_sigma(s: float, sigma: float) -> None:
@@ -193,16 +197,17 @@ def theta_from_concurrence(s: float, sigma: float, c: float) -> float:
     ------
     DegenerateGeometryError
         At ``s = 0``, where only ``C = 0`` is reachable and theta is
-        undetermined, and where ``1 - d^2`` underflows to 0.
+        undetermined, and where ``1 - d^2`` is subnormal.
     OutOfReachError
         If ``c`` exceeds ``C_max = sqrt(1 - d^2)`` (beyond rounding slack).
     """
     if not (c >= 0.0):
         raise DomainError(f"concurrence must be nonnegative, got {c}")
     c_max = concurrence_max(s, sigma)
-    if c_max == 0.0:
+    if c_max * c_max < _OM_MIN:
         raise DegenerateGeometryError(
-            f"at s = {s!r} every theta yields zero concurrence; theta is undetermined"
+            f"at s = {s!r} the reachable concurrence is zero or subnormal; "
+            "theta is undetermined"
         )
     z = c / c_max
     if z > 1.0:

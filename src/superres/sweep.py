@@ -41,7 +41,7 @@ from .qfim_two_param import (
     _to_concurrence,
     _to_gamma,
 )
-from .state_model import _angle_terms, _separation_terms, concurrence_max
+from .state_model import _OM_MIN, _angle_terms, _separation_terms, concurrence_max
 
 MODES = ("single", "qfim", "verify")
 NUISANCES = ("theta", "concurrence", "coherence")
@@ -307,6 +307,12 @@ def _kernel(spec: SweepSpec) -> dict[str, np.ndarray]:
     with np.errstate(all="ignore"):
         # the scalar API's separation terms, one call per separation
         terms = _on_axis(lambda v: _separation_terms(v, sigma), s)
+        # these blocks divide by 1 - d^2, which has lost bits where it is
+        # subnormal (the s = 0 column of single mode has its own limit)
+        tiny = (s > 0.0) & (terms[3] < _OM_MIN)
+        if (spec.mode != "single" or spec.nuisance == "concurrence") and tiny.any():
+            raise DomainError(f"the closed forms do not resolve s = {float(s[tiny][0])!r} "
+                              f"at sigma = {spec.sigma!r}")
         cells = block(spec.nuisance, s, nu, sigma, terms)
     cells.update(s=s, sigma=sigma, d=terms[0])
     if spec.nuisance == "concurrence":
@@ -382,11 +388,6 @@ def worst_oracle_delta(
         return 0.0, None, None
     k, i = np.unravel_index(np.nanargmax(deltas), deltas.shape)
     return float(deltas[k, i]), table[int(i)], DELTA_FIELDS[k][len("delta_"):]
-
-
-def max_oracle_delta(records: Iterable[SweepRecord]) -> float:
-    """Largest populated oracle delta (0.0 if none are populated)."""
-    return worst_oracle_delta(records)[0]
 
 
 def figure_preset(name: str) -> list[SweepSpec]:

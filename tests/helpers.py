@@ -9,7 +9,8 @@ import math
 
 import numpy as np
 
-from superres import default_grid, make_sources
+from superres import default_grid, make_sources, overlap, spectral
+from superres.numeric_oracle import _branch_fi, _row_samples
 
 
 def grid_eigvec_derivative_norms(s: float, sigma: float = 1.0,
@@ -33,19 +34,76 @@ def grid_eigvec_derivative_norms(s: float, sigma: float = 1.0,
     return float(w @ (de1 * de1)), float(w @ (de2 * de2))
 
 
+def grid_branch_fi(s: float, plus: float, minus: float, sigma: float = 1.0,
+                   fd_step: float | None = None) -> float:
+    """Pure-state FI of the normalized family ``plus h(x + s/2) + minus
+    h(x - s/2)`` by the grid oracle's one pure-state FI (its row kernel's
+    branch FI)."""
+    row = _row_samples(s, sigma, fd_step, 4096, None)
+    a0 = plus * row.plus + minus * row.minus
+    da = plus * row.d_plus + minus * row.d_minus
+    return float(_branch_fi(a0[None], da[None], row.step)[0])
+
+
+def hg_coefficients(s: float, sigma: float = 1.0, n_max: int = 40) -> np.ndarray:
+    """Hermite-Gauss coefficients ``c_n = exp(-a^2/2) a^n / sqrt(n!)``,
+    ``a = s / (4 sigma)``, of the source ``h(x - s/2)`` in the width-sigma
+    basis; the mirrored source carries ``(-1)^n c_n``."""
+    a = s / (4.0 * sigma)
+    c = np.empty(n_max + 1)
+    c[0] = math.exp(-a * a / 2.0)
+    for n in range(1, n_max + 1):
+        c[n] = c[n - 1] * a / math.sqrt(n)
+    return c
+
+
 def hg_pure_qfi(s: float, sigma: float = 1.0, n_max: int = 40,
                 eps: float = 1e-5) -> float:
     """Pure-state FI of the displaced source computed entirely in
     Hermite-Gauss coefficient space (displaced-ground-state law)."""
-
-    def coeffs(sv):
-        a = sv / (4.0 * sigma)
-        c = np.empty(n_max + 1)
-        c[0] = math.exp(-a * a / 2.0)
-        for n in range(1, n_max + 1):
-            c[n] = c[n - 1] * a / math.sqrt(n)
-        return c
-
-    mid = coeffs(s)
-    delta = (coeffs(s + eps) - coeffs(s - eps)) / (2.0 * eps)
+    mid = hg_coefficients(s, sigma, n_max)
+    delta = (hg_coefficients(s + eps, sigma, n_max)
+             - hg_coefficients(s - eps, sigma, n_max)) / (2.0 * eps)
     return 4.0 * (float(delta @ delta) - float(mid @ delta) ** 2)
+
+
+# The 4x4 operator layer in the frame {e1, e2, e3, e4} of the qfim_two_param
+# module docstring: the reference its closed forms are checked against.
+
+def rho4(p) -> np.ndarray:
+    """Reduced spatial state ``diag(lambda1, lambda2, 0, 0)``."""
+    spec = spectral(p)
+    return np.diag([spec.lambda1, spec.lambda2, 0.0, 0.0])
+
+
+def drho(p) -> tuple[np.ndarray, np.ndarray]:
+    """``(d rho/ds, d rho/dtheta)``, with ``1 - d^2`` by ``expm1``."""
+    spec, tri = spectral(p), overlap(p.s, p.sigma)
+    st, den = math.sin(p.theta), 1.0 + tri.d * math.cos(p.theta)
+    y = tri.d1 * st * st / (2.0 * den * den)
+    x = -math.expm1(-p.s * p.s / (4.0 * p.sigma * p.sigma)) * st / (2.0 * den * den)
+    ds = np.diag([-y, y, 0.0, 0.0])
+    ds[0, 2] = ds[2, 0] = spec.lambda1 * spec.a3
+    ds[1, 3] = ds[3, 1] = spec.lambda2 * spec.a4
+    return ds, np.diag([x, -x, 0.0, 0.0])
+
+
+def sld_pair(p) -> tuple[np.ndarray, np.ndarray]:
+    """``(L_s, L_theta)`` solving ``d rho = (L rho + rho L)/2`` in the
+    eigenframe, zero on eigenvalue pairs that sum to at most 1e-12."""
+    lams = np.diag(rho4(p))
+    den = lams[:, None] + lams
+    return tuple(np.divide(2.0 * m, den, out=np.zeros((4, 4)), where=den > 1e-12)
+                 for m in drho(p))
+
+
+def trace_rule(rho: np.ndarray, la: np.ndarray, lb: np.ndarray) -> float:
+    """QFIM element ``Tr[rho (L_a L_b + L_b L_a)]/2``."""
+    return 0.5 * float(np.trace(rho @ (la @ lb + lb @ la)))
+
+
+def commutator_expectation(p) -> float:
+    """``Tr(rho [L_s, L_theta])``, zero where one measurement is optimal for
+    both parameters."""
+    l_s, l_t = sld_pair(p)
+    return float(np.trace(rho4(p) @ (l_s @ l_t - l_t @ l_s)))

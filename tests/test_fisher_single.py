@@ -3,37 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from helpers import grid_eigvec_derivative_norms
+from helpers import grid_branch_fi, grid_eigvec_derivative_norms
 from superres import (
-    ContractViolationError,
     DegenerateGeometryError,
     DomainError,
-    GridField,
     ModelParams,
     OutOfReachError,
     concurrence_max,
-    default_grid,
     f_tot_coherence,
     f_tot_concurrence,
-    numeric_pure_qfi,
-    pure_state_fi,
+    overlap,
+    spectral,
     weighted_fi_reconstruct,
 )
-from superres.numeric_oracle import _numeric_f_tot, _psf
+from superres.numeric_oracle import _branch_fi, _numeric_f_tot, _row_samples
 
 # oracle-pinned anchors (grid-reconstructed weighted FI agrees to <= 1e-9)
 F_S03_FULL_COHERENCE = 0.005593418701544485
 F_S03_C01 = 0.06870005881058056
 F_S2_FULL_COHERENCE = 0.192752502271378
 F_S3_FULL_COHERENCE = 0.30669720304737164
-
-
-def normalized_family(grid, build):
-    def family(s):
-        v = build(s)
-        v = v / math.sqrt(float(grid.weights @ (v * v)))
-        return GridField(grid=grid, values=v)
-    return family
 
 
 class TestCoherenceForm:
@@ -97,6 +86,10 @@ class TestConcurrenceForm:
         # 1 - d^2 = 0 in floating point, as at s = 0; it used to divide by it
         with pytest.raises(DomainError):
             f_tot_concurrence(1e-200, 1.0, 0.0)
+        # subnormal 1 - d^2 has lost bits: this gave 0.0264 where the
+        # coherence form gives 0.0335
+        with pytest.raises(DomainError):
+            f_tot_concurrence(1e-161, 1.0, 0.5 * concurrence_max(1e-161, 1.0))
 
     @pytest.mark.parametrize("s, sigma, c", [(1.0, 1.0, math.nan),
                                              (math.nan, 1.0, 0.1),
@@ -148,48 +141,35 @@ def test_monotonicity_in_each_variable():
 
 
 class TestPureStateFi:
+    """The grid oracle's pure-state FI, the branch FI of its row kernel."""
+
     def test_displaced_gaussian(self):
-        grid = default_grid(3.0, 1.0)
-        fam = normalized_family(grid, lambda s: _psf(grid.x - s / 2.0, 1.0))
-        assert pure_state_fi(fam, 1.0) == pytest.approx(0.25, abs=1e-7)
+        assert grid_branch_fi(1.0, 0.0, 1.0) == pytest.approx(0.25, abs=1e-7)
 
     def test_constant_family_gives_zero(self):
-        grid = default_grid(3.0, 1.0)
-        fam = normalized_family(grid, lambda s: _psf(grid.x, 1.0))
-        assert pure_state_fi(fam, 1.0) == pytest.approx(0.0, abs=1e-15)
+        row = _row_samples(1.0, 1.0, None, 4096, None)
+        constant = _branch_fi(row.minus[None], np.zeros((1, 5, 6)), row.step)
+        assert constant[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_symmetric_superposition_matches_oracle_route(self):
-        grid = default_grid(3.0, 1.0)
-        fam = normalized_family(
-            grid, lambda s: _psf(grid.x + s / 2.0, 1.0) + _psf(grid.x - s / 2.0, 1.0)
-        )
-        trace_route = pure_state_fi(fam, 2.0)
-        overlap_route = numeric_pure_qfi(fam, 2.0)
-        assert trace_route == pytest.approx(overlap_route, abs=1e-10)
+        # the theta = 0 branch of the weighted FI is the symmetric mode,
+        # of norm^2 2 (1 + d) against the weight 1/2
+        branch = grid_branch_fi(2.0, 1.0, 1.0)
+        weighted = _numeric_f_tot(2.0, 1.0, 0.0) / (1.0 + overlap(2.0, 1.0).d)
+        assert branch == pytest.approx(weighted, abs=1e-10)
+        assert branch == pytest.approx(4.0 * spectral(ModelParams(2.0, 1.0, 0.0)).a4 ** 2,
+                                       abs=1e-10)
         # grid-differentiated mode norm gives the same number
         _, a4sq = grid_eigvec_derivative_norms(2.0)
-        assert trace_route == pytest.approx(4.0 * a4sq, rel=1e-7)
+        assert branch == pytest.approx(4.0 * a4sq, rel=1e-7)
 
     def test_identity_on_assorted_families(self):
-        grid = default_grid(4.0, 1.0)
-        builders = [
-            lambda s: _psf(grid.x - s / 2.0, 1.0),
-            lambda s: _psf(grid.x + s / 2.0, 1.0) + _psf(grid.x - s / 2.0, 1.0),
-            lambda s: _psf(grid.x + s / 2.0, 1.0) + 0.5 * _psf(grid.x - s / 2.0, 1.0),
-        ]
-        for build in builders:
-            fam = normalized_family(grid, build)
+        # at theta = pi/2, 0, pi/3 the branches are h_+ and h_-,
+        # h_+ + h_-, and h_+ + h_-/2 with h_-
+        for theta in (math.pi / 2, 0.0, math.pi / 3):
             for s in (0.5, 1.5, 3.0):
-                assert abs(pure_state_fi(fam, s) - numeric_pure_qfi(fam, s)) < 1e-10
-
-    def test_rejects_unnormalized_family(self):
-        grid = default_grid(3.0, 1.0)
-
-        def fam(s):
-            return GridField(grid=grid, values=2.0 * _psf(grid.x - s / 2.0, 1.0))
-
-        with pytest.raises(ContractViolationError):
-            pure_state_fi(fam, 1.0)
+                closed = f_tot_coherence(s, 1.0, math.cos(theta)).f_tot
+                assert abs(_numeric_f_tot(s, 1.0, theta) - closed) < 1e-10
 
 
 class TestWeightedReconstruction:
@@ -222,6 +202,14 @@ class TestWeightedReconstruction:
     def test_requires_phi_zero(self):
         with pytest.raises(DomainError):
             weighted_fi_reconstruct(ModelParams(1.0, 1.0, 0.3, phi=0.2))
+
+    @pytest.mark.parametrize("variant", ["quantum-only", "quantum-plus-weight"])
+    @pytest.mark.parametrize("s", [1e160, 1e200])
+    def test_far_separation_asymptote(self, s, variant):
+        # s^2 overflows: d (4 sigma^2 - s^2) used to give 0 * inf = NaN
+        target = f_tot_coherence(s, 1.0, math.cos(0.5)).f_tot
+        assert weighted_fi_reconstruct(ModelParams(s, 1.0, 0.5), variant) == pytest.approx(
+            target, abs=1e-12)
 
 
 def test_sigma_scaling_against_grid_reconstruction():

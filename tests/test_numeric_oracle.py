@@ -3,19 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from helpers import hg_pure_qfi
+from helpers import grid_branch_fi, hg_coefficients, hg_pure_qfi
 from superres import (
     ConfigurationError,
-    ContractViolationError,
     DomainError,
     Grid,
-    GridField,
     ModelParams,
     default_grid,
-    hg_coefficients,
     make_sources,
     numeric_concurrence,
-    numeric_pure_qfi,
     numeric_qfim,
     qfim,
     two_source_state,
@@ -23,7 +19,6 @@ from superres import (
 from superres.numeric_oracle import (
     _numeric_f_tot,
     _orthonormal_fd_basis,
-    _psf,
     _qfim_element,
     numeric_qfim_row,
 )
@@ -32,14 +27,6 @@ D_S2 = 0.6065306597126334
 FSS_TH0_S2 = 0.1199805936513259
 CNORM_PI4 = 0.3934491505312938
 CNORM_PI4_PHI = 0.47063536569414455
-
-
-def displaced_family(grid, sigma=1.0):
-    def family(s):
-        v = _psf(grid.x - s / 2.0, sigma)
-        v = v / math.sqrt(float(grid.weights @ (v * v)))
-        return GridField(grid=grid, values=v)
-    return family
 
 
 class TestGrid:
@@ -58,6 +45,12 @@ class TestGrid:
         g = Grid(halfwidth=5.0, n_points=1024)
         with pytest.raises(ValueError):
             g.x[0] = 0.0
+
+    @pytest.mark.parametrize("halfwidth", [0.0, math.inf, math.nan])
+    def test_rejects_bad_halfwidth(self, halfwidth):
+        # an infinite halfwidth gave NaN samples and a LinAlgError in verify
+        with pytest.raises(ConfigurationError):
+            Grid(halfwidth=halfwidth, n_points=1024)
 
 
 class TestMakeSources:
@@ -79,28 +72,33 @@ class TestMakeSources:
             make_sources(3.0, 1.0, Grid(halfwidth=6.0, n_points=1024))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: make_sources(math.inf, 1.0),
+    lambda: make_sources(1.0, 1e-300),
+    lambda: make_sources(1.0, math.nan),
+    lambda: numeric_qfim_row(1.0, 1e-300, [0.3]),
+    lambda: numeric_qfim_row(math.inf, 1.0, [0.3]),
+    lambda: numeric_qfim_row(-1.0, 1.0, [0.3]),
+    lambda: numeric_qfim_row(math.nan, 1.0, [0.3]),
+    lambda: _numeric_f_tot(-1.0, 1.0, [0.3]),
+], ids=["sources-inf-s", "sources-tiny-sigma", "sources-nan-sigma", "row-tiny-sigma",
+        "row-inf-s", "row-negative-s", "row-nan-s", "f_tot-negative-s"])
+def test_oracle_applies_the_model_range_rule(call):
+    # these gave NaN fields, a bare ZeroDivisionError, a LinAlgError, or
+    # numbers for a negative separation
+    with pytest.raises(DomainError):
+        call()
+
+
 class TestPureQfi:
     def test_displaced_gaussian(self):
-        grid = default_grid(3.0, 1.0)
-        assert numeric_pure_qfi(displaced_family(grid), 1.0) == pytest.approx(
-            0.25, abs=1e-7
-        )
+        # the mirrored source; test_fisher_single takes h(x - s/2)
+        assert grid_branch_fi(1.0, 1.0, 0.0) == pytest.approx(0.25, abs=1e-7)
 
     def test_fd_step_convergence(self):
-        grid = default_grid(3.0, 1.0)
-        fam = displaced_family(grid)
-        coarse = numeric_pure_qfi(fam, 1.0, fd_step=2e-5)
-        fine = numeric_pure_qfi(fam, 1.0, fd_step=1e-5)
+        coarse = grid_branch_fi(1.0, 0.0, 1.0, fd_step=2e-5)
+        fine = grid_branch_fi(1.0, 0.0, 1.0, fd_step=1e-5)
         assert abs(coarse - fine) < 1e-8
-
-    def test_rejects_unnormalized(self):
-        grid = default_grid(3.0, 1.0)
-
-        def fam(s):
-            return GridField(grid=grid, values=0.5 * _psf(grid.x - s / 2.0, 1.0))
-
-        with pytest.raises(ContractViolationError):
-            numeric_pure_qfi(fam, 1.0)
 
 
 class TestNumericQfim:
@@ -215,20 +213,10 @@ class TestHermiteGauss:
             c = hg_coefficients(s, 1.0, 40)
             assert abs(float(c @ c) - 1.0) < 1e-12
 
-    def test_truncation_error_raises(self):
-        with pytest.raises(ConfigurationError):
-            hg_coefficients(8.0, 1.0, 20)   # displacement too large for 20 modes
-
-    def test_minimum_order(self):
-        with pytest.raises(DomainError):
-            hg_coefficients(1.0, 1.0, 10)
-
     def test_agrees_with_grid_on_overlap_and_qfi(self):
         # two independent representations of the same displaced source
         hp, hm = make_sources(2.0, 1.0)
         c = hg_coefficients(2.0, 1.0, 40)
         signs = (-1.0) ** np.arange(41)
         assert abs(hp.inner(hm) - float(c @ (signs * c))) < 1e-8
-        grid = default_grid(3.0, 1.0)
-        grid_qfi = numeric_pure_qfi(displaced_family(grid), 2.0)
-        assert abs(grid_qfi - hg_pure_qfi(2.0)) < 1e-8
+        assert abs(grid_branch_fi(2.0, 0.0, 1.0) - hg_pure_qfi(2.0)) < 1e-8

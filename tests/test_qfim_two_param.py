@@ -3,15 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from helpers import commutator_expectation, drho, rho4, sld_pair, trace_rule
 from superres import (
     DegenerateGeometryError,
     DomainError,
     ModelParams,
-    commutator_expectation,
     concurrence_max,
     concurrence,
-    drho_ds,
-    drho_dtheta,
     numeric_qfim,
     overlap,
     precision,
@@ -19,10 +17,7 @@ from superres import (
     precision_gamma,
     qfim,
     qfim_concurrence,
-    qfim_from_slds,
     qfim_gamma,
-    rho4,
-    sld_pair,
     spectral,
     theta_from_concurrence,
 )
@@ -53,16 +48,16 @@ def random_params(n, seed, theta_min=0.02):
 class TestRho4:
     def test_incoherent_diagonal(self):
         r = rho4(P_HALF)
-        assert np.allclose(np.diag(r.matrix), [LAM1, LAM2, 0.0, 0.0], atol=1e-14)
-        assert np.count_nonzero(r.matrix - np.diag(np.diag(r.matrix))) == 0
+        assert np.allclose(np.diag(r), [LAM1, LAM2, 0.0, 0.0], atol=1e-14)
+        assert np.count_nonzero(r - np.diag(np.diag(r))) == 0
 
     def test_pure_at_full_coherence(self):
         r = rho4(ModelParams(2.0, 1.0, 0.0))
-        assert np.allclose(np.diag(r.matrix), [0.0, 1.0, 0.0, 0.0], atol=1e-14)
+        assert np.allclose(np.diag(r), [0.0, 1.0, 0.0, 0.0], atol=1e-14)
 
     def test_unit_trace(self):
         for p in random_params(50, seed=3):
-            assert np.trace(rho4(p).matrix) == pytest.approx(1.0, abs=1e-12)
+            assert np.trace(rho4(p)) == pytest.approx(1.0, abs=1e-12)
 
     def test_rejections(self):
         with pytest.raises(DegenerateGeometryError):
@@ -73,19 +68,19 @@ class TestRho4:
 
 class TestDensityDerivatives:
     def test_ds_diagonal_at_half_pi(self):
-        m = drho_ds(P_HALF)
+        m = drho(P_HALF)[0]
         b = overlap(2.0, 1.0).d1
         assert m[0, 0] == pytest.approx(-b / 2.0, abs=1e-14)   # = +0.15163...
         assert m[1, 1] == pytest.approx(b / 2.0, abs=1e-14)
 
     def test_ds_offdiagonals(self):
-        m = drho_ds(P_HALF)
+        m = drho(P_HALF)[0]
         spec = spectral(P_HALF)
         assert m[0, 2] == m[2, 0] == pytest.approx(spec.lambda1 * spec.a3, abs=1e-14)
         assert m[1, 3] == m[3, 1] == pytest.approx(spec.lambda2 * spec.a4, abs=1e-14)
 
     def test_ds_at_full_coherence(self):
-        m = drho_ds(ModelParams(2.0, 1.0, 0.0))
+        m = drho(ModelParams(2.0, 1.0, 0.0))[0]
         spec = spectral(ModelParams(2.0, 1.0, 0.0))
         assert m[0, 0] == 0.0 and m[1, 1] == 0.0
         assert m[1, 3] == pytest.approx(spec.a4, abs=1e-14)    # lambda2 = 1
@@ -93,11 +88,12 @@ class TestDensityDerivatives:
 
     def test_traceless(self):
         for p in random_params(20, seed=11):
-            assert abs(np.trace(drho_ds(p))) < 1e-14
-            assert abs(np.trace(drho_dtheta(p))) < 1e-14
+            ds, dt = drho(p)
+            assert abs(np.trace(ds)) < 1e-14
+            assert abs(np.trace(dt)) < 1e-14
 
     def test_dtheta_structure(self):
-        m = drho_dtheta(P_HALF)
+        m = drho(P_HALF)[1]
         assert m[0, 0] == pytest.approx(X_THETA, abs=1e-14)
         assert m[1, 1] == pytest.approx(-X_THETA, abs=1e-14)
         off = m - np.diag(np.diag(m))
@@ -105,34 +101,33 @@ class TestDensityDerivatives:
         assert m[2, 2] == 0.0 and m[3, 3] == 0.0
 
     def test_dtheta_zero_at_theta_zero(self):
-        assert np.count_nonzero(drho_dtheta(ModelParams(2.0, 1.0, 0.0))) == 0
+        assert np.count_nonzero(drho(ModelParams(2.0, 1.0, 0.0))[1]) == 0
 
 
 class TestSld:
     def test_offdiagonal_elements(self):
-        slds = sld_pair(P_HALF)
+        l_s = sld_pair(P_HALF)[0]
         spec = spectral(P_HALF)
-        assert slds.l_s[0, 2] == pytest.approx(2.0 * spec.a3, abs=1e-14)
-        assert slds.l_s[1, 3] == pytest.approx(2.0 * spec.a4, abs=1e-14)
+        assert l_s[0, 2] == pytest.approx(2.0 * spec.a3, abs=1e-14)
+        assert l_s[1, 3] == pytest.approx(2.0 * spec.a4, abs=1e-14)
 
     def test_theta_block(self):
-        slds = sld_pair(P_HALF)
-        assert slds.l_theta[0, 0] == pytest.approx(1.6065306597126334, abs=1e-12)
-        assert slds.l_theta[1, 1] == pytest.approx(-X_THETA / LAM2, abs=1e-12)
-        nz = np.nonzero(slds.l_theta)
+        l_theta = sld_pair(P_HALF)[1]
+        assert l_theta[0, 0] == pytest.approx(1.6065306597126334, abs=1e-12)
+        assert l_theta[1, 1] == pytest.approx(-X_THETA / LAM2, abs=1e-12)
+        nz = np.nonzero(l_theta)
         assert set(zip(*map(list, nz))) <= {(0, 0), (1, 1)}
 
     def test_support_structure_of_l_s(self):
-        slds = sld_pair(ModelParams(1.3, 1.0, 0.7))
+        l_s = sld_pair(ModelParams(1.3, 1.0, 0.7))[0]
         allowed = {(0, 0), (1, 1), (0, 2), (2, 0), (1, 3), (3, 1)}
-        assert set(zip(*map(list, np.nonzero(slds.l_s)))) <= allowed
+        assert set(zip(*map(list, np.nonzero(l_s)))) <= allowed
 
     def test_defining_relation(self):
         # d rho = (L rho + rho L)/2 for both parameters
         for p in random_params(20, seed=5):
-            r = rho4(p).matrix
-            slds = sld_pair(p)
-            for l, dr in ((slds.l_s, drho_ds(p)), (slds.l_theta, drho_dtheta(p))):
+            r = rho4(p)
+            for l, dr in zip(sld_pair(p), drho(p)):
                 residual = np.max(np.abs(dr - 0.5 * (l @ r + r @ l)))
                 assert residual < 1e-10
 
@@ -166,10 +161,10 @@ class TestQfim:
     def test_element_formulas_match_trace_rule(self):
         for p in random_params(25, seed=9):
             q = qfim(p)
-            qt = qfim_from_slds(rho4(p), sld_pair(p))
-            assert abs(q.f_ss - qt.f_ss) < 1e-12 * max(1.0, q.f_ss)
-            assert abs(q.f_tt - qt.f_tt) < 1e-12 * max(1.0, q.f_tt)
-            assert abs(q.f_st - qt.f_st) < 1e-12
+            r, (l_s, l_t) = rho4(p), sld_pair(p)
+            assert abs(q.f_ss - trace_rule(r, l_s, l_s)) < 1e-12 * max(1.0, q.f_ss)
+            assert abs(q.f_tt - trace_rule(r, l_t, l_t)) < 1e-12 * max(1.0, q.f_tt)
+            assert abs(q.f_st - trace_rule(r, l_s, l_t)) < 1e-12
 
     def test_matches_oracle_on_grid(self):
         for s in (0.5, 1.0, 2.0, 3.0):
@@ -376,10 +371,15 @@ def test_far_separation_h_s_matches_mpmath(s):
 
 
 @pytest.mark.parametrize("call", [lambda: precision(ModelParams(1e-200, 1.0, 0.3)),
-                                  lambda: qfim(ModelParams(1e-170, 1.0, 0.3))],
-                         ids=["precision", "qfim"])
+                                  lambda: qfim(ModelParams(1e-170, 1.0, 0.3)),
+                                  lambda: qfim(ModelParams(1e-160, 1.0, 0.3)),
+                                  lambda: qfim(ModelParams(1e-161, 1.0, 0.3)),
+                                  lambda: precision_gamma(2e-154, 1.0, 0.5)],
+                         ids=["precision", "qfim", "qfim-subnormal", "qfim-subnormal-1e-161",
+                              "precision_gamma-subnormal"])
 def test_underflowing_one_minus_d_squared_is_a_domain_error(call):
-    # the theta block divides by 1 - d^2, which is 0 in floating point here
+    # the theta block divides by 1 - d^2, which is 0 or subnormal here: at
+    # s = 1e-160 it gave F_ss - H_s = 0.0056877 against 0.0057105, at 1e-161 0
     with pytest.raises(DomainError):
         call()
 

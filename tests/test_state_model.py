@@ -137,6 +137,9 @@ class TestThetaFromConcurrence:
         # 1 - d^2 underflows to 0, which the inversion divides by
         with pytest.raises(DomainError):
             theta_from_concurrence(1e-200, 1.0, 0.0)
+        # or is subnormal, with bits lost
+        with pytest.raises(DomainError):
+            theta_from_concurrence(1e-161, 1.0, 1e-162)
 
     @pytest.mark.parametrize("s, sigma, c", [(1.0, 1.0, math.nan),
                                              (math.nan, 1.0, 0.1),

@@ -32,7 +32,7 @@ from superres import (
     theta_from_concurrence,
 )
 from superres.cli import main
-from superres.sweep import CSV_FIELDS, DELTA_FIELDS, max_oracle_delta
+from superres.sweep import CSV_FIELDS, DELTA_FIELDS, worst_oracle_delta
 
 
 def small_single_spec(**kw):
@@ -188,7 +188,7 @@ class TestRunSweep:
                          oracle=True)
         recs = run_sweep(spec)
         assert all(r.delta_f_ss is not None for r in recs)
-        assert max_oracle_delta(recs) < 1e-6
+        assert worst_oracle_delta(recs)[0] < 1e-6
 
 
 class TestEmit:
@@ -301,7 +301,13 @@ class TestCli:
         ["qfim", "--sigma", "1e300", "--s-steps", "3", "--n-steps", "3"],
         # sigma^2 underflows: a ZeroDivisionError traceback (exit 1)
         ["single", "--sigma", "1e-300"],
-    ], ids=["tiny-s", "huge-sigma", "tiny-sigma"])
+        # 1 - d^2 is subnormal: exit 0 with f_ss = 0.25099 at theta = pi/2 (0.25)
+        ["qfim", "--nuisance", "theta", "--s-min", "1e-160", "--s-max", "1e-160",
+         "--s-steps", "1", "--n-steps", "3"],
+        # likewise: exit 0 with gamma = 1 at C = 1e-162
+        ["single", "--nuisance", "concurrence", "--s-min", "1e-161", "--s-max", "1e-161",
+         "--s-steps", "1", "--n-min", "0", "--n-max", "2e-162", "--n-steps", "3"],
+    ], ids=["tiny-s", "huge-sigma", "tiny-sigma", "subnormal-qfim", "subnormal-concurrence"])
     def test_unresolved_cells_exit_code(self, argv, capsys):
         assert main(argv) == 2
         assert "do not resolve" in capsys.readouterr().err
