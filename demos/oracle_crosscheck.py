@@ -32,7 +32,7 @@ for theta, phi in ((math.pi / 2, 0.0), (math.pi / 4, 0.0), (math.pi / 4, 1.1)):
     a, n = concurrence_normalized(p), numeric_concurrence(p)
     print(f"  theta={theta:.3f} phi={phi:<4} C={a:.10f}  |delta|={abs(a - n):.2e}")
 
-print("\nQFIM: element formulas vs finite differences + spectral sum")
+print("\nQFIM: element formulas vs grid derivatives + spectral sum")
 print(f"{'s':>5} {'theta':>7} {'rel dF_ss':>11} {'rel dF_tt':>11} {'rel dF_st':>11}")
 worst = 0.0
 for s in (0.5, 1.0, 2.0, 3.0):

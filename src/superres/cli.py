@@ -51,7 +51,6 @@ def _add_common(parser: argparse.ArgumentParser, mode: str) -> None:
                         help="attach brute-force comparison deltas")
     parser.add_argument("--grid-points", type=int, default=4096)
     parser.add_argument("--grid-halfwidth", type=float, default=None)
-    parser.add_argument("--fd-step", type=float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,7 +94,6 @@ def _spec_from_args(args, mode: str) -> SweepSpec:
         oracle=args.oracle or mode == "verify",
         grid_points=args.grid_points,
         grid_halfwidth=args.grid_halfwidth,
-        fd_step=args.fd_step,
     )
 
 

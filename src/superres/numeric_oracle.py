@@ -1,35 +1,32 @@
 """Brute-force verification layer on a discretized position grid.
 
 Everything here is computed from sampled Gaussian amplitudes with trapezoid
-integration, finite differences, and dense eigendecompositions — none of the
-closed forms from the analytic modules are reused.  The two-source state is
-held literally as a (grid x 2) array over the auxiliary basis, so partial
-traces and purities are actual matrix operations.
+integration and dense eigendecompositions — none of the closed forms from
+the analytic modules are reused.  The two-source state is held literally as
+a (grid x 2) array over the auxiliary basis, so partial traces and purities
+are actual matrix operations.
 
 The QFIM and the weighted FI of single mode are computed one separation
 row at a time.  The grid work depends on ``s`` alone and is done once for
 all thetas of the row: a six-vector basis made orthonormal by a Householder
 QR of its ``sqrt(w)``-scaled columns (well conditioned however close to
 collinear the vectors get at small s), and the projections on it of both
-sources at ``s`` and of their changes at the four other separations
-``s + k fd_step`` of a fourth-order central stencil (k = -2..2).  Theta
-and phi only set the branch coefficients of the projected 6x6 density
-matrices, whose differences, eigendecompositions and spectral sums run
-stacked.  Each difference is formed from the change of a state (the sample
-changes as ``h expm1(...)``, trigonometric changes in product form), never
-as a small difference of two O(1) states, so the stencil's round-off
-scales with the derivative rather than with ``eps / fd_step``.
+sampled sources and of their derivatives by ``s``, which the sampled PSF
+gives exactly: ``d h(x +- s/2)/ds = -+ (x +- s/2) h(x +- s/2) / (4 sigma^2)``.
+Theta and phi only set the branch coefficients of the projected 6x6
+density matrices, whose derivatives, eigendecompositions and spectral sums
+run stacked.
 
-Defaults (4096 points, halfwidth ``8 sigma + s``, step ``1e-4 sigma``,
-support cutoff ``1e-12``) keep truncation and round-off each below ~1e-11
-relative for s from 1e-3 sigma up; a row of oracle evaluations runs in a
-few milliseconds.
+With the default grid (4096 points, halfwidth ``8 sigma + s``) the oracle
+agrees with the closed forms to ~1e-11 relative for s from 1e-3 sigma up;
+the spectral sum leaves out eigenvalue pairs summing to at most
+``_SUPPORT_CUTOFF``.  A row of oracle evaluations runs in a few
+milliseconds.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +35,9 @@ from .errors import ConfigurationError, DomainError
 from .qfim_two_param import Qfim2
 from .state_model import _INF, _SIGMA_MAX, _SIGMA_MIN, ModelParams, _reject_s_sigma
 
-_FIT_SLACK = 1e-4   # tolerance (in sigma units) so FD probes at s +- eps fit
+# eigenvalue pairs of the projected density matrix summing to at most this
+# are outside its support and left out of the spectral SLD sum
+_SUPPORT_CUTOFF = 1e-12
 
 
 @dataclass
@@ -78,7 +77,7 @@ class Grid:
 
     def fits(self, s: float, sigma: float) -> bool:
         """Whether states of separation ``s`` keep eight PSF widths of margin."""
-        return self.halfwidth >= 8.0 * sigma + s - _FIT_SLACK * sigma
+        return self.halfwidth >= 8.0 * sigma + s
 
 
 @dataclass(frozen=True)
@@ -177,13 +176,11 @@ def numeric_concurrence(p: ModelParams, n_points: int = 4096,
     return 2.0 * math.sqrt(max(0.0, det))
 
 
-def _orthonormal_fd_basis(grid: Grid, s: float, sigma: float) -> np.ndarray:
+def _orthonormal_basis(grid: Grid, s: float, sigma: float) -> np.ndarray:
     """Six grid vectors, as the columns of an ``(n_points, 6)`` array,
     orthonormal under the trapezoid weights, spanning both sources and their
-    first two spatial derivatives.  The separation derivative of the state
-    lies in that span, and what the projection drops of a stencil state is
-    of third order in its offset and smooth in it, so the differences of the
-    projected states still converge to the derivative.
+    first two spatial derivatives, so the state and its derivatives by s and
+    theta lie in their span.
 
     At small ``s`` the six spanning vectors are nearly collinear, so the
     basis is a Householder QR of the ``sqrt(w)``-scaled vectors: it is
@@ -203,51 +200,31 @@ def _orthonormal_fd_basis(grid: Grid, s: float, sigma: float) -> np.ndarray:
     return q
 
 
-# fourth-order central first derivative over the offsets -2..2 (in steps)
-_OFFSETS = np.arange(-2.0, 3.0)
-_CENTER = 2
-
-
-def _fd(samples: np.ndarray, step: float) -> np.ndarray:
-    """Derivative from samples at the ``_OFFSETS`` (axis 1) of one step."""
-    return (8.0 * (samples[:, 3] - samples[:, 1])
-            - (samples[:, 4] - samples[:, 0])) / (12.0 * step)
-
-
 @dataclass(frozen=True)
 class _RowSamples:
     """The grid work of one separation row, shared by all its nuisances:
-    the basis coordinates of both sources at ``s`` and their changes at the
-    stencil separations ``s + k fd_step``."""
+    the basis coordinates of both sources at ``s`` and of their derivatives
+    by ``s``."""
 
     plus: np.ndarray      # (6,) coordinates of h(x + s/2)
     minus: np.ndarray     # (6,) coordinates of h(x - s/2)
-    d_plus: np.ndarray    # (5, 6) coordinates of h(x + s_k/2) - h(x + s/2)
-    d_minus: np.ndarray   # (5, 6) coordinates of h(x - s_k/2) - h(x - s/2)
-    step: float
+    d_plus: np.ndarray    # (6,) coordinates of d h(x + s/2) / ds
+    d_minus: np.ndarray   # (6,) coordinates of d h(x - s/2) / ds
 
 
-def _row_samples(s: float, sigma: float, fd_step: float | None, n_points: int,
+def _row_samples(s: float, sigma: float, n_points: int,
                  halfwidth: float | None) -> _RowSamples:
     grid = _fitted_grid(s, sigma, n_points=n_points, halfwidth=halfwidth)
-    step = 1e-4 * sigma if fd_step is None else fd_step
-    if not (1e-6 * sigma <= step <= 1e-4 * sigma):
-        raise DomainError(
-            f"fd_step must lie in [1e-6, 1e-4] * sigma, got {step}"
-        )
-    basis_w = _orthonormal_fd_basis(grid, s, sigma)
+    basis_w = _orthonormal_basis(grid, s, sigma)
     basis_w *= grid.weights[:, None]
-    shift = step * _OFFSETS / 2.0
     coords = {}
     for name, sign in (("plus", +1.0), ("minus", -1.0)):
         u = grid.x + sign * s / 2.0
         h = _psf(u, sigma)
-        # h(u + sign shift) - h(u) as h(u) expm1(...), free of cancellation
-        diff = h[:, None] * np.expm1(-sign * shift * (2.0 * u[:, None] + sign * shift)
-                                      / (4.0 * sigma * sigma))
         coords[name] = h @ basis_w
-        coords["d_" + name] = diff.T @ basis_w
-    return _RowSamples(step=step, **coords)
+        # d h(x +- s/2) / ds = +- h'(u) / 2 = -+ u h(u) / (4 sigma^2)
+        coords["d_" + name] = (-sign / (4.0 * sigma * sigma)) * (u * h) @ basis_w
+    return _RowSamples(**coords)
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -258,31 +235,22 @@ def _norm2(a: np.ndarray) -> np.ndarray:
     return np.sum((a * a.conj()).real, axis=-1)
 
 
-def _change(x0: np.ndarray, dx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``|x0 + dx><x0 + dx| - |x0><x0|`` and its trace, computed from ``dx``
-    so that their round-off scales with the change."""
-    return (_outer(x0, dx) + _outer(dx, x0) + _outer(dx, dx),
-            2.0 * np.sum(x0.conj() * dx, axis=-1).real + _norm2(dx))
-
-
 def _hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + np.swapaxes(m, -1, -2).conj())
 
 
-def _qfim_element(lams: np.ndarray, da: np.ndarray, db: np.ndarray,
-                  cutoff: float) -> np.ndarray:
+def _qfim_element(lams: np.ndarray, da: np.ndarray, db: np.ndarray) -> np.ndarray:
     """Spectral-sum QFIM element
-    ``sum_{k,l: lam_k+lam_l > cutoff} 2 Re[da_kl db_lk] / (lam_k + lam_l)``
+    ``sum_{k,l: lam_k+lam_l > _SUPPORT_CUTOFF} 2 Re[da_kl db_lk] / (lam_k + lam_l)``
     over the last two axes of stacked eigenframe derivatives; symmetric in
     ``da``, ``db`` bit for bit."""
     den = lams[..., :, None] + lams[..., None, :]
     terms = np.divide((da * np.swapaxes(db, -1, -2)).real, den,
-                      out=np.zeros(den.shape), where=den > cutoff)
+                      out=np.zeros(den.shape), where=den > _SUPPORT_CUTOFF)
     return (terms + np.swapaxes(terms, -1, -2)).sum(axis=(-2, -1))
 
 
 def numeric_qfim_row(s: float, sigma: float, thetas, phi: float = 0.0,
-                     fd_step: float | None = None, rank_cutoff: float = 1e-12,
                      n_points: int = 4096, halfwidth: float | None = None) -> list[Qfim2]:
     """QFIM for (s, theta) at every theta of ``thetas``, one separation row
     at a time; see :func:`numeric_qfim`, which is its one-element case.
@@ -290,95 +258,77 @@ def numeric_qfim_row(s: float, sigma: float, thetas, phi: float = 0.0,
     The grid work depends on ``s`` alone and is done once per row; each
     theta only sets the branch coefficients ``cos(theta) e^{i phi}`` and
     ``sin(theta) e^{i phi}`` of the projected 6x6 density matrices, whose
-    changes over the stencil, eigendecompositions and spectral sums run
-    stacked.
+    derivatives, eigendecompositions and spectral sums run stacked.
     """
     if s == 0.0:
         raise DomainError("numeric_qfim requires s > 0")
-    if rank_cutoff < 1e-13:
-        warnings.warn(
-            "rank_cutoff below 1e-13 amplifies round-off in the spectral sum",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    row = _row_samples(s, sigma, fd_step, n_points, halfwidth)
+    row = _row_samples(s, sigma, n_points, halfwidth)
     theta = np.asarray(thetas, dtype=float).reshape(-1, 1)
     phase = np.exp(1j * phi)
     ct, st = np.cos(theta), np.sin(theta)
-    a0 = row.plus + (ct * phase) * row.minus                 # (m, 6)
-    v0 = st * row.minus
-    # changes of the branch amplitudes over the ten states a theta: the s
-    # stencil at theta, then the theta stencil at s (trig differences in
-    # product form, free of cancellation)
-    half = row.step * _OFFSETS / 2.0
-    d_ct = -2.0 * np.sin(half) * np.sin(theta + half)
-    d_st = 2.0 * np.sin(half) * np.cos(theta + half)
-    da = np.concatenate([row.d_plus + (ct * phase)[..., None] * row.d_minus,
-                         (d_ct * phase)[..., None] * row.minus], axis=1)
-    dv = np.concatenate([st[..., None] * row.d_minus, d_st[..., None] * row.minus], axis=1)
-    m0 = _outer(a0, a0) + _outer(v0, v0)
-    n0 = (_norm2(a0) + _norm2(v0))[:, None]
-    (dm_a, dn_a), (dm_v, dn_v) = _change(a0[:, None], da), _change(v0[:, None], dv)
-    dm, dn = dm_a + dm_v, dn_a + dn_v
-    # rho at each state minus rho at the center
-    d_rho = (dm - m0[:, None] * (dn / n0)[..., None, None]) / (n0 + dn)[..., None, None]
-    lams, vecs = np.linalg.eigh(m0 / n0[..., None])
+    # branch amplitudes (the phase of the second drops out of its projector)
+    a = row.plus + (ct * phase) * row.minus                  # (m, 6)
+    v = st * row.minus
+    m = _outer(a, a) + _outer(v, v)
+    n = (_norm2(a) + _norm2(v))[:, None, None]
+    rho = m / n
+    lams, vecs = np.linalg.eigh(rho)
     vecs_h = np.swapaxes(vecs, -1, -2).conj()
-    ds = _hermitize(vecs_h @ _fd(d_rho[:, :5], row.step) @ vecs)
-    dt = _hermitize(vecs_h @ _fd(d_rho[:, 5:], row.step) @ vecs)
-    f_ss = _qfim_element(lams, ds, ds, rank_cutoff)
-    f_tt = _qfim_element(lams, dt, dt, rank_cutoff)
-    f_st = _qfim_element(lams, ds, dt, rank_cutoff)
+
+    def d_rho(da, dv):
+        """Eigenframe derivative of rho = M / n, (dM - rho dn) / n."""
+        dm = _outer(a, da) + _outer(da, a) + _outer(v, dv) + _outer(dv, v)
+        dn = 2.0 * (np.sum(a.conj() * da, axis=-1).real
+                    + np.sum(v.conj() * dv, axis=-1).real)
+        return _hermitize(vecs_h @ ((dm - rho * dn[:, None, None]) / n) @ vecs)
+
+    ds = d_rho(row.d_plus + (ct * phase) * row.d_minus, st * row.d_minus)
+    dt = d_rho(-(st * phase) * row.minus, ct * row.minus)
+    f_ss = _qfim_element(lams, ds, ds)
+    f_tt = _qfim_element(lams, dt, dt)
+    f_st = _qfim_element(lams, ds, dt)
     return [Qfim2(f_ss=a, f_tt=b, f_st=c, tag="theta")
             for a, b, c in zip(f_ss.tolist(), f_tt.tolist(), f_st.tolist())]
 
 
-def numeric_qfim(p: ModelParams, fd_step: float | None = None,
-                 rank_cutoff: float = 1e-12, n_points: int = 4096,
+def numeric_qfim(p: ModelParams, n_points: int = 4096,
                  halfwidth: float | None = None) -> Qfim2:
-    """QFIM for (s, theta) by central finite differences of the projected
+    """QFIM for (s, theta) from the exact derivatives of the projected
     density matrix and the spectral SLD sum.  Supports any phi.
 
     The density matrices are projected on a six-vector basis (both sources
     and their first two derivatives at ``s``, orthonormalized by a weighted
-    QR) and differenced with a fourth-order central stencil, each term
-    formed from its change against the center state.  ``fd_step``
-    must lie in ``[1e-6, 1e-4] * sigma`` (default ``1e-4 sigma``); a very
-    small ``rank_cutoff`` amplifies round-off in the near-null subspace and
-    triggers a diagnostic warning.  This is the one-element case of
-    :func:`numeric_qfim_row`, so a result does not depend on how many
-    thetas share its row.
+    QR), which also spans their derivatives by ``s`` (those of the sampled
+    PSF) and by theta (those of the branch coefficients).  Eigenvalue pairs
+    summing to at most ``_SUPPORT_CUTOFF`` are left out of the sum.  This
+    is the one-element case of :func:`numeric_qfim_row`, so a result does
+    not depend on how many thetas share its row.
     """
-    return numeric_qfim_row(p.s, p.sigma, [p.theta], p.phi, fd_step=fd_step,
-                            rank_cutoff=rank_cutoff, n_points=n_points,
+    return numeric_qfim_row(p.s, p.sigma, [p.theta], p.phi, n_points=n_points,
                             halfwidth=halfwidth)[0]
 
 
-def _branch_fi(a0: np.ndarray, da: np.ndarray, step: float) -> np.ndarray:
-    """The oracle's pure-state FI, ``4 (<d psi|d psi> - <psi|d psi>^2)``, of
-    the normalized branch ``psi = a / |a|``, from its real basis coordinates ``a0`` (m, 6) at ``s``
-    and their changes ``da`` (m, 5, 6) over the stencil."""
-    dn = _change(a0[:, None], da)[1]                 # |a_k|^2 - |a_0|^2
-    r0 = np.sqrt(_norm2(a0))[:, None]
-    r = np.sqrt(r0 * r0 + dn)
-    d_psi = da / r[..., None] - a0[:, None] * (dn / (r * r0 * (r + r0)))[..., None]
-    deriv = _fd(d_psi, step)
-    return 4.0 * (_norm2(deriv) - np.sum(a0 / r0 * deriv, axis=-1) ** 2)
+def _branch_fi(a: np.ndarray, da: np.ndarray) -> np.ndarray:
+    """The oracle's pure-state FI of the normalized branch ``psi = a / |a|``,
+    ``4 (<d psi|d psi> - <psi|d psi>^2) = 4 (|da|^2 / |a|^2 - (a.da)^2 / |a|^4)``,
+    from its real basis coordinates ``a`` (m, 6) and their derivatives ``da``."""
+    n2 = _norm2(a)
+    return 4.0 * (_norm2(da) / n2 - (np.sum(a * da, axis=-1) / n2) ** 2)
 
 
 def _numeric_f_tot(s: float, sigma: float, thetas, n_points: int = 4096,
-                   fd_step: float | None = None, halfwidth: float | None = None):
+                   halfwidth: float | None = None):
     """Grid reconstruction of the weighted FI ``N1 F1 + N2 F2`` (the oracle
     side of single mode) at every theta of ``thetas``, from the same row
-    samples and stencil as :func:`numeric_qfim_row`: ``F1``/``F2`` are the
+    samples as :func:`numeric_qfim_row`: ``F1``/``F2`` are the
     pure-state FIs of the normalized branches ``h_+ + cos(theta) h_-`` and
     ``h_-``, ``N1 = <Phi_1|Phi_1>``, ``N2 = sin^2(theta) / 2``.  Returns an
     array of the shape of ``thetas``."""
-    row = _row_samples(s, sigma, fd_step, n_points, halfwidth)
+    row = _row_samples(s, sigma, n_points, halfwidth)
     theta = np.asarray(thetas, dtype=float)
     g = np.cos(theta).reshape(-1, 1)
-    a0 = row.plus + g * row.minus
-    f1 = _branch_fi(a0, row.d_plus + g[..., None] * row.d_minus, row.step)
-    f2 = _branch_fi(row.minus[None], row.d_minus[None], row.step)
-    total = 0.5 * _norm2(a0) * f1 + 0.5 * np.sin(theta).ravel() ** 2 * f2
+    a = row.plus + g * row.minus
+    f1 = _branch_fi(a, row.d_plus + g * row.d_minus)
+    f2 = _branch_fi(row.minus[None], row.d_minus[None])
+    total = 0.5 * _norm2(a) * f1 + 0.5 * np.sin(theta).ravel() ** 2 * f2
     return total.reshape(theta.shape)

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fisher_single import _EPS, _coherence_form, _concurrence_form
-from .numeric_oracle import _numeric_f_tot, numeric_qfim_row
+from .numeric_oracle import _SUPPORT_CUTOFF, _numeric_f_tot, numeric_qfim_row
 from .qfim_two_param import (
     _NUISANCE_FLOOR,
     _h_nuisance,
@@ -76,7 +76,6 @@ class SweepSpec:
     oracle: bool = False
     grid_points: int = 4096
     grid_halfwidth: float | None = None
-    fd_step: float | None = None
 
     def __post_init__(self):
         for name, default in zip(("s_range", "nuisance_range"), default_ranges(self.nuisance)):
@@ -353,8 +352,7 @@ def _attach_deltas(spec: SweepSpec, columns: dict[str, np.ndarray], cells: dict,
     qfim deltas always compare the theta-parametrized matrix."""
     if not rows.size:
         return
-    grid_kw = {"fd_step": spec.fd_step, "n_points": spec.grid_points,
-               "halfwidth": spec.grid_halfwidth}
+    grid_kw = {"n_points": spec.grid_points, "halfwidth": spec.grid_halfwidth}
     s_col = columns["s"][rows]
     for group in np.split(rows, np.flatnonzero(s_col[1:] != s_col[:-1]) + 1):
         s, thetas = float(columns["s"][group[0]]), columns["theta"][group]
@@ -363,9 +361,9 @@ def _attach_deltas(spec: SweepSpec, columns: dict[str, np.ndarray], cells: dict,
             columns["delta_f_tot"][group] = _rel_delta(columns["f_tot"][group], num)
             continue
         row = numeric_qfim_row(s, spec.sigma, thetas, **grid_kw)
-        # the oracle's spectral sum drops eigenvalue pairs below its 1e-12
-        # support cutoff, so below that only f_ss is comparable
-        comparable = cells["_lam1"][group] >= 1e-12
+        # the oracle's spectral sum drops eigenvalue pairs below its support
+        # cutoff; rows with lambda1 below it keep only delta_f_ss
+        comparable = cells["_lam1"][group] >= _SUPPORT_CUTOFF
         for name in ("f_ss", "f_tt", "f_st"):
             delta = _rel_delta(cells["_theta_" + name][group],
                                np.array([getattr(q, name) for q in row]))

@@ -1,16 +1,22 @@
 """Shared brute-force helpers for the test suite.
 
-These deliberately rebuild quantities from sampled amplitudes and finite
-differences so the closed forms under test are checked against an
-independent route.
+These deliberately rebuild quantities from sampled amplitudes (the grid
+oracle's branch FI, central differences of grid-sampled eigenmodes), from a
+Hermite-Gauss representation of the source, or from the 4x4 operator layer,
+so the closed forms under test are checked against an independent route.
 """
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 
 from superres import default_grid, make_sources, overlap, spectral
 from superres.numeric_oracle import _branch_fi, _row_samples
+
+# environment for subprocesses that import this checkout's package
+SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
 
 
 def grid_eigvec_derivative_norms(s: float, sigma: float = 1.0,
@@ -34,15 +40,14 @@ def grid_eigvec_derivative_norms(s: float, sigma: float = 1.0,
     return float(w @ (de1 * de1)), float(w @ (de2 * de2))
 
 
-def grid_branch_fi(s: float, plus: float, minus: float, sigma: float = 1.0,
-                   fd_step: float | None = None) -> float:
+def grid_branch_fi(s: float, plus: float, minus: float, sigma: float = 1.0) -> float:
     """Pure-state FI of the normalized family ``plus h(x + s/2) + minus
     h(x - s/2)`` by the grid oracle's one pure-state FI (its row kernel's
     branch FI)."""
-    row = _row_samples(s, sigma, fd_step, 4096, None)
-    a0 = plus * row.plus + minus * row.minus
+    row = _row_samples(s, sigma, 4096, None)
+    a = plus * row.plus + minus * row.minus
     da = plus * row.d_plus + minus * row.d_minus
-    return float(_branch_fi(a0[None], da[None], row.step)[0])
+    return float(_branch_fi(a[None], da[None])[0])
 
 
 def hg_coefficients(s: float, sigma: float = 1.0, n_max: int = 40) -> np.ndarray:

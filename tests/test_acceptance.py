@@ -14,7 +14,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from helpers import commutator_expectation, grid_eigvec_derivative_norms
+from helpers import SRC_ENV, commutator_expectation, grid_eigvec_derivative_norms
 from superres import (
     ModelParams,
     concurrence_max,
@@ -101,7 +101,7 @@ def test_criterion_06_oracle_equivalence():
             for theta in (math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2):
                 p = ModelParams(s, 1.0, theta)
                 ana = qfim(p)
-                num = numeric_qfim(p)   # defaults: 4096 points, 4th-order fd step 1e-4 sigma
+                num = numeric_qfim(p)   # default grid: 4096 points, halfwidth 8 sigma + s
                 for a, n in ((ana.f_ss, num.f_ss), (ana.f_tt, num.f_tt),
                              (ana.f_st, num.f_st)):
                     assert abs(a - n) / abs(n) < 1e-6, (s, theta, a, n)
@@ -180,6 +180,7 @@ def test_criterion_12_figure_determinism(tmp_path):
                  "--out", str(out)],
                 capture_output=True,
                 text=True,
+                env=SRC_ENV,
             )
             assert proc.returncode == 0, proc.stderr
             outputs.append(out.read_bytes())

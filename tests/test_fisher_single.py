@@ -147,8 +147,8 @@ class TestPureStateFi:
         assert grid_branch_fi(1.0, 0.0, 1.0) == pytest.approx(0.25, abs=1e-7)
 
     def test_constant_family_gives_zero(self):
-        row = _row_samples(1.0, 1.0, None, 4096, None)
-        constant = _branch_fi(row.minus[None], np.zeros((1, 5, 6)), row.step)
+        row = _row_samples(1.0, 1.0, 4096, None)
+        constant = _branch_fi(row.minus[None], np.zeros((1, 6)))
         assert constant[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_symmetric_superposition_matches_oracle_route(self):
@@ -217,5 +217,5 @@ def test_sigma_scaling_against_grid_reconstruction():
     # reconstruction produces at sigma != 1
     for sigma, s, theta in ((2.0, 1.0, math.pi / 3), (0.5, 0.8, math.pi / 5)):
         target = f_tot_coherence(s, sigma, math.cos(theta)).f_tot
-        grid_value = _numeric_f_tot(s, sigma, theta, 4096, 1e-5 * sigma)
+        grid_value = _numeric_f_tot(s, sigma, theta, 4096)
         assert grid_value == pytest.approx(target, rel=1e-8)

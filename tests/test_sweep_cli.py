@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from helpers import SRC_ENV
 from superres import (
     DomainError,
     ModelParams,
@@ -327,6 +328,12 @@ class TestCli:
             main(["unknown-mode"])
         assert err.value.code == 2
 
+    def test_removed_step_option_is_a_usage_error(self):
+        # the oracle differentiates the sampled PSF exactly and takes no step
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--fd-step", "1e-5"])
+        assert err.value.code == 2
+
     def test_io_error_exit_code(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.csv"
         code = main(["figure", "fig1c", "--n-steps", "5", "--out", str(out)])
@@ -375,6 +382,7 @@ class TestCli:
              "--n-steps", "8", "--out", str(out)],
             capture_output=True,
             text=True,
+            env=SRC_ENV,
         )
         assert proc.returncode == 0
         assert out.exists()
