@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -61,6 +62,12 @@ def default_ranges(nuisance: str) -> tuple[tuple[float, float, int], tuple[float
     return (1e-3, 5.0, 50), (0.0, _HALF_PI if nuisance == "theta" else 1.0, 50)
 
 
+def _require_int(name: str, value) -> None:
+    # a bool is an int to Python, but not a count
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Validated description of one sweep block; ``dataclasses.replace``
@@ -95,8 +102,10 @@ class SweepSpec:
             raise DomainError(
                 f"closed-form sweeps require phi = 0, got phi = {self.phi}"
             )
+        _require_int("grid_points", self.grid_points)
         for name, rng in (("s", self.s_range), ("nuisance", self.nuisance_range)):
             lo, hi, steps = rng
+            _require_int(f"{name}-steps", steps)
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise DomainError(f"{name}-range must be finite, got {rng}")
             if steps < 1:
@@ -446,18 +455,20 @@ def emit(records: Iterable[SweepRecord], fmt: str, destination: str | Path | IO[
 _CHUNK_ROWS = 256
 
 
-def _csv_row_format(names: tuple[str, ...], present: int, status: str) -> str:
-    # "%.0s" consumes a blank cell's text and prints nothing
-    cells = ["%s" if present >> k & 1 else "%.0s" for k in range(len(names))]
+def _csv_row_format(names: tuple[str, ...], directives: list[str], present: int,
+                    status: str) -> str:
+    # "%.0s" consumes a blank cell's value or text and prints nothing
+    cells = [d if present >> k & 1 else "%.0s" for k, d in enumerate(directives)]
     return ",".join(cells) + "," + status.replace("%", "%%") + "\n"
 
 
-def _json_row_format(names: tuple[str, ...], present: int, status: str) -> str:
+def _json_row_format(names: tuple[str, ...], directives: list[str], present: int,
+                     status: str) -> str:
     # the layout of json.dump(..., indent=2): one key per line
     entries, skipped = [], ""
-    for k, name in enumerate(names):
+    for k, (name, directive) in enumerate(zip(names, directives)):
         if present >> k & 1:
-            entries.append(f'{skipped}    "{name}": %s')
+            entries.append(f'{skipped}    "{name}": {directive}')
             skipped = ""
         else:
             skipped += "%.0s"
@@ -486,16 +497,31 @@ def _emit_stream(table: SweepTable, fmt: str, fh: IO[str], include_deltas: bool)
 def _formatted_rows(table: SweepTable, names: tuple[str, ...], cell_format: str,
                     row_format):
     """Yield the rows a chunk at a time, each assembled whole by one cached
-    ``%`` template per pattern of populated cells and status."""
+    ``%`` template per pattern of populated cells and status.
+
+    A column with at most half of its values distinct (told apart by bit
+    pattern, so that -0.0 stays -0.0) is formatted once per distinct value
+    and enters the template as text; the template formats every other
+    column itself, with ``cell_format``.
+    """
+    floats = [table.columns[n] for n in names]
+    cols, directives = [], []
+    for col in floats:
+        bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+        if 2 * bits.size <= col.size:
+            texts = [cell_format % v for v in bits.view(float).tolist()]
+            cols.append(np.array(texts, dtype=object)[inverse])
+            directives.append("%s")
+        else:
+            cols.append(col)
+            directives.append(cell_format)
     weights = 1 << np.arange(len(names), dtype=np.int64)
     templates: dict[tuple[int, str], str] = {}
     for lo in range(0, len(table), _CHUNK_ROWS):
         hi = lo + _CHUNK_ROWS
-        cols = [table.columns[n][lo:hi] for n in names]
-        present = (np.isfinite(np.stack(cols, axis=1)) @ weights).tolist()
+        present = (np.isfinite(np.stack([c[lo:hi] for c in floats], axis=1)) @ weights).tolist()
         keys = list(zip(present, table.status[lo:hi]))
         for key in set(keys).difference(templates):
-            templates[key] = row_format(names, *key)
-        rows = zip(*([cell_format % v for v in c.tolist()] for c in cols))
+            templates[key] = row_format(names, directives, *key)
+        rows = zip(*(c[lo:hi].tolist() for c in cols))
         yield [templates[k] % row for k, row in zip(keys, rows)]
-

@@ -6,6 +6,7 @@ Hermite-Gauss representation of the source, or from the 4x4 operator layer,
 so the closed forms under test are checked against an independent route.
 """
 
+import json
 import math
 import os
 from pathlib import Path
@@ -13,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from superres import default_grid, make_sources, overlap, spectral
+from superres.sweep import CSV_FIELDS, DELTA_FIELDS
 from superres.numeric_oracle import _branch_fi, _row_samples
 
 # environment for subprocesses that import this checkout's package
@@ -112,3 +114,18 @@ def commutator_expectation(p) -> float:
     both parameters."""
     l_s, l_t = sld_pair(p)
     return float(np.trace(rho4(p) @ (l_s @ l_t - l_t @ l_s)))
+
+
+def cell_by_cell_text(records, fmt: str, include_deltas: bool) -> str:
+    """What ``emit`` must write, built one cell at a time: ``f"{v:.16e}"``
+    CSV cells, or ``json.dumps(..., indent=2)``; NaN and inf cells blank."""
+    names = CSV_FIELDS + (DELTA_FIELDS if include_deltas else ())
+    cells = [{n: v for n in names
+              if (v := getattr(r, n)) is not None and math.isfinite(v)}
+             for r in records]
+    if fmt == "json":
+        return json.dumps([{**c, "status": r.status} for c, r in zip(cells, records)],
+                          indent=2) + "\n"
+    return ",".join(names + ("status",)) + "\n" + "".join(
+        ",".join(f"{c[n]:.16e}" if n in c else "" for n in names) + f",{r.status}\n"
+        for c, r in zip(cells, records))

@@ -1,21 +1,28 @@
-"""Property tests of the two-parameter closed forms over random points
-(skipped when hypothesis is not installed)."""
+"""Property tests of the two-parameter closed forms over random points,
+and of the sweep emitter over random tables (skipped when hypothesis is not
+installed)."""
 
+import io
 import math
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from helpers import cell_by_cell_text  # noqa: E402
 from superres import (  # noqa: E402
     ModelParams,
+    SweepTable,
     concurrence,
+    emit,
     precision,
     precision_concurrence,
     precision_gamma,
     qfim,
 )
+from superres.sweep import CSV_FIELDS, DELTA_FIELDS  # noqa: E402
 
 # separations in units of sigma, as on the figure axes and beyond
 ratios = st.floats(1e-4, 20.0)
@@ -66,3 +73,35 @@ def test_scaling(r, sigma, theta, k):
     p, pk = ModelParams(s, sigma, theta), ModelParams(k * s, k * sigma, theta)
     assert qfim(pk).f_ss * (k * k) == pytest.approx(qfim(p).f_ss, rel=1e-12)
     assert precision(pk).h_s * (k * k) == pytest.approx(precision(p).h_s, rel=1e-12)
+
+
+# few values, so that columns repeat: signed zeros, infinities, NaN,
+# subnormals and the edge of the float range among them
+CELLS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310, 1e308, -1e308,
+         1.0, 0.1, -3.5, 1 / 3, 6.02e23]
+
+
+@st.composite
+def tables(draw):
+    m = draw(st.integers(1, len(CELLS) - 1))
+    rows = 2 * m
+    names = CSV_FIELDS + DELTA_FIELDS
+    columns = {n: draw(st.lists(st.sampled_from(CELLS), min_size=rows, max_size=rows))
+               for n in names}
+    # one column with exactly half of its values distinct and one with one
+    # more, so that both sides of the format-once rule run
+    half, more = draw(st.permutations(names))[:2]
+    for name, distinct in ((half, m), (more, m + 1)):
+        values = draw(st.permutations(CELLS))[:distinct]
+        columns[name] = draw(st.permutations(values + values[:rows - distinct]))
+    status = draw(st.lists(st.sampled_from(["ok", "out_of_reach", "50%s"]),
+                           min_size=rows, max_size=rows))
+    return SweepTable({n: np.array(c) for n, c in columns.items()}, status)
+
+
+@common
+@given(table=tables(), fmt=st.sampled_from(["csv", "json"]), include_deltas=st.booleans())
+def test_emit_matches_cell_by_cell_formatting(table, fmt, include_deltas):
+    out = io.StringIO()
+    emit(table, fmt, out, include_deltas=include_deltas)
+    assert out.getvalue() == cell_by_cell_text(list(table), fmt, include_deltas)

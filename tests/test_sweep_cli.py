@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import SRC_ENV
+from helpers import SRC_ENV, cell_by_cell_text
 from superres import (
     DomainError,
     ModelParams,
@@ -69,6 +69,10 @@ class TestSweepSpec:
             dict(sigma=math.inf),
             dict(s_range=(0.5, math.inf, 5)),
             dict(nuisance="concurrence", nuisance_range=(0.0, math.nan, 3)),
+            dict(s_range=(0.1, 1.0, 2.5)),
+            dict(nuisance_range=(0, 1, "3")),
+            dict(grid_points=4096.0, oracle=True),
+            dict(s_range=(0.1, 1.0, True)),
         ],
     )
     def test_rejects_invalid(self, kw):
@@ -561,16 +565,29 @@ class TestSweepTable:
         """Whole-row templates write what per-cell formatting and json.dump
         write."""
         records = list(mixed_table())
-        names = CSV_FIELDS + (DELTA_FIELDS if include_deltas else ())
-        cells = [{n: getattr(r, n) for n in names
-                  if getattr(r, n) is not None and math.isfinite(getattr(r, n))}
-                 for r in records]
-        csv_text = ",".join(names + ("status",)) + "\n" + "".join(
-            ",".join(f"{c[n]:.16e}" if n in c else "" for n in names) + f",{r.status}\n"
-            for c, r in zip(cells, records))
-        json_text = json.dumps([{**c, "status": r.status} for c, r in zip(cells, records)],
-                               indent=2) + "\n"
-        for fmt, expected in (("csv", csv_text), ("json", json_text)):
+        for fmt in ("csv", "json"):
             out = tmp_path / f"rows.{fmt}"
             emit(records, fmt, out, include_deltas=include_deltas)
-            assert out.read_text() == expected
+            assert out.read_text() == cell_by_cell_text(records, fmt, include_deltas)
+
+    @pytest.mark.parametrize("source, fmt", [
+        *((name, "csv") for name in ("fig1a", "fig1b", "fig1c", "fig2a", "fig2b")),
+        ("fig2b", "json"), ("verify", "csv"), ("verify", "json"),
+    ])
+    def test_real_tables_match_cell_by_cell_formatting(self, tmp_path, source, fmt):
+        """As above on whole surfaces, where the repeated columns take the
+        format-once path and the others are formatted in the template."""
+        if source == "verify":
+            table = run_sweep(SweepSpec(mode="verify", nuisance="theta", oracle=True,
+                                        s_range=(1e-3, 5.0, 6),
+                                        nuisance_range=(0.0, math.pi / 2, 6)))
+        else:
+            # the presets on 50 x 50 axes; fig1c's fixed s keeps its one step
+            table = SweepTable.concat(run_sweep(dataclasses.replace(
+                spec, s_range=spec.s_range[:2] + (min(spec.s_range[2], 50),),
+                nuisance_range=spec.nuisance_range[:2] + (50,)))
+                for spec in figure_preset(source))
+        include_deltas = source == "verify"
+        out = tmp_path / f"{source}.{fmt}"
+        emit(table, fmt, out, include_deltas=include_deltas)
+        assert out.read_text() == cell_by_cell_text(list(table), fmt, include_deltas)
