@@ -8,14 +8,15 @@ are actual matrix operations.
 
 The QFIM and the weighted FI of single mode are computed one separation
 row at a time.  The grid work depends on ``s`` alone and is done once for
-all thetas of the row: a six-vector basis made orthonormal by a Householder
-QR of its ``sqrt(w)``-scaled columns (well conditioned however close to
-collinear the vectors get at small s), and the projections on it of both
-sampled sources and of their derivatives by ``s``, which the sampled PSF
-gives exactly: ``d h(x +- s/2)/ds = -+ (x +- s/2) h(x +- s/2) / (4 sigma^2)``.
-Theta and phi only set the branch coefficients of the projected 6x6
-density matrices, whose derivatives, eigendecompositions and spectral sums
-run stacked.
+all thetas of the row: four sampled vectors, both sources and their
+derivatives by ``s``, which the sampled PSF gives exactly:
+``d h(x +- s/2)/ds = -+ (x +- s/2) h(x +- s/2) / (4 sigma^2)``.  An R-only
+Householder QR of their ``sqrt(w)``-scaled columns gives their coordinates
+in an orthonormal basis of their span, with no basis matrix formed (exact
+however close to collinear the vectors get at small s).  The state and its
+derivatives by s and theta lie in that span, so theta and phi only set the
+branch coefficients of the projected 4x4 density matrices, whose
+derivatives, eigendecompositions and spectral sums run stacked.
 
 With the default grid (4096 points, halfwidth ``8 sigma + s``) the oracle
 agrees with the closed forms to ~1e-11 relative for s from 1e-3 sigma up;
@@ -176,55 +177,36 @@ def numeric_concurrence(p: ModelParams, n_points: int = 4096,
     return 2.0 * math.sqrt(max(0.0, det))
 
 
-def _orthonormal_basis(grid: Grid, s: float, sigma: float) -> np.ndarray:
-    """Six grid vectors, as the columns of an ``(n_points, 6)`` array,
-    orthonormal under the trapezoid weights, spanning both sources and their
-    first two spatial derivatives, so the state and its derivatives by s and
-    theta lie in their span.
-
-    At small ``s`` the six spanning vectors are nearly collinear, so the
-    basis is a Householder QR of the ``sqrt(w)``-scaled vectors: it is
-    orthonormal to round-off however ill-conditioned they are.
-    """
-    sig2 = sigma * sigma
-    root_w = np.sqrt(grid.weights)
-    scaled = np.empty((grid.n_points, 6))
-    for j, sign in ((0, +1.0), (3, -1.0)):
-        u = grid.x + sign * s / 2.0
-        base = _psf(u, sigma) * root_w
-        scaled[:, j] = base
-        scaled[:, j + 1] = -(u / (2.0 * sig2)) * base
-        scaled[:, j + 2] = (u * u / (4.0 * sig2 * sig2) - 1.0 / (2.0 * sig2)) * base
-    q = np.linalg.qr(scaled)[0]
-    q /= root_w[:, None]
-    return q
-
-
 @dataclass(frozen=True)
 class _RowSamples:
-    """The grid work of one separation row, shared by all its nuisances:
-    the basis coordinates of both sources at ``s`` and of their derivatives
-    by ``s``."""
+    """The grid work of one separation row, shared by all its nuisances: the
+    coordinates of both sources at ``s`` and of their derivatives by ``s``
+    in an orthonormal basis of their span, read off an R-only QR of the four
+    sampled vectors with no basis matrix formed."""
 
-    plus: np.ndarray      # (6,) coordinates of h(x + s/2)
-    minus: np.ndarray     # (6,) coordinates of h(x - s/2)
-    d_plus: np.ndarray    # (6,) coordinates of d h(x + s/2) / ds
-    d_minus: np.ndarray   # (6,) coordinates of d h(x - s/2) / ds
+    plus: np.ndarray      # (4,) coordinates of h(x + s/2)
+    minus: np.ndarray     # (4,) coordinates of h(x - s/2)
+    d_plus: np.ndarray    # (4,) coordinates of d h(x + s/2) / ds
+    d_minus: np.ndarray   # (4,) coordinates of d h(x - s/2) / ds
 
 
 def _row_samples(s: float, sigma: float, n_points: int,
                  halfwidth: float | None) -> _RowSamples:
+    """For the Householder QR ``sqrt(w) S = Q R`` of the four sampled vectors
+    ``S``, column ``k`` of ``R`` is ``Q^T sqrt(w) S[:, k]``: the coordinates
+    of ``S[:, k]`` in a basis orthonormal under the trapezoid weights.  It
+    stays exact however close to collinear the vectors get at small ``s``.
+    """
     grid = _fitted_grid(s, sigma, n_points=n_points, halfwidth=halfwidth)
-    basis_w = _orthonormal_basis(grid, s, sigma)
-    basis_w *= grid.weights[:, None]
-    coords = {}
-    for name, sign in (("plus", +1.0), ("minus", -1.0)):
+    root_w = np.sqrt(grid.weights)
+    scaled = np.empty((grid.n_points, 4))
+    for j, sign in ((0, +1.0), (1, -1.0)):
         u = grid.x + sign * s / 2.0
-        h = _psf(u, sigma)
-        coords[name] = h @ basis_w
+        scaled[:, j] = _psf(u, sigma) * root_w
         # d h(x +- s/2) / ds = +- h'(u) / 2 = -+ u h(u) / (4 sigma^2)
-        coords["d_" + name] = (-sign / (4.0 * sigma * sigma)) * (u * h) @ basis_w
-    return _RowSamples(**coords)
+        scaled[:, j + 2] = (-sign / (4.0 * sigma * sigma)) * u * scaled[:, j]
+    r = np.linalg.qr(scaled, mode="r")
+    return _RowSamples(plus=r[:, 0], minus=r[:, 1], d_plus=r[:, 2], d_minus=r[:, 3])
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -257,7 +239,7 @@ def numeric_qfim_row(s: float, sigma: float, thetas, phi: float = 0.0,
 
     The grid work depends on ``s`` alone and is done once per row; each
     theta only sets the branch coefficients ``cos(theta) e^{i phi}`` and
-    ``sin(theta) e^{i phi}`` of the projected 6x6 density matrices, whose
+    ``sin(theta) e^{i phi}`` of the projected 4x4 density matrices, whose
     derivatives, eigendecompositions and spectral sums run stacked.
     """
     if s == 0.0:
@@ -267,7 +249,7 @@ def numeric_qfim_row(s: float, sigma: float, thetas, phi: float = 0.0,
     phase = np.exp(1j * phi)
     ct, st = np.cos(theta), np.sin(theta)
     # branch amplitudes (the phase of the second drops out of its projector)
-    a = row.plus + (ct * phase) * row.minus                  # (m, 6)
+    a = row.plus + (ct * phase) * row.minus                  # (m, 4)
     v = st * row.minus
     m = _outer(a, a) + _outer(v, v)
     n = (_norm2(a) + _norm2(v))[:, None, None]
@@ -296,13 +278,14 @@ def numeric_qfim(p: ModelParams, n_points: int = 4096,
     """QFIM for (s, theta) from the exact derivatives of the projected
     density matrix and the spectral SLD sum.  Supports any phi.
 
-    The density matrices are projected on a six-vector basis (both sources
-    and their first two derivatives at ``s``, orthonormalized by a weighted
-    QR), which also spans their derivatives by ``s`` (those of the sampled
-    PSF) and by theta (those of the branch coefficients).  Eigenvalue pairs
-    summing to at most ``_SUPPORT_CUTOFF`` are left out of the sum.  This
-    is the one-element case of :func:`numeric_qfim_row`, so a result does
-    not depend on how many thetas share its row.
+    The density matrices are projected on the span of four sampled vectors
+    (both sources and their derivatives by ``s``, those of the sampled PSF),
+    which also holds their derivatives by theta (those of the branch
+    coefficients); the coordinates come from an R-only QR, with no basis
+    matrix formed.  Eigenvalue pairs summing to at most ``_SUPPORT_CUTOFF``
+    are left out of the sum.  This is the one-element case of
+    :func:`numeric_qfim_row`, so a result does not depend on how many thetas
+    share its row.
     """
     return numeric_qfim_row(p.s, p.sigma, [p.theta], p.phi, n_points=n_points,
                             halfwidth=halfwidth)[0]
@@ -311,7 +294,7 @@ def numeric_qfim(p: ModelParams, n_points: int = 4096,
 def _branch_fi(a: np.ndarray, da: np.ndarray) -> np.ndarray:
     """The oracle's pure-state FI of the normalized branch ``psi = a / |a|``,
     ``4 (<d psi|d psi> - <psi|d psi>^2) = 4 (|da|^2 / |a|^2 - (a.da)^2 / |a|^4)``,
-    from its real basis coordinates ``a`` (m, 6) and their derivatives ``da``."""
+    from its real basis coordinates ``a`` (m, 4) and their derivatives ``da``."""
     n2 = _norm2(a)
     return 4.0 * (_norm2(da) / n2 - (np.sum(a * da, axis=-1) / n2) ** 2)
 

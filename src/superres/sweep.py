@@ -68,6 +68,11 @@ def _require_int(name: str, value) -> None:
         raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
+def _require_real(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Validated description of one sweep block; ``dataclasses.replace``
@@ -96,6 +101,7 @@ class SweepSpec:
             )
         if self.fmt not in FORMATS:
             raise DomainError(f"format must be one of {FORMATS}, got {self.fmt!r}")
+        _require_real("sigma", self.sigma)
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
             raise DomainError(f"sigma must be positive and finite, got {self.sigma}")
         if self.phi != 0.0:
@@ -103,8 +109,15 @@ class SweepSpec:
                 f"closed-form sweeps require phi = 0, got phi = {self.phi}"
             )
         _require_int("grid_points", self.grid_points)
+        if self.grid_halfwidth is not None:
+            _require_real("grid_halfwidth", self.grid_halfwidth)
         for name, rng in (("s", self.s_range), ("nuisance", self.nuisance_range)):
-            lo, hi, steps = rng
+            try:
+                lo, hi, steps = rng
+            except (TypeError, ValueError):
+                raise DomainError(f"{name}-range must be (min, max, steps), got {rng!r}") from None
+            _require_real(f"{name}-min", lo)
+            _require_real(f"{name}-max", hi)
             _require_int(f"{name}-steps", steps)
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise DomainError(f"{name}-range must be finite, got {rng}")

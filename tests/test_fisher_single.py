@@ -148,7 +148,7 @@ class TestPureStateFi:
 
     def test_constant_family_gives_zero(self):
         row = _row_samples(1.0, 1.0, 4096, None)
-        constant = _branch_fi(row.minus[None], np.zeros((1, 6)))
+        constant = _branch_fi(row.minus[None], np.zeros_like(row.minus[None]))
         assert constant[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_symmetric_superposition_matches_oracle_route(self):

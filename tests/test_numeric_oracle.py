@@ -19,8 +19,8 @@ from superres import (
 )
 from superres.numeric_oracle import (
     _numeric_f_tot,
-    _orthonormal_basis,
     _qfim_element,
+    _row_samples,
     numeric_qfim_row,
 )
 
@@ -124,11 +124,21 @@ class TestNumericQfim:
 
 
 class TestRowKernel:
-    def test_basis_orthonormal_at_small_separation(self):
-        # the six spanning vectors are nearly collinear at s = 1e-3
-        grid = default_grid(1e-3, 1.0)
-        b = _orthonormal_basis(grid, 1e-3, 1.0)
-        assert np.abs(b.T @ (grid.weights[:, None] * b) - np.eye(6)).max() < 1e-12
+    def test_coordinates_keep_the_gram_matrix_at_small_separation(self):
+        # the four sampled vectors are nearly collinear at s = 1e-3; their
+        # coordinates must keep every trapezoid inner product S^T W S
+        s, sigma = 1e-3, 1.0
+        grid = default_grid(s, sigma)
+        columns = []
+        for sign in (+1.0, -1.0):
+            u = grid.x + sign * s / 2.0
+            h = (2.0 * math.pi * sigma**2) ** -0.25 * np.exp(-u * u / (4.0 * sigma**2))
+            columns.append((h, -sign * u * h / (4.0 * sigma**2)))
+        sampled = np.stack([columns[0][0], columns[1][0], columns[0][1], columns[1][1]], axis=1)
+        gram = sampled.T @ (grid.weights[:, None] * sampled)
+        row = _row_samples(s, sigma, grid.n_points, None)
+        coords = np.stack([row.plus, row.minus, row.d_plus, row.d_minus], axis=1)
+        assert np.abs(coords.T @ coords - gram).max() < 1e-12 * np.abs(gram).max()
 
     def test_row_equals_one_point_calls(self):
         # a result does not depend on how many thetas share its row
@@ -160,6 +170,20 @@ class TestRowKernel:
                         getattr(ana, name), rel=1e-11), (s, theta, name)
                 assert num_f_tot == pytest.approx(
                     f_tot_coherence(s, 1.0, math.cos(theta)).f_tot, rel=1e-11), (s, theta)
+
+
+    @pytest.mark.parametrize("n_points", [1024, 4096, 16384])
+    @pytest.mark.parametrize("s", [1e-4, 3e-4])
+    def test_agrees_with_closed_forms_below_the_stated_range(self, s, n_points):
+        # the coordinates come straight off the QR, with no basis round trip;
+        # re-projecting on an explicit basis reached 7.6e-12 here
+        thetas = np.linspace(math.pi / 16, math.pi / 2, 6)
+        row = numeric_qfim_row(s, 1.0, thetas, n_points=n_points)
+        for theta, num in zip(thetas, row):
+            ana = qfim(ModelParams(s, 1.0, float(theta)))
+            for name in ("f_ss", "f_tt", "f_st"):
+                assert getattr(num, name) == pytest.approx(
+                    getattr(ana, name), rel=2e-12, abs=0.0), (theta, name)
 
 
 class TestNumericConcurrence:

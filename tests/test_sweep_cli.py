@@ -73,6 +73,10 @@ class TestSweepSpec:
             dict(nuisance_range=(0, 1, "3")),
             dict(grid_points=4096.0, oracle=True),
             dict(s_range=(0.1, 1.0, True)),
+            dict(sigma="1"),
+            dict(s_range=("0.1", 1.0, 3)),
+            dict(grid_halfwidth="5", oracle=True),
+            dict(s_range=(0.1, 1.0)),
         ],
     )
     def test_rejects_invalid(self, kw):
