@@ -36,8 +36,9 @@ def _add_common(parser: argparse.ArgumentParser, mode: str) -> None:
     parser.add_argument("--sigma", type=float, default=1.0, help="PSF width (default 1)")
     parser.add_argument("--phi", type=float, default=0.0,
                         help="auxiliary relative phase; closed forms require 0")
+    # a preset fixes its own axis; None tells an option given from one left out
     parser.add_argument("--nuisance", choices=sweep_mod.NUISANCES,
-                        default="theta" if mode == "verify" else "coherence",
+                        default={"verify": "theta", "figure": None}.get(mode, "coherence"),
                         help="second sweep axis")
     parser.add_argument("--s-min", type=float, default=None)
     parser.add_argument("--s-max", type=float, default=None)
@@ -68,6 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(fig, "figure")
     return parser
 
+
+# the figure options a preset sets itself
+_PRESET_FIXED = ("nuisance", "s_min", "s_max", "n_min", "n_max")
 
 # verify samples a coarse grid away from the theta = 0 corner
 _VERIFY_RANGES = (0.5, 3.0, 4), (math.pi / 8, _HALF_PI, 4)
@@ -109,8 +113,14 @@ def main(argv=None) -> int:
             blocks = figure_preset(args.preset)
             if args.phi != 0.0:
                 raise DomainError("figure presets require phi = 0")
+            fixed = [f"--{name.replace('_', '-')}" for name in _PRESET_FIXED
+                     if getattr(args, name) is not None]
+            if fixed:
+                raise DomainError(f"figure presets fix {', '.join(fixed)}; "
+                                  "only the step counts can be changed")
             blocks = [dataclasses.replace(
                 spec, fmt=args.format, sigma=args.sigma, oracle=args.oracle,
+                grid_points=args.grid_points, grid_halfwidth=args.grid_halfwidth,
                 s_range=_range_from_args(args, spec.s_range, "s", keys=("steps",)),
                 nuisance_range=_range_from_args(args, spec.nuisance_range, "n",
                                                 keys=("steps",)))

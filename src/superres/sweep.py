@@ -22,6 +22,7 @@ format whole rows from its columns.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -465,14 +466,14 @@ def emit(records: Iterable[SweepRecord], fmt: str, destination: str | Path | IO[
         raise OSError(f"cannot write sweep output to {path}: {exc}") from exc
 
 
-_CHUNK_ROWS = 256
-
-
-def _csv_row_format(names: tuple[str, ...], directives: list[str], present: int,
-                    status: str) -> str:
-    # "%.0s" consumes a blank cell's value or text and prints nothing
-    cells = [d if present >> k & 1 else "%.0s" for k, d in enumerate(directives)]
-    return ",".join(cells) + "," + status.replace("%", "%%") + "\n"
+# Rows per chunk.  A CSV chunk's numpy temporaries take ~0.2 kB a cell, so
+# 512 rows keep its working set near 1 MB, which the allocator reuses from
+# chunk to chunk.  4096 rows (a whole 50 x 50 preset in one chunk) raised
+# the peak memory of `superres figure` by 15 % and, on a shared 2-vCPU
+# virtual machine, were slower for the fresh pages they touch.  JSON rows
+# go through Python templates.
+_CSV_CHUNK_ROWS = 512
+_JSON_CHUNK_ROWS = 256
 
 
 def _json_row_format(names: tuple[str, ...], directives: list[str], present: int,
@@ -492,49 +493,234 @@ def _json_row_format(names: tuple[str, ...], directives: list[str], present: int
 def _emit_stream(table: SweepTable, fmt: str, fh: IO[str], include_deltas: bool) -> None:
     names = CSV_FIELDS + (DELTA_FIELDS if include_deltas else ())
     if fmt == "csv":
-        fh.write(",".join(names + ("status",)) + "\n")
-        # 17 significant digits, as f"{v:.16e}"
-        for chunk in _formatted_rows(table, names, "%.16e", _csv_row_format):
-            fh.write("".join(chunk))
+        _write_csv(table, names, fh)
     elif not len(table):
         fh.write("[]\n")
     else:
         sep = "[\n"
-        # floats as json writes them, by float.__repr__
-        for chunk in _formatted_rows(table, names, "%r", _json_row_format):
+        for chunk in _json_rows(table, names):
             fh.write(sep + ",\n".join(chunk))
             sep = ",\n"
         fh.write("\n]\n")
 
 
-def _formatted_rows(table: SweepTable, names: tuple[str, ...], cell_format: str,
-                    row_format):
-    """Yield the rows a chunk at a time, each assembled whole by one cached
-    ``%`` template per pattern of populated cells and status.
+def _json_rows(table: SweepTable, names: tuple[str, ...]):
+    """Yield the JSON objects a chunk at a time, each assembled whole by one
+    cached ``%`` template per pattern of populated cells and status; floats
+    as json writes them, by ``float.__repr__``.
 
     A column with at most half of its values distinct (told apart by bit
     pattern, so that -0.0 stays -0.0) is formatted once per distinct value
     and enters the template as text; the template formats every other
-    column itself, with ``cell_format``.
+    column itself, with ``%r``.
     """
     floats = [table.columns[n] for n in names]
     cols, directives = [], []
     for col in floats:
         bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
         if 2 * bits.size <= col.size:
-            texts = [cell_format % v for v in bits.view(float).tolist()]
+            texts = [repr(v) for v in bits.view(float).tolist()]
             cols.append(np.array(texts, dtype=object)[inverse])
             directives.append("%s")
         else:
             cols.append(col)
-            directives.append(cell_format)
+            directives.append("%r")
     weights = 1 << np.arange(len(names), dtype=np.int64)
     templates: dict[tuple[int, str], str] = {}
-    for lo in range(0, len(table), _CHUNK_ROWS):
-        hi = lo + _CHUNK_ROWS
+    for lo in range(0, len(table), _JSON_CHUNK_ROWS):
+        hi = lo + _JSON_CHUNK_ROWS
         present = (np.isfinite(np.stack([c[lo:hi] for c in floats], axis=1)) @ weights).tolist()
         keys = list(zip(present, table.status[lo:hi]))
         for key in set(keys).difference(templates):
-            templates[key] = row_format(names, directives, *key)
+            templates[key] = _json_row_format(names, directives, *key)
         rows = zip(*(c[lo:hi].tolist() for c in cols))
         yield [templates[k] % row for k, row in zip(keys, rows)]
+
+
+_SLOT = 24        # the longest '%.16e' text: "-d.dddddddddddddddde-ddd"
+
+
+def _write_csv(table: SweepTable, names: tuple[str, ...], fh: IO[str]) -> None:
+    """The header, then the rows a chunk at a time; non-finite cells are
+    blank, finite ones ``'%.16e' % v``."""
+    fh.write(",".join(names + ("status",)) + "\n")
+    labels = {st: i for i, st in enumerate(dict.fromkeys(table.status))}
+    encoded = [st.encode() + b"\n" for st in labels]
+    width = max(map(len, encoded), default=1)
+    status = np.zeros((len(encoded), width), np.uint8)
+    status_keep = np.zeros((len(encoded), width), bool)
+    for i, raw in enumerate(encoded):
+        status[i, :len(raw)] = np.frombuffer(raw, np.uint8)
+        status_keep[i, :len(raw)] = True
+    codes = np.fromiter(map(labels.__getitem__, table.status), np.intp, len(table))
+    for lo in range(0, len(table), _CSV_CHUNK_ROWS):
+        rows = slice(lo, lo + _CSV_CHUNK_ROWS)
+        fh.write(_csv_rows(np.stack([table.columns[n][rows] for n in names], axis=1),
+                           _runs(status).take(codes[rows]), _runs(status_keep).take(codes[rows])))
+
+
+def _csv_rows(values: np.ndarray, status: np.ndarray, status_keep: np.ndarray) -> str:
+    """The CSV text of a ``(rows, columns)`` chunk: one ``(rows, width)``
+    byte matrix holds every cell in a fixed slot, the commas and each row's
+    status and newline (``status`` and ``status_keep``, one void item per
+    row), and the mask of the bytes a row keeps picks the text out."""
+    cells_width = values.shape[1] * (_SLOT + 1)
+    matrix = np.empty((len(values), cells_width + status.itemsize), np.uint8)
+    keep = np.zeros(matrix.shape, bool)
+    # the cell region as (rows, columns, slot + comma)
+    cells = matrix[:, :cells_width].reshape(values.shape + (_SLOT + 1,))
+    cells_keep = keep[:, :cells_width].reshape(cells.shape)
+    finite = np.isfinite(values)
+    text, text_keep, _ = _e16_cells(values[finite])
+    _runs(cells[..., :_SLOT])[finite] = _runs(text)
+    _runs(cells_keep[..., :_SLOT])[finite] = _runs(text_keep)
+    del text, text_keep                       # before the text is copied out
+    cells[..., _SLOT], cells_keep[..., _SLOT] = ord(","), True
+    _runs(matrix[:, cells_width:])[:] = status
+    _runs(keep[:, cells_width:])[:] = status_keep
+    return str(matrix[keep].data, "utf-8")
+
+
+def _runs(a: np.ndarray) -> np.ndarray:
+    """``a`` without its last axis, which must be contiguous, each run along
+    it one void item: numpy copies such an item whole, and a strided byte
+    axis byte by byte."""
+    return a.view(np.dtype((np.void, a.shape[-1] * a.itemsize)))[..., 0]
+
+
+# The fast path of _e16_cells covers |x| in [1e-280, 1e280]: there 10**(16 - k)
+# and its rounding error are normal floats, and no partial product of the
+# Dekker split overflows or underflows.
+_FAST_MIN, _FAST_MAX = 1e-280, 1e280
+_TEN16, _TEN17 = 10**16, 10**17
+_SPLIT = 134217729.0      # 2**27 + 1, Dekker's splitter
+# y = |x| 10**(16 - k) lies in [1e15, 1e18) when k is within one of x's
+# decade.  With p + q = |x| hi exact, |lo| <= 2**-53 hi, |q| <= ulp(p) / 2
+# <= 2**6 and y < 2**60:
+#   |x| lo is below 2**7, so its rounding and lo's own each err <= 2**-46;
+#   r = q + |x| lo is below 2**8 and its rounding errs <= 2**-46;
+#   frac = r - floor(r) is exact for r >= 0 and errs <= 2**-53 for r < 0.
+# So the computed fraction of y is within 2**-44 of the true one, and a
+# fraction more than 2**-40 away from 1/2 rounds the same way for both.
+# p is an integer wherever y >= 2**52, which holds for every y in [1e16,
+# 1e17); below, the digits come out under 1e16 and the cell runs again.
+_MARGIN = 2.0**-40
+
+
+def _e16_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``'%.16e' % v`` of every float in the 1-D ``values``, in one pass.
+
+    Returns ``(n, 24)`` uint8 text slots, the mask of the bytes each cell
+    keeps, and the mask of the cells whose 17 digits the fast path proved
+    correctly rounded.  A slot reads ``[-]d.dddddddddddddddde{+,-}[d]dd``;
+    the sign and the exponent's third digit are kept only where they are
+    written.  The fast path (Grisu-style: Loitsch, PLDI 2010) scales ``|x|``
+    by ``10**(16 - k)`` in double-double arithmetic and rounds to an integer
+    where the error bound above decides the rounding; the cells it cannot
+    decide (ties, ``|x|`` outside ``[1e-280, 1e280]``, non-finite values)
+    are formatted by ``%`` one at a time.
+    """
+    mag = np.abs(values)
+    zero = mag == 0.0
+    fast = (mag >= _FAST_MIN) & (mag <= _FAST_MAX)
+    # zero and % cells carry 1.0: digits 1e16, k = 0
+    mag = np.where(fast, mag, 1.0)
+    k = np.floor(np.log10(mag)).astype(np.int64)
+    digits, sure, up = _scaled_round(mag, k)
+    # log10 may put x in the neighbouring decade; such cells round out of
+    # [1e16, 1e17) and run once more with k moved by one
+    redo = np.flatnonzero(sure & _decade_shift(digits, up).astype(bool))
+    if redo.size:
+        k[redo] += _decade_shift(digits[redo], up[redo])
+        digits[redo], sure[redo], up[redo] = _scaled_round(mag[redo], k[redo])
+        sure[redo] &= _decade_shift(digits[redo], up[redo]) == 0
+    sure &= fast | zero
+    # rounding up into the next decade: 1.0000000000000000e+(k + 1)
+    top = digits == _TEN17
+    digits[top] = _TEN16
+    k += top
+
+    upper = digits // 10**8                   # the leading digit and 8 more
+    lead = upper // 10**8
+    groups = np.empty((values.size, 4), np.int64)                # 4 x 4 digits
+    groups[:, 1] = upper - lead * 10**8
+    groups[:, 3] = digits - upper * 10**8
+    groups[:, 0::2] = groups[:, 1::2] // 10**4
+    groups[:, 1::2] -= groups[:, 0::2] * 10**4
+    quads = _digit_quads()
+    text = np.empty((values.size, _SLOT), np.uint8)
+    text[:, 0], text[:, 2], text[:, 19] = ord("-"), ord("."), ord("e")
+    text[:, 1] = lead + (ord("0") - zero)
+    _runs(text[:, 3:19])[:] = _runs(quads.take(groups))
+    _runs(text[:, 20:])[:] = _runs(quads.take(np.abs(k))[:, None])     # "0ddd"
+    text[:, 20] = np.where(k < 0, ord("-"), ord("+"))
+    keep = np.ones((values.size, _SLOT), bool)
+    keep[:, 0] = np.signbit(values)
+    keep[:, 21] = np.abs(k) >= 100
+    for i in np.flatnonzero(~sure).tolist():
+        raw = ("%.16e" % values[i]).encode()
+        text[i, :len(raw)] = np.frombuffer(raw, np.uint8)
+        keep[i] = np.arange(_SLOT) < len(raw)
+    return text, keep, sure
+
+
+def _decade_shift(digits: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """+1 where ``y = |x| 10**(16 - k)`` is at least ``1e17 + 1/2``, -1 where
+    it is below ``1e16`` (``y`` in ``[1e16 - 1/2, 1e16)`` rounds up to
+    ``1e16`` but belongs to ``k - 1``), 0 where ``k`` is the decade of the
+    17 digits."""
+    return (digits > _TEN17).astype(np.int64) - ((digits < _TEN16) | (digits == _TEN16) & up)
+
+
+def _scaled_round(mag: np.ndarray, k: np.ndarray):
+    """``round(mag * 10**(16 - k))`` as int64, whether the rounding is
+    certain (see ``_MARGIN``), and whether it rounded up."""
+    hi, hi_hi, hi_lo, lo = _powers_of_ten(16 - k)
+    # p + q = mag hi exactly: Dekker's product (numpy has no fused multiply-add)
+    p = mag * hi
+    c = _SPLIT * mag
+    mag_hi = c - (c - mag)
+    mag_lo = mag - mag_hi
+    q = ((mag_hi * hi_hi - p) + mag_hi * hi_lo + mag_lo * hi_hi) + mag_lo * hi_lo
+    r = q + mag * lo
+    r_whole = np.floor(r)
+    frac = r - r_whole
+    up = frac > 0.5
+    rounded = p.astype(np.int64) + r_whole.astype(np.int64) + up
+    return rounded, np.abs(frac - 0.5) > _MARGIN, up
+
+
+def _powers_of_ten(e: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``_power_of_ten`` per element, looked up once per exponent present."""
+    if not e.size:
+        return (np.empty(0),) * 4
+    base = int(e.min())
+    used = np.flatnonzero(np.bincount(e - base))
+    table = np.zeros((4, used[-1] + 1))
+    table[:, used] = np.array([_power_of_ten(base + j) for j in used.tolist()]).T
+    return tuple(table.take(e - base, axis=1))
+
+
+@functools.cache
+def _power_of_ten(power: int) -> tuple[float, float, float, float]:
+    """``10**power`` as a double-double ``hi + lo`` with ``hi``'s Dekker
+    halves: ``hi`` is the nearest float and ``lo`` the nearest float to the
+    rest, both from Python ints, whose true division rounds correctly."""
+    num, den = (10**power, 1) if power >= 0 else (1, 10**-power)
+    hi = num / den
+    m, q = hi.as_integer_ratio()
+    c = _SPLIT * hi
+    hi_hi = c - (c - hi)
+    return hi, hi_hi, hi - hi_hi, (num * q - m * den) / (den * q)
+
+
+@functools.cache
+def _digit_quads() -> np.ndarray:
+    """The ASCII text of 0000..9999, one uint32 (four bytes) per number."""
+    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    text = np.empty((10, 10, 10, 10, 4), np.uint8)
+    for place in range(4):
+        text[..., place] = digit.reshape((10,) + (1,) * (3 - place))
+    quads = text.view(np.uint32).ravel()
+    quads.flags.writeable = False             # one table shared by every call
+    return quads

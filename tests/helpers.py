@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from superres import default_grid, make_sources, overlap, spectral
-from superres.sweep import CSV_FIELDS, DELTA_FIELDS
+from superres.sweep import CSV_FIELDS, DELTA_FIELDS, _e16_cells
 from superres.numeric_oracle import _branch_fi, _row_samples
 
 # environment for subprocesses that import this checkout's package
@@ -129,3 +129,13 @@ def cell_by_cell_text(records, fmt: str, include_deltas: bool) -> str:
     return ",".join(names + ("status",)) + "\n" + "".join(
         ",".join(f"{c[n]:.16e}" if n in c else "" for n in names) + f",{r.status}\n"
         for c, r in zip(cells, records))
+
+
+def e16_cell_texts(values) -> tuple[list[str], np.ndarray]:
+    """The text ``sweep._e16_cells`` gives each value of a 1-D float array,
+    read through its keep mask, and the mask of the cells it certified."""
+    text, keep, sure = _e16_cells(np.asarray(values, dtype=float))
+    newline = np.full((len(text), 1), ord("\n"), np.uint8)
+    lines = np.concatenate([text, newline], axis=1)
+    kept = np.concatenate([keep, np.ones_like(newline, bool)], axis=1)
+    return lines[kept].tobytes().decode().split("\n")[:-1], sure

@@ -154,7 +154,7 @@ class TestRowKernel:
         # s derivative is the difference of two nearly equal source terms
         for theta in (0.0, math.pi / 4):
             p = ModelParams(s, 1.0, theta)
-            assert numeric_qfim(p).f_ss == pytest.approx(qfim(p).f_ss, rel=1e-9)
+            assert numeric_qfim(p).f_ss == pytest.approx(qfim(p).f_ss, rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("n_points", [1024, 4096, 16384])
     def test_agrees_with_closed_forms_at_every_grid_size(self, n_points):
@@ -167,9 +167,10 @@ class TestRowKernel:
                 ana = qfim(ModelParams(s, 1.0, float(theta)))
                 for name in ("f_ss", "f_tt", "f_st"):
                     assert getattr(num, name) == pytest.approx(
-                        getattr(ana, name), rel=1e-11), (s, theta, name)
+                        getattr(ana, name), rel=1e-11, abs=0.0), (s, theta, name)
                 assert num_f_tot == pytest.approx(
-                    f_tot_coherence(s, 1.0, math.cos(theta)).f_tot, rel=1e-11), (s, theta)
+                    f_tot_coherence(s, 1.0, math.cos(theta)).f_tot, rel=1e-11,
+                    abs=0.0), (s, theta)
 
 
     @pytest.mark.parametrize("n_points", [1024, 4096, 16384])

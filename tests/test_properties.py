@@ -11,7 +11,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from helpers import cell_by_cell_text  # noqa: E402
+from helpers import cell_by_cell_text, e16_cell_texts  # noqa: E402
 from superres import (  # noqa: E402
     ModelParams,
     SweepTable,
@@ -105,3 +105,11 @@ def test_emit_matches_cell_by_cell_formatting(table, fmt, include_deltas):
     out = io.StringIO()
     emit(table, fmt, out, include_deltas=include_deltas)
     assert out.getvalue() == cell_by_cell_text(list(table), fmt, include_deltas)
+
+
+# every finite float, subnormals and signed zeros among them
+@common
+@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1))
+def test_e16_cells_match_percent_format(values):
+    texts, _ = e16_cell_texts(values)
+    assert texts == ["%.16e" % v for v in values]

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import math
 import re
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import SRC_ENV, cell_by_cell_text
+from helpers import SRC_ENV, cell_by_cell_text, e16_cell_texts
 from superres import (
     DomainError,
     ModelParams,
@@ -33,6 +34,7 @@ from superres import (
     theta_from_concurrence,
 )
 from superres.cli import main
+from superres import sweep
 from superres.sweep import CSV_FIELDS, DELTA_FIELDS, worst_oracle_delta
 
 
@@ -331,6 +333,25 @@ class TestCli:
     def test_unknown_preset_exit_code(self, capsys):
         assert main(["figure", "fig9"]) == 2
 
+    @pytest.mark.parametrize("option, message", [
+        (["--grid-halfwidth", "1"], "too narrow"),
+        (["--grid-points", "64"], "power of two"),
+    ])
+    def test_figure_forwards_grid_options(self, option, message, capsys):
+        # the oracle refuses these grids, as in single --oracle
+        argv = ["figure", "fig2a", "--oracle", "--s-steps", "2", "--n-steps", "2", *option]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert main(["single", "--oracle", "--s-steps", "2", "--n-steps", "2", *option]) == 2
+
+    @pytest.mark.parametrize("option", [
+        ["--nuisance", "coherence"], ["--s-min", "0.1"], ["--s-max", "2"],
+        ["--n-min", "0"], ["--n-max", "0.5"],
+    ])
+    def test_figure_rejects_options_its_preset_fixes(self, option, capsys):
+        assert main(["figure", "fig1b", "--s-steps", "2", "--n-steps", "2", *option]) == 2
+        assert option[0] in capsys.readouterr().err
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as err:
             main(["unknown-mode"])
@@ -595,3 +616,108 @@ class TestSweepTable:
         out = tmp_path / f"{source}.{fmt}"
         emit(table, fmt, out, include_deltas=include_deltas)
         assert out.read_text() == cell_by_cell_text(list(table), fmt, include_deltas)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_chunk_edges_match_cell_by_cell_formatting(self, offset):
+        """Tables one row short of, at, and one row past a CSV chunk."""
+        rows = sweep._CSV_CHUNK_ROWS + offset
+        rng = np.random.default_rng(rows)
+        pool = np.concatenate([rng.standard_normal(64) * 10.0 ** rng.integers(-30, 30, 64),
+                               [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300]])
+        table = SweepTable({n: rng.choice(pool, rows) for n in CSV_FIELDS + DELTA_FIELDS},
+                           # statuses with a '%', a NUL and a two-byte character
+                           rng.choice(["ok", "out_of_reach", "50%s", "n\x00\u00e9"], rows).tolist())
+        for include_deltas in (False, True):
+            out = io.StringIO()
+            emit(table, "csv", out, include_deltas=include_deltas)
+            assert out.getvalue() == cell_by_cell_text(list(table), "csv", include_deltas)
+
+    @pytest.mark.parametrize("kind", ["all-out-of-reach", "empty", "all-blank"])
+    def test_edge_tables_match_cell_by_cell_formatting(self, kind):
+        if kind == "all-out-of-reach":
+            table = run_sweep(SweepSpec(mode="single", nuisance="concurrence", oracle=True,
+                                        s_range=(0.01, 0.02, 3), nuisance_range=(0.5, 1.0, 4)))
+            assert set(table.status) == {"out_of_reach"}
+        elif kind == "empty":
+            table = SweepTable.from_records([])
+        else:
+            table = SweepTable({n: np.full(3, math.nan) for n in CSV_FIELDS + DELTA_FIELDS},
+                               ["", "ok", "out_of_reach"])
+        for include_deltas in (False, True):
+            out = io.StringIO()
+            emit(table, "csv", out, include_deltas=include_deltas)
+            assert out.getvalue() == cell_by_cell_text(list(table), "csv", include_deltas)
+
+
+class TestCsvCells:
+    """The vectorized '%.16e' kernel of CSV emit, against '%' itself."""
+
+    # exact ties, which round half to even and go to '%'
+    TIES = [1e15 + 0.25, 1e15 + 0.75, -(1e15 + 0.25), 1e14 + 0.125]
+    # outside [1e-280, 1e280], also formatted by '%'
+    EXTREMES = [5e-324, -5e-324, 2.2250738585072014e-308, 1e-290, 1e290,
+                1.7976931348623157e308, -1.7976931348623157e308]
+    # the nearest floats to these powers of ten lie below them, and their 17
+    # digits round up into the next decade
+    DECADE_UP_EXPONENTS = (-243, -176, -79, -14, 98, 129, 220)
+    DECADE_UP = [float(f"1e{n}") for n in DECADE_UP_EXPONENTS]
+    CERTIFIED = [0.0, -0.0, 1.0, -1.0, 0.1, 0.5, 2.5, 1 / 3, 1e23, -1e-23, 9.999999999999999e22,
+                 math.nextafter(1.0, 0.0), math.nextafter(10.0, 0.0), 1e-280, 1e280,
+                 *(float(f"1e{p}") for p in range(-5, 23)), *DECADE_UP]
+
+    def test_named_values(self):
+        values = self.TIES + self.EXTREMES + self.CERTIFIED
+        texts, sure = e16_cell_texts(values)
+        assert texts == ["%.16e" % v for v in values]
+        assert texts[0] == "1.0000000000000002e+15"
+        assert texts[-len(self.DECADE_UP):] == [
+            f"1.0000000000000000e{n:+03d}" for n in self.DECADE_UP_EXPONENTS]
+        # both branches run: the named fallback cells and the certified rest
+        fallback = len(self.TIES) + len(self.EXTREMES)
+        assert not sure[:fallback].any() and sure[fallback:].all()
+
+    @staticmethod
+    def near_ties(k, sign, count):
+        """Floats x in [10**k, 10**(k + 1)) with x 10**(16 - k) at 1/2 +
+        sign t / 2**J past an integer, t < 10**5 and J = j - e (48 to 64
+        here): closer to a tie than the fast path's error bound, yet no tie."""
+        e = 16 - k
+        j = 52 - math.floor(math.log2(10.0**k))      # x = m 2**-j, m of 53 bits
+        # the fraction of m 5**e / 2**(j - e) is set by m modulo 2**(j - e)
+        big = 2 ** (j - e)
+        inverse = pow(5, -e, big)
+        low = math.ceil(math.ldexp(10.0**k, j))
+        found = []
+        for t in range(1, 10**5):
+            m = (big // 2 + sign * t) * inverse % big
+            m -= (m - low) // big * big               # the least such m >= low
+            if m < 2**53 and 10.0**k <= (x := math.ldexp(m, -j)) < 10.0**(k + 1):
+                found.append(x)
+                if len(found) == count:
+                    return found
+        raise AssertionError(f"no near tie at k = {k}")
+
+    def test_near_ties_go_to_the_fallback(self):
+        values = [x for k in range(-12, -4) for sign in (1, -1)
+                  for x in self.near_ties(k, sign, 5)]
+        texts, sure = e16_cell_texts(values)
+        assert texts == ["%.16e" % v for v in values]
+        assert not sure.any()
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(20101)
+        certified = 0
+        for _ in range(8):
+            values = rng.integers(0, 2**64, 2**17, dtype=np.uint64).view(np.float64)
+            values = values[np.isfinite(values)]
+            texts, sure = e16_cell_texts(values)
+            assert texts == ["%.16e" % v for v in values.tolist()]
+            certified += sure.sum()
+        # the fast path covers |x| in [1e-280, 1e280]: 91 % of the exponents
+        assert certified > 0.9 * 8 * 2**17 * 2047 / 2048
+
+    def test_certified_share_on_uniform_draws(self):
+        values = np.random.default_rng(20102).random(10**5)
+        texts, sure = e16_cell_texts(values)
+        assert texts == ["%.16e" % v for v in values.tolist()]
+        assert sure.mean() >= 0.99
