@@ -20,12 +20,9 @@ from .fisher_single import (
 )
 from .numeric_oracle import (
     Grid,
-    GridField,
     default_grid,
-    make_sources,
     numeric_concurrence,
     numeric_qfim,
-    two_source_state,
 )
 from .qfim_two_param import (
     PrecisionPair,
@@ -41,7 +38,6 @@ from .state_model import (
     ModelParams,
     OverlapTriple,
     SpectralData,
-    coherence_of,
     concurrence,
     concurrence_max,
     concurrence_normalized,
@@ -50,7 +46,6 @@ from .state_model import (
     theta_from_concurrence,
 )
 from .sweep import (
-    SweepRecord,
     SweepSpec,
     SweepTable,
     emit,
@@ -70,12 +65,9 @@ __all__ = [
     "f_tot_concurrence",
     "weighted_fi_reconstruct",
     "Grid",
-    "GridField",
     "default_grid",
-    "make_sources",
     "numeric_concurrence",
     "numeric_qfim",
-    "two_source_state",
     "PrecisionPair",
     "Qfim2",
     "precision",
@@ -87,14 +79,12 @@ __all__ = [
     "ModelParams",
     "OverlapTriple",
     "SpectralData",
-    "coherence_of",
     "concurrence",
     "concurrence_max",
     "concurrence_normalized",
     "overlap",
     "spectral",
     "theta_from_concurrence",
-    "SweepRecord",
     "SweepSpec",
     "SweepTable",
     "emit",

@@ -94,20 +94,15 @@ def _spec_from_args(args, mode: str) -> SweepSpec:
         phi=args.phi,
         s_range=_range_from_args(args, s_default, "s"),
         nuisance_range=_range_from_args(args, n_default, "n"),
-        fmt=args.format,
         oracle=args.oracle or mode == "verify",
         grid_points=args.grid_points,
         grid_halfwidth=args.grid_halfwidth,
     )
 
 
-def _emit_records(records, fmt, out_path, include_deltas) -> None:
-    emit(records, fmt, sys.stdout if out_path is None else out_path,
-         include_deltas=include_deltas)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    out = sys.stdout if args.out is None else args.out
     try:
         if args.command == "figure":
             blocks = figure_preset(args.preset)
@@ -119,34 +114,35 @@ def main(argv=None) -> int:
                 raise DomainError(f"figure presets fix {', '.join(fixed)}; "
                                   "only the step counts can be changed")
             blocks = [dataclasses.replace(
-                spec, fmt=args.format, sigma=args.sigma, oracle=args.oracle,
+                spec, sigma=args.sigma, oracle=args.oracle,
                 grid_points=args.grid_points, grid_halfwidth=args.grid_halfwidth,
                 s_range=_range_from_args(args, spec.s_range, "s", keys=("steps",)),
                 nuisance_range=_range_from_args(args, spec.nuisance_range, "n",
                                                 keys=("steps",)))
                 for spec in blocks]
-            _emit_records(SweepTable.concat(map(run_sweep, blocks)), args.format, args.out,
-                          include_deltas=args.oracle)
+            emit(SweepTable.concat(map(run_sweep, blocks)), args.format, out,
+                 include_deltas=args.oracle)
             return 0
 
         spec = _spec_from_args(args, args.command)
-        records = run_sweep(spec)
+        table = run_sweep(spec)
         if args.command == "verify":
-            worst, at, element = worst_oracle_delta(records)
+            worst, at, element = worst_oracle_delta(table)
             ok = worst < VERIFY_TOLERANCE
             print(
-                f"verify: {len(records)} points, max relative QFIM delta "
+                f"verify: {len(table)} points, max relative QFIM delta "
                 f"{worst:.3e} (tolerance {VERIFY_TOLERANCE:.0e}): "
                 f"{'PASS' if ok else 'FAIL'}",
                 file=sys.stderr,
             )
             if at is not None:
-                print(f"verify: worst delta in {element} at s = {at.s!r}, "
-                      f"theta = {at.theta!r}", file=sys.stderr)
+                s, theta = (float(table.columns[name][at]) for name in ("s", "theta"))
+                print(f"verify: worst delta in {element} at s = {s!r}, "
+                      f"theta = {theta!r}", file=sys.stderr)
             if args.out is not None:
-                _emit_records(records, args.format, args.out, include_deltas=True)
+                emit(table, args.format, out, include_deltas=True)
             return 0 if ok else 3
-        _emit_records(records, args.format, args.out, include_deltas=spec.oracle)
+        emit(table, args.format, out, include_deltas=spec.oracle)
         return 0
     except (DomainError, ConfigurationError) as exc:
         print(f"superres: error: {exc}", file=sys.stderr)

@@ -142,7 +142,7 @@ def f_tot_concurrence(s: float, sigma: float, c: float) -> FiRecord:
     )
 
 
-def weighted_fi_reconstruct(p: ModelParams, variant: str = "quantum-only") -> float:
+def weighted_fi_reconstruct(p: ModelParams) -> float:
     """Rebuild the total FI as a branch-weighted sum of pure-state FIs.
 
     The field splits into two auxiliary-basis branches with weights
@@ -151,22 +151,13 @@ def weighted_fi_reconstruct(p: ModelParams, variant: str = "quantum-only") -> fl
     Branch FIs are the quantum Fisher informations of the *normalized*
     branch states, evaluated in closed form through the overlap algebra.
 
-    Variants
-    --------
-    ``"quantum-only"``
-        ``N1 F1 + N2 F2`` with the raw (non-renormalized) weights.  This is
-        the combination that reproduces :func:`f_tot_coherence` exactly; the
-        calibration test in the suite pins that fact.
-    ``"quantum-plus-weight"``
-        Adds the classical information ``sum_i (d p_i/ds)^2 / p_i`` of the
-        trace-renormalized weights ``p_i = N_i / (N1 + N2)``.  Kept as the
-        rejected alternative: it overshoots the closed form wherever the
-        weights depend on ``s``.
+    The sum ``N1 F1 + N2 F2`` takes the raw (non-renormalized) weights and
+    reproduces :func:`f_tot_coherence` exactly.  Adding the classical
+    information of the trace-renormalized weights overshoots it wherever
+    they depend on ``s``; the calibration test in the suite pins both facts.
 
     At ``theta = 0`` the second branch has zero weight and contributes zero.
     """
-    if variant not in ("quantum-only", "quantum-plus-weight"):
-        raise DomainError(f"unknown variant {variant!r}")
     p.require_phi_zero("weighted_fi_reconstruct")
     tri = overlap(p.s, p.sigma)
     d, d1 = tri.d, tri.d1
@@ -187,14 +178,4 @@ def weighted_fi_reconstruct(p: ModelParams, variant: str = "quantum-only") -> fl
     f1 = 4.0 * (dudu / big_m - (g * d1) ** 2 / (big_m * big_m))
     f2 = 1.0 / (4.0 * sig2)
 
-    total = n1 * f1 + (n2 * f2 if n2 > 0.0 else 0.0)
-
-    if variant == "quantum-plus-weight":
-        trace = 1.0 + d * g
-        p1 = n1 / trace
-        p2 = n2 / trace
-        dp1 = g * d1 * (1.0 - g * g) / (2.0 * trace * trace)
-        for weight, dw in ((p1, dp1), (p2, -dp1)):
-            if weight > 1e-15:
-                total += dw * dw / weight
-    return total
+    return n1 * f1 + (n2 * f2 if n2 > 0.0 else 0.0)

@@ -144,13 +144,6 @@ def overlap(s: float, sigma: float) -> OverlapTriple:
     return OverlapTriple(d=d, d1=d1, d2=d2)
 
 
-def coherence_of(theta: float) -> float:
-    """Degree of coherence ``|gamma| = cos(theta)`` for theta in [0, pi/2]."""
-    if not (0.0 <= theta <= _HALF_PI):
-        raise DomainError(f"theta must lie in [0, pi/2], got {theta}")
-    return math.cos(theta)
-
-
 def one_minus_d_squared(s: float, sigma: float) -> float:
     """``1 - d^2`` evaluated without cancellation (accurate at small s)."""
     return -math.expm1(-s * s / (4.0 * sigma * sigma))

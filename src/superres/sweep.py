@@ -85,7 +85,6 @@ class SweepSpec:
     phi: float = 0.0
     s_range: tuple[float, float, int] | None = None         # default_ranges
     nuisance_range: tuple[float, float, int] | None = None  # default_ranges
-    fmt: str = "csv"
     oracle: bool = False
     grid_points: int = 4096
     grid_halfwidth: float | None = None
@@ -100,8 +99,6 @@ class SweepSpec:
             raise DomainError(
                 f"nuisance must be one of {NUISANCES}, got {self.nuisance!r}"
             )
-        if self.fmt not in FORMATS:
-            raise DomainError(f"format must be one of {FORMATS}, got {self.fmt!r}")
         _require_real("sigma", self.sigma)
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
             raise DomainError(f"sigma must be positive and finite, got {self.sigma}")
@@ -142,50 +139,13 @@ class SweepSpec:
                               "use --nuisance theta")
 
 
-@dataclass
-class SweepRecord:
-    """One sweep point; unpopulated fields stay None (emitted blank/absent)."""
-
-    s: float
-    sigma: float
-    theta: float | None = None
-    gamma: float | None = None
-    C: float | None = None
-    d: float | None = None
-    f_tot: float | None = None
-    f_ss: float | None = None
-    f_tt: float | None = None
-    f_st: float | None = None
-    h_s: float | None = None
-    h_nuisance: float | None = None
-    status: str = "ok"
-    delta_f_tot: float | None = None
-    delta_f_ss: float | None = None
-    delta_f_tt: float | None = None
-    delta_f_st: float | None = None
-
-
-class SweepTable(Sequence):
+class SweepTable:
     """Columnar sweep result: one float64 array per field in ``CSV_FIELDS``
-    and ``DELTA_FIELDS`` (NaN marks a blank cell) and one status per row.
-
-    It behaves as a read-only sequence of :class:`SweepRecord`; a record is
-    built only when its row is accessed, with blank cells as ``None``.
-    """
+    and ``DELTA_FIELDS`` (NaN marks a blank cell) and one status per row."""
 
     def __init__(self, columns: dict[str, np.ndarray], status: Sequence[str]):
         self.columns = columns
         self.status = list(status)
-
-    @classmethod
-    def from_records(cls, records: Iterable[SweepRecord]) -> SweepTable:
-        records = list(records)
-        columns = {
-            name: np.array([np.nan if (v := getattr(r, name)) is None else v
-                            for r in records], dtype=float)
-            for name in _FIELDS
-        }
-        return cls(columns, [r.status for r in records])
 
     @classmethod
     def concat(cls, tables: Iterable[SweepTable]) -> SweepTable:
@@ -197,32 +157,10 @@ class SweepTable(Sequence):
     def __len__(self) -> int:
         return len(self.status)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return SweepTable({n: c[index] for n, c in self.columns.items()},
-                              self.status[index])
-        i = range(len(self))[index]
-        return _record({n: float(c[i]) for n, c in self.columns.items()}, self.status[i])
-
-    def __iter__(self):
-        names = list(self.columns)
-        for values, status in zip(zip(*(self.columns[n].tolist() for n in names)),
-                                  self.status):
-            yield _record(dict(zip(names, values)), status)
-
 
 _FIELDS = CSV_FIELDS + DELTA_FIELDS
 # populated on out-of-reach rows too, so that surface layouts stay rectangular
 _KEPT_OUT_OF_REACH = {"s", "sigma", "C", "d"}
-
-
-def _record(values: dict[str, float], status: str) -> SweepRecord:
-    return SweepRecord(**{n: None if v != v else v for n, v in values.items()},
-                       status=status)
-
-
-def _as_table(records: Iterable[SweepRecord]) -> SweepTable:
-    return records if isinstance(records, SweepTable) else SweepTable.from_records(records)
 
 
 def _axis(rng: tuple[float, float, int]) -> np.ndarray:
@@ -398,17 +336,15 @@ def _rel_delta(analytic, numeric):
     return np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-300)
 
 
-def worst_oracle_delta(
-        records: Iterable[SweepRecord]) -> tuple[float, SweepRecord | None, str | None]:
-    """Largest populated oracle delta with the record it sits on and its
-    element (``f_tot``, ``f_ss``, ...); ``(0.0, None, None)`` if none are
-    populated."""
-    table = _as_table(records)
+def worst_oracle_delta(table: SweepTable) -> tuple[float, int | None, str | None]:
+    """Largest populated oracle delta with the index of the row it sits on
+    and its element (``f_tot``, ``f_ss``, ...); ``(0.0, None, None)`` if
+    none are populated."""
     deltas = np.stack([table.columns[name] for name in DELTA_FIELDS])
     if np.isnan(deltas).all():
         return 0.0, None, None
     k, i = np.unravel_index(np.nanargmax(deltas), deltas.shape)
-    return float(deltas[k, i]), table[int(i)], DELTA_FIELDS[k][len("delta_"):]
+    return float(deltas[k, i]), int(i), DELTA_FIELDS[k][len("delta_"):]
 
 
 def figure_preset(name: str) -> list[SweepSpec]:
@@ -447,14 +383,13 @@ def figure_preset(name: str) -> list[SweepSpec]:
     return presets[name]
 
 
-def emit(records: Iterable[SweepRecord], fmt: str, destination: str | Path | IO[str],
+def emit(table: SweepTable, fmt: str, destination: str | Path | IO[str],
          include_deltas: bool = False) -> None:
-    """Write records as CSV (17-significant-digit scientific notation) or
+    """Write a table's rows as CSV (17-significant-digit scientific notation) or
     JSON (array of objects, unpopulated keys absent).  Output is
     byte-identical across runs for identical inputs."""
     if fmt not in FORMATS:
         raise DomainError(f"format must be one of {FORMATS}, got {fmt!r}")
-    table = _as_table(records)
     if hasattr(destination, "write"):
         _emit_stream(table, fmt, destination, include_deltas)
         return

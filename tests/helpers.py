@@ -1,24 +1,84 @@
 """Shared brute-force helpers for the test suite.
 
-These deliberately rebuild quantities from sampled amplitudes (the grid
-oracle's branch FI, central differences of grid-sampled eigenmodes), from a
-Hermite-Gauss representation of the source, or from the 4x4 operator layer,
-so the closed forms under test are checked against an independent route.
+These deliberately rebuild quantities from sampled amplitudes (trapezoid
+quadrature of the sources, the grid oracle's branch FI, central differences
+of grid-sampled eigenmodes), from a Hermite-Gauss representation of the
+source, or from the 4x4 operator layer, so the closed forms under test are
+checked against an independent route.
 """
 
 import json
 import math
 import os
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from superres import default_grid, make_sources, overlap, spectral
+from superres import (
+    ConfigurationError,
+    Grid,
+    default_grid,
+    overlap,
+    spectral,
+    weighted_fi_reconstruct,
+)
 from superres.sweep import CSV_FIELDS, DELTA_FIELDS, _e16_cells
-from superres.numeric_oracle import _branch_fi, _row_samples
+from superres.numeric_oracle import _branch_fi, _psf, _row_samples
 
 # environment for subprocesses that import this checkout's package
 SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+
+
+@dataclass(frozen=True)
+class GridField:
+    """Real spatial amplitude sampled on a grid (units 1/sqrt(length))."""
+
+    grid: Grid
+    values: np.ndarray
+
+    def inner(self, other: "GridField") -> float:
+        return float(self.grid.weights @ (self.values * other.values))
+
+    def norm(self) -> float:
+        return math.sqrt(float(self.grid.weights @ (self.values * self.values)))
+
+
+def make_sources(s: float, sigma: float, grid: Grid | None = None) -> tuple[GridField, GridField]:
+    """Sampled displaced PSF amplitudes ``h(x + s/2)``, ``h(x - s/2)``,
+    unit-normalized under the trapezoid rule, on ``grid`` (by default
+    :func:`default_grid`), which must keep eight PSF widths of margin."""
+    grid = default_grid(s, sigma) if grid is None else grid
+    if not grid.fits(s, sigma):
+        raise ConfigurationError(f"grid halfwidth {grid.halfwidth} too narrow for s = {s}")
+    fields = []
+    for sign in (+1.0, -1.0):
+        v = _psf(grid.x + sign * s / 2.0, sigma)
+        # intensity below 1e-12 at the edges keeps trapezoid tails ~1e-15
+        if v[0] ** 2 > 1e-12 or v[-1] ** 2 > 1e-12:
+            raise ConfigurationError("intensity has not decayed at the grid edge")
+        v = v / math.sqrt(float(grid.weights @ (v * v)))
+        v.setflags(write=False)
+        fields.append(GridField(grid=grid, values=v))
+    return fields[0], fields[1]
+
+
+def weight_term_reconstruct(p) -> float:
+    """The rejected reading of the branch-weighted sum:
+    :func:`weighted_fi_reconstruct` plus the classical information
+    ``sum_i (d p_i/ds)^2 / p_i`` of the trace-renormalized weights
+    ``p_i = N_i / (N1 + N2)``.  It overshoots the closed form wherever the
+    weights depend on ``s``."""
+    tri = overlap(p.s, p.sigma)
+    g = math.cos(p.theta)
+    trace = 1.0 + tri.d * g
+    n1, n2 = 0.5 * (1.0 + g * g + 2.0 * tri.d * g), 0.5 * (1.0 - g * g)
+    dp1 = g * tri.d1 * (1.0 - g * g) / (2.0 * trace * trace)
+    total = weighted_fi_reconstruct(p)
+    for weight, dw in ((n1 / trace, dp1), (n2 / trace, -dp1)):
+        if weight > 1e-15:
+            total += dw * dw / weight
+    return total
 
 
 def grid_eigvec_derivative_norms(s: float, sigma: float = 1.0,
@@ -116,19 +176,20 @@ def commutator_expectation(p) -> float:
     return float(np.trace(rho4(p) @ (l_s @ l_t - l_t @ l_s)))
 
 
-def cell_by_cell_text(records, fmt: str, include_deltas: bool) -> str:
-    """What ``emit`` must write, built one cell at a time: ``f"{v:.16e}"``
-    CSV cells, or ``json.dumps(..., indent=2)``; NaN and inf cells blank."""
+def cell_by_cell_text(table, fmt: str, include_deltas: bool) -> str:
+    """What ``emit`` must write for a ``SweepTable``, built one cell at a
+    time: ``f"{v:.16e}"`` CSV cells, or ``json.dumps(..., indent=2)``; NaN
+    and inf cells blank."""
     names = CSV_FIELDS + (DELTA_FIELDS if include_deltas else ())
-    cells = [{n: v for n in names
-              if (v := getattr(r, n)) is not None and math.isfinite(v)}
-             for r in records]
+    columns = [table.columns[n].tolist() for n in names]
+    cells = [{n: v for n, v in zip(names, row) if math.isfinite(v)}
+             for row in zip(*columns)]
     if fmt == "json":
-        return json.dumps([{**c, "status": r.status} for c, r in zip(cells, records)],
+        return json.dumps([{**c, "status": st} for c, st in zip(cells, table.status)],
                           indent=2) + "\n"
     return ",".join(names + ("status",)) + "\n" + "".join(
-        ",".join(f"{c[n]:.16e}" if n in c else "" for n in names) + f",{r.status}\n"
-        for c, r in zip(cells, records))
+        ",".join(f"{c[n]:.16e}" if n in c else "" for n in names) + f",{st}\n"
+        for c, st in zip(cells, table.status))
 
 
 def e16_cell_texts(values) -> tuple[list[str], np.ndarray]:

@@ -14,7 +14,12 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from helpers import SRC_ENV, commutator_expectation, grid_eigvec_derivative_norms
+from helpers import (
+    SRC_ENV,
+    commutator_expectation,
+    grid_eigvec_derivative_norms,
+    weight_term_reconstruct,
+)
 from superres import (
     ModelParams,
     concurrence_max,
@@ -157,14 +162,16 @@ def test_criterion_10_extension_coefficients_validated():
 
 def test_criterion_11_weighted_fi_calibration():
     with criterion(11, "exactly one reconstruction variant reproduces the closed form", 10.0):
-        matches = {"quantum-only": True, "quantum-plus-weight": True}
+        variants = {"quantum-only": weighted_fi_reconstruct,
+                    "quantum-plus-weight": weight_term_reconstruct}
+        matches = dict.fromkeys(variants, True)
         for s in np.linspace(0.1, 5.0, 20):
             s = float(s)
             for theta in np.linspace(0.0, math.pi / 2, 20):
                 p = ModelParams(s, 1.0, float(theta))
                 target = f_tot_coherence(s, 1.0, math.cos(float(theta))).f_tot
-                for name in matches:
-                    if abs(weighted_fi_reconstruct(p, name) - target) > 1e-9:
+                for name, reconstruct in variants.items():
+                    if abs(reconstruct(p) - target) > 1e-9:
                         matches[name] = False
         assert matches["quantum-only"], "raw-weight quantum variant must match"
         assert not matches["quantum-plus-weight"], "weight-term variant must not match"

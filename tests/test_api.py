@@ -8,20 +8,20 @@ import superres
 PUBLIC = {
     "errors": "ConfigurationError DegenerateGeometryError DomainError OutOfReachError",
     "fisher_single": "FiRecord f_tot_coherence f_tot_concurrence weighted_fi_reconstruct",
-    "numeric_oracle": "Grid GridField default_grid make_sources numeric_concurrence "
-                      "numeric_qfim two_source_state",
+    "numeric_oracle": "Grid default_grid numeric_concurrence numeric_qfim",
     "qfim_two_param": "PrecisionPair Qfim2 precision precision_concurrence precision_gamma "
                       "qfim qfim_concurrence qfim_gamma",
-    "state_model": "ModelParams OverlapTriple SpectralData coherence_of concurrence "
-                   "concurrence_max concurrence_normalized overlap spectral "
-                   "theta_from_concurrence",
-    "sweep": "SweepRecord SweepSpec SweepTable emit figure_preset run_sweep",
+    "state_model": "ModelParams OverlapTriple SpectralData concurrence concurrence_max "
+                   "concurrence_normalized overlap spectral theta_from_concurrence",
+    "sweep": "SweepSpec SweepTable emit figure_preset run_sweep",
 }
 
-# the 4x4 operator layer and the Hermite-Gauss route live on in helpers.py
-REMOVED = ("ContractViolationError Rho4 SldPair commutator_expectation drho_ds drho_dtheta "
-           "hg_coefficients max_oracle_delta numeric_pure_qfi pure_state_fi qfim_from_slds "
-           "rho4 sld_pair").split()
+# the 4x4 operator layer, the Hermite-Gauss route and the sampled sources
+# (GridField, make_sources) live on in helpers.py
+REMOVED = ("ContractViolationError GridField Rho4 SldPair SweepRecord coherence_of "
+           "commutator_expectation drho_ds drho_dtheta hg_coefficients make_sources "
+           "max_oracle_delta numeric_pure_qfi pure_state_fi qfim_from_slds rho4 sld_pair "
+           "two_source_state").split()
 
 
 def test_all_is_pinned():

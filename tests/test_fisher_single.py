@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import grid_branch_fi, grid_eigvec_derivative_norms
+from helpers import grid_branch_fi, grid_eigvec_derivative_norms, weight_term_reconstruct
 from superres import (
     DegenerateGeometryError,
     DomainError,
@@ -172,32 +172,32 @@ class TestPureStateFi:
                 assert abs(_numeric_f_tot(s, 1.0, theta) - closed) < 1e-10
 
 
+# the two readings of the branch-weighted sum: the product's and the
+# rejected one of the test helpers
+RECONSTRUCTIONS = {"quantum-only": weighted_fi_reconstruct,
+                   "quantum-plus-weight": weight_term_reconstruct}
+
+
 class TestWeightedReconstruction:
     def test_incoherent_point_both_variants(self):
         for s in (0.5, 2.0, 4.0):
             p = ModelParams(s, 1.0, math.pi / 2)
-            assert weighted_fi_reconstruct(p, "quantum-only") == pytest.approx(0.25, abs=1e-12)
-            assert weighted_fi_reconstruct(p, "quantum-plus-weight") == pytest.approx(0.25, abs=1e-12)
+            for reconstruct in RECONSTRUCTIONS.values():
+                assert reconstruct(p) == pytest.approx(0.25, abs=1e-12)
 
     def test_full_coherence_anchor(self):
         p = ModelParams(2.0, 1.0, 0.0)
-        assert weighted_fi_reconstruct(p, "quantum-only") == pytest.approx(
-            F_S2_FULL_COHERENCE, abs=1e-9
-        )
+        assert weighted_fi_reconstruct(p) == pytest.approx(F_S2_FULL_COHERENCE, abs=1e-9)
 
     def test_quantum_only_matches_closed_form(self):
         p = ModelParams(1.0, 1.0, math.pi / 4)
         target = f_tot_coherence(1.0, 1.0, math.cos(math.pi / 4)).f_tot
-        assert weighted_fi_reconstruct(p, "quantum-only") == pytest.approx(target, abs=1e-9)
+        assert weighted_fi_reconstruct(p) == pytest.approx(target, abs=1e-9)
 
     def test_weight_term_variant_overshoots(self):
         p = ModelParams(1.0, 1.0, math.pi / 4)
         target = f_tot_coherence(1.0, 1.0, math.cos(math.pi / 4)).f_tot
-        assert weighted_fi_reconstruct(p, "quantum-plus-weight") > target + 1e-6
-
-    def test_rejects_unknown_variant(self):
-        with pytest.raises(DomainError):
-            weighted_fi_reconstruct(ModelParams(1.0, 1.0, 0.3), "classical")
+        assert weight_term_reconstruct(p) > target + 1e-6
 
     def test_requires_phi_zero(self):
         with pytest.raises(DomainError):
@@ -208,7 +208,7 @@ class TestWeightedReconstruction:
     def test_far_separation_asymptote(self, s, variant):
         # s^2 overflows: d (4 sigma^2 - s^2) used to give 0 * inf = NaN
         target = f_tot_coherence(s, 1.0, math.cos(0.5)).f_tot
-        assert weighted_fi_reconstruct(ModelParams(s, 1.0, 0.5), variant) == pytest.approx(
+        assert RECONSTRUCTIONS[variant](ModelParams(s, 1.0, 0.5)) == pytest.approx(
             target, abs=1e-12)
 
 

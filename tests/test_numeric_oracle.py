@@ -3,19 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from helpers import grid_branch_fi, hg_coefficients, hg_pure_qfi
+from helpers import grid_branch_fi, hg_coefficients, hg_pure_qfi, make_sources
 from superres import (
     ConfigurationError,
     DomainError,
     Grid,
     ModelParams,
+    concurrence_normalized,
     default_grid,
-    make_sources,
     numeric_concurrence,
     f_tot_coherence,
     numeric_qfim,
     qfim,
-    two_source_state,
 )
 from superres.numeric_oracle import (
     _numeric_f_tot,
@@ -55,6 +54,9 @@ class TestGrid:
 
 
 class TestMakeSources:
+    """The sampled sources of the test helpers, the quadrature reference for
+    ``overlap`` and the Hermite-Gauss route."""
+
     def test_overlap_matches_closed_form(self):
         hp, hm = make_sources(1.0, 1.0)
         assert abs(hp.inner(hm) - math.exp(-1.0 / 8.0)) < 1e-10
@@ -74,17 +76,14 @@ class TestMakeSources:
 
 
 @pytest.mark.parametrize("call", [
-    lambda: make_sources(math.inf, 1.0),
-    lambda: make_sources(1.0, 1e-300),
-    lambda: make_sources(1.0, math.nan),
     lambda: numeric_qfim_row(1.0, 1e-300, [0.3]),
     lambda: numeric_qfim_row(math.inf, 1.0, [0.3]),
     lambda: numeric_qfim_row(-1.0, 1.0, [0.3]),
     lambda: numeric_qfim_row(math.nan, 1.0, [0.3]),
     lambda: _numeric_f_tot(-1.0, 1.0, [0.3]),
     lambda: numeric_qfim(ModelParams(0.0, 1.0, 0.5)),
-], ids=["sources-inf-s", "sources-tiny-sigma", "sources-nan-sigma", "row-tiny-sigma",
-        "row-inf-s", "row-negative-s", "row-nan-s", "f_tot-negative-s", "qfim-zero-s"])
+], ids=["row-tiny-sigma", "row-inf-s", "row-negative-s", "row-nan-s", "f_tot-negative-s",
+        "qfim-zero-s"])
 def test_oracle_applies_the_model_range_rule(call):
     # these gave NaN fields, a bare ZeroDivisionError, a LinAlgError, or
     # numbers for a negative separation; the QFIM is singular at s = 0
@@ -203,12 +202,19 @@ class TestNumericConcurrence:
     def test_product_state_at_zero_separation(self):
         assert numeric_concurrence(ModelParams(0.0, 1.0, math.pi / 2)) < 1e-8
 
-    def test_state_is_normalized(self):
-        p = ModelParams(1.0, 1.0, 0.9, phi=-0.4)
-        grid = default_grid(p.s, p.sigma)
-        state = two_source_state(p, grid)
-        n2 = np.real(np.einsum("i,ik,ik->", grid.weights, state.conj(), state))
-        assert n2 == pytest.approx(1.0, abs=1e-12)
+    @pytest.mark.parametrize("s", [1e-2, 1e-4, 1e-6])
+    def test_relative_accuracy_at_small_separation(self, s):
+        # C is of order s / sigma here, far below the absolute 1e-8 of the tests
+        # above; the bound is relative
+        for theta in (math.pi / 8, math.pi / 2):
+            for phi in (0.0, 1.1):
+                p = ModelParams(s, 1.0, theta, phi)
+                assert numeric_concurrence(p) == pytest.approx(
+                    concurrence_normalized(p), rel=1e-9, abs=0.0), (theta, phi)
+
+    def test_rejects_narrow_grid(self):
+        with pytest.raises(ConfigurationError):
+            numeric_concurrence(ModelParams(3.0, 1.0, 0.5), n_points=1024, halfwidth=6.0)
 
 
 class TestGridRefinement:

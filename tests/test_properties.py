@@ -104,7 +104,7 @@ def tables(draw):
 def test_emit_matches_cell_by_cell_formatting(table, fmt, include_deltas):
     out = io.StringIO()
     emit(table, fmt, out, include_deltas=include_deltas)
-    assert out.getvalue() == cell_by_cell_text(list(table), fmt, include_deltas)
+    assert out.getvalue() == cell_by_cell_text(table, fmt, include_deltas)
 
 
 # every finite float, subnormals and signed zeros among them

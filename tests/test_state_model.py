@@ -3,16 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from helpers import make_sources
 from superres import (
     DegenerateGeometryError,
     DomainError,
     ModelParams,
     OutOfReachError,
-    coherence_of,
     concurrence_max,
     concurrence_normalized,
     concurrence,
-    make_sources,
     numeric_concurrence,
     overlap,
     spectral,
@@ -63,15 +62,13 @@ class TestOverlap:
 
 
 class TestCoherence:
-    def test_endpoints(self):
-        assert coherence_of(0.0) == 1.0
-        assert abs(coherence_of(math.pi / 2)) < 1e-15
-        assert coherence_of(math.pi / 4) == pytest.approx(math.sqrt(0.5), abs=1e-15)
+    """The degree of coherence is ``cos(theta)`` for theta in [0, pi/2];
+    ``ModelParams`` holds theta to that range."""
 
     @pytest.mark.parametrize("theta", [-0.1, math.pi / 2 + 0.1, 3.2])
     def test_rejects_out_of_range(self, theta):
         with pytest.raises(DomainError):
-            coherence_of(theta)
+            ModelParams(1.0, 1.0, theta)
 
 
 class TestConcurrence:
@@ -245,5 +242,5 @@ def test_concurrence_coherence_identity():
         for theta in np.linspace(0.0, math.pi / 2, 20):
             p = ModelParams(s, 1.0, theta)
             c = concurrence(p)
-            g = coherence_of(theta)
+            g = math.cos(theta)
             assert abs(c * c + om * g * g - om) < 1e-15

@@ -14,7 +14,6 @@ from superres import (
     DomainError,
     ModelParams,
     OutOfReachError,
-    SweepRecord,
     SweepSpec,
     SweepTable,
     concurrence,
@@ -49,6 +48,13 @@ def small_single_spec(**kw):
     return SweepSpec(**base)
 
 
+def table_of(*rows):
+    """A ``SweepTable`` of ``rows``, each a dict of its populated cells,
+    every one with status ok."""
+    return SweepTable({n: np.array([r.get(n, math.nan) for r in rows], dtype=float)
+                       for n in CSV_FIELDS + DELTA_FIELDS}, ["ok"] * len(rows))
+
+
 class TestSweepSpec:
     def test_defaults_fill_nuisance_range(self):
         spec = SweepSpec(mode="single", nuisance="theta")
@@ -61,7 +67,7 @@ class TestSweepSpec:
         [
             dict(mode="scan"),
             dict(nuisance="purity"),
-            dict(fmt="xml"),
+            dict(s_range=(-0.5, 1.0, 3)),
             dict(sigma=0.0),
             dict(phi=0.3),
             dict(s_range=(1.0, 0.5, 5)),
@@ -100,19 +106,17 @@ class TestSweepSpec:
 
 class TestRunSweep:
     def test_record_count_and_order(self):
-        recs = run_sweep(small_single_spec())
-        assert len(recs) == 20
-        s_vals = [r.s for r in recs]
+        table = run_sweep(small_single_spec())
+        assert len(table) == 20
+        s_vals = table.columns["s"].tolist()
         assert s_vals == sorted(s_vals)               # s-major
-        assert [r.gamma for r in recs[:4]] == pytest.approx(
+        assert table.columns["gamma"][:4].tolist() == pytest.approx(
             list(np.linspace(0, 1, 4))
         )
 
     def test_incoherent_column(self):
-        recs = run_sweep(small_single_spec())
-        for r in recs:
-            if r.gamma == 0.0:
-                assert r.f_tot == 0.25
+        cols = run_sweep(small_single_spec()).columns
+        assert (cols["f_tot"][cols["gamma"] == 0.0] == 0.25).all()
 
     def test_out_of_reach_rows_kept(self):
         spec = small_single_spec(
@@ -120,45 +124,44 @@ class TestRunSweep:
             s_range=(0.3, 0.3, 1),
             nuisance_range=(0.0, 1.0, 6),
         )
-        recs = run_sweep(spec)
-        assert len(recs) == 6
-        marked = [r for r in recs if r.status == "out_of_reach"]
-        assert len(marked) == 5                       # C_max(0.3) ~ 0.149
-        assert all(r.f_tot is None and r.C is not None for r in marked)
+        table = run_sweep(spec)
+        assert len(table) == 6
+        marked = np.array(table.status) == "out_of_reach"
+        assert marked.sum() == 5                      # C_max(0.3) ~ 0.149
+        assert np.isnan(table.columns["f_tot"][marked]).all()
+        assert not np.isnan(table.columns["C"][marked]).any()
 
     def test_s_zero_reaches_only_c_zero(self):
         # C^2 underflows for these C > 0; they stay out of reach all the same
         spec = small_single_spec(nuisance="concurrence", s_range=(0.0, 0.0, 1),
                                  nuisance_range=(0.0, 1e-170, 3))
-        recs = run_sweep(spec)
-        assert [r.status for r in recs] == ["ok", "out_of_reach", "out_of_reach"]
-        assert recs[0].f_tot == f_tot_coherence(0.0, 1.0, 1.0).f_tot
+        table = run_sweep(spec)
+        assert table.status == ["ok", "out_of_reach", "out_of_reach"]
+        assert table.columns["f_tot"][0] == f_tot_coherence(0.0, 1.0, 1.0).f_tot
 
     def test_theta_nuisance(self):
         spec = small_single_spec(nuisance="theta",
                                  nuisance_range=(0.0, math.pi / 2, 3))
-        recs = run_sweep(spec)
-        assert recs[0].gamma == 1.0
-        assert abs(recs[2].gamma) < 1e-15
+        gamma = run_sweep(spec).columns["gamma"]
+        assert gamma[0] == 1.0
+        assert abs(gamma[2]) < 1e-15
 
     def test_qfim_mode_populates_matrix(self):
         spec = SweepSpec(mode="qfim", nuisance="theta",
                          s_range=(1.0, 2.0, 2),
                          nuisance_range=(0.3, math.pi / 2, 3))
-        recs = run_sweep(spec)
-        for r in recs:
-            assert r.f_ss is not None and r.h_s is not None
-            assert r.f_tot is None
-            assert r.f_ss * r.f_tt - r.f_st**2 >= -1e-12
+        cols = run_sweep(spec).columns
+        assert not np.isnan(cols["f_ss"]).any() and not np.isnan(cols["h_s"]).any()
+        assert np.isnan(cols["f_tot"]).all()
+        assert (cols["f_ss"] * cols["f_tt"] - cols["f_st"] ** 2 >= -1e-12).all()
 
     def test_qfim_gamma_one_column(self):
         spec = SweepSpec(mode="qfim", nuisance="coherence",
                          s_range=(2.0, 2.0, 1), nuisance_range=(0.0, 1.0, 5))
-        recs = run_sweep(spec)
-        top = recs[-1]
-        assert top.gamma == 1.0
-        assert top.h_s == pytest.approx(0.1199805936513259, abs=1e-12)
-        assert top.f_tt is None and top.h_nuisance is None
+        top = {name: col[-1] for name, col in run_sweep(spec).columns.items()}
+        assert top["gamma"] == 1.0
+        assert top["h_s"] == pytest.approx(0.1199805936513259, abs=1e-12)
+        assert math.isnan(top["f_tt"]) and math.isnan(top["h_nuisance"])
 
     def test_qfim_concurrence_boundary_falls_back_to_invariant(self):
         from superres import concurrence_max
@@ -166,9 +169,9 @@ class TestRunSweep:
         spec = SweepSpec(mode="qfim", nuisance="concurrence",
                          s_range=(1.0, 1.0, 1),
                          nuisance_range=(c_max, c_max, 1))
-        recs = run_sweep(spec)
-        assert recs[0].status == "ok"
-        assert recs[0].h_s is not None and recs[0].f_tt is None
+        table = run_sweep(spec)
+        assert table.status == ["ok"]
+        assert not math.isnan(table.columns["h_s"][0]) and math.isnan(table.columns["f_tt"][0])
 
     def test_qfim_underflowing_lambda1_takes_the_limit(self):
         # lambda1 is subnormal at theta = 1.5e-161 and the squared derivative
@@ -176,16 +179,16 @@ class TestRunSweep:
         spec = SweepSpec(mode="qfim", nuisance="theta", s_range=(1.0, 1.0, 1),
                          nuisance_range=(0.0, 1.5e-161, 2))
         e = -math.expm1(-1.0 / 8.0)
-        for r in run_sweep(spec):
-            assert r.f_tt == pytest.approx(e / (2.0 - e), rel=1e-15)
-            assert r.h_nuisance == pytest.approx(e / (2.0 - e), rel=1e-15)
-            assert r.f_ss == r.h_s
+        cols = run_sweep(spec).columns
+        for name in ("f_tt", "h_nuisance"):
+            assert cols[name].tolist() == pytest.approx([e / (2.0 - e)] * 2, rel=1e-15)
+        assert cols["f_ss"].tolist() == cols["h_s"].tolist()
 
     @pytest.mark.parametrize("nuisance", ["coherence", "concurrence"])
     def test_far_separation_asymptote(self, nuisance):
         spec = SweepSpec(mode="single", nuisance=nuisance, s_range=(1e200, 1e200, 1),
                          nuisance_range=(0.0, 1.0, 3))
-        assert [r.f_tot for r in run_sweep(spec)] == [0.25] * 3
+        assert run_sweep(spec).columns["f_tot"].tolist() == [0.25] * 3
 
     def test_unresolvable_scale_is_a_domain_error(self):
         # sigma^4 underflows: the closed forms would give NaN in every cell
@@ -197,16 +200,19 @@ class TestRunSweep:
                          s_range=(1.0, 2.0, 2),
                          nuisance_range=(math.pi / 4, math.pi / 2, 2),
                          oracle=True)
-        recs = run_sweep(spec)
-        assert all(r.delta_f_ss is not None for r in recs)
-        assert worst_oracle_delta(recs)[0] < 1e-6
+        table = run_sweep(spec)
+        assert not np.isnan(table.columns["delta_f_ss"]).any()
+        worst, at, element = worst_oracle_delta(table)
+        assert worst < 1e-6
+        assert table.columns["delta_" + element][at] == worst
+        assert worst_oracle_delta(run_sweep(small_single_spec())) == (0.0, None, None)
 
 
 class TestEmit:
     def test_csv_layout(self, tmp_path):
-        recs = run_sweep(small_single_spec())
+        table = run_sweep(small_single_spec())
         out = tmp_path / "sweep.csv"
-        emit(recs, "csv", out)
+        emit(table, "csv", out)
         lines = out.read_text().splitlines()
         assert lines[0] == "s,sigma,theta,gamma,C,d,f_tot,f_ss,f_tt,f_st,h_s,h_nuisance,status"
         assert len(lines) == 21
@@ -215,23 +221,22 @@ class TestEmit:
         assert "e-" in lines[1] or "e+" in lines[1]
 
     def test_csv_deterministic(self, tmp_path):
-        recs = run_sweep(small_single_spec())
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit(recs, "csv", a)
+        emit(run_sweep(small_single_spec()), "csv", a)
         emit(run_sweep(small_single_spec()), "csv", b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_json_round_trip(self, tmp_path):
-        recs = run_sweep(small_single_spec())
+        table = run_sweep(small_single_spec())
         out = tmp_path / "sweep.json"
-        emit(recs, "json", out)
+        emit(table, "json", out)
         data = json.loads(out.read_text())
-        assert len(data) == len(recs)
-        for obj, rec in zip(data, recs):
-            assert obj["status"] == rec.status
+        assert len(data) == len(table)
+        for i, obj in enumerate(data):
+            assert obj["status"] == table.status[i]
             for name in CSV_FIELDS:
-                v = getattr(rec, name)
-                if v is None:
+                v = float(table.columns[name][i])
+                if math.isnan(v):
                     assert name not in obj
                 else:
                     assert obj[name] == v
@@ -248,8 +253,14 @@ class TestEmit:
 
     def test_io_error_carries_path(self, tmp_path):
         with pytest.raises(OSError) as err:
-            emit([], "csv", tmp_path / "missing" / "x.csv")
+            emit(table_of(), "csv", tmp_path / "missing" / "x.csv")
         assert "x.csv" in str(err.value)
+
+    def test_rejects_unknown_format(self):
+        out = io.StringIO()
+        with pytest.raises(DomainError, match="format"):
+            emit(run_sweep(small_single_spec()), "xml", out)
+        assert out.getvalue() == ""
 
 
 class TestFigurePresets:
@@ -267,14 +278,11 @@ class TestFigurePresets:
 
     def test_fig1c_endpoints_and_monotonicity(self):
         coh, conc = figure_preset("fig1c")
-        coh_recs = run_sweep(coh)
-        assert coh_recs[0].gamma == 0.0 and coh_recs[0].f_tot == 0.25
-        assert coh_recs[-1].f_tot == pytest.approx(0.005593418701544485, abs=1e-12)
-        values = [r.f_tot for r in coh_recs]
-        assert all(b < a for a, b in zip(values, values[1:]))
-        conc_recs = run_sweep(conc)
-        values = [r.f_tot for r in conc_recs]
-        assert all(b > a for a, b in zip(values, values[1:]))
+        coh_cols = run_sweep(coh).columns
+        assert coh_cols["gamma"][0] == 0.0 and coh_cols["f_tot"][0] == 0.25
+        assert coh_cols["f_tot"][-1] == pytest.approx(0.005593418701544485, abs=1e-12)
+        assert (np.diff(coh_cols["f_tot"]) < 0).all()
+        assert (np.diff(run_sweep(conc).columns["f_tot"]) > 0).all()
 
     def test_fig2_presets_use_qfim(self):
         (block,) = figure_preset("fig2b")
@@ -501,14 +509,16 @@ class TestKernelMatchesScalarApi:
         cells = [(float(s), float(nu)) for s in s_axis
                  for nu in np.linspace(*spec.nuisance_range)]
         assert len(table) == len(cells)
-        for rec, (s, nu) in zip(table, cells):
-            status, want = scalar_cell(spec, s, nu)
-            assert rec.status == status and rec.s == s and rec.sigma == 1.0
+        rows = zip(*(table.columns[name].tolist() for name in CSV_FIELDS))
+        for row, status, (s, nu) in zip(rows, table.status, cells):
+            rec = dict(zip(CSV_FIELDS, row))
+            want_status, want = scalar_cell(spec, s, nu)
+            assert status == want_status and rec["s"] == s and rec["sigma"] == 1.0
             for name in CSV_FIELDS[2:]:
-                got = getattr(rec, name)
+                got = rec[name]
                 where = (spec.mode, spec.nuisance, s, nu, name)
                 if name not in want:
-                    assert got is None, where
+                    assert math.isnan(got), where
                 elif spec.nuisance != "concurrence":
                     assert got == want[name], where
                 else:
@@ -525,10 +535,7 @@ def mixed_table():
     single_block = run_sweep(small_single_spec(nuisance="concurrence",
                                                s_range=(0.3, 0.3, 1),
                                                nuisance_range=(0.0, 0.5, 3)))
-    extra = SweepTable.from_records([
-        SweepRecord(s=1.0, sigma=1.0, h_s=0.125, h_nuisance=math.inf,
-                    delta_f_ss=3e-9),
-    ])
+    extra = table_of(dict(s=1.0, sigma=1.0, h_s=0.125, h_nuisance=math.inf, delta_f_ss=3e-9))
     return SweepTable.concat([qfim_block, single_block, extra])
 
 
@@ -547,16 +554,6 @@ def read_back(path, fmt):
 
 
 class TestSweepTable:
-    def test_sequence_behaviour(self):
-        table = run_sweep(small_single_spec())
-        records = list(table)
-        assert len(table) == len(records) == 20
-        assert table[-1] == records[-1] and table[3] == records[3]
-        assert list(table[2:5]) == records[2:5]
-        with pytest.raises(IndexError):
-            table[20]
-        assert all(isinstance(r, SweepRecord) and r.f_ss is None for r in records)
-
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_round_trip_through_emit(self, tmp_path, fmt):
         table = mixed_table()
@@ -573,27 +570,27 @@ class TestSweepTable:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_empty_table(self, tmp_path, fmt):
         out = tmp_path / f"empty.{fmt}"
-        emit(SweepTable.from_records([]), fmt, out)
+        emit(table_of(), fmt, out)
         expected = ",".join(CSV_FIELDS + ("status",)) if fmt == "csv" else "[]"
         assert out.read_text() == expected + "\n"
 
     def test_signed_zeros_keep_their_sign(self, tmp_path):
-        records = [SweepRecord(s=1.0, sigma=1.0, f_st=v) for v in (0.0, -0.0) * 3]
+        values = (0.0, -0.0) * 3
         out = tmp_path / "zeros.csv"
-        emit(records, "csv", out)
+        emit(table_of(*(dict(s=1.0, sigma=1.0, f_st=v) for v in values)), "csv", out)
         column = [line.split(",")[CSV_FIELDS.index("f_st")]
                   for line in out.read_text().splitlines()[1:]]
-        assert column == [f"{r.f_st:.16e}" for r in records]
+        assert column == [f"{v:.16e}" for v in values]
 
     @pytest.mark.parametrize("include_deltas", [False, True])
     def test_bytes_match_cell_by_cell_formatting(self, tmp_path, include_deltas):
         """Whole-row templates write what per-cell formatting and json.dump
         write."""
-        records = list(mixed_table())
+        table = mixed_table()
         for fmt in ("csv", "json"):
             out = tmp_path / f"rows.{fmt}"
-            emit(records, fmt, out, include_deltas=include_deltas)
-            assert out.read_text() == cell_by_cell_text(records, fmt, include_deltas)
+            emit(table, fmt, out, include_deltas=include_deltas)
+            assert out.read_text() == cell_by_cell_text(table, fmt, include_deltas)
 
     @pytest.mark.parametrize("source, fmt", [
         *((name, "csv") for name in ("fig1a", "fig1b", "fig1c", "fig2a", "fig2b")),
@@ -615,7 +612,7 @@ class TestSweepTable:
         include_deltas = source == "verify"
         out = tmp_path / f"{source}.{fmt}"
         emit(table, fmt, out, include_deltas=include_deltas)
-        assert out.read_text() == cell_by_cell_text(list(table), fmt, include_deltas)
+        assert out.read_text() == cell_by_cell_text(table, fmt, include_deltas)
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_chunk_edges_match_cell_by_cell_formatting(self, offset):
@@ -630,7 +627,7 @@ class TestSweepTable:
         for include_deltas in (False, True):
             out = io.StringIO()
             emit(table, "csv", out, include_deltas=include_deltas)
-            assert out.getvalue() == cell_by_cell_text(list(table), "csv", include_deltas)
+            assert out.getvalue() == cell_by_cell_text(table, "csv", include_deltas)
 
     @pytest.mark.parametrize("kind", ["all-out-of-reach", "empty", "all-blank"])
     def test_edge_tables_match_cell_by_cell_formatting(self, kind):
@@ -639,14 +636,14 @@ class TestSweepTable:
                                         s_range=(0.01, 0.02, 3), nuisance_range=(0.5, 1.0, 4)))
             assert set(table.status) == {"out_of_reach"}
         elif kind == "empty":
-            table = SweepTable.from_records([])
+            table = table_of()
         else:
             table = SweepTable({n: np.full(3, math.nan) for n in CSV_FIELDS + DELTA_FIELDS},
                                ["", "ok", "out_of_reach"])
         for include_deltas in (False, True):
             out = io.StringIO()
             emit(table, "csv", out, include_deltas=include_deltas)
-            assert out.getvalue() == cell_by_cell_text(list(table), "csv", include_deltas)
+            assert out.getvalue() == cell_by_cell_text(table, "csv", include_deltas)
 
 
 class TestCsvCells:
