@@ -54,19 +54,25 @@ def _add_common(parser: argparse.ArgumentParser, mode: str) -> None:
     parser.add_argument("--grid-halfwidth", type=float, default=None)
 
 
-def build_parser() -> argparse.ArgumentParser:
+_COMMANDS = ("single", "qfim", "verify", "figure")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``superres`` parser.  Every subcommand is listed, but where
+    ``command`` names one only its options are added: each option costs
+    argparse a help formatter, and a call parses one subcommand."""
     parser = argparse.ArgumentParser(
         prog="superres",
         description="Fisher-information analysis of two-point-source resolution "
                     "under entanglement and coherence",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for mode in ("single", "qfim", "verify"):
+    for mode in _COMMANDS:
         p = sub.add_parser(mode)
-        _add_common(p, mode)
-    fig = sub.add_parser("figure")
-    fig.add_argument("preset", help="fig1a | fig1b | fig1c | fig2a | fig2b")
-    _add_common(fig, "figure")
+        if command in (mode, None) or command not in _COMMANDS:
+            if mode == "figure":
+                p.add_argument("preset", help="fig1a | fig1b | fig1c | fig2a | fig2b")
+            _add_common(p, mode)
     return parser
 
 
@@ -101,7 +107,8 @@ def _spec_from_args(args, mode: str) -> SweepSpec:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     out = sys.stdout if args.out is None else args.out
     try:
         if args.command == "figure":

@@ -401,119 +401,82 @@ def emit(table: SweepTable, fmt: str, destination: str | Path | IO[str],
         raise OSError(f"cannot write sweep output to {path}: {exc}") from exc
 
 
-# Rows per chunk.  A CSV chunk's numpy temporaries take ~0.2 kB a cell, so
-# 512 rows keep its working set near 1 MB, which the allocator reuses from
+
+
+# Rows per chunk.  A chunk's numpy temporaries take ~0.2-0.4 kB a cell, so
+# 512 rows keep its working set near 1-2 MB, which the allocator reuses from
 # chunk to chunk.  4096 rows (a whole 50 x 50 preset in one chunk) raised
 # the peak memory of `superres figure` by 15 % and, on a shared 2-vCPU
-# virtual machine, were slower for the fresh pages they touch.  JSON rows
-# go through Python templates.
-_CSV_CHUNK_ROWS = 512
-_JSON_CHUNK_ROWS = 256
-
-
-def _json_row_format(names: tuple[str, ...], directives: list[str], present: int,
-                     status: str) -> str:
-    # the layout of json.dump(..., indent=2): one key per line
-    entries, skipped = [], ""
-    for k, (name, directive) in enumerate(zip(names, directives)):
-        if present >> k & 1:
-            entries.append(f'{skipped}    "{name}": {directive}')
-            skipped = ""
-        else:
-            skipped += "%.0s"
-    entries.append(f'{skipped}    "status": ' + json.dumps(status).replace("%", "%%"))
-    return "  {\n" + ",\n".join(entries) + "\n  }"
+# virtual machine, were slower for the fresh pages they touch.
+_CHUNK_ROWS = 512
 
 
 def _emit_stream(table: SweepTable, fmt: str, fh: IO[str], include_deltas: bool) -> None:
     names = CSV_FIELDS + (DELTA_FIELDS if include_deltas else ())
     if fmt == "csv":
-        _write_csv(table, names, fh)
+        fh.write(",".join(names + ("status",)) + "\n")
+        _write_rows(fh, table, names, _e16_cells, _SLOT, [b""] * len(names), b",", b"",
+                    lambda st: st.encode() + b"\n")
     elif not len(table):
         fh.write("[]\n")
     else:
-        sep = "[\n"
-        for chunk in _json_rows(table, names):
-            fh.write(sep + ",\n".join(chunk))
-            sep = ",\n"
+        # the layout of json.dump(..., indent=2): each row opens with the
+        # ",\n" that ends the row before it, which the first row drops
+        fh.write("[\n")
+        _write_rows(fh, table, names, _repr_cells, _JSON_SLOT,
+                    [f'    "{name}": '.encode() for name in names], b",\n", b",\n  {\n",
+                    lambda st: b'    "status": ' + json.dumps(st).encode() + b"\n  }",
+                    drop_blank=True, lead=2)
         fh.write("\n]\n")
 
 
-def _json_rows(table: SweepTable, names: tuple[str, ...]):
-    """Yield the JSON objects a chunk at a time, each assembled whole by one
-    cached ``%`` template per pattern of populated cells and status; floats
-    as json writes them, by ``float.__repr__``.
+def _write_rows(fh: IO[str], table: SweepTable, names: tuple[str, ...], cells, slot: int,
+                prefixes: list[bytes], sep: bytes, head: bytes, status_text,
+                drop_blank: bool = False, lead: int = 0) -> None:
+    """Write the table's rows a chunk at a time.
 
-    A column with at most half of its values distinct (told apart by bit
-    pattern, so that -0.0 stays -0.0) is formatted once per distinct value
-    and enters the template as text; the template formats every other
-    column itself, with ``%r``.
+    A chunk is one ``(rows, width)`` byte matrix.  A row holds ``head``;
+    per column its prefix, a slot of ``slot`` bytes for ``cells``' text of
+    a finite cell, and ``sep``; then its ``status_text``, one void item per
+    status label.  The bytes a row does not write hold ``_DROP``, and the
+    text is the rest: a non-finite cell writes none of its slot, with
+    ``drop_blank`` neither its prefix nor its separator, and the first row
+    not the first ``lead`` bytes of its head.
     """
-    floats = [table.columns[n] for n in names]
-    cols, directives = [], []
-    for col in floats:
-        bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
-        if 2 * bits.size <= col.size:
-            texts = [repr(v) for v in bits.view(float).tolist()]
-            cols.append(np.array(texts, dtype=object)[inverse])
-            directives.append("%s")
-        else:
-            cols.append(col)
-            directives.append("%r")
-    weights = 1 << np.arange(len(names), dtype=np.int64)
-    templates: dict[tuple[int, str], str] = {}
-    for lo in range(0, len(table), _JSON_CHUNK_ROWS):
-        hi = lo + _JSON_CHUNK_ROWS
-        present = (np.isfinite(np.stack([c[lo:hi] for c in floats], axis=1)) @ weights).tolist()
-        keys = list(zip(present, table.status[lo:hi]))
-        for key in set(keys).difference(templates):
-            templates[key] = _json_row_format(names, directives, *key)
-        rows = zip(*(c[lo:hi].tolist() for c in cols))
-        yield [templates[k] % row for k, row in zip(keys, rows)]
-
-
-_SLOT = 24        # the longest '%.16e' text: "-d.dddddddddddddddde-ddd"
-
-
-def _write_csv(table: SweepTable, names: tuple[str, ...], fh: IO[str]) -> None:
-    """The header, then the rows a chunk at a time; non-finite cells are
-    blank, finite ones ``'%.16e' % v``."""
-    fh.write(",".join(names + ("status",)) + "\n")
+    pad = max(map(len, prefixes))             # prefixes end where the slot starts
+    row = np.full((len(names), pad + slot + len(sep)), _DROP, np.uint8)
+    for i, prefix in enumerate(prefixes):
+        row[i, pad - len(prefix):pad] = np.frombuffer(prefix, np.uint8)
+    row[:, pad + slot:] = np.frombuffer(sep, np.uint8)
+    row = np.concatenate([np.frombuffer(head, np.uint8), row.ravel()])
     labels = {st: i for i, st in enumerate(dict.fromkeys(table.status))}
-    encoded = [st.encode() + b"\n" for st in labels]
+    encoded = [status_text(st) for st in labels]
     width = max(map(len, encoded), default=1)
-    status = np.zeros((len(encoded), width), np.uint8)
-    status_keep = np.zeros((len(encoded), width), bool)
-    for i, raw in enumerate(encoded):
-        status[i, :len(raw)] = np.frombuffer(raw, np.uint8)
-        status_keep[i, :len(raw)] = True
+    status = np.frombuffer(b"".join(raw.ljust(width, b"\xff") for raw in encoded),
+                           np.uint8).reshape(-1, width)
     codes = np.fromiter(map(labels.__getitem__, table.status), np.intp, len(table))
-    for lo in range(0, len(table), _CSV_CHUNK_ROWS):
-        rows = slice(lo, lo + _CSV_CHUNK_ROWS)
-        fh.write(_csv_rows(np.stack([table.columns[n][rows] for n in names], axis=1),
-                           _runs(status).take(codes[rows]), _runs(status_keep).take(codes[rows])))
-
-
-def _csv_rows(values: np.ndarray, status: np.ndarray, status_keep: np.ndarray) -> str:
-    """The CSV text of a ``(rows, columns)`` chunk: one ``(rows, width)``
-    byte matrix holds every cell in a fixed slot, the commas and each row's
-    status and newline (``status`` and ``status_keep``, one void item per
-    row), and the mask of the bytes a row keeps picks the text out."""
-    cells_width = values.shape[1] * (_SLOT + 1)
-    matrix = np.empty((len(values), cells_width + status.itemsize), np.uint8)
-    keep = np.zeros(matrix.shape, bool)
-    # the cell region as (rows, columns, slot + comma)
-    cells = matrix[:, :cells_width].reshape(values.shape + (_SLOT + 1,))
-    cells_keep = keep[:, :cells_width].reshape(cells.shape)
-    finite = np.isfinite(values)
-    text, text_keep, _ = _e16_cells(values[finite])
-    _runs(cells[..., :_SLOT])[finite] = _runs(text)
-    _runs(cells_keep[..., :_SLOT])[finite] = _runs(text_keep)
-    del text, text_keep                       # before the text is copied out
-    cells[..., _SLOT], cells_keep[..., _SLOT] = ord(","), True
-    _runs(matrix[:, cells_width:])[:] = status
-    _runs(keep[:, cells_width:])[:] = status_keep
-    return str(matrix[keep].data, "utf-8")
+    # bytes.translate drops a byte value faster than a masked copy drops a
+    # run, and reads a bytearray in place: the chunks reuse one
+    buffer = bytearray()
+    for lo in range(0, len(table), _CHUNK_ROWS):
+        rows = slice(lo, lo + _CHUNK_ROWS)
+        values = np.stack([table.columns[n][rows] for n in names], axis=1)
+        finite = np.isfinite(values)
+        text, _ = cells(values[finite])
+        if len(buffer) != len(values) * (row.size + width):
+            buffer = bytearray(len(values) * (row.size + width))
+        matrix = np.frombuffer(buffer, np.uint8).reshape(len(values), -1)
+        _runs(matrix[:, :row.size])[:] = _runs(row)
+        # the cell region as (rows, columns, prefix + slot + separator)
+        region = matrix[:, len(head):row.size].reshape(values.shape + (-1,))
+        _runs(region[..., pad:pad + slot])[finite] = _runs(text)
+        del text                              # before the text is copied out
+        if drop_blank:
+            region[~finite] = _DROP
+        _runs(matrix[:, row.size:])[:] = _runs(status).take(codes[rows])
+        if lo == 0:
+            matrix[0, :lead] = _DROP
+        fh.write(buffer.translate(None, b"\xff").decode())
 
 
 def _runs(a: np.ndarray) -> np.ndarray:
@@ -523,9 +486,9 @@ def _runs(a: np.ndarray) -> np.ndarray:
     return a.view(np.dtype((np.void, a.shape[-1] * a.itemsize)))[..., 0]
 
 
-# The fast path of _e16_cells covers |x| in [1e-280, 1e280]: there 10**(16 - k)
-# and its rounding error are normal floats, and no partial product of the
-# Dekker split overflows or underflows.
+# The fast path of both cell kernels covers |x| in [1e-280, 1e280]: there
+# 10**(16 - k) and its rounding error are normal floats, and no partial
+# product of the Dekker split overflows or underflows.
 _FAST_MIN, _FAST_MAX = 1e-280, 1e280
 _TEN16, _TEN17 = 10**16, 10**17
 _SPLIT = 134217729.0      # 2**27 + 1, Dekker's splitter
@@ -539,77 +502,206 @@ _SPLIT = 134217729.0      # 2**27 + 1, Dekker's splitter
 # fraction more than 2**-40 away from 1/2 rounds the same way for both.
 # p is an integer wherever y >= 2**52, which holds for every y in [1e16,
 # 1e17); below, the digits come out under 1e16 and the cell runs again.
+# The shortest-digit tests of _repr_cells add whole parts below 100 to the
+# fraction (<= 2**-47 more) and compare with interval half-widths of at
+# most 12 computed to a relative 2**-51: the same margin covers them.
 _MARGIN = 2.0**-40
+_SLOT = 24        # the longest '%.16e' text: "-d.dddddddddddddddde-ddd"
+# the byte of a text slot or row that is not written: UTF-8 never holds it
+_DROP = 0xFF
 
 
-def _e16_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _scaled(values: np.ndarray):
+    """The shared front of the cell kernels: ``y = |x| 10**(16 - k)`` as
+    its int64 whole part and fraction, with ``k`` the decade of ``x``
+    (``y`` in ``[1e16, 1e17 + 1/2)``).  Returns ``(mag, k, whole, frac,
+    zero, fast)``; zero cells and those outside the fast range carry
+    ``mag = 1.0``, and ``fast`` marks the cells whose ``k`` the fast path
+    settled (zero cells among them)."""
+    mag = np.abs(values)
+    zero = mag == 0.0
+    fast = (mag >= _FAST_MIN) & (mag <= _FAST_MAX)
+    mag = np.where(fast, mag, 1.0)
+    fast |= zero
+    k = np.floor(np.log10(mag)).astype(np.int64)
+    whole, frac = _scaled_round(mag, k)
+    # log10 may put x in the neighbouring decade; such cells run once more
+    # with k moved by one
+    redo = np.flatnonzero(_decade_shift(whole, frac))
+    if redo.size:
+        k[redo] += _decade_shift(whole[redo], frac[redo])
+        whole[redo], frac[redo] = _scaled_round(mag[redo], k[redo])
+        fast[redo] &= _decade_shift(whole[redo], frac[redo]) == 0
+    return mag, k, whole, frac, zero, fast
+
+
+def _e16_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``'%.16e' % v`` of every float in the 1-D ``values``, in one pass.
 
-    Returns ``(n, 24)`` uint8 text slots, the mask of the bytes each cell
-    keeps, and the mask of the cells whose 17 digits the fast path proved
+    Returns ``(n, 24)`` uint8 text slots, ``_DROP`` where a cell writes no
+    byte, and the mask of the cells whose 17 digits the fast path proved
     correctly rounded.  A slot reads ``[-]d.dddddddddddddddde{+,-}[d]dd``;
-    the sign and the exponent's third digit are kept only where they are
+    the sign and the exponent's third digit are there only where they are
     written.  The fast path (Grisu-style: Loitsch, PLDI 2010) scales ``|x|``
     by ``10**(16 - k)`` in double-double arithmetic and rounds to an integer
     where the error bound above decides the rounding; the cells it cannot
     decide (ties, ``|x|`` outside ``[1e-280, 1e280]``, non-finite values)
-    are formatted by ``%`` one at a time.
+    are formatted by ``%``.
     """
-    mag = np.abs(values)
-    zero = mag == 0.0
-    fast = (mag >= _FAST_MIN) & (mag <= _FAST_MAX)
-    # zero and % cells carry 1.0: digits 1e16, k = 0
-    mag = np.where(fast, mag, 1.0)
-    k = np.floor(np.log10(mag)).astype(np.int64)
-    digits, sure, up = _scaled_round(mag, k)
-    # log10 may put x in the neighbouring decade; such cells round out of
-    # [1e16, 1e17) and run once more with k moved by one
-    redo = np.flatnonzero(sure & _decade_shift(digits, up).astype(bool))
-    if redo.size:
-        k[redo] += _decade_shift(digits[redo], up[redo])
-        digits[redo], sure[redo], up[redo] = _scaled_round(mag[redo], k[redo])
-        sure[redo] &= _decade_shift(digits[redo], up[redo]) == 0
-    sure &= fast | zero
+    _, k, whole, frac, zero, sure = _scaled(values)
+    sure &= _clear(frac, 0.5)
+    digits = whole + (frac > 0.5)
     # rounding up into the next decade: 1.0000000000000000e+(k + 1)
     top = digits == _TEN17
     digits[top] = _TEN16
     k += top
-
-    upper = digits // 10**8                   # the leading digit and 8 more
-    lead = upper // 10**8
-    groups = np.empty((values.size, 4), np.int64)                # 4 x 4 digits
-    groups[:, 1] = upper - lead * 10**8
-    groups[:, 3] = digits - upper * 10**8
-    groups[:, 0::2] = groups[:, 1::2] // 10**4
-    groups[:, 1::2] -= groups[:, 0::2] * 10**4
-    quads = _digit_quads()
     text = np.empty((values.size, _SLOT), np.uint8)
-    text[:, 0], text[:, 2], text[:, 19] = ord("-"), ord("."), ord("e")
-    text[:, 1] = lead + (ord("0") - zero)
-    _runs(text[:, 3:19])[:] = _runs(quads.take(groups))
-    _runs(text[:, 20:])[:] = _runs(quads.take(np.abs(k))[:, None])     # "0ddd"
-    text[:, 20] = np.where(k < 0, ord("-"), ord("+"))
-    keep = np.ones((values.size, _SLOT), bool)
-    keep[:, 0] = np.signbit(values)
-    keep[:, 21] = np.abs(k) >= 100
-    for i in np.flatnonzero(~sure).tolist():
-        raw = ("%.16e" % values[i]).encode()
-        text[i, :len(raw)] = np.frombuffer(raw, np.uint8)
-        keep[i] = np.arange(_SLOT) < len(raw)
-    return text, keep, sure
+    text[:, 0] = np.where(np.signbit(values), ord("-"), _DROP)
+    text[:, 1] = digits // _TEN16 + (ord("0") - zero)
+    text[:, 2], text[:, 19] = ord("."), ord("e")
+    _runs(text[:, 3:19])[:] = _runs(_digit_quads().take(_quad_groups(digits)))
+    _write_exponent(text[:, 20:], k)
+    text[:, 21] |= (np.abs(k) < 100) * np.uint8(_DROP)
+    _format_rest(values, ~sure, "%.16e".__mod__, text)
+    return text, sure
 
 
-def _decade_shift(digits: np.ndarray, up: np.ndarray) -> np.ndarray:
-    """+1 where ``y = |x| 10**(16 - k)`` is at least ``1e17 + 1/2``, -1 where
-    it is below ``1e16`` (``y`` in ``[1e16 - 1/2, 1e16)`` rounds up to
-    ``1e16`` but belongs to ``k - 1``), 0 where ``k`` is the decade of the
-    17 digits."""
-    return (digits > _TEN17).astype(np.int64) - ((digits < _TEN16) | (digits == _TEN16) & up)
+# The slot of a JSON number holds every byte that any of repr's layouts
+# writes, in order: the sign, "0.000", the 17 digits each with a point after
+# it, two bytes no layout writes, and "e+0ddd" (the exponent's digits are
+# a uint32 at an aligned offset).  The digits, the signs and the exponent
+# are ORed into a layout's slot, whose constant bytes are written and whose
+# variable ones are 0; _DROP stays what it is.
+_JSON_SLOT = 48
+_JSON_BYTES = b"\x000.000" + b"\x00." * 17 + b"\x00\x00e\x00" + b"\x00" * 4
+_MANTISSA = 2**52 - 1
 
 
-def _scaled_round(mag: np.ndarray, k: np.ndarray):
-    """``round(mag * 10**(16 - k))`` as int64, whether the rounding is
-    certain (see ``_MARGIN``), and whether it rounded up."""
+def _repr_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``repr(v)`` of every float in the 1-D ``values``, as ``_e16_cells``
+    gives ``'%.16e' % v``: ``(n, 45)`` slots and the mask of the certified
+    cells.  The digits are ``_shortest_digits``'; the layout is repr's:
+    fixed notation for ``1e-4 <= |x| < 1e16``, otherwise ``1e-05`` and
+    ``1.5e+16``."""
+    digits, k, n, zero, sure = _shortest_digits(values)
+    layout = np.where((k >= -4) & (k < 16), k, 16 + (np.abs(k) >= 100))
+    text = _repr_layouts().take((layout + 4) * 17 + n - 1, axis=0)
+    text[:, 0] |= np.where(np.signbit(values), ord("-"), _DROP).astype(np.uint8)
+    text[:, 6] |= (digits // _TEN16 + (ord("0") - zero)).astype(np.uint8)
+    text[:, 8:40].view(np.uint64)[:] |= _digit_pairs().take(_quad_groups(digits))
+    text[:, 43] |= np.where(k < 0, ord("-"), ord("+")).astype(np.uint8)
+    text[:, 44:].view(np.uint32)[:, 0] |= _digit_quads().take(np.abs(k))
+    _format_rest(values, ~sure, repr, text)
+    return text, sure
+
+
+def _shortest_digits(values: np.ndarray):
+    """The shortest digits that read back as each ``x`` (Ryu: Adams, PLDI
+    2018; Grisu3: Loitsch, PLDI 2010), as ``(digits, k, n, zero, sure)``:
+    a 17-digit integer ``digits`` whose first ``n`` digits they are, times
+    ``10**(k - 16)``.
+
+    With ``y = |x| 10**(16 - k)`` from ``_scaled`` and ``u`` half the
+    spacing of the floats at ``x`` in units of ``y``, a decimal reads back
+    as ``x`` if it lies within ``u`` of ``y``.  No float's interval holds
+    two 15-digit decimals, so ``y`` rounded to 15 digits, its trailing
+    zeros dropped, is the answer if it lies inside; else ``y`` rounded to
+    16 digits, the nearest 16-digit decimal, if it does; else the 17
+    digits of ``'%.16e'``.  A cell is certified (``sure``) where each test
+    it takes clears ``_MARGIN``.  Below a power of two the interval is
+    ``u / 2``, and there only the 15-digit test is made.  The others (ties,
+    interval ends, ``|x|`` outside ``[1e-280, 1e280]``) are left to
+    ``repr``.
+    """
+    mag, k, whole, frac, zero, sure = _scaled(values)
+    bits = mag.view(np.int64)
+    # half the spacing of the floats at x (2**-53 |x| rounded down to a
+    # power of two), in units of y
+    u = np.ldexp(whole / mag, (bits >> 52) - 1076)
+    pow2 = (bits & _MANTISSA) == 0
+    hundreds, tens = whole // 100, whole // 10
+    rem15 = (whole - hundreds * 100) + frac
+    rem16 = (whole - tens * 10) + frac
+    # the nearest 15- and 16-digit decimals; at a power of two the 15-digit
+    # one is tested against u / 2 on both sides and the rest go to repr
+    dist15 = np.minimum(rem15, 100 - rem15)
+    bound15 = u / (1 + pow2)
+    in15 = dist15 < bound15
+    dist16 = np.minimum(rem16, 10 - rem16)
+    in16 = dist16 < u                         # implied by in15
+    # a near tie of the rounding matters only where that rounding is taken
+    sure &= _clear(dist15, bound15) & (in15 | ~pow2 & _clear(dist16, u) & np.where(
+        in16, _clear(dist16, 5), _clear(frac, 0.5)))
+    digits = np.where(in15, (hundreds + (rem15 > 50)) * 100, np.where(
+        in16, (tens + (rem16 > 5)) * 10, whole + (frac > 0.5)))
+    top = digits == _TEN17
+    digits[top] = _TEN16
+    k += top
+    # 16 and 17 digits end in a nonzero one (else the shorter decimal would
+    # lie inside too); 15 lose their trailing zeros
+    n = 17 - in15 - in16
+    short = np.flatnonzero(in15)
+    rest, zeros = digits[short] // 100, 0
+    for p in (8, 4, 2, 1):
+        cut = rest // 10**p * 10**p == rest
+        rest = np.where(cut, rest // 10**p, rest)
+        zeros = zeros + cut * p
+    n[short] -= zeros
+    return digits, k, n, zero, sure
+
+
+def _clear(a: np.ndarray, b) -> np.ndarray:
+    return np.abs(a - b) > _MARGIN
+
+
+@functools.cache
+def _repr_layouts() -> np.ndarray:
+    """The JSON slot's bytes that each layout drops, as ``_DROP`` (others
+    0): row ``(e + 4) * 17 + n - 1`` for ``n`` significant digits in fixed
+    notation with decimal exponent ``e`` in ``[-4, 15]``, or in scientific
+    notation with a two-digit (``e = 16``) or three-digit (``e = 17``)
+    exponent."""
+    e = np.arange(-4, 18)[:, None, None]
+    n = np.arange(1, 18)[:, None]
+    digit = np.arange(17)
+    sci = e > 15
+    keep = np.zeros((22, 17, _JSON_SLOT), bool)
+    keep[..., 0] = True                                   # the sign, ORed in
+    keep[..., 1:3] = e < 0                                # "0." ...
+    keep[..., 3:6] = np.arange(3) < -1 - e                # ... and its zeros
+    # fixed notation writes at least one digit past the point: "123.0"
+    last = np.where(sci | (e < 0), n - 1, np.maximum(n - 1, e + 1))
+    keep[..., 6:40:2] = digit <= last
+    keep[..., 7:40:2] = np.where(sci, (digit == 0) & (n > 1), digit == e)
+    keep[..., 42:44] = keep[..., 46:] = sci
+    keep[..., 45] = e[..., 0] == 17
+    slot = np.frombuffer(_JSON_BYTES, np.uint8)
+    return np.where(keep, slot, _DROP).astype(np.uint8).reshape(-1, _JSON_SLOT)
+
+
+def _format_rest(values: np.ndarray, todo: np.ndarray, fmt, text: np.ndarray) -> None:
+    """Write ``fmt(v)`` into the slots of the cells in ``todo``, left
+    aligned, calling ``fmt`` once per distinct bit pattern among them."""
+    at = np.flatnonzero(todo)
+    if not at.size:
+        return
+    bits, inverse = np.unique(values[at].view(np.int64), return_inverse=True)
+    raw = b"".join(fmt(v).encode().ljust(text.shape[1], b"\xff")
+                   for v in bits.view(np.float64).tolist())
+    text[at] = np.frombuffer(raw, np.uint8).reshape(bits.size, -1)[inverse]
+
+
+def _decade_shift(whole: np.ndarray, frac: np.ndarray) -> np.ndarray:
+    """+1 where ``y = whole + frac`` rounds above ``1e17``, -1 where it is
+    below ``1e16``, 0 where ``k`` is the decade of the 17 digits (``y`` in
+    ``[1e17, 1e17 + 1/2)`` rounds up to ``1e17``: 1.0 in decade
+    ``k + 1``)."""
+    return (whole + (frac > 0.5) > _TEN17).astype(np.int64) - (whole < _TEN16)
+
+
+def _scaled_round(mag: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``mag * 10**(16 - k)`` as its int64 whole part and its fraction (see
+    ``_MARGIN`` for the error)."""
     hi, hi_hi, hi_lo, lo = _powers_of_ten(16 - k)
     # p + q = mag hi exactly: Dekker's product (numpy has no fused multiply-add)
     p = mag * hi
@@ -619,10 +711,26 @@ def _scaled_round(mag: np.ndarray, k: np.ndarray):
     q = ((mag_hi * hi_hi - p) + mag_hi * hi_lo + mag_lo * hi_hi) + mag_lo * hi_lo
     r = q + mag * lo
     r_whole = np.floor(r)
-    frac = r - r_whole
-    up = frac > 0.5
-    rounded = p.astype(np.int64) + r_whole.astype(np.int64) + up
-    return rounded, np.abs(frac - 0.5) > _MARGIN, up
+    return p.astype(np.int64) + r_whole.astype(np.int64), r - r_whole
+
+
+def _quad_groups(x: np.ndarray) -> np.ndarray:
+    """The last 16 decimal digits of each integer as four groups of four,
+    the indices of their text in ``_digit_quads``."""
+    upper = x // 10**8
+    lower = x - upper * 10**8
+    upper -= upper // 10**8 * 10**8
+    groups = np.empty((x.size, 4), np.int64)
+    groups[:, 0], groups[:, 2] = upper // 10**4, lower // 10**4
+    groups[:, 1] = upper - groups[:, 0] * 10**4
+    groups[:, 3] = lower - groups[:, 2] * 10**4
+    return groups
+
+
+def _write_exponent(text: np.ndarray, k: np.ndarray) -> None:
+    """The sign and three digits of each exponent into 4-byte ``text`` rows."""
+    _runs(text)[:] = _runs(_digit_quads().take(np.abs(k))[:, None])         # "0ddd"
+    text[:, 0] = np.where(k < 0, ord("-"), ord("+"))
 
 
 def _powers_of_ten(e: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -631,9 +739,9 @@ def _powers_of_ten(e: np.ndarray) -> tuple[np.ndarray, ...]:
         return (np.empty(0),) * 4
     base = int(e.min())
     used = np.flatnonzero(np.bincount(e - base))
-    table = np.zeros((4, used[-1] + 1))
-    table[:, used] = np.array([_power_of_ten(base + j) for j in used.tolist()]).T
-    return tuple(table.take(e - base, axis=1))
+    table = np.zeros((used[-1] + 1, 4))
+    table[used] = [_power_of_ten(base + j) for j in used.tolist()]
+    return tuple(table.take(e - base, axis=0).T)
 
 
 @functools.cache
@@ -647,6 +755,17 @@ def _power_of_ten(power: int) -> tuple[float, float, float, float]:
     c = _SPLIT * hi
     hi_hi = c - (c - hi)
     return hi, hi_hi, hi - hi_hi, (num * q - m * den) / (den * q)
+
+
+@functools.cache
+def _digit_pairs() -> np.ndarray:
+    """The text of 0000..9999 with a point after each digit, one uint64
+    (eight bytes) per number."""
+    pairs = np.full((10**4, 8), ord("."), np.uint8)
+    pairs[:, 0::2] = _digit_quads().view(np.uint8).reshape(-1, 4)
+    pairs = pairs.view(np.uint64).ravel()
+    pairs.flags.writeable = False
+    return pairs
 
 
 @functools.cache

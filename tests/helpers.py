@@ -23,7 +23,7 @@ from superres import (
     spectral,
     weighted_fi_reconstruct,
 )
-from superres.sweep import CSV_FIELDS, DELTA_FIELDS, _e16_cells
+from superres.sweep import CSV_FIELDS, DELTA_FIELDS, _DROP, _e16_cells, _repr_cells
 from superres.numeric_oracle import _branch_fi, _psf, _row_samples
 
 # environment for subprocesses that import this checkout's package
@@ -192,11 +192,20 @@ def cell_by_cell_text(table, fmt: str, include_deltas: bool) -> str:
         for c, st in zip(cells, table.status))
 
 
+def cell_texts(cells, values) -> tuple[list[str], np.ndarray]:
+    """The text a cell kernel of ``sweep`` gives each value of a 1-D float
+    array, its slots read without their unwritten bytes, and the mask of
+    the cells it certified."""
+    text, sure = cells(np.asarray(values, dtype=float))
+    lines = np.concatenate([text, np.full((len(text), 1), ord("\n"), np.uint8)], axis=1)
+    return lines[lines != _DROP].tobytes().decode().split("\n")[:-1], sure
+
+
 def e16_cell_texts(values) -> tuple[list[str], np.ndarray]:
-    """The text ``sweep._e16_cells`` gives each value of a 1-D float array,
-    read through its keep mask, and the mask of the cells it certified."""
-    text, keep, sure = _e16_cells(np.asarray(values, dtype=float))
-    newline = np.full((len(text), 1), ord("\n"), np.uint8)
-    lines = np.concatenate([text, newline], axis=1)
-    kept = np.concatenate([keep, np.ones_like(newline, bool)], axis=1)
-    return lines[kept].tobytes().decode().split("\n")[:-1], sure
+    """``cell_texts`` of the CSV kernel, ``'%.16e' % v``."""
+    return cell_texts(_e16_cells, values)
+
+
+def repr_cell_texts(values) -> tuple[list[str], np.ndarray]:
+    """``cell_texts`` of the JSON kernel, ``repr(v)``."""
+    return cell_texts(_repr_cells, values)

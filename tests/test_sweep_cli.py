@@ -617,7 +617,7 @@ class TestSweepTable:
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_chunk_edges_match_cell_by_cell_formatting(self, offset):
         """Tables one row short of, at, and one row past a CSV chunk."""
-        rows = sweep._CSV_CHUNK_ROWS + offset
+        rows = sweep._CHUNK_ROWS + offset
         rng = np.random.default_rng(rows)
         pool = np.concatenate([rng.standard_normal(64) * 10.0 ** rng.integers(-30, 30, 64),
                                [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300]])
