@@ -54,22 +54,19 @@ def _add_common(parser: argparse.ArgumentParser, mode: str) -> None:
     parser.add_argument("--grid-halfwidth", type=float, default=None)
 
 
-_COMMANDS = ("single", "qfim", "verify", "figure")
-
-
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``superres`` parser.  Every subcommand is listed, but where
-    ``command`` names one only its options are added: each option costs
-    argparse a help formatter, and a call parses one subcommand."""
+    """The parser, with every subcommand but only ``command``'s options where
+    it names one: argparse builds a help formatter per option."""
     parser = argparse.ArgumentParser(
         prog="superres",
         description="Fisher-information analysis of two-point-source resolution "
                     "under entanglement and coherence",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for mode in _COMMANDS:
+    commands = sweep_mod.MODES + ("figure",)
+    for mode in commands:
         p = sub.add_parser(mode)
-        if command in (mode, None) or command not in _COMMANDS:
+        if command == mode or command not in commands:
             if mode == "figure":
                 p.add_argument("preset", help="fig1a | fig1b | fig1c | fig2a | fig2b")
             _add_common(p, mode)

@@ -22,7 +22,6 @@ format whole rows from its columns.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import numbers
@@ -35,6 +34,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fisher_single import _EPS, _coherence_form, _concurrence_form
+from .float_text import E16_SLOT, REPR_SLOT, e16_cells, repr_cells, write_rows
 from .numeric_oracle import _SUPPORT_CUTOFF, _numeric_f_tot, numeric_qfim_row
 from .qfim_two_param import (
     _NUISANCE_FLOOR,
@@ -401,380 +401,21 @@ def emit(table: SweepTable, fmt: str, destination: str | Path | IO[str],
         raise OSError(f"cannot write sweep output to {path}: {exc}") from exc
 
 
-
-
-# Rows per chunk.  A chunk's numpy temporaries take ~0.2-0.4 kB a cell, so
-# 512 rows keep its working set near 1-2 MB, which the allocator reuses from
-# chunk to chunk.  4096 rows (a whole 50 x 50 preset in one chunk) raised
-# the peak memory of `superres figure` by 15 % and, on a shared 2-vCPU
-# virtual machine, were slower for the fresh pages they touch.
-_CHUNK_ROWS = 512
-
-
 def _emit_stream(table: SweepTable, fmt: str, fh: IO[str], include_deltas: bool) -> None:
     names = CSV_FIELDS + (DELTA_FIELDS if include_deltas else ())
+    columns = [table.columns[name] for name in names]
     if fmt == "csv":
         fh.write(",".join(names + ("status",)) + "\n")
-        _write_rows(fh, table, names, _e16_cells, _SLOT, [b""] * len(names), b",", b"",
-                    lambda st: st.encode() + b"\n")
+        write_rows(fh, columns, table.status, e16_cells, E16_SLOT, [b""] * len(names), b",",
+                   b"", lambda st: st.encode() + b"\n")
     elif not len(table):
         fh.write("[]\n")
     else:
         # the layout of json.dump(..., indent=2): each row opens with the
         # ",\n" that ends the row before it, which the first row drops
         fh.write("[\n")
-        _write_rows(fh, table, names, _repr_cells, _JSON_SLOT,
-                    [f'    "{name}": '.encode() for name in names], b",\n", b",\n  {\n",
-                    lambda st: b'    "status": ' + json.dumps(st).encode() + b"\n  }",
-                    drop_blank=True, lead=2)
+        write_rows(fh, columns, table.status, repr_cells, REPR_SLOT,
+                   [f'    "{name}": '.encode() for name in names], b",\n", b",\n  {\n",
+                   lambda st: b'    "status": ' + json.dumps(st).encode() + b"\n  }",
+                   drop_blank=True, lead=2)
         fh.write("\n]\n")
-
-
-def _write_rows(fh: IO[str], table: SweepTable, names: tuple[str, ...], cells, slot: int,
-                prefixes: list[bytes], sep: bytes, head: bytes, status_text,
-                drop_blank: bool = False, lead: int = 0) -> None:
-    """Write the table's rows a chunk at a time.
-
-    A chunk is one ``(rows, width)`` byte matrix.  A row holds ``head``;
-    per column its prefix, a slot of ``slot`` bytes for ``cells``' text of
-    a finite cell, and ``sep``; then its ``status_text``, one void item per
-    status label.  The bytes a row does not write hold ``_DROP``, and the
-    text is the rest: a non-finite cell writes none of its slot, with
-    ``drop_blank`` neither its prefix nor its separator, and the first row
-    not the first ``lead`` bytes of its head.
-    """
-    pad = max(map(len, prefixes))             # prefixes end where the slot starts
-    row = np.full((len(names), pad + slot + len(sep)), _DROP, np.uint8)
-    for i, prefix in enumerate(prefixes):
-        row[i, pad - len(prefix):pad] = np.frombuffer(prefix, np.uint8)
-    row[:, pad + slot:] = np.frombuffer(sep, np.uint8)
-    row = np.concatenate([np.frombuffer(head, np.uint8), row.ravel()])
-    labels = {st: i for i, st in enumerate(dict.fromkeys(table.status))}
-    encoded = [status_text(st) for st in labels]
-    width = max(map(len, encoded), default=1)
-    status = np.frombuffer(b"".join(raw.ljust(width, b"\xff") for raw in encoded),
-                           np.uint8).reshape(-1, width)
-    codes = np.fromiter(map(labels.__getitem__, table.status), np.intp, len(table))
-    # bytes.translate drops a byte value faster than a masked copy drops a
-    # run, and reads a bytearray in place: the chunks reuse one
-    buffer = bytearray()
-    for lo in range(0, len(table), _CHUNK_ROWS):
-        rows = slice(lo, lo + _CHUNK_ROWS)
-        values = np.stack([table.columns[n][rows] for n in names], axis=1)
-        finite = np.isfinite(values)
-        text, _ = cells(values[finite])
-        if len(buffer) != len(values) * (row.size + width):
-            buffer = bytearray(len(values) * (row.size + width))
-        matrix = np.frombuffer(buffer, np.uint8).reshape(len(values), -1)
-        _runs(matrix[:, :row.size])[:] = _runs(row)
-        # the cell region as (rows, columns, prefix + slot + separator)
-        region = matrix[:, len(head):row.size].reshape(values.shape + (-1,))
-        _runs(region[..., pad:pad + slot])[finite] = _runs(text)
-        del text                              # before the text is copied out
-        if drop_blank:
-            region[~finite] = _DROP
-        _runs(matrix[:, row.size:])[:] = _runs(status).take(codes[rows])
-        if lo == 0:
-            matrix[0, :lead] = _DROP
-        fh.write(buffer.translate(None, b"\xff").decode())
-
-
-def _runs(a: np.ndarray) -> np.ndarray:
-    """``a`` without its last axis, which must be contiguous, each run along
-    it one void item: numpy copies such an item whole, and a strided byte
-    axis byte by byte."""
-    return a.view(np.dtype((np.void, a.shape[-1] * a.itemsize)))[..., 0]
-
-
-# The fast path of both cell kernels covers |x| in [1e-280, 1e280]: there
-# 10**(16 - k) and its rounding error are normal floats, and no partial
-# product of the Dekker split overflows or underflows.
-_FAST_MIN, _FAST_MAX = 1e-280, 1e280
-_TEN16, _TEN17 = 10**16, 10**17
-_SPLIT = 134217729.0      # 2**27 + 1, Dekker's splitter
-# y = |x| 10**(16 - k) lies in [1e15, 1e18) when k is within one of x's
-# decade.  With p + q = |x| hi exact, |lo| <= 2**-53 hi, |q| <= ulp(p) / 2
-# <= 2**6 and y < 2**60:
-#   |x| lo is below 2**7, so its rounding and lo's own each err <= 2**-46;
-#   r = q + |x| lo is below 2**8 and its rounding errs <= 2**-46;
-#   frac = r - floor(r) is exact for r >= 0 and errs <= 2**-53 for r < 0.
-# So the computed fraction of y is within 2**-44 of the true one, and a
-# fraction more than 2**-40 away from 1/2 rounds the same way for both.
-# p is an integer wherever y >= 2**52, which holds for every y in [1e16,
-# 1e17); below, the digits come out under 1e16 and the cell runs again.
-# The shortest-digit tests of _repr_cells add whole parts below 100 to the
-# fraction (<= 2**-47 more) and compare with interval half-widths of at
-# most 12 computed to a relative 2**-51: the same margin covers them.
-_MARGIN = 2.0**-40
-_SLOT = 24        # the longest '%.16e' text: "-d.dddddddddddddddde-ddd"
-# the byte of a text slot or row that is not written: UTF-8 never holds it
-_DROP = 0xFF
-
-
-def _scaled(values: np.ndarray):
-    """The shared front of the cell kernels: ``y = |x| 10**(16 - k)`` as
-    its int64 whole part and fraction, with ``k`` the decade of ``x``
-    (``y`` in ``[1e16, 1e17 + 1/2)``).  Returns ``(mag, k, whole, frac,
-    zero, fast)``; zero cells and those outside the fast range carry
-    ``mag = 1.0``, and ``fast`` marks the cells whose ``k`` the fast path
-    settled (zero cells among them)."""
-    mag = np.abs(values)
-    zero = mag == 0.0
-    fast = (mag >= _FAST_MIN) & (mag <= _FAST_MAX)
-    mag = np.where(fast, mag, 1.0)
-    fast |= zero
-    k = np.floor(np.log10(mag)).astype(np.int64)
-    whole, frac = _scaled_round(mag, k)
-    # log10 may put x in the neighbouring decade; such cells run once more
-    # with k moved by one
-    redo = np.flatnonzero(_decade_shift(whole, frac))
-    if redo.size:
-        k[redo] += _decade_shift(whole[redo], frac[redo])
-        whole[redo], frac[redo] = _scaled_round(mag[redo], k[redo])
-        fast[redo] &= _decade_shift(whole[redo], frac[redo]) == 0
-    return mag, k, whole, frac, zero, fast
-
-
-def _e16_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``'%.16e' % v`` of every float in the 1-D ``values``, in one pass.
-
-    Returns ``(n, 24)`` uint8 text slots, ``_DROP`` where a cell writes no
-    byte, and the mask of the cells whose 17 digits the fast path proved
-    correctly rounded.  A slot reads ``[-]d.dddddddddddddddde{+,-}[d]dd``;
-    the sign and the exponent's third digit are there only where they are
-    written.  The fast path (Grisu-style: Loitsch, PLDI 2010) scales ``|x|``
-    by ``10**(16 - k)`` in double-double arithmetic and rounds to an integer
-    where the error bound above decides the rounding; the cells it cannot
-    decide (ties, ``|x|`` outside ``[1e-280, 1e280]``, non-finite values)
-    are formatted by ``%``.
-    """
-    _, k, whole, frac, zero, sure = _scaled(values)
-    sure &= _clear(frac, 0.5)
-    digits = whole + (frac > 0.5)
-    # rounding up into the next decade: 1.0000000000000000e+(k + 1)
-    top = digits == _TEN17
-    digits[top] = _TEN16
-    k += top
-    text = np.empty((values.size, _SLOT), np.uint8)
-    text[:, 0] = np.where(np.signbit(values), ord("-"), _DROP)
-    text[:, 1] = digits // _TEN16 + (ord("0") - zero)
-    text[:, 2], text[:, 19] = ord("."), ord("e")
-    _runs(text[:, 3:19])[:] = _runs(_digit_quads().take(_quad_groups(digits)))
-    _write_exponent(text[:, 20:], k)
-    text[:, 21] |= (np.abs(k) < 100) * np.uint8(_DROP)
-    _format_rest(values, ~sure, "%.16e".__mod__, text)
-    return text, sure
-
-
-# The slot of a JSON number holds every byte that any of repr's layouts
-# writes, in order: the sign, "0.000", the 17 digits each with a point after
-# it, two bytes no layout writes, and "e+0ddd" (the exponent's digits are
-# a uint32 at an aligned offset).  The digits, the signs and the exponent
-# are ORed into a layout's slot, whose constant bytes are written and whose
-# variable ones are 0; _DROP stays what it is.
-_JSON_SLOT = 48
-_JSON_BYTES = b"\x000.000" + b"\x00." * 17 + b"\x00\x00e\x00" + b"\x00" * 4
-_MANTISSA = 2**52 - 1
-
-
-def _repr_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``repr(v)`` of every float in the 1-D ``values``, as ``_e16_cells``
-    gives ``'%.16e' % v``: ``(n, 45)`` slots and the mask of the certified
-    cells.  The digits are ``_shortest_digits``'; the layout is repr's:
-    fixed notation for ``1e-4 <= |x| < 1e16``, otherwise ``1e-05`` and
-    ``1.5e+16``."""
-    digits, k, n, zero, sure = _shortest_digits(values)
-    layout = np.where((k >= -4) & (k < 16), k, 16 + (np.abs(k) >= 100))
-    text = _repr_layouts().take((layout + 4) * 17 + n - 1, axis=0)
-    text[:, 0] |= np.where(np.signbit(values), ord("-"), _DROP).astype(np.uint8)
-    text[:, 6] |= (digits // _TEN16 + (ord("0") - zero)).astype(np.uint8)
-    text[:, 8:40].view(np.uint64)[:] |= _digit_pairs().take(_quad_groups(digits))
-    text[:, 43] |= np.where(k < 0, ord("-"), ord("+")).astype(np.uint8)
-    text[:, 44:].view(np.uint32)[:, 0] |= _digit_quads().take(np.abs(k))
-    _format_rest(values, ~sure, repr, text)
-    return text, sure
-
-
-def _shortest_digits(values: np.ndarray):
-    """The shortest digits that read back as each ``x`` (Ryu: Adams, PLDI
-    2018; Grisu3: Loitsch, PLDI 2010), as ``(digits, k, n, zero, sure)``:
-    a 17-digit integer ``digits`` whose first ``n`` digits they are, times
-    ``10**(k - 16)``.
-
-    With ``y = |x| 10**(16 - k)`` from ``_scaled`` and ``u`` half the
-    spacing of the floats at ``x`` in units of ``y``, a decimal reads back
-    as ``x`` if it lies within ``u`` of ``y``.  No float's interval holds
-    two 15-digit decimals, so ``y`` rounded to 15 digits, its trailing
-    zeros dropped, is the answer if it lies inside; else ``y`` rounded to
-    16 digits, the nearest 16-digit decimal, if it does; else the 17
-    digits of ``'%.16e'``.  A cell is certified (``sure``) where each test
-    it takes clears ``_MARGIN``.  Below a power of two the interval is
-    ``u / 2``, and there only the 15-digit test is made.  The others (ties,
-    interval ends, ``|x|`` outside ``[1e-280, 1e280]``) are left to
-    ``repr``.
-    """
-    mag, k, whole, frac, zero, sure = _scaled(values)
-    bits = mag.view(np.int64)
-    # half the spacing of the floats at x (2**-53 |x| rounded down to a
-    # power of two), in units of y
-    u = np.ldexp(whole / mag, (bits >> 52) - 1076)
-    pow2 = (bits & _MANTISSA) == 0
-    hundreds, tens = whole // 100, whole // 10
-    rem15 = (whole - hundreds * 100) + frac
-    rem16 = (whole - tens * 10) + frac
-    # the nearest 15- and 16-digit decimals; at a power of two the 15-digit
-    # one is tested against u / 2 on both sides and the rest go to repr
-    dist15 = np.minimum(rem15, 100 - rem15)
-    bound15 = u / (1 + pow2)
-    in15 = dist15 < bound15
-    dist16 = np.minimum(rem16, 10 - rem16)
-    in16 = dist16 < u                         # implied by in15
-    # a near tie of the rounding matters only where that rounding is taken
-    sure &= _clear(dist15, bound15) & (in15 | ~pow2 & _clear(dist16, u) & np.where(
-        in16, _clear(dist16, 5), _clear(frac, 0.5)))
-    digits = np.where(in15, (hundreds + (rem15 > 50)) * 100, np.where(
-        in16, (tens + (rem16 > 5)) * 10, whole + (frac > 0.5)))
-    top = digits == _TEN17
-    digits[top] = _TEN16
-    k += top
-    # 16 and 17 digits end in a nonzero one (else the shorter decimal would
-    # lie inside too); 15 lose their trailing zeros
-    n = 17 - in15 - in16
-    short = np.flatnonzero(in15)
-    rest, zeros = digits[short] // 100, 0
-    for p in (8, 4, 2, 1):
-        cut = rest // 10**p * 10**p == rest
-        rest = np.where(cut, rest // 10**p, rest)
-        zeros = zeros + cut * p
-    n[short] -= zeros
-    return digits, k, n, zero, sure
-
-
-def _clear(a: np.ndarray, b) -> np.ndarray:
-    return np.abs(a - b) > _MARGIN
-
-
-@functools.cache
-def _repr_layouts() -> np.ndarray:
-    """The JSON slot's bytes that each layout drops, as ``_DROP`` (others
-    0): row ``(e + 4) * 17 + n - 1`` for ``n`` significant digits in fixed
-    notation with decimal exponent ``e`` in ``[-4, 15]``, or in scientific
-    notation with a two-digit (``e = 16``) or three-digit (``e = 17``)
-    exponent."""
-    e = np.arange(-4, 18)[:, None, None]
-    n = np.arange(1, 18)[:, None]
-    digit = np.arange(17)
-    sci = e > 15
-    keep = np.zeros((22, 17, _JSON_SLOT), bool)
-    keep[..., 0] = True                                   # the sign, ORed in
-    keep[..., 1:3] = e < 0                                # "0." ...
-    keep[..., 3:6] = np.arange(3) < -1 - e                # ... and its zeros
-    # fixed notation writes at least one digit past the point: "123.0"
-    last = np.where(sci | (e < 0), n - 1, np.maximum(n - 1, e + 1))
-    keep[..., 6:40:2] = digit <= last
-    keep[..., 7:40:2] = np.where(sci, (digit == 0) & (n > 1), digit == e)
-    keep[..., 42:44] = keep[..., 46:] = sci
-    keep[..., 45] = e[..., 0] == 17
-    slot = np.frombuffer(_JSON_BYTES, np.uint8)
-    return np.where(keep, slot, _DROP).astype(np.uint8).reshape(-1, _JSON_SLOT)
-
-
-def _format_rest(values: np.ndarray, todo: np.ndarray, fmt, text: np.ndarray) -> None:
-    """Write ``fmt(v)`` into the slots of the cells in ``todo``, left
-    aligned, calling ``fmt`` once per distinct bit pattern among them."""
-    at = np.flatnonzero(todo)
-    if not at.size:
-        return
-    bits, inverse = np.unique(values[at].view(np.int64), return_inverse=True)
-    raw = b"".join(fmt(v).encode().ljust(text.shape[1], b"\xff")
-                   for v in bits.view(np.float64).tolist())
-    text[at] = np.frombuffer(raw, np.uint8).reshape(bits.size, -1)[inverse]
-
-
-def _decade_shift(whole: np.ndarray, frac: np.ndarray) -> np.ndarray:
-    """+1 where ``y = whole + frac`` rounds above ``1e17``, -1 where it is
-    below ``1e16``, 0 where ``k`` is the decade of the 17 digits (``y`` in
-    ``[1e17, 1e17 + 1/2)`` rounds up to ``1e17``: 1.0 in decade
-    ``k + 1``)."""
-    return (whole + (frac > 0.5) > _TEN17).astype(np.int64) - (whole < _TEN16)
-
-
-def _scaled_round(mag: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``mag * 10**(16 - k)`` as its int64 whole part and its fraction (see
-    ``_MARGIN`` for the error)."""
-    hi, hi_hi, hi_lo, lo = _powers_of_ten(16 - k)
-    # p + q = mag hi exactly: Dekker's product (numpy has no fused multiply-add)
-    p = mag * hi
-    c = _SPLIT * mag
-    mag_hi = c - (c - mag)
-    mag_lo = mag - mag_hi
-    q = ((mag_hi * hi_hi - p) + mag_hi * hi_lo + mag_lo * hi_hi) + mag_lo * hi_lo
-    r = q + mag * lo
-    r_whole = np.floor(r)
-    return p.astype(np.int64) + r_whole.astype(np.int64), r - r_whole
-
-
-def _quad_groups(x: np.ndarray) -> np.ndarray:
-    """The last 16 decimal digits of each integer as four groups of four,
-    the indices of their text in ``_digit_quads``."""
-    upper = x // 10**8
-    lower = x - upper * 10**8
-    upper -= upper // 10**8 * 10**8
-    groups = np.empty((x.size, 4), np.int64)
-    groups[:, 0], groups[:, 2] = upper // 10**4, lower // 10**4
-    groups[:, 1] = upper - groups[:, 0] * 10**4
-    groups[:, 3] = lower - groups[:, 2] * 10**4
-    return groups
-
-
-def _write_exponent(text: np.ndarray, k: np.ndarray) -> None:
-    """The sign and three digits of each exponent into 4-byte ``text`` rows."""
-    _runs(text)[:] = _runs(_digit_quads().take(np.abs(k))[:, None])         # "0ddd"
-    text[:, 0] = np.where(k < 0, ord("-"), ord("+"))
-
-
-def _powers_of_ten(e: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``_power_of_ten`` per element, looked up once per exponent present."""
-    if not e.size:
-        return (np.empty(0),) * 4
-    base = int(e.min())
-    used = np.flatnonzero(np.bincount(e - base))
-    table = np.zeros((used[-1] + 1, 4))
-    table[used] = [_power_of_ten(base + j) for j in used.tolist()]
-    return tuple(table.take(e - base, axis=0).T)
-
-
-@functools.cache
-def _power_of_ten(power: int) -> tuple[float, float, float, float]:
-    """``10**power`` as a double-double ``hi + lo`` with ``hi``'s Dekker
-    halves: ``hi`` is the nearest float and ``lo`` the nearest float to the
-    rest, both from Python ints, whose true division rounds correctly."""
-    num, den = (10**power, 1) if power >= 0 else (1, 10**-power)
-    hi = num / den
-    m, q = hi.as_integer_ratio()
-    c = _SPLIT * hi
-    hi_hi = c - (c - hi)
-    return hi, hi_hi, hi - hi_hi, (num * q - m * den) / (den * q)
-
-
-@functools.cache
-def _digit_pairs() -> np.ndarray:
-    """The text of 0000..9999 with a point after each digit, one uint64
-    (eight bytes) per number."""
-    pairs = np.full((10**4, 8), ord("."), np.uint8)
-    pairs[:, 0::2] = _digit_quads().view(np.uint8).reshape(-1, 4)
-    pairs = pairs.view(np.uint64).ravel()
-    pairs.flags.writeable = False
-    return pairs
-
-
-@functools.cache
-def _digit_quads() -> np.ndarray:
-    """The ASCII text of 0000..9999, one uint32 (four bytes) per number."""
-    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
-    text = np.empty((10, 10, 10, 10, 4), np.uint8)
-    for place in range(4):
-        text[..., place] = digit.reshape((10,) + (1,) * (3 - place))
-    quads = text.view(np.uint32).ravel()
-    quads.flags.writeable = False             # one table shared by every call
-    return quads

@@ -23,7 +23,8 @@ from superres import (
     spectral,
     weighted_fi_reconstruct,
 )
-from superres.sweep import CSV_FIELDS, DELTA_FIELDS, _DROP, _e16_cells, _repr_cells
+from superres.float_text import DROP, e16_cells, repr_cells
+from superres.sweep import CSV_FIELDS, DELTA_FIELDS
 from superres.numeric_oracle import _branch_fi, _psf, _row_samples
 
 # environment for subprocesses that import this checkout's package
@@ -193,19 +194,19 @@ def cell_by_cell_text(table, fmt: str, include_deltas: bool) -> str:
 
 
 def cell_texts(cells, values) -> tuple[list[str], np.ndarray]:
-    """The text a cell kernel of ``sweep`` gives each value of a 1-D float
-    array, its slots read without their unwritten bytes, and the mask of
-    the cells it certified."""
+    """The text a cell kernel of ``float_text`` gives each value of a 1-D
+    float array, its slots read without their unwritten bytes, and the mask
+    of the cells it certified."""
     text, sure = cells(np.asarray(values, dtype=float))
     lines = np.concatenate([text, np.full((len(text), 1), ord("\n"), np.uint8)], axis=1)
-    return lines[lines != _DROP].tobytes().decode().split("\n")[:-1], sure
+    return lines[lines != DROP].tobytes().decode().split("\n")[:-1], sure
 
 
 def e16_cell_texts(values) -> tuple[list[str], np.ndarray]:
     """``cell_texts`` of the CSV kernel, ``'%.16e' % v``."""
-    return cell_texts(_e16_cells, values)
+    return cell_texts(e16_cells, values)
 
 
 def repr_cell_texts(values) -> tuple[list[str], np.ndarray]:
     """``cell_texts`` of the JSON kernel, ``repr(v)``."""
-    return cell_texts(_repr_cells, values)
+    return cell_texts(repr_cells, values)

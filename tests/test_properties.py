@@ -11,7 +11,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from helpers import cell_by_cell_text, e16_cell_texts  # noqa: E402
+from helpers import cell_by_cell_text, e16_cell_texts, repr_cell_texts  # noqa: E402
 from superres import (  # noqa: E402
     ModelParams,
     SweepTable,
@@ -113,3 +113,10 @@ def test_emit_matches_cell_by_cell_formatting(table, fmt, include_deltas):
 def test_e16_cells_match_percent_format(values):
     texts, _ = e16_cell_texts(values)
     assert texts == ["%.16e" % v for v in values]
+
+
+@common
+@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1))
+def test_repr_cells_match_repr(values):
+    texts, _ = repr_cell_texts(values)
+    assert texts == [repr(v) for v in values]

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import SRC_ENV, cell_by_cell_text, e16_cell_texts
+from helpers import SRC_ENV, cell_by_cell_text, e16_cell_texts, repr_cell_texts
 from superres import (
     DomainError,
     ModelParams,
@@ -33,7 +33,7 @@ from superres import (
     theta_from_concurrence,
 )
 from superres.cli import main
-from superres import sweep
+from superres import float_text
 from superres.sweep import CSV_FIELDS, DELTA_FIELDS, worst_oracle_delta
 
 
@@ -577,10 +577,16 @@ class TestSweepTable:
     def test_signed_zeros_keep_their_sign(self, tmp_path):
         values = (0.0, -0.0) * 3
         out = tmp_path / "zeros.csv"
-        emit(table_of(*(dict(s=1.0, sigma=1.0, f_st=v) for v in values)), "csv", out)
+        table = table_of(*(dict(s=1.0, sigma=1.0, f_st=v) for v in values))
+        emit(table, "csv", out)
         column = [line.split(",")[CSV_FIELDS.index("f_st")]
                   for line in out.read_text().splitlines()[1:]]
         assert column == [f"{v:.16e}" for v in values]
+        emit(table, "json", out)
+        text = out.read_text()
+        assert [line.split(": ")[1] for line in text.splitlines() if '"f_st"' in line] == [
+            "0.0,", "-0.0,"] * 3
+        assert [math.copysign(1.0, row["f_st"]) for row in json.loads(text)] == [1.0, -1.0] * 3
 
     @pytest.mark.parametrize("include_deltas", [False, True])
     def test_bytes_match_cell_by_cell_formatting(self, tmp_path, include_deltas):
@@ -616,18 +622,23 @@ class TestSweepTable:
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_chunk_edges_match_cell_by_cell_formatting(self, offset):
-        """Tables one row short of, at, and one row past a CSV chunk."""
-        rows = sweep._CHUNK_ROWS + offset
-        rng = np.random.default_rng(rows)
-        pool = np.concatenate([rng.standard_normal(64) * 10.0 ** rng.integers(-30, 30, 64),
-                               [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300]])
-        table = SweepTable({n: rng.choice(pool, rows) for n in CSV_FIELDS + DELTA_FIELDS},
-                           # statuses with a '%', a NUL and a two-byte character
-                           rng.choice(["ok", "out_of_reach", "50%s", "n\x00\u00e9"], rows).tolist())
-        for include_deltas in (False, True):
-            out = io.StringIO()
-            emit(table, "csv", out, include_deltas=include_deltas)
-            assert out.getvalue() == cell_by_cell_text(table, "csv", include_deltas)
+        """Tables one row short of, at, and one row past a chunk of each
+        format, with and without deltas."""
+        for fmt, slot in (("csv", float_text.E16_SLOT), ("json", float_text.REPR_SLOT)):
+            for include_deltas in (False, True):
+                names = CSV_FIELDS + (DELTA_FIELDS if include_deltas else ())
+                rows = float_text.CHUNK_BYTES // (len(names) * slot) + offset
+                rng = np.random.default_rng(rows)
+                pool = np.concatenate([
+                    rng.standard_normal(64) * 10.0 ** rng.integers(-30, 30, 64),
+                    [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300]])
+                table = SweepTable(
+                    {n: rng.choice(pool, rows) for n in CSV_FIELDS + DELTA_FIELDS},
+                    # statuses with a '%', a NUL and a two-byte character
+                    rng.choice(["ok", "out_of_reach", "50%s", "n\x00\u00e9"], rows).tolist())
+                out = io.StringIO()
+                emit(table, fmt, out, include_deltas=include_deltas)
+                assert out.getvalue() == cell_by_cell_text(table, fmt, include_deltas)
 
     @pytest.mark.parametrize("kind", ["all-out-of-reach", "empty", "all-blank"])
     def test_edge_tables_match_cell_by_cell_formatting(self, kind):
@@ -640,10 +651,20 @@ class TestSweepTable:
         else:
             table = SweepTable({n: np.full(3, math.nan) for n in CSV_FIELDS + DELTA_FIELDS},
                                ["", "ok", "out_of_reach"])
-        for include_deltas in (False, True):
-            out = io.StringIO()
-            emit(table, "csv", out, include_deltas=include_deltas)
-            assert out.getvalue() == cell_by_cell_text(table, "csv", include_deltas)
+        for fmt in ("csv", "json"):
+            for include_deltas in (False, True):
+                out = io.StringIO()
+                emit(table, fmt, out, include_deltas=include_deltas)
+                assert out.getvalue() == cell_by_cell_text(table, fmt, include_deltas)
+
+    def test_infinite_cells_have_no_json_key(self):
+        table = table_of(dict(s=1.0, sigma=1.0, f_st=math.inf),
+                         dict(s=2.0, sigma=1.0, f_st=-math.inf, h_s=0.5))
+        out = io.StringIO()
+        emit(table, "json", out)
+        assert out.getvalue() == cell_by_cell_text(table, "json", False)
+        assert [sorted(row) for row in json.loads(out.getvalue())] == [
+            ["s", "sigma", "status"], ["h_s", "s", "sigma", "status"]]
 
 
 class TestCsvCells:
@@ -717,4 +738,58 @@ class TestCsvCells:
         values = np.random.default_rng(20102).random(10**5)
         texts, sure = e16_cell_texts(values)
         assert texts == ["%.16e" % v for v in values.tolist()]
+        assert sure.mean() >= 0.99
+
+
+class TestJsonCells:
+    """The vectorized shortest-digit kernel of JSON emit, against repr."""
+
+    NEIGHBOURS = [f(x) for x in (1e-4, 1e16) for f in (
+        lambda x: math.nextafter(x, 0.0), lambda x: x, lambda x: math.nextafter(x, math.inf))]
+    NAMED = [*NEIGHBOURS, 9.999999999999999e-05, 5e-324, 2.2250738585072014e-308,
+             1.7976931348623157e308, 0.1, 1e23, 123.0, 0.0, -0.0, 1e15, 1e-5, 12.5, -2.5]
+
+    def test_named_values(self):
+        values = self.NAMED + [-v for v in self.NAMED]
+        texts, sure = repr_cell_texts(values)
+        assert texts == [repr(v) for v in values]
+        assert texts[:6] == ["9.999999999999999e-05", "0.0001", "0.00010000000000000002",
+                             "9999999999999998.0", "1e+16", "1.0000000000000002e+16"]
+        # the fallback takes |x| outside [1e-280, 1e280], and 1e23, which
+        # lies on an end of its float's interval (1e23 - 2**23, spacing 2**24)
+        fallback = [abs(v) < 1e-280 and v != 0.0 or abs(v) > 1e280 or abs(v) == 1e23
+                    for v in values]
+        assert (sure == ~np.array(fallback)).all()
+
+    def test_powers_of_two(self):
+        values = [2.0**k for k in range(-1074, 1024)]
+        texts, sure = repr_cell_texts(values)
+        assert texts == [repr(v) for v in values]
+        # certified where 15 digits read back: 2**-1 .. 2**49 among them
+        assert sure[[1074 + k for k in range(-1, 50)]].all()
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(20121)
+        certified = 0
+        for _ in range(8):
+            values = rng.integers(0, 2**64, 2**17, dtype=np.uint64).view(np.float64)
+            values = values[np.isfinite(values)]
+            texts, sure = repr_cell_texts(values)
+            assert texts == [repr(v) for v in values.tolist()]
+            certified += sure.sum()
+        # the fast path covers |x| in [1e-280, 1e280]: 91 % of the exponents
+        assert certified > 0.9 * 8 * 2**17 * 2047 / 2048
+
+    def test_rounded_decimals(self):
+        rng = np.random.default_rng(20122)
+        values = np.concatenate([np.round(rng.random(2000) * 10.0**e, d)
+                                 for e in range(7) for d in range(12)])
+        texts, sure = repr_cell_texts(values)
+        assert texts == [repr(v) for v in values.tolist()]
+        assert sure.mean() >= 0.99
+
+    def test_certified_share_on_uniform_draws(self):
+        values = np.random.default_rng(20123).random(10**5)
+        texts, sure = repr_cell_texts(values)
+        assert texts == [repr(v) for v in values.tolist()]
         assert sure.mean() >= 0.99
