@@ -96,7 +96,7 @@ E16_SLOT = 24     # the longest '%.16e' text: "-d.dddddddddddddddde-ddd"
 # The JSON slot holds every byte that any of repr's layouts writes, in order:
 # the sign, "0.000", the 17 digits each with a point after it, two unused
 # bytes, and "e+0ddd" (the exponent's digits a uint32 at an aligned offset).
-# A layout's slot holds its constant bytes, DROP, and 0 to OR a digit into.
+# A layout's slot holds its constant bytes, DROP, and 0 where the digits go.
 REPR_SLOT = 48
 _REPR_BYTES = b"\x000.000" + b"\x00." * 17 + b"\x00\x00e" + b"\x00" * 5
 _MANTISSA = 2**52 - 1
@@ -153,13 +153,14 @@ def repr_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cells, with the digits of ``shortest_digits`` in repr's layout: fixed
     notation for ``1e-4 <= |x| < 1e16``, else ``1e-05`` and ``1.5e+16``."""
     digits, k, n, zero, sure = shortest_digits(values)
+    text = np.zeros((values.size, REPR_SLOT), np.uint8)
+    text[:, 0] = np.where(np.signbit(values), ord("-"), DROP)
+    text[:, 6] = digits // _TEN16 + (ord("0") - zero)
+    _runs(text[:, 8:40])[:] = _runs(_digit_pairs().take(_quad_groups(digits)))
+    text[:, 43] = np.where(k < 0, ord("-"), ord("+"))
+    _runs(text[:, 44:])[:] = _runs(_digit_quads().take(np.abs(k))[:, None])
     layout = np.where((k >= -4) & (k < 16), k, 16 + (np.abs(k) >= 100))
-    text = _repr_layouts().take((layout + 4) * 17 + n - 1, axis=0)
-    text[:, 0] |= np.where(np.signbit(values), ord("-"), DROP).astype(np.uint8)
-    text[:, 6] |= (digits // _TEN16 + (ord("0") - zero)).astype(np.uint8)
-    text[:, 8:40].view(np.uint64)[:] |= _digit_pairs().take(_quad_groups(digits))
-    text[:, 43] |= np.where(k < 0, ord("-"), ord("+")).astype(np.uint8)
-    text[:, 44:].view(np.uint32)[:, 0] |= _digit_quads().take(np.abs(k))
+    text |= _repr_layouts().take((layout + 4) * 17 + n - 1, axis=0)
     _format_rest(values, ~sure, repr, text)
     return text, sure
 
@@ -241,10 +242,12 @@ def _format_rest(values: np.ndarray, todo: np.ndarray, fmt, text: np.ndarray) ->
     """``fmt(v)`` into the slots of the cells in ``todo``, left-aligned,
     one ``fmt`` call per distinct bit pattern among them."""
     at = np.flatnonzero(todo)
+    if not at.size:
+        return
     bits, inverse = np.unique(values[at].view(np.int64), return_inverse=True)
     raw = b"".join(fmt(v).encode().ljust(text.shape[1], b"\xff")
                    for v in bits.view(np.float64).tolist())
-    text[at] = np.frombuffer(raw, np.uint8).reshape(bits.size, text.shape[1])[inverse]
+    text[at] = np.frombuffer(raw, np.uint8).reshape(bits.size, -1)[inverse]
 
 
 def _scaled_round(mag: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -265,13 +268,9 @@ def _scaled_round(mag: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def _quad_groups(x: np.ndarray) -> np.ndarray:
     """The last 16 decimal digits of each integer as four groups of four."""
     upper = x // 10**8
-    lower = x - upper * 10**8
-    upper -= upper // 10**8 * 10**8
-    groups = np.empty((x.size, 4), np.int64)
-    groups[:, 0], groups[:, 2] = upper // 10**4, lower // 10**4
-    groups[:, 1] = upper - groups[:, 0] * 10**4
-    groups[:, 3] = lower - groups[:, 2] * 10**4
-    return groups
+    halves = np.stack([upper - upper // 10**8 * 10**8, x - upper * 10**8], axis=1)
+    fours = halves // 10**4
+    return np.stack([fours, halves - fours * 10**4], axis=2).reshape(-1, 4)
 
 
 def _powers_of_ten(e: np.ndarray) -> tuple[np.ndarray, ...]:
