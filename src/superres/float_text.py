@@ -88,7 +88,7 @@ _SPLIT = 134217729.0      # 2**27 + 1, Dekker's splitter
 # fraction more than 2**-40 away from 1/2 rounds the same way for both.
 # p is an integer wherever y >= 2**52, which holds for every y in [1e16,
 # 1e17); below, the digits come out under 1e16 and the cell runs again.
-# The tests of shortest_digits add whole parts below 100 to the fraction
+# The tests of _shortest_digits add whole parts below 100 to the fraction
 # (2**-47 more) and compare with interval half-widths of at most 12,
 # computed to a relative 2**-51: the same margin covers them.
 _MARGIN = 2.0**-40
@@ -150,9 +150,9 @@ def e16_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def repr_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``repr(v)`` of every float in the 1-D ``values``, as ``e16_cells``
     gives ``'%.16e' % v``: ``(n, 48)`` slots and the mask of the certified
-    cells, with the digits of ``shortest_digits`` in repr's layout: fixed
+    cells, with the digits of ``_shortest_digits`` in repr's layout: fixed
     notation for ``1e-4 <= |x| < 1e16``, else ``1e-05`` and ``1.5e+16``."""
-    digits, k, n, zero, sure = shortest_digits(values)
+    digits, k, n, zero, sure = _shortest_digits(values)
     text = np.zeros((values.size, REPR_SLOT), np.uint8)
     text[:, 0] = np.where(np.signbit(values), ord("-"), DROP)
     text[:, 6] = digits // _TEN16 + (ord("0") - zero)
@@ -165,7 +165,7 @@ def repr_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return text, sure
 
 
-def shortest_digits(values: np.ndarray):
+def _shortest_digits(values: np.ndarray):
     """The shortest digits that read back as each ``x`` (Ryu: Adams, PLDI
     2018; Grisu3: Loitsch, PLDI 2010), ``(digits, k, n, zero, sure)``: the
     first ``n`` of the 17 ``digits``, times ``10**(k - 16)``.  A decimal within
