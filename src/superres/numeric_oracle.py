@@ -1,27 +1,28 @@
 """Brute-force verification layer on a discretized position grid.
 
 Everything here is computed from sampled Gaussian amplitudes with trapezoid
-integration and dense eigendecompositions — none of the closed forms from
-the analytic modules are reused.
+integration — none of the closed forms from the analytic modules are reused.
 
-The grid work depends on ``s`` alone and is done once for all thetas of a
-separation row: four sampled vectors, both sources and their derivatives
-by ``s``, which the sampled PSF gives exactly:
+The grid work depends on ``s`` alone and is done once per distinct
+separation: four sampled vectors, both sources and their derivatives by
+``s``, which the sampled PSF gives exactly:
 ``d h(x +- s/2)/ds = -+ (x +- s/2) h(x +- s/2) / (4 sigma^2)``.  An R-only
 Householder QR of their ``sqrt(w)``-scaled columns gives their coordinates
 in an orthonormal basis of their span, with no basis matrix formed (exact
 however close to collinear the vectors get at small s).  The state and its
 derivatives by s and theta lie in that span, so theta and phi only set the
-branch coefficients.  The QFIM and the weighted FI of single mode run on
-the projected 4x4 density matrices, whose derivatives, eigendecompositions
-and spectral sums run stacked; the concurrence is read off the same
-coordinates, ``h(x + s/2) = (r00, 0, 0, 0)`` and
-``h(x - s/2) = (r01, r11, 0, 0)``.
+branch coefficients.  There ``h(x + s/2) = (r00, 0, 0, 0)`` and
+``h(x - s/2) = (r01, r11, 0, 0)``: the density matrix lives on a 2x2
+support block and coordinates 2 and 3 are its exact kernel, so the QFIM is
+the support-plus-kernel SLD sum (Liu, Yuan, Lu and Wang, J. Phys. A 53,
+023001 (2020)) of a closed-form 2x2 eigensolve, with no eigendecomposition
+routine and no cutoff.  It and the weighted FI of single mode run
+elementwise over all (s, theta) cells of a sweep in one call; the
+concurrence is read off the same coordinates.
 
 With the default grid (4096 points, halfwidth ``8 sigma + s``) the oracle
-agrees with the closed forms to ~1e-11 relative for s from 1e-3 sigma up;
-the spectral sum leaves out eigenvalue pairs summing to at most
-``_SUPPORT_CUTOFF``.  A row of oracle evaluations runs in a few
+agrees with the closed forms to ~1e-11 relative for s from 1e-3 sigma up,
+and to ~2e-10 down to 1e-7 sigma.  A sweep's oracle call runs in a few
 milliseconds.
 """
 
@@ -35,10 +36,6 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 from .qfim_two_param import Qfim2
 from .state_model import _INF, _SIGMA_MAX, _SIGMA_MIN, ModelParams, _reject_s_sigma
-
-# eigenvalue pairs of the projected density matrix summing to at most this
-# are outside its support and left out of the spectral SLD sum
-_SUPPORT_CUTOFF = 1e-12
 
 
 @dataclass
@@ -140,83 +137,118 @@ def _row_samples(s: float, sigma: float, n_points: int,
     return _RowSamples(plus=r[:, 0], minus=r[:, 1], d_plus=r[:, 2], d_minus=r[:, 3])
 
 
-def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a[..., :, None] * b[..., None, :].conj()
-
-
 def _norm2(a: np.ndarray) -> np.ndarray:
     return np.sum((a * a.conj()).real, axis=-1)
 
 
-def _hermitize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + np.swapaxes(m, -1, -2).conj())
+def _sld_sum(lam1, lam2, w22, x, y):
+    """Support terms ``sum 2 Re[x_kl y_lk] / (lam_k + lam_l)`` of the spectral
+    SLD sum for derivatives given in the eigenframe as ``(d11, d22 / det A,
+    d12)``; the pair (2, 2) is ``w22 x22 y22`` with ``w22 = det A^2 / lam2``,
+    or 0 where it is left out.  Symmetric in ``x``, ``y`` bit for bit."""
+    return (x[0] * y[0] / lam1 + w22 * (x[1] * y[1])
+            + 4.0 * (x[2].real * y[2].real + x[2].imag * y[2].imag) / (lam1 + lam2))
 
 
-def _qfim_element(lams: np.ndarray, da: np.ndarray, db: np.ndarray) -> np.ndarray:
-    """Spectral-sum QFIM element
-    ``sum_{k,l: lam_k+lam_l > _SUPPORT_CUTOFF} 2 Re[da_kl db_lk] / (lam_k + lam_l)``
-    over the last two axes of stacked eigenframe derivatives; symmetric in
-    ``da``, ``db`` bit for bit."""
-    den = lams[..., :, None] + lams[..., None, :]
-    terms = np.divide((da * np.swapaxes(db, -1, -2)).real, den,
-                      out=np.zeros(den.shape), where=den > _SUPPORT_CUTOFF)
-    return (terms + np.swapaxes(terms, -1, -2)).sum(axis=(-2, -1))
+def _cell_samples(s, thetas, sigma: float, n_points: int, halfwidth: float | None):
+    """``s`` and ``thetas`` broadcast together, and the row samples of every
+    cell stacked as ``(plus, minus, d_plus, d_minus)``, each ``(..., 4)``,
+    from one :func:`_row_samples` per distinct ``s``."""
+    s, theta = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(thetas, dtype=float))
+    values, inverse = np.unique(s.ravel(), return_inverse=True)
+    rows = [_row_samples(float(v), sigma, n_points, halfwidth) for v in values]
+    stacked = np.array([(r.plus, r.minus, r.d_plus, r.d_minus) for r in rows]).reshape(-1, 4, 4)
+    return theta, np.moveaxis(stacked[inverse.reshape(s.shape)], -2, 0)
+
+
+def numeric_qfim_cells(s, sigma: float, thetas, phi: float = 0.0, n_points: int = 4096,
+                       halfwidth: float | None = None):
+    """QFIM arrays ``(f_ss, f_tt, f_st)`` at every cell of ``s`` and
+    ``thetas`` broadcast together, in one call; see :func:`numeric_qfim`.
+
+    ``rho`` lives on coordinates 0 and 1 of the row samples, and 2 and 3 are
+    its exact kernel, which only the derivative by ``s`` reaches.  A
+    closed-form Hermitian 2x2 eigensolve runs elementwise on every cell.
+    """
+    if np.any(np.asarray(s) == 0.0):
+        raise DomainError("numeric_qfim requires s > 0")
+    theta, (plus, minus, d_plus, d_minus) = _cell_samples(s, thetas, sigma, n_points, halfwidth)
+    phase = np.exp(1j * phi)
+    ct, st = np.cos(theta)[..., None], np.sin(theta)[..., None]
+    # branch amplitudes (the phase of the second drops out of its projector)
+    a, v = plus + (ct * phase) * minus, st * minus
+    n = _norm2(a) + _norm2(v)
+    # rho = A A^+ / n = [[p, q], [q*, r]] on the support, with A = [a v]
+    diag = ((a * a.conj()).real + v * v) / n[..., None]
+    p, r = diag[..., 0], diag[..., 1]
+    q = (a[..., 0] * a[..., 1].conj() + v[..., 0] * v[..., 1]) / n
+    g = 0.5 * (p - r)
+    h = np.hypot(g, np.abs(q))
+    lam1 = 0.5 * (p + r) + h
+    # u1 = (x, y) from whichever row of rho - lam1 has no cancellation, any
+    # frame where rho is degenerate; u2 = (-y*, x*)
+    x = np.where(h == 0.0, 1.0, np.where(g >= 0.0, g + h, q))
+    y = np.where(g >= 0.0, q.conj(), h - g)
+    norm = np.hypot(abs(x), abs(y))
+    x, y = x / norm, y / norm
+
+    def on_frame(w):
+        """``(u1^+ w, u2^+ w)`` of the support part of ``w``."""
+        return x.conj() * w[..., 0] + y.conj() * w[..., 1], x * w[..., 1] - y * w[..., 0]
+
+    # det A = sin(theta) r00 r11, lam2 = (det A / n)^2 / lam1 and
+    # u2^+ A = det A (-(u1^+ v)*, (u1^+ a)*) / (n lam1) take no difference;
+    # projected on u2, A would keep an absolute error ~1e-16 as it vanishes
+    # with theta.  The u2 terms are kept over det A, so the pair (2, 2) is
+    # left out exactly where sin(theta) = 0 and lam2 may underflow.
+    det = st[..., 0] * plus[..., 0] * minus[..., 1]
+    al1, be1 = on_frame(a)[0], on_frame(v)[0]
+    al2, be2 = -be1.conj() / (n * lam1), al1.conj() / (n * lam1)
+    lam2 = (det / n) ** 2 / lam1
+    w22 = np.where(st[..., 0] != 0.0, n * n * lam1, 0.0)
+
+    def frame(da, dv):
+        """``(d11, d22 / det A, d12)`` of ``d rho = (dM - rho dn) / n`` in the
+        eigenframe, and the squared kernel parts ``|u_k^+ dM P_ker|^2`` of its
+        rows, the second times ``lam1 / lam2`` (0 where ``sin(theta) = 0``)."""
+        dn = 2.0 * (np.sum(a.conj() * da, axis=-1).real + np.sum(v * dv, axis=-1))
+        (d1, d2), (e1, e2) = on_frame(da), on_frame(dv)
+        d11 = (2.0 * (al1 * d1.conj() + be1 * e1.conj()).real - lam1 * dn) / n
+        d22 = (2.0 * (al2 * d2.conj() + be2 * e2.conj()).real - det / (n * n * lam1) * dn) / n
+        d12 = (al1 * d2.conj() + be1 * e2.conj() + det * (d1 * al2.conj() + e1 * be2.conj())) / n
+        kernel = [_norm2(al[..., None] * da[..., 2:].conj() + be[..., None] * dv[..., 2:])
+                  for al, be in ((al1, be1), (-be1.conj(), al1.conj()))]
+        return (d11, d22, d12), kernel
+
+    ds, ker = frame(d_plus + (ct * phase) * d_minus, st * d_minus)
+    dt, _ = frame(-(st * phase) * minus, ct * minus)
+    f_ss = _sld_sum(lam1, lam2, w22, ds, ds) + 4.0 * (ker[0] + ker[1]) / (n * n * lam1)
+    return f_ss, _sld_sum(lam1, lam2, w22, dt, dt), _sld_sum(lam1, lam2, w22, ds, dt)
 
 
 def numeric_qfim_row(s: float, sigma: float, thetas, phi: float = 0.0,
                      n_points: int = 4096, halfwidth: float | None = None) -> list[Qfim2]:
-    """QFIM for (s, theta) at every theta of ``thetas``, one separation row
-    at a time; see :func:`numeric_qfim`, which is its one-element case.
-
-    The grid work depends on ``s`` alone and is done once per row; each
-    theta only sets the branch coefficients ``cos(theta) e^{i phi}`` and
-    ``sin(theta) e^{i phi}`` of the projected 4x4 density matrices, whose
-    derivatives, eigendecompositions and spectral sums run stacked.
-    """
-    if s == 0.0:
-        raise DomainError("numeric_qfim requires s > 0")
-    row = _row_samples(s, sigma, n_points, halfwidth)
-    theta = np.asarray(thetas, dtype=float).reshape(-1, 1)
-    phase = np.exp(1j * phi)
-    ct, st = np.cos(theta), np.sin(theta)
-    # branch amplitudes (the phase of the second drops out of its projector)
-    a = row.plus + (ct * phase) * row.minus                  # (m, 4)
-    v = st * row.minus
-    m = _outer(a, a) + _outer(v, v)
-    n = (_norm2(a) + _norm2(v))[:, None, None]
-    rho = m / n
-    lams, vecs = np.linalg.eigh(rho)
-    vecs_h = np.swapaxes(vecs, -1, -2).conj()
-
-    def d_rho(da, dv):
-        """Eigenframe derivative of rho = M / n, (dM - rho dn) / n."""
-        dm = _outer(a, da) + _outer(da, a) + _outer(v, dv) + _outer(dv, v)
-        dn = 2.0 * (np.sum(a.conj() * da, axis=-1).real
-                    + np.sum(v.conj() * dv, axis=-1).real)
-        return _hermitize(vecs_h @ ((dm - rho * dn[:, None, None]) / n) @ vecs)
-
-    ds = d_rho(row.d_plus + (ct * phase) * row.d_minus, st * row.d_minus)
-    dt = d_rho(-(st * phase) * row.minus, ct * row.minus)
-    f_ss = _qfim_element(lams, ds, ds)
-    f_tt = _qfim_element(lams, dt, dt)
-    f_st = _qfim_element(lams, ds, dt)
+    """QFIM for (s, theta) at every theta of ``thetas``: the one-row case of
+    the sweep's one-call oracle, and :func:`numeric_qfim` its one-element
+    case, bit for bit."""
+    cells = numeric_qfim_cells(s, sigma, np.ravel(thetas), phi, n_points, halfwidth)
     return [Qfim2(f_ss=a, f_tt=b, f_st=c, tag="theta")
-            for a, b, c in zip(f_ss.tolist(), f_tt.tolist(), f_st.tolist())]
+            for a, b, c in zip(*(f.tolist() for f in cells))]
 
 
 def numeric_qfim(p: ModelParams, n_points: int = 4096,
                  halfwidth: float | None = None) -> Qfim2:
     """QFIM for (s, theta) from the exact derivatives of the projected
-    density matrix and the spectral SLD sum.  Supports any phi.
+    density matrix and the spectral SLD sum over its support and kernel.
+    Supports any phi.
 
     The density matrices are projected on the span of four sampled vectors
     (both sources and their derivatives by ``s``, those of the sampled PSF),
-    which also holds their derivatives by theta (those of the branch
-    coefficients); the coordinates come from an R-only QR, with no basis
-    matrix formed.  Eigenvalue pairs summing to at most ``_SUPPORT_CUTOFF``
-    are left out of the sum.  This is the one-element case of
-    :func:`numeric_qfim_row`, so a result does not depend on how many thetas
-    share its row.
+    which also holds their derivatives by theta; the coordinates come from
+    an R-only QR, with no basis matrix formed.  The sum leaves out exactly
+    the eigenvalue pairs of sum 0, so at ``sin(theta) = 0`` it is the
+    pointwise QFI of a pure state, ``F_tt = F_st = 0``, where the closed form
+    is the continuous extension (Safranek, PRA 95, 052320 (2017)).
     """
     return numeric_qfim_row(p.s, p.sigma, [p.theta], p.phi, n_points=n_points,
                             halfwidth=halfwidth)[0]
@@ -252,19 +284,17 @@ def _branch_fi(a: np.ndarray, da: np.ndarray) -> np.ndarray:
     return 4.0 * (_norm2(da) / n2 - (np.sum(a * da, axis=-1) / n2) ** 2)
 
 
-def _numeric_f_tot(s: float, sigma: float, thetas, n_points: int = 4096,
+def _numeric_f_tot(s, sigma: float, thetas, n_points: int = 4096,
                    halfwidth: float | None = None):
     """Grid reconstruction of the weighted FI ``N1 F1 + N2 F2`` (the oracle
-    side of single mode) at every theta of ``thetas``, from the same row
-    samples as :func:`numeric_qfim_row`: ``F1``/``F2`` are the
-    pure-state FIs of the normalized branches ``h_+ + cos(theta) h_-`` and
-    ``h_-``, ``N1 = <Phi_1|Phi_1>``, ``N2 = sin^2(theta) / 2``.  Returns an
-    array of the shape of ``thetas``."""
-    row = _row_samples(s, sigma, n_points, halfwidth)
-    theta = np.asarray(thetas, dtype=float)
-    g = np.cos(theta).reshape(-1, 1)
-    a = row.plus + g * row.minus
-    f1 = _branch_fi(a, row.d_plus + g * row.d_minus)
-    f2 = _branch_fi(row.minus[None], row.d_minus[None])
-    total = 0.5 * _norm2(a) * f1 + 0.5 * np.sin(theta).ravel() ** 2 * f2
-    return total.reshape(theta.shape)
+    side of single mode) at every cell of ``s`` and ``thetas`` broadcast
+    together, in one call, from the same row samples as
+    :func:`numeric_qfim_row`: ``F1``/``F2`` are the pure-state FIs of the
+    normalized branches ``h_+ + cos(theta) h_-`` and ``h_-``,
+    ``N1 = <Phi_1|Phi_1>``, ``N2 = sin^2(theta) / 2``.  Returns an array of
+    the broadcast shape."""
+    theta, (plus, minus, d_plus, d_minus) = _cell_samples(s, thetas, sigma, n_points, halfwidth)
+    g = np.cos(theta)[..., None]
+    a = plus + g * minus
+    f1 = _branch_fi(a, d_plus + g * d_minus)
+    return 0.5 * _norm2(a) * f1 + 0.5 * np.sin(theta) ** 2 * _branch_fi(minus, d_minus)

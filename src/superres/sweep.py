@@ -35,7 +35,7 @@ import numpy as np
 from .errors import DomainError
 from .fisher_single import _EPS, _coherence_form, _concurrence_form
 from .float_text import E16_SLOT, REPR_SLOT, e16_cells, repr_cells, write_rows
-from .numeric_oracle import _SUPPORT_CUTOFF, _numeric_f_tot, numeric_qfim_row
+from .numeric_oracle import _numeric_f_tot, numeric_qfim_cells
 from .qfim_two_param import (
     _NUISANCE_FLOOR,
     _h_nuisance,
@@ -54,6 +54,8 @@ CSV_FIELDS = (
 )
 DELTA_FIELDS = ("delta_f_tot", "delta_f_ss", "delta_f_tt", "delta_f_st")
 VERIFY_TOLERANCE = 1e-6
+# cells per oracle call: the QFIM oracle's temporaries take ~0.9 kB a cell
+_ORACLE_CELLS = 8192
 
 _HALF_PI = math.pi / 2
 
@@ -222,7 +224,7 @@ def _qfim_block(nuisance: str, s, nu, sigma: float, terms) -> dict:
         reach = np.True_
         theta = nu if nuisance == "theta" else _on_axis(math.acos, nu)
         ct, st, omc = _on_axis(_angle_terms, theta)
-    lam1, _, f_ss, f_tt, f_st, h_s = _theta_block(terms, ct, st, omc)
+    _, _, f_ss, f_tt, f_st, h_s = _theta_block(terms, ct, st, omc)
 
     if nuisance == "theta":
         g_ss, g_tt, g_st = f_ss, f_tt, f_st
@@ -242,7 +244,7 @@ def _qfim_block(nuisance: str, s, nu, sigma: float, terms) -> dict:
     h_n = np.where(floor, g_tt, _h_nuisance(g_ss, g_tt, h_s))       # as _h_pair
     cells = {"theta": theta, "gamma": gamma,
              "f_ss": g_ss, "f_tt": g_tt, "f_st": g_st, "h_s": h_s, "h_nuisance": h_n,
-             "_reach": reach, "_lam1": lam1,
+             "_reach": reach,
              "_theta_f_ss": f_ss, "_theta_f_tt": f_tt, "_theta_f_st": f_st}
     if nuisance != "concurrence":
         cells["C"] = st * np.sqrt(om)
@@ -254,7 +256,7 @@ def _kernel(spec: SweepSpec) -> dict[str, np.ndarray]:
     grid, every quantity exactly once per cell, flattened s-major.
 
     Returns the populated columns (unmasked), the ``_reach`` mask, and the
-    theta-chart QFIM and ``lambda1`` the oracle compares (``_``-prefixed).
+    theta-chart QFIM the oracle compares (``_``-prefixed).
     """
     s = _axis(spec.s_range)[:, None]
     nu = _axis(spec.nuisance_range)[None, :]
@@ -309,27 +311,22 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
 def _attach_deltas(spec: SweepSpec, columns: dict[str, np.ndarray], cells: dict,
                    rows: np.ndarray) -> None:
     """Grid-oracle relative deltas for the in-reach rows, one oracle call per
-    separation: sweeps are s-major, so the rows of one ``s`` are contiguous.
-    qfim deltas always compare the theta-parametrized matrix."""
-    if not rows.size:
-        return
+    ``_ORACLE_CELLS`` of them.  qfim deltas always compare the
+    theta-parametrized matrix; ``f_tt`` and ``f_st`` are left blank where
+    ``sin(theta) = 0``, where the closed form is the continuous extension and
+    the oracle the pointwise QFI of a pure state."""
     grid_kw = {"n_points": spec.grid_points, "halfwidth": spec.grid_halfwidth}
-    s_col = columns["s"][rows]
-    for group in np.split(rows, np.flatnonzero(s_col[1:] != s_col[:-1]) + 1):
-        s, thetas = float(columns["s"][group[0]]), columns["theta"][group]
+    for part in np.split(rows, range(_ORACLE_CELLS, rows.size, _ORACLE_CELLS)):
+        s, thetas = columns["s"][part], columns["theta"][part]
         if spec.mode == "single":
             num = _numeric_f_tot(s, spec.sigma, thetas, **grid_kw)
-            columns["delta_f_tot"][group] = _rel_delta(columns["f_tot"][group], num)
+            columns["delta_f_tot"][part] = _rel_delta(columns["f_tot"][part], num)
             continue
-        row = numeric_qfim_row(s, spec.sigma, thetas, **grid_kw)
-        # the oracle's spectral sum drops eigenvalue pairs below its support
-        # cutoff; rows with lambda1 below it keep only delta_f_ss
-        comparable = cells["_lam1"][group] >= _SUPPORT_CUTOFF
-        for name in ("f_ss", "f_tt", "f_st"):
-            delta = _rel_delta(cells["_theta_" + name][group],
-                               np.array([getattr(q, name) for q in row]))
-            columns["delta_" + name][group] = (
-                delta if name == "f_ss" else np.where(comparable, delta, np.nan))
+        nums = numeric_qfim_cells(s, spec.sigma, thetas, **grid_kw)
+        blank = np.sin(thetas) == 0.0
+        for name, num in zip(("f_ss", "f_tt", "f_st"), nums):
+            delta = _rel_delta(cells["_theta_" + name][part], num)
+            columns["delta_" + name][part] = np.where(blank & (name != "f_ss"), np.nan, delta)
 
 
 def _rel_delta(analytic, numeric):

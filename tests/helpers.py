@@ -25,7 +25,7 @@ from superres import (
 )
 from superres.float_text import DROP, e16_cells, repr_cells
 from superres.sweep import CSV_FIELDS, DELTA_FIELDS
-from superres.numeric_oracle import _branch_fi, _psf, _row_samples
+from superres.numeric_oracle import _branch_fi, _norm2, _psf, _row_samples
 
 # environment for subprocesses that import this checkout's package
 SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
@@ -111,6 +111,47 @@ def grid_branch_fi(s: float, plus: float, minus: float, sigma: float = 1.0) -> f
     a = plus * row.plus + minus * row.minus
     da = plus * row.d_plus + minus * row.d_minus
     return float(_branch_fi(a[None], da[None])[0])
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a[..., :, None] * b[..., None, :].conj()
+
+
+def spectral_sum_qfim_row(s: float, sigma: float, thetas, phi: float = 0.0,
+                          n_points: int = 4096, cutoff: float = 1e-12):
+    """The grid oracle's QFIM by its former route, a reference for its
+    closed-form support solve: the full projected 4x4 density matrices of
+    the same row samples, a stacked ``eigh``, and the spectral SLD sum over
+    the eigenvalue pairs summing to more than ``cutoff``.  Returns the
+    arrays ``(f_ss, f_tt, f_st)``.  ``eigh`` resolves the small eigenvalue
+    only to an absolute ~1e-16, so this is accurate only where it is far
+    above that."""
+    row = _row_samples(s, sigma, n_points, None)
+    theta = np.asarray(thetas, dtype=float).reshape(-1, 1)
+    phase = np.exp(1j * phi)
+    ct, st = np.cos(theta), np.sin(theta)
+    a = row.plus + (ct * phase) * row.minus
+    v = st * row.minus
+    n = (_norm2(a) + _norm2(v))[:, None, None]
+    rho = (_outer(a, a) + _outer(v, v)) / n
+    lams, vecs = np.linalg.eigh(rho)
+    vecs_h = np.swapaxes(vecs, -1, -2).conj()
+
+    def d_rho(da, dv):
+        dm = _outer(a, da) + _outer(da, a) + _outer(v, dv) + _outer(dv, v)
+        dn = 2.0 * (np.sum(a.conj() * da, axis=-1).real + np.sum(v.conj() * dv, axis=-1).real)
+        d = vecs_h @ ((dm - rho * dn[:, None, None]) / n) @ vecs
+        return 0.5 * (d + np.swapaxes(d, -1, -2).conj())
+
+    def element(da, db):
+        den = lams[..., :, None] + lams[..., None, :]
+        terms = np.divide((da * np.swapaxes(db, -1, -2)).real, den,
+                          out=np.zeros(den.shape), where=den > cutoff)
+        return (terms + np.swapaxes(terms, -1, -2)).sum(axis=(-2, -1))
+
+    ds = d_rho(row.d_plus + (ct * phase) * row.d_minus, st * row.d_minus)
+    dt = d_rho(-(st * phase) * row.minus, ct * row.minus)
+    return element(ds, ds), element(dt, dt), element(ds, dt)
 
 
 def hg_coefficients(s: float, sigma: float = 1.0, n_max: int = 40) -> np.ndarray:

@@ -3,12 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from helpers import grid_branch_fi, hg_coefficients, hg_pure_qfi, make_sources
+from helpers import (
+    grid_branch_fi,
+    hg_coefficients,
+    hg_pure_qfi,
+    make_sources,
+    spectral_sum_qfim_row,
+)
 from superres import (
     ConfigurationError,
     DomainError,
     Grid,
     ModelParams,
+    Qfim2,
     concurrence_normalized,
     default_grid,
     numeric_concurrence,
@@ -18,8 +25,9 @@ from superres import (
 )
 from superres.numeric_oracle import (
     _numeric_f_tot,
-    _qfim_element,
     _row_samples,
+    _sld_sum,
+    numeric_qfim_cells,
     numeric_qfim_row,
 )
 
@@ -109,13 +117,18 @@ class TestNumericQfim:
         assert q.f_ss == pytest.approx(FSS_TH0_S2, rel=1e-6)
 
     def test_cross_element_symmetry_is_exact(self):
-        grid = np.random.default_rng(1)
-        lams = np.array([0.3, 0.6, 0.1, 0.0])
-        a = grid.normal(size=(4, 4)) + 1j * grid.normal(size=(4, 4))
-        b = grid.normal(size=(4, 4)) + 1j * grid.normal(size=(4, 4))
-        a = 0.5 * (a + a.conj().T)
-        b = 0.5 * (b + b.conj().T)
-        assert _qfim_element(lams, a, b) == _qfim_element(lams, b, a)
+        # F_st from (d_s, d_theta) and from (d_theta, d_s), in the eigenframe
+        rng = np.random.default_rng(1)
+        lam1 = rng.uniform(0.5, 1.0, 8)
+        lam2 = np.where(np.arange(8) % 4 == 0, 0.0, 1.0 - lam1)
+        w22 = np.where(lam2 > 0.0, rng.uniform(0.5, 2.0, 8), 0.0)
+
+        def frame():
+            d12 = rng.normal(size=8) + 1j * rng.normal(size=8)
+            return rng.normal(size=8), rng.normal(size=8), d12
+
+        ds, dt = frame(), frame()
+        assert np.array_equal(_sld_sum(lam1, lam2, w22, ds, dt), _sld_sum(lam1, lam2, w22, dt, ds))
 
     def test_supports_nonzero_phase(self):
         q = numeric_qfim(ModelParams(1.5, 1.0, math.pi / 3, phi=0.7))
@@ -146,6 +159,23 @@ class TestRowKernel:
         assert row == [numeric_qfim(ModelParams(1.3, 1.0, t, phi=0.4)) for t in thetas]
         f_row = _numeric_f_tot(1.3, 1.0, thetas)
         assert f_row.tolist() == [_numeric_f_tot(1.3, 1.0, t) for t in thetas]
+        # nor on how many cells of other s share its call, as a sweep makes
+        # it, in s-major order and shuffled
+        s_axis, thetas = (2e-6, 1e-3, 0.7, 4.0), np.linspace(0.0, math.pi / 2, 5)
+        s, theta = (v.ravel() for v in np.meshgrid(s_axis, thetas, indexing="ij"))
+        order = np.random.default_rng(2).permutation(s.size)
+        rows = {v: numeric_qfim_row(v, 1.0, thetas, phi=1.1) for v in s_axis}
+        f_rows = {v: _numeric_f_tot(v, 1.0, thetas).tolist() for v in s_axis}
+        for cells in ((s, theta), (s[order], theta[order])):
+            f_ss, f_tt, f_st = numeric_qfim_cells(cells[0], 1.0, cells[1], phi=1.1)
+            one_call = [Qfim2(f_ss=a, f_tt=b, f_st=c, tag="theta")
+                        for a, b, c in zip(f_ss.tolist(), f_tt.tolist(), f_st.tolist())]
+            assert one_call == [rows[a][list(thetas).index(b)] for a, b in zip(*cells)]
+            assert one_call == [numeric_qfim(ModelParams(a, 1.0, b, phi=1.1))
+                                for a, b in zip(*cells)]
+            f_tot = _numeric_f_tot(cells[0], 1.0, cells[1])
+            assert f_tot.tolist() == [f_rows[a][list(thetas).index(b)] for a, b in zip(*cells)]
+            assert f_tot.tolist() == [_numeric_f_tot(a, 1.0, b) for a, b in zip(*cells)]
 
     @pytest.mark.parametrize("s", [1e-3, 1e-2])
     def test_small_separation_f_ss_is_resolved(self, s):
@@ -184,6 +214,45 @@ class TestRowKernel:
             for name in ("f_ss", "f_tt", "f_st"):
                 assert getattr(num, name) == pytest.approx(
                     getattr(ana, name), rel=2e-12, abs=0.0), (theta, name)
+
+
+class TestSupportSolve:
+    """The closed-form solve on the exact 2x2 support of rho."""
+
+    @pytest.mark.parametrize("n_points", [1024, 4096, 16384])
+    @pytest.mark.parametrize("phi", [0.4, 1.1])
+    def test_matches_the_spectral_sum_reference(self, phi, n_points):
+        # the stacked 4x4 eigh and spectral sum it replaced, on the same samples
+        thetas = np.linspace(math.pi / 16, math.pi / 2, 6)
+        for s in (1e-3, 1e-2, 0.1, 0.5, 1.0, 3.0, 5.0):
+            cells = numeric_qfim_cells(s, 1.0, thetas, phi, n_points)
+            reference = spectral_sum_qfim_row(s, 1.0, thetas, phi, n_points)
+            for name, num, ref in zip(("f_ss", "f_tt", "f_st"), cells, reference):
+                assert num.tolist() == pytest.approx(ref.tolist(), rel=1e-11, abs=0.0), (s, name)
+
+    @pytest.mark.parametrize("s, thetas", [
+        (1e-5, [math.pi / 8]), (1e-6, [math.pi / 8]), (1e-7, [math.pi / 8]),
+        (1e-2, np.linspace(0.0, 1e-3, 4)[1:]), (1e-3, np.linspace(1e-5, 1e-4, 4)),
+        (1e-3, [5e-324, 1e-300, 1e-160, 1e-8]),
+    ], ids=["s1e-5", "s1e-6", "s1e-7", "s1e-2-small-theta", "s1e-3-small-theta",
+            "s1e-3-tiny-theta"])
+    def test_resolves_the_small_eigenvalue(self, s, thetas):
+        # the small eigenvalue of rho is ~1e-12 or below here, and underflows
+        # below theta ~ 1e-155: a spectral cutoff at 1e-12 dropped its terms,
+        # a 4x4 eigh resolves it only to ~1e-16 absolute, and so does a
+        # projection of the state on its eigenvector
+        for theta, num in zip(thetas, numeric_qfim_row(s, 1.0, thetas)):
+            ana = qfim(ModelParams(s, 1.0, float(theta)))
+            for name in ("f_ss", "f_tt", "f_st"):
+                assert getattr(num, name) == pytest.approx(
+                    getattr(ana, name), rel=1e-9, abs=0.0), (theta, name)
+
+    def test_pure_state_at_zero_theta(self):
+        # sin(theta) = 0: rank one, and no cutoff; theta is not resolved by
+        # the pointwise QFI, while F_ss is
+        q = numeric_qfim(ModelParams(0.3, 1.0, 0.0))
+        assert (q.f_tt, q.f_st) == (0.0, 0.0)
+        assert q.f_ss == pytest.approx(qfim(ModelParams(0.3, 1.0, 0.0)).f_ss, rel=1e-11, abs=0.0)
 
 
 class TestNumericConcurrence:

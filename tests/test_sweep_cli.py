@@ -207,6 +207,28 @@ class TestRunSweep:
         assert table.columns["delta_" + element][at] == worst
         assert worst_oracle_delta(run_sweep(small_single_spec())) == (0.0, None, None)
 
+    @pytest.mark.parametrize("mode", ["verify", "single"])
+    def test_oracle_calls_of_bounded_size_match_one_call(self, mode, monkeypatch):
+        from superres import sweep as sweep_mod
+
+        spec = SweepSpec(mode=mode, nuisance="theta", s_range=(0.5, 2.0, 3),
+                         nuisance_range=(0.0, 1.5, 4), oracle=True)
+        whole = run_sweep(spec).columns
+        monkeypatch.setattr(sweep_mod, "_ORACLE_CELLS", 5)
+        parts = run_sweep(spec).columns
+        for name in DELTA_FIELDS:
+            assert np.array_equal(whole[name], parts[name], equal_nan=True), name
+
+    def test_oracle_leaves_f_tt_and_f_st_blank_exactly_at_zero_theta(self):
+        spec = SweepSpec(mode="qfim", nuisance="concurrence", s_range=(0.5, 1.0, 2),
+                         nuisance_range=(0.0, 0.2, 3), oracle=True)
+        columns = run_sweep(spec).columns
+        zero = np.sin(columns["theta"]) == 0.0
+        assert zero.tolist() == [True, False, False] * 2
+        assert not np.isnan(columns["delta_f_ss"]).any()
+        for name in ("delta_f_tt", "delta_f_st"):
+            assert np.isnan(columns[name]).tolist() == zero.tolist()
+
 
 class TestEmit:
     def test_csv_layout(self, tmp_path):
@@ -397,14 +419,26 @@ class TestCli:
         assert re.fullmatch(rf"verify: worst delta in f_(ss|tt|st) at "
                             rf"s = {float(s)!r}, theta = [0-9.e-]+", where)
 
+    @pytest.mark.parametrize("argv", [
+        ["--s-min", "1e-5", "--s-max", "1e-5", "--s-steps", "1"],
+        ["--s-min", "1e-6", "--s-max", "1e-6", "--s-steps", "1"],
+        ["--s-min", "1e-2", "--s-max", "1e-2", "--s-steps", "1", "--n-min", "0", "--n-max", "1e-3"],
+    ], ids=["s1e-5", "s1e-6", "s1e-2-small-theta"])
+    def test_verify_passes_at_a_small_eigenvalue(self, argv, capsys):
+        # these failed with deltas of 3.2e9, 5.3e12 and 2.2e-3 when the
+        # oracle cut its spectral sum at eigenvalue pairs below 1e-12
+        code = main(["verify", *argv])
+        assert code == 0
+        assert "PASS" in capsys.readouterr().err
+
     def test_verify_failure_exit_code(self, monkeypatch, capsys):
-        from superres import Qfim2
         from superres import sweep as sweep_mod
 
         def broken(s, sigma, thetas, **kw):
-            return [Qfim2(f_ss=1.0, f_tt=1.0, f_st=0.0, tag="theta") for _ in thetas]
+            ones = np.ones(np.shape(thetas))
+            return ones, ones, 0.0 * ones
 
-        monkeypatch.setattr(sweep_mod, "numeric_qfim_row", broken)
+        monkeypatch.setattr(sweep_mod, "numeric_qfim_cells", broken)
         code = main([
             "verify", "--s-min", "1.0", "--s-max", "1.0", "--s-steps", "1",
             "--n-min", "1.0", "--n-max", "1.0", "--n-steps", "1",
