@@ -29,8 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateGeometryError, DomainError, OutOfReachError
-from .state_model import _OM_MIN, ModelParams, one_minus_d_squared, overlap
+from .state_model import ModelParams, _checked_terms, _concurrence_terms, _require_gamma
 
 _EPS = math.ulp(1.0)
 
@@ -80,13 +79,11 @@ def f_tot_coherence(s: float, sigma: float, gamma: float) -> FiRecord:
     Valid for any ``s >= 0``; at ``s = 0`` and full coherence the result is
     exactly zero (the resolution limit in its sharpest form).
     """
-    if not (0.0 <= gamma <= 1.0):
-        raise DomainError(f"gamma must lie in [0, 1], got {gamma}")
-    d = overlap(s, sigma).d   # validates s, sigma
+    _require_gamma(gamma)
+    d, _, _, om, _, _ = _checked_terms(s, sigma)
     # no overlap left: both correction terms vanish (where s^2 overflows
     # they would read d * s^2 = 0 * inf)
     f = 1.0 / (4.0 * sigma * sigma) if d == 0.0 else _coherence_form(s, sigma, d, gamma)
-    om = one_minus_d_squared(s, sigma)
     return FiRecord(
         s=s,
         sigma=sigma,
@@ -109,18 +106,10 @@ def f_tot_concurrence(s: float, sigma: float, c: float) -> FiRecord:
         At ``s = 0``, or where ``1 - d^2`` is subnormal (``s`` below
         ~3e-154 sigma); approach that column through the coherence form.
     OutOfReachError
-        If ``c`` exceeds the reachable maximum (beyond rounding slack).
+        If ``c`` is out of reach by the rule of
+        :func:`~superres.state_model.theta_from_concurrence`.
     """
-    if not (c >= 0.0):
-        raise DomainError(f"concurrence must be nonnegative, got {c}")
-    d = overlap(s, sigma).d
-    om = one_minus_d_squared(s, sigma)
-    if om < _OM_MIN:
-        raise DegenerateGeometryError(
-            f"the concurrence form is singular at s = {s!r}; use f_tot_coherence"
-        )
-    if c * c - om > 1e-12 * om:
-        raise OutOfReachError(c, math.sqrt(om))
+    d, _, _, om, _, _ = _concurrence_terms(s, sigma, c)
     rem = om - c * c
     if rem < 4.0 * _EPS * om:
         # c sits at (or within rounding of) the reachable boundary; the
@@ -159,8 +148,7 @@ def weighted_fi_reconstruct(p: ModelParams) -> float:
     At ``theta = 0`` the second branch has zero weight and contributes zero.
     """
     p.require_phi_zero("weighted_fi_reconstruct")
-    tri = overlap(p.s, p.sigma)
-    d, d1 = tri.d, tri.d1
+    d, d1, _, _, _, _ = _checked_terms(p.s, p.sigma)
     g = math.cos(p.theta)
     sig2 = p.sigma * p.sigma
     sig4 = sig2 * sig2

@@ -105,25 +105,15 @@ def _fitted_grid(s: float, sigma: float, n_points: int = 4096,
     return grid
 
 
-@dataclass(frozen=True)
-class _RowSamples:
-    """The grid work of one separation row, shared by all its nuisances: the
-    coordinates of both sources at ``s`` and of their derivatives by ``s``
-    in an orthonormal basis of their span, read off an R-only QR of the four
-    sampled vectors with no basis matrix formed."""
-
-    plus: np.ndarray      # (4,) coordinates of h(x + s/2)
-    minus: np.ndarray     # (4,) coordinates of h(x - s/2)
-    d_plus: np.ndarray    # (4,) coordinates of d h(x + s/2) / ds
-    d_minus: np.ndarray   # (4,) coordinates of d h(x - s/2) / ds
-
-
 def _row_samples(s: float, sigma: float, n_points: int,
-                 halfwidth: float | None) -> _RowSamples:
-    """For the Householder QR ``sqrt(w) S = Q R`` of the four sampled vectors
-    ``S``, column ``k`` of ``R`` is ``Q^T sqrt(w) S[:, k]``: the coordinates
-    of ``S[:, k]`` in a basis orthonormal under the trapezoid weights.  It
-    stays exact however close to collinear the vectors get at small ``s``.
+                 halfwidth: float | None) -> np.ndarray:
+    """The grid work of one separation row, shared by all its nuisances: the
+    ``(4, 4)`` ``R`` of the Householder QR ``sqrt(w) S = Q R`` of the four
+    sampled vectors ``S``, the columns ``h(x + s/2)``, ``h(x - s/2)`` and
+    their derivatives by ``s``.  Column ``k`` of ``R`` is
+    ``Q^T sqrt(w) S[:, k]``: the coordinates of ``S[:, k]`` in a basis
+    orthonormal under the trapezoid weights, with no basis matrix formed.
+    It stays exact however close to collinear the vectors get at small ``s``.
     """
     grid = _fitted_grid(s, sigma, n_points=n_points, halfwidth=halfwidth)
     root_w = np.sqrt(grid.weights)
@@ -133,8 +123,7 @@ def _row_samples(s: float, sigma: float, n_points: int,
         scaled[:, j] = _psf(u, sigma) * root_w
         # d h(x +- s/2) / ds = +- h'(u) / 2 = -+ u h(u) / (4 sigma^2)
         scaled[:, j + 2] = (-sign / (4.0 * sigma * sigma)) * u * scaled[:, j]
-    r = np.linalg.qr(scaled, mode="r")
-    return _RowSamples(plus=r[:, 0], minus=r[:, 1], d_plus=r[:, 2], d_minus=r[:, 3])
+    return np.linalg.qr(scaled, mode="r")
 
 
 def _norm2(a: np.ndarray) -> np.ndarray:
@@ -151,14 +140,14 @@ def _sld_sum(lam1, lam2, w22, x, y):
 
 
 def _cell_samples(s, thetas, sigma: float, n_points: int, halfwidth: float | None):
-    """``s`` and ``thetas`` broadcast together, and the row samples of every
-    cell stacked as ``(plus, minus, d_plus, d_minus)``, each ``(..., 4)``,
+    """``s`` and ``thetas`` broadcast together, and the columns of ``R`` of
+    every cell as ``(plus, minus, d_plus, d_minus)``, each ``(..., 4)``,
     from one :func:`_row_samples` per distinct ``s``."""
     s, theta = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(thetas, dtype=float))
     values, inverse = np.unique(s.ravel(), return_inverse=True)
-    rows = [_row_samples(float(v), sigma, n_points, halfwidth) for v in values]
-    stacked = np.array([(r.plus, r.minus, r.d_plus, r.d_minus) for r in rows]).reshape(-1, 4, 4)
-    return theta, np.moveaxis(stacked[inverse.reshape(s.shape)], -2, 0)
+    r = np.array([_row_samples(float(v), sigma, n_points, halfwidth) for v in values])
+    r = r.reshape(-1, 4, 4)     # also with no cells
+    return theta, np.moveaxis(r[inverse.reshape(s.shape)], -1, 0)
 
 
 def numeric_qfim_cells(s, sigma: float, thetas, phi: float = 0.0, n_points: int = 4096,
@@ -166,8 +155,8 @@ def numeric_qfim_cells(s, sigma: float, thetas, phi: float = 0.0, n_points: int 
     """QFIM arrays ``(f_ss, f_tt, f_st)`` at every cell of ``s`` and
     ``thetas`` broadcast together, in one call; see :func:`numeric_qfim`.
 
-    ``rho`` lives on coordinates 0 and 1 of the row samples, and 2 and 3 are
-    its exact kernel, which only the derivative by ``s`` reaches.  A
+    ``rho`` lives on coordinates 0 and 1 of the columns of ``R``, and 2
+    and 3 are its exact kernel, which only the derivative by ``s`` reaches.  A
     closed-form Hermitian 2x2 eigensolve runs elementwise on every cell.
     """
     if np.any(np.asarray(s) == 0.0):
@@ -226,16 +215,6 @@ def numeric_qfim_cells(s, sigma: float, thetas, phi: float = 0.0, n_points: int 
     return f_ss, _sld_sum(lam1, lam2, w22, dt, dt), _sld_sum(lam1, lam2, w22, ds, dt)
 
 
-def numeric_qfim_row(s: float, sigma: float, thetas, phi: float = 0.0,
-                     n_points: int = 4096, halfwidth: float | None = None) -> list[Qfim2]:
-    """QFIM for (s, theta) at every theta of ``thetas``: the one-row case of
-    the sweep's one-call oracle, and :func:`numeric_qfim` its one-element
-    case, bit for bit."""
-    cells = numeric_qfim_cells(s, sigma, np.ravel(thetas), phi, n_points, halfwidth)
-    return [Qfim2(f_ss=a, f_tt=b, f_st=c, tag="theta")
-            for a, b, c in zip(*(f.tolist() for f in cells))]
-
-
 def numeric_qfim(p: ModelParams, n_points: int = 4096,
                  halfwidth: float | None = None) -> Qfim2:
     """QFIM for (s, theta) from the exact derivatives of the projected
@@ -250,15 +229,16 @@ def numeric_qfim(p: ModelParams, n_points: int = 4096,
     pointwise QFI of a pure state, ``F_tt = F_st = 0``, where the closed form
     is the continuous extension (Safranek, PRA 95, 052320 (2017)).
     """
-    return numeric_qfim_row(p.s, p.sigma, [p.theta], p.phi, n_points=n_points,
-                            halfwidth=halfwidth)[0]
+    f_ss, f_tt, f_st = (f.item() for f in numeric_qfim_cells(
+        p.s, p.sigma, [p.theta], p.phi, n_points, halfwidth))
+    return Qfim2(f_ss=f_ss, f_tt=f_tt, f_st=f_st, tag="theta")
 
 
 def numeric_concurrence(p: ModelParams, n_points: int = 4096,
                         halfwidth: float | None = None) -> float:
     """Concurrence of the unit-norm two-source state, ``2 sqrt(det rho_aux)``
-    (Hill and Wootters, PRL 78, 5022 (1997)), from the row samples of
-    :func:`numeric_qfim_row`.  Any phi.
+    (Hill and Wootters, PRL 78, 5022 (1997)), from the ``R`` of
+    :func:`_row_samples`.  Any phi.
 
     ``rho_aux`` is the Gram matrix of the branch amplitudes
     ``a = h_+ + cos(theta) e^{i phi} h_-`` and ``v = sin(theta) h_-`` over
@@ -269,11 +249,11 @@ def numeric_concurrence(p: ModelParams, n_points: int = 4096,
     relative error grows about as ``1/s``: ~5e-13 at ``s = 1e-4 sigma``
     and ~1e-10 at ``1e-6 sigma``.
     """
-    row = _row_samples(p.s, p.sigma, n_points, halfwidth)
+    r = _row_samples(p.s, p.sigma, n_points, halfwidth)
     st = math.sin(p.theta)
-    a = row.plus + (math.cos(p.theta) * np.exp(1j * p.phi)) * row.minus
-    n = _norm2(a) + _norm2(st * row.minus)
-    return float(2.0 * abs(st * row.plus[0] * row.minus[1]) / n)
+    a = r[:, 0] + (math.cos(p.theta) * np.exp(1j * p.phi)) * r[:, 1]
+    n = _norm2(a) + _norm2(st * r[:, 1])
+    return float(2.0 * abs(st * r[0, 0] * r[1, 1]) / n)
 
 
 def _branch_fi(a: np.ndarray, da: np.ndarray) -> np.ndarray:
@@ -289,7 +269,7 @@ def _numeric_f_tot(s, sigma: float, thetas, n_points: int = 4096,
     """Grid reconstruction of the weighted FI ``N1 F1 + N2 F2`` (the oracle
     side of single mode) at every cell of ``s`` and ``thetas`` broadcast
     together, in one call, from the same row samples as
-    :func:`numeric_qfim_row`: ``F1``/``F2`` are the pure-state FIs of the
+    :func:`numeric_qfim_cells`: ``F1``/``F2`` are the pure-state FIs of the
     normalized branches ``h_+ + cos(theta) h_-`` and ``h_-``,
     ``N1 = <Phi_1|Phi_1>``, ``N2 = sin^2(theta) / 2``.  Returns an array of
     the broadcast shape."""

@@ -69,9 +69,10 @@ from .state_model import (
     _OM_MIN,
     ModelParams,
     _angle_terms,
+    _checked_terms,
+    _concurrence_terms,
     _eigenvalues,
-    _separation_terms,
-    theta_from_concurrence,
+    _require_gamma,
 )
 
 _NUISANCE_FLOOR = 1e-14     # F_tt below this (with F_st ~ 0): no correction
@@ -141,22 +142,34 @@ def _h_nuisance(g_ss, g_tt, h_s):
     return g_tt * h_s / g_ss
 
 
-def _theta_chart(p: ModelParams):
-    """``(terms, cos theta, sin theta, (F_ss, F_tt, F_st, H_s))`` at one
-    point: the separation terms computed once, for the chart transports."""
-    p.require_phi_zero("qfim")
-    if p.s == 0.0:
+def _below_floor(g_tt, g_st):
+    """No nuisance information and no cross term: no correction to apply."""
+    return (g_tt < _NUISANCE_FLOOR) & (abs(g_st) < _NUISANCE_FLOOR)
+
+
+def _chart_singular(ct):
+    """The concurrence chart is singular at maximum reach, theta = pi/2."""
+    return ct < 1e-9
+
+
+def _theta_chart(s: float, sigma: float, terms, theta: float):
+    """``(cos theta, sin theta, (F_ss, F_tt, F_st, H_s))`` at ``theta`` from
+    the separation terms at ``s``, for the chart transports."""
+    if s == 0.0:
         raise DegenerateGeometryError("qfim is undefined at s = 0")
-    terms = _separation_terms(p.s, p.sigma)
     # the block divides by 1 - d^2, which is subnormal for s below ~3e-154 sigma
     if terms[3] >= _OM_MIN:
-        ct, st, omc = _angle_terms(p.theta)
+        ct, st, omc = _angle_terms(theta)
         f = _theta_block(terms, ct, st, omc)[2:]
         if math.isfinite(f[0] + f[1] + f[2]):
-            return terms, ct, st, f
-    raise DomainError(
-        f"the closed forms do not resolve s = {p.s!r} at sigma = {p.sigma!r}"
-    )
+            return ct, st, f
+    raise DomainError(f"the closed forms do not resolve s = {s!r} at sigma = {sigma!r}")
+
+
+def _params_chart(p: ModelParams):
+    """``(F_ss, F_tt, F_st, H_s)`` at the point ``p``."""
+    p.require_phi_zero("qfim")
+    return _theta_chart(p.s, p.sigma, _checked_terms(p.s, p.sigma), p.theta)[2]
 
 
 def qfim(p: ModelParams) -> Qfim2:
@@ -166,33 +179,31 @@ def qfim(p: ModelParams) -> Qfim2:
     At theta = 0 these reduce to the continuous limits
     ``(F_ss, F_tt, F_st) = (4 lambda2 a4^2, (1-d)/(1+d), 0)``.
     """
-    f_ss, f_tt, f_st, _ = _theta_chart(p)[3]
+    f_ss, f_tt, f_st, _ = _params_chart(p)
     return Qfim2(f_ss=f_ss, f_tt=f_tt, f_st=f_st, tag="theta")
 
 
 def _h_pair(f_ss: float, f_tt: float, f_st: float, h_s: float) -> PrecisionPair:
-    if f_tt < _NUISANCE_FLOOR and abs(f_st) < _NUISANCE_FLOOR:
-        # no nuisance information and no cross term: no correction to apply
+    if _below_floor(f_tt, f_st):
         return PrecisionPair(h_s=h_s, h_nuisance=f_tt)
     return PrecisionPair(h_s=h_s, h_nuisance=_h_nuisance(f_ss, f_tt, h_s))
 
 
 def precision(p: ModelParams) -> PrecisionPair:
     """Nuisance-corrected informations ``H_s`` and ``H_theta``."""
-    return _h_pair(*_theta_chart(p)[3])
+    return _h_pair(*_params_chart(p))
 
 
 def _gamma_chart(s: float, sigma: float, gamma: float) -> tuple[float, float, float, float]:
     """``(G_ss, G_gg, G_sg, H_s)``: the theta chart transported to gamma."""
-    if not (0.0 <= gamma <= 1.0):
-        raise DomainError(f"gamma must lie in [0, 1], got {gamma}")
+    _require_gamma(gamma)
     if gamma == 1.0:
         raise DomainError(
             "the coherence-parametrized matrix diverges at gamma = 1; "
             "precision_gamma handles that limit"
         )
-    _, _, st, (f_ss, f_tt, f_st, h_s) = _theta_chart(
-        ModelParams(s=s, sigma=sigma, theta=math.acos(gamma)))
+    _, st, (f_ss, f_tt, f_st, h_s) = _theta_chart(
+        s, sigma, _checked_terms(s, sigma), math.acos(gamma))
     return (*_to_gamma(f_ss, f_tt, f_st, st), h_s)
 
 
@@ -215,7 +226,7 @@ def precision_gamma(s: float, sigma: float, gamma: float) -> PrecisionPair:
     diverges (returned as inf).
     """
     if gamma == 1.0:
-        h_s = _theta_chart(ModelParams(s=s, sigma=sigma, theta=0.0))[3][3]
+        h_s = _theta_chart(s, sigma, _checked_terms(s, sigma), 0.0)[2][3]
         return PrecisionPair(h_s=h_s, h_nuisance=math.inf)
     return _h_pair(*_gamma_chart(s, sigma, gamma))
 
@@ -223,14 +234,16 @@ def precision_gamma(s: float, sigma: float, gamma: float) -> PrecisionPair:
 def _concurrence_chart(s: float, sigma: float, c: float) -> tuple[float, float, float, float]:
     """``(G_ss, G_CC, G_sC, H_s)``: the theta chart transported to (s, C)
     (see :func:`_to_concurrence`)."""
-    terms, ct, st, (f_ss, f_tt, f_st, h_s) = _theta_chart(
-        ModelParams(s=s, sigma=sigma, theta=theta_from_concurrence(s, sigma, c)))
-    if ct < 1e-9:
+    terms = _concurrence_terms(s, sigma, c)
+    c_max = math.sqrt(terms[3])
+    ct, st, (f_ss, f_tt, f_st, h_s) = _theta_chart(
+        s, sigma, terms, math.asin(min(c / c_max, 1.0)))
+    if _chart_singular(ct):
         raise DomainError(
             "the concurrence chart is singular at the reachable maximum "
             "(theta = pi/2); use the theta or gamma chart there"
         )
-    return (*_to_concurrence(f_ss, f_tt, f_st, terms, ct, st, math.sqrt(terms[3])), h_s)
+    return (*_to_concurrence(f_ss, f_tt, f_st, terms, ct, st, c_max), h_s)
 
 
 def qfim_concurrence(s: float, sigma: float, c: float) -> Qfim2:

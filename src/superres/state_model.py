@@ -49,12 +49,47 @@ _OM_MIN = sys.float_info.min
 
 def _reject_s_sigma(s: float, sigma: float) -> None:
     """Raise the ``DomainError`` for an out-of-range ``(s, sigma)``.  Callers
-    test the range inline, as
-    ``_SIGMA_MIN <= sigma <= _SIGMA_MAX and 0.0 <= s < _INF`` (NaN fails
-    it), to keep a function call off the scalar hot path."""
+    (``ModelParams``, :func:`_checked_terms`, the grid oracle) test the range
+    inline, as ``_SIGMA_MIN <= sigma <= _SIGMA_MAX and 0.0 <= s < _INF``
+    (NaN fails it), to keep a function call off the scalar hot path."""
     if not (_SIGMA_MIN <= sigma <= _SIGMA_MAX):
         raise DomainError(f"sigma must lie in [{_SIGMA_MIN:g}, {_SIGMA_MAX:g}], got {sigma}")
     raise DomainError(f"separation s must be finite and nonnegative, got {s}")
+
+
+def _checked_terms(s, sigma):
+    """The prologue of every scalar entry point: the range rule of
+    ``(s, sigma)``, then the call's one :func:`_separation_terms`."""
+    if not (_SIGMA_MIN <= sigma <= _SIGMA_MAX and 0.0 <= s < _INF):
+        _reject_s_sigma(s, sigma)
+    return _separation_terms(s, sigma)
+
+
+def _out_of_reach(c, om):
+    """The reach rule, ``c^2 - om > 1e-12 om`` with ``om = C_max^2 = 1 - d^2``
+    (``c`` above ``C_max`` by a relative ~5e-13); floats and arrays alike."""
+    return c * c - om > 1e-12 * om
+
+
+def _concurrence_terms(s, sigma, c):
+    """:func:`_checked_terms` for a concurrence ``c``, after its checks:
+    ``c >= 0``, ``1 - d^2`` normal (it is divided by) and ``c`` in reach."""
+    if not (c >= 0.0):
+        raise DomainError(f"concurrence must be nonnegative, got {c}")
+    terms = _checked_terms(s, sigma)
+    om = terms[3]
+    if om < _OM_MIN:
+        raise DegenerateGeometryError(
+            f"at s = {s!r} the reachable concurrence is zero or subnormal; "
+            "use the theta or coherence forms")
+    if _out_of_reach(c, om):
+        raise OutOfReachError(c, math.sqrt(om))
+    return terms
+
+
+def _require_gamma(gamma) -> None:
+    if not (0.0 <= gamma <= 1.0):
+        raise DomainError(f"gamma must lie in [0, 1], got {gamma}")
 
 
 @dataclass(frozen=True)
@@ -135,25 +170,15 @@ def overlap(s: float, sigma: float) -> OverlapTriple:
         If ``s`` is negative or not finite, or ``sigma`` lies outside
         ``[1e-75, 1e75]`` (NaN included).
     """
-    if not (_SIGMA_MIN <= sigma <= _SIGMA_MAX and 0.0 <= s < _INF):
-        _reject_s_sigma(s, sigma)
+    d, d1, _, _, _, _ = _checked_terms(s, sigma)
     sig2 = sigma * sigma
-    d = math.exp(-s * s / (8.0 * sig2))
-    d1 = -(s / (4.0 * sig2)) * d
     d2 = (d / (4.0 * sig2)) * (s * s / (4.0 * sig2) - 1.0)
     return OverlapTriple(d=d, d1=d1, d2=d2)
 
 
-def one_minus_d_squared(s: float, sigma: float) -> float:
-    """``1 - d^2`` evaluated without cancellation (accurate at small s)."""
-    return -math.expm1(-s * s / (4.0 * sigma * sigma))
-
-
 def concurrence_max(s: float, sigma: float) -> float:
     """Largest reachable concurrence at separation ``s``: ``sqrt(1 - d^2)``."""
-    if not (_SIGMA_MIN <= sigma <= _SIGMA_MAX and 0.0 <= s < _INF):
-        _reject_s_sigma(s, sigma)
-    return math.sqrt(one_minus_d_squared(s, sigma))
+    return math.sqrt(_checked_terms(s, sigma)[3])
 
 
 def concurrence(p: ModelParams) -> float:
@@ -163,7 +188,7 @@ def concurrence(p: ModelParams) -> float:
     It vanishes at ``s = 0`` (where the spatial factor drops out) and at
     ``theta = 0`` (where the auxiliary factor drops out).
     """
-    return math.sin(p.theta) * concurrence_max(p.s, p.sigma)
+    return math.sin(p.theta) * math.sqrt(_checked_terms(p.s, p.sigma)[3])
 
 
 def concurrence_normalized(p: ModelParams) -> float:
@@ -172,13 +197,16 @@ def concurrence_normalized(p: ModelParams) -> float:
     Dividing the two-source field by its norm ``sqrt(1 + d cos(theta)
     cos(phi))`` rescales the concurrence to
 
-        C_norm = sin(theta) sqrt(1 - d^2) / (1 + d cos(theta) cos(phi)).
+        C_norm = sin(theta) sqrt(1 - d^2) / (1 + d cos(theta) cos(phi)),
 
-    Equals :func:`concurrence` when theta = pi/2 or in the d -> 0
-    limit.  Valid for any phi.
+    whose denominator is summed as ``(1 - d) + d (2 sin^2(theta/2) +
+    2 cos(theta) cos^2(phi/2))``, free of cancellation near ``phi = pi``.
+    Equals :func:`concurrence` when theta = pi/2 or in the d -> 0 limit.
     """
-    d = overlap(p.s, p.sigma).d
-    return concurrence(p) / (1.0 + d * math.cos(p.theta) * math.cos(p.phi))
+    d, _, e, om, _, _ = _checked_terms(p.s, p.sigma)
+    ct, st, omc = _angle_terms(p.theta)
+    half = math.cos(p.phi / 2.0)
+    return st * math.sqrt(om) / (e + d * (omc + 2.0 * ct * (half * half)))
 
 
 def theta_from_concurrence(s: float, sigma: float, c: float) -> float:
@@ -192,28 +220,18 @@ def theta_from_concurrence(s: float, sigma: float, c: float) -> float:
         At ``s = 0``, where only ``C = 0`` is reachable and theta is
         undetermined, and where ``1 - d^2`` is subnormal.
     OutOfReachError
-        If ``c`` exceeds ``C_max = sqrt(1 - d^2)`` (beyond rounding slack).
+        If ``c^2 - C_max^2 > 1e-12 C_max^2``, ``C_max = sqrt(1 - d^2)``: the
+        one reach rule of every concurrence path.  Below it ``c / C_max``
+        is clamped at 1, so that ``C_max`` itself round-trips.
     """
-    if not (c >= 0.0):
-        raise DomainError(f"concurrence must be nonnegative, got {c}")
-    c_max = concurrence_max(s, sigma)
-    if c_max * c_max < _OM_MIN:
-        raise DegenerateGeometryError(
-            f"at s = {s!r} the reachable concurrence is zero or subnormal; "
-            "theta is undetermined"
-        )
-    z = c / c_max
-    if z > 1.0:
-        # a few ulps of slack so that C_max itself round-trips
-        if z - 1.0 > 1e-12:
-            raise OutOfReachError(c, c_max)
-        z = 1.0
-    return math.asin(z)
+    om = _concurrence_terms(s, sigma, c)[3]
+    return math.asin(min(c / math.sqrt(om), 1.0))
 
 
 def _separation_terms(s, sigma):
     """``(d, d' = dd/ds, 1 - d, 1 - d^2, a3, a4)``, the terms of the
-    separation alone (the caller checks the range).  With ``t = s^2/8 sigma^2``
+    separation alone, unchecked (scalar callers go through
+    :func:`_checked_terms`).  With ``t = s^2/8 sigma^2``
 
         a3^2 = [1 + d(1 - 2t)] / (16 sigma^2 (1-d)) - d'^2/(4(1-d)^2),
         a4^2 = [1 - d(1 - 2t)] / (16 sigma^2 (1+d)) - d'^2/(4(1+d)^2),
@@ -278,7 +296,7 @@ def spectral(p: ModelParams) -> SpectralData:
         raise DegenerateGeometryError(
             "the antisymmetric mode direction is undefined at s = 0"
         )
-    d, _, e, _, a3, a4 = _separation_terms(p.s, p.sigma)
+    d, _, e, _, a3, a4 = _checked_terms(p.s, p.sigma)
     ct, _, omc = _angle_terms(p.theta)
     lam1, lam2, _ = _eigenvalues(d, e, ct, omc)
     return SpectralData(lambda1=lam1, lambda2=lam2, a3=a3, a4=a4)

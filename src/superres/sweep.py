@@ -37,13 +37,14 @@ from .fisher_single import _EPS, _coherence_form, _concurrence_form
 from .float_text import E16_SLOT, REPR_SLOT, e16_cells, repr_cells, write_rows
 from .numeric_oracle import _numeric_f_tot, numeric_qfim_cells
 from .qfim_two_param import (
-    _NUISANCE_FLOOR,
+    _below_floor,
+    _chart_singular,
     _h_nuisance,
     _theta_block,
     _to_concurrence,
     _to_gamma,
 )
-from .state_model import _OM_MIN, _angle_terms, _separation_terms, concurrence_max
+from .state_model import _OM_MIN, _angle_terms, _out_of_reach, _separation_terms, concurrence_max
 
 MODES = ("single", "qfim", "verify")
 NUISANCES = ("theta", "concurrence", "coherence")
@@ -191,7 +192,7 @@ def _single_block(nuisance: str, s, nu, sigma: float, terms) -> dict:
     if nuisance == "concurrence":
         c = nu
         # at s = 0 only the C = 0 column is reachable
-        reach = np.where(s == 0.0, c == 0.0, ~(c * c - om > 1e-12 * om))
+        reach = np.where(s == 0.0, c == 0.0, ~_out_of_reach(c, om))
         rem = om - c * c
         rem = np.where(rem < 4.0 * _EPS * om, 0.0, rem)
         root = np.sqrt(rem)
@@ -217,7 +218,7 @@ def _qfim_block(nuisance: str, s, nu, sigma: float, terms) -> dict:
     om = terms[3]
     if nuisance == "concurrence":
         c_max = np.sqrt(om)
-        reach = ~(nu * nu - c_max * c_max > 1e-12 * c_max * c_max)
+        reach = ~_out_of_reach(nu, om)
         theta = np.arcsin(np.minimum(nu / c_max, 1.0))
         ct, st, omc = _angle_terms(theta, np.cos, np.sin)
     else:
@@ -236,12 +237,11 @@ def _qfim_block(nuisance: str, s, nu, sigma: float, terms) -> dict:
         gamma = nu
     else:
         # the chart is singular at maximum reach; H_s is chart-invariant
-        chart = ~(ct < 1e-9)
+        chart = ~_chart_singular(ct)
         g_ss, g_tt, g_st = (np.where(chart, g, np.nan) for g in
                             _to_concurrence(f_ss, f_tt, f_st, terms, ct, st, c_max))
         gamma = ct
-    floor = (g_tt < _NUISANCE_FLOOR) & (np.abs(g_st) < _NUISANCE_FLOOR)
-    h_n = np.where(floor, g_tt, _h_nuisance(g_ss, g_tt, h_s))       # as _h_pair
+    h_n = np.where(_below_floor(g_tt, g_st), g_tt, _h_nuisance(g_ss, g_tt, h_s))
     cells = {"theta": theta, "gamma": gamma,
              "f_ss": g_ss, "f_tt": g_tt, "f_st": g_st, "h_s": h_s, "h_nuisance": h_n,
              "_reach": reach,

@@ -107,9 +107,9 @@ def grid_branch_fi(s: float, plus: float, minus: float, sigma: float = 1.0) -> f
     """Pure-state FI of the normalized family ``plus h(x + s/2) + minus
     h(x - s/2)`` by the grid oracle's one pure-state FI (its row kernel's
     branch FI)."""
-    row = _row_samples(s, sigma, 4096, None)
-    a = plus * row.plus + minus * row.minus
-    da = plus * row.d_plus + minus * row.d_minus
+    r = _row_samples(s, sigma, 4096, None)
+    a = plus * r[:, 0] + minus * r[:, 1]
+    da = plus * r[:, 2] + minus * r[:, 3]
     return float(_branch_fi(a[None], da[None])[0])
 
 
@@ -126,12 +126,12 @@ def spectral_sum_qfim_row(s: float, sigma: float, thetas, phi: float = 0.0,
     arrays ``(f_ss, f_tt, f_st)``.  ``eigh`` resolves the small eigenvalue
     only to an absolute ~1e-16, so this is accurate only where it is far
     above that."""
-    row = _row_samples(s, sigma, n_points, None)
+    r_plus, r_minus, r_d_plus, r_d_minus = _row_samples(s, sigma, n_points, None).T
     theta = np.asarray(thetas, dtype=float).reshape(-1, 1)
     phase = np.exp(1j * phi)
     ct, st = np.cos(theta), np.sin(theta)
-    a = row.plus + (ct * phase) * row.minus
-    v = st * row.minus
+    a = r_plus + (ct * phase) * r_minus
+    v = st * r_minus
     n = (_norm2(a) + _norm2(v))[:, None, None]
     rho = (_outer(a, a) + _outer(v, v)) / n
     lams, vecs = np.linalg.eigh(rho)
@@ -149,8 +149,8 @@ def spectral_sum_qfim_row(s: float, sigma: float, thetas, phi: float = 0.0,
                           out=np.zeros(den.shape), where=den > cutoff)
         return (terms + np.swapaxes(terms, -1, -2)).sum(axis=(-2, -1))
 
-    ds = d_rho(row.d_plus + (ct * phase) * row.d_minus, st * row.d_minus)
-    dt = d_rho(-(st * phase) * row.minus, ct * row.minus)
+    ds = d_rho(r_d_plus + (ct * phase) * r_d_minus, st * r_d_minus)
+    dt = d_rho(-(st * phase) * r_minus, ct * r_minus)
     return element(ds, ds), element(dt, dt), element(ds, dt)
 
 

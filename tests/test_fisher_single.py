@@ -147,8 +147,8 @@ class TestPureStateFi:
         assert grid_branch_fi(1.0, 0.0, 1.0) == pytest.approx(0.25, abs=1e-7)
 
     def test_constant_family_gives_zero(self):
-        row = _row_samples(1.0, 1.0, 4096, None)
-        constant = _branch_fi(row.minus[None], np.zeros_like(row.minus[None]))
+        minus = _row_samples(1.0, 1.0, 4096, None)[:, 1]
+        constant = _branch_fi(minus[None], np.zeros_like(minus[None]))
         assert constant[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_symmetric_superposition_matches_oracle_route(self):

@@ -28,7 +28,6 @@ from superres.numeric_oracle import (
     _row_samples,
     _sld_sum,
     numeric_qfim_cells,
-    numeric_qfim_row,
 )
 
 D_S2 = 0.6065306597126334
@@ -84,10 +83,10 @@ class TestMakeSources:
 
 
 @pytest.mark.parametrize("call", [
-    lambda: numeric_qfim_row(1.0, 1e-300, [0.3]),
-    lambda: numeric_qfim_row(math.inf, 1.0, [0.3]),
-    lambda: numeric_qfim_row(-1.0, 1.0, [0.3]),
-    lambda: numeric_qfim_row(math.nan, 1.0, [0.3]),
+    lambda: numeric_qfim_cells(1.0, 1e-300, [0.3]),
+    lambda: numeric_qfim_cells(math.inf, 1.0, [0.3]),
+    lambda: numeric_qfim_cells(-1.0, 1.0, [0.3]),
+    lambda: numeric_qfim_cells(math.nan, 1.0, [0.3]),
     lambda: _numeric_f_tot(-1.0, 1.0, [0.3]),
     lambda: numeric_qfim(ModelParams(0.0, 1.0, 0.5)),
 ], ids=["row-tiny-sigma", "row-inf-s", "row-negative-s", "row-nan-s", "f_tot-negative-s",
@@ -148,14 +147,14 @@ class TestRowKernel:
             columns.append((h, -sign * u * h / (4.0 * sigma**2)))
         sampled = np.stack([columns[0][0], columns[1][0], columns[0][1], columns[1][1]], axis=1)
         gram = sampled.T @ (grid.weights[:, None] * sampled)
-        row = _row_samples(s, sigma, grid.n_points, None)
-        coords = np.stack([row.plus, row.minus, row.d_plus, row.d_minus], axis=1)
+        coords = _row_samples(s, sigma, grid.n_points, None)
         assert np.abs(coords.T @ coords - gram).max() < 1e-12 * np.abs(gram).max()
 
     def test_row_equals_one_point_calls(self):
         # a result does not depend on how many thetas share its row
         thetas = np.linspace(0.0, math.pi / 2, 7)
-        row = numeric_qfim_row(1.3, 1.0, thetas, phi=0.4)
+        row = [Qfim2(f_ss=a, f_tt=b, f_st=c, tag="theta") for a, b, c in
+               zip(*(f.tolist() for f in numeric_qfim_cells(1.3, 1.0, thetas, phi=0.4)))]
         assert row == [numeric_qfim(ModelParams(1.3, 1.0, t, phi=0.4)) for t in thetas]
         f_row = _numeric_f_tot(1.3, 1.0, thetas)
         assert f_row.tolist() == [_numeric_f_tot(1.3, 1.0, t) for t in thetas]
@@ -164,15 +163,15 @@ class TestRowKernel:
         s_axis, thetas = (2e-6, 1e-3, 0.7, 4.0), np.linspace(0.0, math.pi / 2, 5)
         s, theta = (v.ravel() for v in np.meshgrid(s_axis, thetas, indexing="ij"))
         order = np.random.default_rng(2).permutation(s.size)
-        rows = {v: numeric_qfim_row(v, 1.0, thetas, phi=1.1) for v in s_axis}
+        rows = {v: list(zip(*(f.tolist() for f in numeric_qfim_cells(v, 1.0, thetas, phi=1.1))))
+                for v in s_axis}
         f_rows = {v: _numeric_f_tot(v, 1.0, thetas).tolist() for v in s_axis}
         for cells in ((s, theta), (s[order], theta[order])):
             f_ss, f_tt, f_st = numeric_qfim_cells(cells[0], 1.0, cells[1], phi=1.1)
-            one_call = [Qfim2(f_ss=a, f_tt=b, f_st=c, tag="theta")
-                        for a, b, c in zip(f_ss.tolist(), f_tt.tolist(), f_st.tolist())]
+            one_call = list(zip(f_ss.tolist(), f_tt.tolist(), f_st.tolist()))
             assert one_call == [rows[a][list(thetas).index(b)] for a, b in zip(*cells)]
-            assert one_call == [numeric_qfim(ModelParams(a, 1.0, b, phi=1.1))
-                                for a, b in zip(*cells)]
+            assert [Qfim2(f_ss=a, f_tt=b, f_st=c, tag="theta") for a, b, c in one_call] == [
+                numeric_qfim(ModelParams(a, 1.0, b, phi=1.1)) for a, b in zip(*cells)]
             f_tot = _numeric_f_tot(cells[0], 1.0, cells[1])
             assert f_tot.tolist() == [f_rows[a][list(thetas).index(b)] for a, b in zip(*cells)]
             assert f_tot.tolist() == [_numeric_f_tot(a, 1.0, b) for a, b in zip(*cells)]
@@ -190,12 +189,12 @@ class TestRowKernel:
         # the ~1e-11 agreement stated for the oracle, down to s = 1e-3
         thetas = np.linspace(math.pi / 16, math.pi / 2, 6)
         for s in (1e-3, 1e-2, 0.1, 0.5, 1.0, 3.0, 5.0):
-            row = numeric_qfim_row(s, 1.0, thetas, n_points=n_points)
+            row = numeric_qfim_cells(s, 1.0, thetas, n_points=n_points)
             f_tot = _numeric_f_tot(s, 1.0, thetas, n_points=n_points)
-            for theta, num, num_f_tot in zip(thetas, row, f_tot):
+            for theta, *num, num_f_tot in zip(thetas, *row, f_tot):
                 ana = qfim(ModelParams(s, 1.0, float(theta)))
-                for name in ("f_ss", "f_tt", "f_st"):
-                    assert getattr(num, name) == pytest.approx(
+                for name, value in zip(("f_ss", "f_tt", "f_st"), num):
+                    assert value == pytest.approx(
                         getattr(ana, name), rel=1e-11, abs=0.0), (s, theta, name)
                 assert num_f_tot == pytest.approx(
                     f_tot_coherence(s, 1.0, math.cos(theta)).f_tot, rel=1e-11,
@@ -208,11 +207,11 @@ class TestRowKernel:
         # the coordinates come straight off the QR, with no basis round trip;
         # re-projecting on an explicit basis reached 7.6e-12 here
         thetas = np.linspace(math.pi / 16, math.pi / 2, 6)
-        row = numeric_qfim_row(s, 1.0, thetas, n_points=n_points)
-        for theta, num in zip(thetas, row):
+        row = numeric_qfim_cells(s, 1.0, thetas, n_points=n_points)
+        for theta, *num in zip(thetas, *row):
             ana = qfim(ModelParams(s, 1.0, float(theta)))
-            for name in ("f_ss", "f_tt", "f_st"):
-                assert getattr(num, name) == pytest.approx(
+            for name, value in zip(("f_ss", "f_tt", "f_st"), num):
+                assert value == pytest.approx(
                     getattr(ana, name), rel=2e-12, abs=0.0), (theta, name)
 
 
@@ -241,10 +240,10 @@ class TestSupportSolve:
         # below theta ~ 1e-155: a spectral cutoff at 1e-12 dropped its terms,
         # a 4x4 eigh resolves it only to ~1e-16 absolute, and so does a
         # projection of the state on its eigenvector
-        for theta, num in zip(thetas, numeric_qfim_row(s, 1.0, thetas)):
+        for theta, *num in zip(thetas, *numeric_qfim_cells(s, 1.0, thetas)):
             ana = qfim(ModelParams(s, 1.0, float(theta)))
-            for name in ("f_ss", "f_tt", "f_st"):
-                assert getattr(num, name) == pytest.approx(
+            for name, value in zip(("f_ss", "f_tt", "f_st"), num):
+                assert value == pytest.approx(
                     getattr(ana, name), rel=1e-9, abs=0.0), (theta, name)
 
     def test_pure_state_at_zero_theta(self):

@@ -3,20 +3,27 @@ import math
 import numpy as np
 import pytest
 
+import superres
 from helpers import make_sources
 from superres import (
     DegenerateGeometryError,
     DomainError,
     ModelParams,
     OutOfReachError,
+    SweepSpec,
     concurrence_max,
     concurrence_normalized,
     concurrence,
+    f_tot_concurrence,
     numeric_concurrence,
     overlap,
+    precision_concurrence,
+    qfim_concurrence,
+    run_sweep,
     spectral,
     theta_from_concurrence,
 )
+from superres import state_model
 
 # values pinned by the position-grid oracle (trapezoid quadrature and
 # central differences agree with the closed forms to <= 1e-9 relative)
@@ -102,6 +109,20 @@ class TestConcurrence:
     def test_normalized_with_phase(self):
         p = ModelParams(2.0, 1.0, math.pi / 4, 1.1)
         assert concurrence_normalized(p) == pytest.approx(CNORM_PI4_PHI, abs=1e-12)
+
+    @pytest.mark.parametrize("s, theta, phi", [(1e-9, 1e-9, math.pi), (1e-4, 1e-4, math.pi),
+                                               (1e-3, 1e-3, math.pi - 1e-3)])
+    def test_normalized_matches_mpmath_near_opposite_phase(self, s, theta, phi):
+        # 1 + d cos(theta) cos(phi) cancels near phi = pi: at the first point
+        # it was a bare ZeroDivisionError (the value is 0.8), at the second
+        # 4.3e-9 off
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            ms, mt, mf = mp.mpf(s), mp.mpf(theta), mp.mpf(phi)
+            d = mp.exp(-ms**2 / 8)
+            want = mp.sin(mt) * mp.sqrt(1 - d**2) / (1 + d * mp.cos(mt) * mp.cos(mf))
+            got = concurrence_normalized(ModelParams(s, 1.0, theta, phi))
+            assert abs(got / want - 1) < 1e-15
 
     def test_conventions_differ_away_from_half_pi(self):
         p = ModelParams(2.0, 1.0, math.pi / 4)
@@ -244,3 +265,75 @@ def test_concurrence_coherence_identity():
             c = concurrence(p)
             g = math.cos(theta)
             assert abs(c * c + om * g * g - om) < 1e-15
+
+
+@pytest.mark.parametrize("s", [0.05, 0.7, 3.0])
+@pytest.mark.parametrize("k", [-1e-12, 3e-13, 7e-13, 2e-12])
+def test_every_concurrence_path_applies_one_reach_rule(s, k):
+    # C = C_max (1 + k) is in reach for k below ~5e-13 (c^2 - C_max^2 <=
+    # 1e-12 C_max^2); at 7e-13 theta_from_concurrence took the point as
+    # theta = pi/2 and precision_concurrence called the chart singular,
+    # while f_tot_concurrence and both sweep modes put it out of reach
+    c = concurrence_max(s, 1.0) * (1.0 + k)
+
+    def in_reach(call):
+        try:
+            call()
+        except OutOfReachError:
+            return False
+        except DomainError:     # the concurrence chart is singular at C_max
+            pass
+        return True
+
+    verdicts = [in_reach(lambda fn=fn: fn(s, 1.0, c)) for fn in
+                (theta_from_concurrence, f_tot_concurrence, qfim_concurrence,
+                 precision_concurrence)]
+    for mode in ("single", "qfim"):
+        spec = SweepSpec(mode=mode, nuisance="concurrence", s_range=(s, s, 1),
+                         nuisance_range=(c, c, 1))
+        verdicts.append(run_sweep(spec).status == ["ok"])
+    assert verdicts == [k < 5e-13] * 6
+
+
+# every public scalar entry point with a point in reach of all its checks
+SCALAR_CALLS = {
+    "overlap": lambda p: superres.overlap(p.s, p.sigma),
+    "concurrence_max": lambda p: superres.concurrence_max(p.s, p.sigma),
+    "concurrence": superres.concurrence,
+    "concurrence_normalized": superres.concurrence_normalized,
+    "theta_from_concurrence": lambda p: superres.theta_from_concurrence(p.s, p.sigma, 0.2),
+    "spectral": superres.spectral,
+    "f_tot_coherence": lambda p: superres.f_tot_coherence(p.s, p.sigma, 0.4),
+    "f_tot_concurrence": lambda p: superres.f_tot_concurrence(p.s, p.sigma, 0.2),
+    "weighted_fi_reconstruct": superres.weighted_fi_reconstruct,
+    "qfim": superres.qfim,
+    "precision": superres.precision,
+    "qfim_gamma": lambda p: superres.qfim_gamma(p.s, p.sigma, 0.4),
+    "precision_gamma": lambda p: superres.precision_gamma(p.s, p.sigma, 0.4),
+    "precision_gamma-limit": lambda p: superres.precision_gamma(p.s, p.sigma, 1.0),
+    "qfim_concurrence": lambda p: superres.qfim_concurrence(p.s, p.sigma, 0.2),
+    "precision_concurrence": lambda p: superres.precision_concurrence(p.s, p.sigma, 0.2),
+}
+
+
+@pytest.mark.parametrize("name", SCALAR_CALLS)
+def test_scalar_entry_points_evaluate_the_separation_terms_once(name, monkeypatch):
+    # one check of each input and one evaluation of the separation terms per
+    # call, with no ModelParams built (and checked again) on the way
+    p = ModelParams(1.3, 1.0, 0.6)
+    counts = {"terms": 0, "params": 0}
+    terms = state_model._separation_terms
+    post_init = ModelParams.__post_init__
+
+    def counted_terms(*args):
+        counts["terms"] += 1
+        return terms(*args)
+
+    def counted_post_init(self):
+        counts["params"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(state_model, "_separation_terms", counted_terms)
+    monkeypatch.setattr(ModelParams, "__post_init__", counted_post_init)
+    SCALAR_CALLS[name](p)
+    assert counts == {"terms": 1, "params": 0}
