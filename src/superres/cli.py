@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 
 from . import sweep as sweep_mod
@@ -30,6 +31,33 @@ from .sweep import (
 )
 
 _HALF_PI = math.pi / 2
+
+# mallopt parameters of glibc's malloc.h
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_heap() -> None:
+    """Have glibc's malloc keep freed memory for reuse instead of handing it
+    back to the kernel after every large array.
+
+    The grid oracle allocates and frees ~2 MB per separation row at 16384
+    grid points (the sampled vectors and the QR's two copies of them).  With
+    glibc's default thresholds those pages go back to the kernel after each
+    row and are faulted in again on the next: ~3,000 minor faults per
+    six-row ``verify``, which took more time than the QR and made the run
+    time follow the machine's page-fault cost from one run to the next.  The
+    values set are the ceilings of glibc's own sliding thresholds (32 MiB
+    mmap, 64 MiB trim).  Does nothing off glibc.
+    """
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):
+        libc = ""
+    if libc.startswith("glibc"):
+        import ctypes
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
 
 
 def _add_common(parser: argparse.ArgumentParser, mode: str) -> None:
@@ -107,6 +135,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     out = sys.stdout if args.out is None else args.out
+    _keep_freed_heap()
     try:
         if args.command == "figure":
             blocks = figure_preset(args.preset)

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -445,6 +446,20 @@ class TestCli:
         ])
         assert code == 3
         assert "FAIL" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not (getattr(os, "confstr", None)
+                             and (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")),
+                        reason="the CLI tunes glibc's malloc only")
+    def test_verify_reuses_freed_memory(self, capsys):
+        # with glibc's default thresholds every row of the grid oracle faulted
+        # its ~2 MB of arrays in afresh: ~3,000 minor faults per call here
+        import resource
+        argv = ["verify", "--s-min", "1e-3", "--s-max", "5", "--s-steps", "6",
+                "--n-steps", "6", "--grid-points", "16384"]
+        assert main(argv) == 0
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert main(argv) == 0
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 300
 
     def test_entry_module_runs(self, tmp_path):
         out = tmp_path / "cli.csv"
