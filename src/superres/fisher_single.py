@@ -34,7 +34,7 @@ from .state_model import ModelParams, _checked_terms, _concurrence_terms, _requi
 _EPS = math.ulp(1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FiRecord:
     """One evaluated Fisher-information point with its state descriptors."""
 
@@ -44,6 +44,10 @@ class FiRecord:
     gamma: float
     concurrence: float
     f_tot: float
+
+    def __init__(self, s, sigma, theta, gamma, concurrence, f_tot):
+        self.__dict__.update(s=s, sigma=sigma, theta=theta, gamma=gamma,
+                             concurrence=concurrence, f_tot=f_tot)
 
 
 def _coherence_form(s, sigma, d, gamma):
@@ -84,14 +88,8 @@ def f_tot_coherence(s: float, sigma: float, gamma: float) -> FiRecord:
     # no overlap left: both correction terms vanish (where s^2 overflows
     # they would read d * s^2 = 0 * inf)
     f = 1.0 / (4.0 * sigma * sigma) if d == 0.0 else _coherence_form(s, sigma, d, gamma)
-    return FiRecord(
-        s=s,
-        sigma=sigma,
-        theta=math.acos(gamma),
-        gamma=gamma,
-        concurrence=math.sqrt((1.0 - gamma * gamma) * om),
-        f_tot=f,
-    )
+    return FiRecord(s, sigma, math.acos(gamma), gamma,
+                    math.sqrt((1.0 - gamma * gamma) * om), f)
 
 
 def f_tot_concurrence(s: float, sigma: float, c: float) -> FiRecord:
@@ -121,14 +119,7 @@ def f_tot_concurrence(s: float, sigma: float, c: float) -> FiRecord:
     f = (1.0 / (4.0 * sigma * sigma) if d == 0.0     # as in f_tot_coherence
          else _concurrence_form(s, sigma, d, om, rem, root, root_om))
     gamma = min(root / root_om, 1.0)
-    return FiRecord(
-        s=s,
-        sigma=sigma,
-        theta=math.acos(gamma),
-        gamma=gamma,
-        concurrence=c,
-        f_tot=f,
-    )
+    return FiRecord(s, sigma, math.acos(gamma), gamma, c, f)
 
 
 def weighted_fi_reconstruct(p: ModelParams) -> float:

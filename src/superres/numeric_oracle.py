@@ -231,7 +231,7 @@ def numeric_qfim(p: ModelParams, n_points: int = 4096,
     """
     f_ss, f_tt, f_st = (f.item() for f in numeric_qfim_cells(
         p.s, p.sigma, [p.theta], p.phi, n_points, halfwidth))
-    return Qfim2(f_ss=f_ss, f_tt=f_tt, f_st=f_st, tag="theta")
+    return Qfim2(f_ss, f_tt, f_st, "theta")
 
 
 def numeric_concurrence(p: ModelParams, n_points: int = 4096,

@@ -78,7 +78,7 @@ from .state_model import (
 _NUISANCE_FLOOR = 1e-14     # F_tt below this (with F_st ~ 0): no correction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Qfim2:
     """2x2 quantum Fisher information matrix for (s, nuisance)."""
 
@@ -87,13 +87,19 @@ class Qfim2:
     f_st: float
     tag: str = "theta"    # "theta" | "gamma" | "concurrence"
 
+    def __init__(self, f_ss, f_tt, f_st, tag="theta"):
+        self.__dict__.update(f_ss=f_ss, f_tt=f_tt, f_st=f_st, tag=tag)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class PrecisionPair:
     """Nuisance-corrected information for s, and for the nuisance itself."""
 
     h_s: float
     h_nuisance: float
+
+    def __init__(self, h_s, h_nuisance):
+        self.__dict__.update(h_s=h_s, h_nuisance=h_nuisance)
 
 
 def _theta_block(terms, ct, st, omc):
@@ -180,13 +186,13 @@ def qfim(p: ModelParams) -> Qfim2:
     ``(F_ss, F_tt, F_st) = (4 lambda2 a4^2, (1-d)/(1+d), 0)``.
     """
     f_ss, f_tt, f_st, _ = _params_chart(p)
-    return Qfim2(f_ss=f_ss, f_tt=f_tt, f_st=f_st, tag="theta")
+    return Qfim2(f_ss, f_tt, f_st, "theta")
 
 
 def _h_pair(f_ss: float, f_tt: float, f_st: float, h_s: float) -> PrecisionPair:
     if _below_floor(f_tt, f_st):
-        return PrecisionPair(h_s=h_s, h_nuisance=f_tt)
-    return PrecisionPair(h_s=h_s, h_nuisance=_h_nuisance(f_ss, f_tt, h_s))
+        return PrecisionPair(h_s, f_tt)
+    return PrecisionPair(h_s, _h_nuisance(f_ss, f_tt, h_s))
 
 
 def precision(p: ModelParams) -> PrecisionPair:
@@ -215,7 +221,7 @@ def qfim_gamma(s: float, sigma: float, gamma: float) -> Qfim2:
     block diverges; use :func:`precision_gamma`, which carries the limit.
     """
     g_ss, g_gg, g_sg, _ = _gamma_chart(s, sigma, gamma)
-    return Qfim2(f_ss=g_ss, f_tt=g_gg, f_st=g_sg, tag="gamma")
+    return Qfim2(g_ss, g_gg, g_sg, "gamma")
 
 
 def precision_gamma(s: float, sigma: float, gamma: float) -> PrecisionPair:
@@ -227,7 +233,7 @@ def precision_gamma(s: float, sigma: float, gamma: float) -> PrecisionPair:
     """
     if gamma == 1.0:
         h_s = _theta_chart(s, sigma, _checked_terms(s, sigma), 0.0)[2][3]
-        return PrecisionPair(h_s=h_s, h_nuisance=math.inf)
+        return PrecisionPair(h_s, math.inf)
     return _h_pair(*_gamma_chart(s, sigma, gamma))
 
 
@@ -250,7 +256,7 @@ def qfim_concurrence(s: float, sigma: float, c: float) -> Qfim2:
     """QFIM for (s, C): Jacobian transport of the theta-parametrized matrix
     (formulas in :func:`_concurrence_chart`)."""
     g_ss, g_cc, g_sc, _ = _concurrence_chart(s, sigma, c)
-    return Qfim2(f_ss=g_ss, f_tt=g_cc, f_st=g_sc, tag="concurrence")
+    return Qfim2(g_ss, g_cc, g_sc, "concurrence")
 
 
 def precision_concurrence(s: float, sigma: float, c: float) -> PrecisionPair:

@@ -92,7 +92,7 @@ def _require_gamma(gamma) -> None:
         raise DomainError(f"gamma must lie in [0, 1], got {gamma}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ModelParams:
     """Physical configuration of the two-source field.
 
@@ -115,6 +115,12 @@ class ModelParams:
     theta: float
     phi: float = 0.0
 
+    # the records store their fields by one dict write, not one frozen
+    # object.__setattr__ each as the generated __init__ does
+    def __init__(self, s, sigma, theta, phi=0.0):
+        self.__dict__.update(s=s, sigma=sigma, theta=theta, phi=phi)
+        self.__post_init__()
+
     def __post_init__(self):
         if not (_SIGMA_MIN <= self.sigma <= _SIGMA_MAX and 0.0 <= self.s < _INF):
             _reject_s_sigma(self.s, self.sigma)
@@ -129,7 +135,7 @@ class ModelParams:
             raise DomainError(f"{what} requires phi = 0, got phi = {self.phi}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OverlapTriple:
     """Gaussian source overlap and its first two separation derivatives.
 
@@ -142,8 +148,11 @@ class OverlapTriple:
     d1: float
     d2: float
 
+    def __init__(self, d, d1, d2):
+        self.__dict__.update(d=d, d1=d1, d2=d2)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class SpectralData:
     """Eigenvalues of the reduced spatial state plus the norms of the
     eigenvector separation-derivatives.
@@ -159,6 +168,9 @@ class SpectralData:
     a3: float
     a4: float
 
+    def __init__(self, lambda1, lambda2, a3, a4):
+        self.__dict__.update(lambda1=lambda1, lambda2=lambda2, a3=a3, a4=a4)
+
 
 def overlap(s: float, sigma: float) -> OverlapTriple:
     """Overlap ``d = exp(-s^2/8 sigma^2)`` of the displaced PSF amplitudes,
@@ -172,8 +184,9 @@ def overlap(s: float, sigma: float) -> OverlapTriple:
     """
     d, d1, _, _, _, _ = _checked_terms(s, sigma)
     sig2 = sigma * sigma
-    d2 = (d / (4.0 * sig2)) * (s * s / (4.0 * sig2) - 1.0)
-    return OverlapTriple(d=d, d1=d1, d2=d2)
+    # d = 0: where s^2 overflows the product would read 0 * inf
+    d2 = (d / (4.0 * sig2)) * (s * s / (4.0 * sig2) - 1.0) if d != 0.0 else 0.0
+    return OverlapTriple(d, d1, d2)
 
 
 def concurrence_max(s: float, sigma: float) -> float:
@@ -240,12 +253,18 @@ def _separation_terms(s, sigma):
     ``t = 1e-3`` the a3 numerator (an O(t^3) residue) runs out of bits and a
     series takes over.  Large t enters as ``2 t d``: as ``2 t - 2 t e`` it
     cancels to 0 past t ~ 1e17 (for a3 that form is kept below t = 1, where
-    it is the more accurate).
+    it is the more accurate).  Where ``d`` underflows to 0, ``d'`` and
+    ``2 t d`` are 0, also once ``s^2`` or ``s / sigma^2`` overflows (there
+    the products would read ``inf * 0``).
     """
     sig2 = sigma * sigma
     t = s * s / (8.0 * sig2)
     d = math.exp(-t)
-    d1 = -(s / (4.0 * sig2)) * d
+    if d != 0.0:
+        d1 = -(s / (4.0 * sig2)) * d
+        td = 2.0 * t * d
+    else:       # no overlap left, where t or s / sigma^2 may be inf
+        d1, td = -0.0, 0.0
     e = -math.expm1(-t)                         # 1 - d
     om = -math.expm1(-s * s / (4.0 * sig2))     # 1 - d^2
     if t < 1e-3:
@@ -253,8 +272,8 @@ def _separation_terms(s, sigma):
     elif t < 1.0:
         a3sq = (2.0 * (e - t) - e * e + 2.0 * t * e) / (16.0 * sig2 * e * e)
     else:
-        a3sq = (2.0 * e - e * e - 2.0 * t * d) / (16.0 * sig2 * e * e)
-    a4sq = (2.0 * e - e * e + 2.0 * t * d) / (16.0 * sig2 * ((2.0 - e) * (2.0 - e)))
+        a3sq = (2.0 * e - e * e - td) / (16.0 * sig2 * e * e)
+    a4sq = (2.0 * e - e * e + td) / (16.0 * sig2 * ((2.0 - e) * (2.0 - e)))
     return d, d1, e, om, math.sqrt(max(a3sq, 0.0)), math.sqrt(max(a4sq, 0.0))
 
 
@@ -299,4 +318,4 @@ def spectral(p: ModelParams) -> SpectralData:
     d, _, e, _, a3, a4 = _checked_terms(p.s, p.sigma)
     ct, _, omc = _angle_terms(p.theta)
     lam1, lam2, _ = _eigenvalues(d, e, ct, omc)
-    return SpectralData(lambda1=lam1, lambda2=lam2, a3=a3, a4=a4)
+    return SpectralData(lam1, lam2, a3, a4)

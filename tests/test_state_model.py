@@ -10,6 +10,7 @@ from superres import (
     DomainError,
     ModelParams,
     OutOfReachError,
+    OverlapTriple,
     SweepSpec,
     concurrence_max,
     concurrence_normalized,
@@ -17,11 +18,14 @@ from superres import (
     f_tot_concurrence,
     numeric_concurrence,
     overlap,
+    precision,
     precision_concurrence,
+    qfim,
     qfim_concurrence,
     run_sweep,
     spectral,
     theta_from_concurrence,
+    weighted_fi_reconstruct,
 )
 from superres import state_model
 
@@ -237,6 +241,24 @@ class TestSpectral:
         spec = spectral(ModelParams(s, 1.0, 0.7))
         for got, want in zip((spec.a3 * spec.a3, spec.a4 * spec.a4), mp_norms_squared(s)):
             assert got == pytest.approx(float(want), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("s, sigma, s_near", [(1e160, 1.0, 1e150), (1e200, 1.0, 1e150),
+                                                  (1e200, 1e-75, 1.0)])
+    def test_past_the_overflow_of_s_squared(self, s, sigma, s_near):
+        # t = s^2/8 sigma^2 (and at sigma = 1e-75 also s / sigma^2) is inf
+        # there and d = 0: d' and 2 t d are 0, not inf * 0 = NaN, and every
+        # value is that of s_near, where d = 0 with t finite
+        p, near = ModelParams(s, sigma, 0.5), ModelParams(s_near, sigma, 0.5)
+        assert overlap(s, sigma) == overlap(s_near, sigma) == OverlapTriple(0.0, 0.0, 0.0)
+        assert spectral(p) == spectral(near)
+        assert spectral(p).a3 == spectral(p).a4 == pytest.approx(0.25 / sigma, rel=1e-15)
+        assert qfim(p) == qfim(near) and qfim(p).f_tt == 1.0
+        assert precision(p) == precision(near)
+        assert precision(p).h_s == pytest.approx(0.25 / sigma**2, rel=1e-15)
+        assert weighted_fi_reconstruct(p) == weighted_fi_reconstruct(near)
+        spec = SweepSpec(mode="qfim", nuisance="theta", s_range=(s, s, 1),
+                         nuisance_range=(0.0, math.pi / 2, 3), sigma=sigma)
+        assert run_sweep(spec).status == ["ok"] * 3
 
     def test_norms_match_mpmath_on_log_grid(self):
         # measured worst: a3^2 3.0e-10 (s ~ 0.1, just above the series
