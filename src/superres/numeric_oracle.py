@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .qfim_two_param import Qfim2
-from .state_model import _INF, _SIGMA_MAX, _SIGMA_MIN, ModelParams, _reject_s_sigma
+from .state_model import ModelParams, _require_s_sigma
 
 
 @dataclass
@@ -94,8 +94,7 @@ def _fitted_grid(s: float, sigma: float, n_points: int = 4096,
     """:func:`default_grid` for sources at separation ``s``, after checking
     ``(s, sigma)`` by the model's range rule and the grid's margin; every
     oracle entry point goes through it."""
-    if not (_SIGMA_MIN <= sigma <= _SIGMA_MAX and 0.0 <= s < _INF):
-        _reject_s_sigma(s, sigma)
+    _require_s_sigma(s, sigma)
     grid = default_grid(s, sigma, n_points=n_points, halfwidth=halfwidth)
     if not grid.fits(s, sigma):
         raise ConfigurationError(
@@ -116,6 +115,7 @@ def _row_samples(s: float, sigma: float, n_points: int,
     It stays exact however close to collinear the vectors get at small ``s``.
     """
     grid = _fitted_grid(s, sigma, n_points=n_points, halfwidth=halfwidth)
+    sigma = np.float64(sigma)   # where sigma^2 underflows: NaN, not ZeroDivisionError
     root_w = np.sqrt(grid.weights)
     scaled = np.empty((grid.n_points, 4))
     for j, sign in ((0, +1.0), (1, -1.0)):
@@ -124,6 +124,17 @@ def _row_samples(s: float, sigma: float, n_points: int,
         # d h(x +- s/2) / ds = +- h'(u) / 2 = -+ u h(u) / (4 sigma^2)
         scaled[:, j + 2] = (-sign / (4.0 * sigma * sigma)) * u * scaled[:, j]
     return np.linalg.qr(scaled, mode="r")
+
+
+def _resolved(s, sigma: float, *results):
+    """The oracle's ``results``, after checking that every cell is finite:
+    they are not where the grid samples no PSF (a spacing far above
+    ``sigma``, as at ``s = 1e6 sigma``) or where ``sigma^2`` underflows."""
+    bad = ~np.logical_and.reduce([np.isfinite(r) for r in results])
+    if bad.any():
+        s_bad = float(np.broadcast_to(s, bad.shape)[bad][0])
+        raise DomainError(f"the grid does not resolve s = {s_bad!r} at sigma = {sigma!r}")
+    return results
 
 
 def _norm2(a: np.ndarray) -> np.ndarray:
@@ -150,6 +161,7 @@ def _cell_samples(s, thetas, sigma: float, n_points: int, halfwidth: float | Non
     return theta, np.moveaxis(r[inverse.reshape(s.shape)], -1, 0)
 
 
+@np.errstate(all="ignore")     # non-finite results end in _resolved
 def numeric_qfim_cells(s, sigma: float, thetas, phi: float = 0.0, n_points: int = 4096,
                        halfwidth: float | None = None):
     """QFIM arrays ``(f_ss, f_tt, f_st)`` at every cell of ``s`` and
@@ -212,7 +224,8 @@ def numeric_qfim_cells(s, sigma: float, thetas, phi: float = 0.0, n_points: int 
     ds, ker = frame(d_plus + (ct * phase) * d_minus, st * d_minus)
     dt, _ = frame(-(st * phase) * minus, ct * minus)
     f_ss = _sld_sum(lam1, lam2, w22, ds, ds) + 4.0 * (ker[0] + ker[1]) / (n * n * lam1)
-    return f_ss, _sld_sum(lam1, lam2, w22, dt, dt), _sld_sum(lam1, lam2, w22, ds, dt)
+    return _resolved(s, sigma, f_ss, _sld_sum(lam1, lam2, w22, dt, dt),
+                     _sld_sum(lam1, lam2, w22, ds, dt))
 
 
 def numeric_qfim(p: ModelParams, n_points: int = 4096,
@@ -234,6 +247,7 @@ def numeric_qfim(p: ModelParams, n_points: int = 4096,
     return Qfim2(f_ss, f_tt, f_st, "theta")
 
 
+@np.errstate(all="ignore")     # non-finite results end in _resolved
 def numeric_concurrence(p: ModelParams, n_points: int = 4096,
                         halfwidth: float | None = None) -> float:
     """Concurrence of the unit-norm two-source state, ``2 sqrt(det rho_aux)``
@@ -253,7 +267,7 @@ def numeric_concurrence(p: ModelParams, n_points: int = 4096,
     st = math.sin(p.theta)
     a = r[:, 0] + (math.cos(p.theta) * np.exp(1j * p.phi)) * r[:, 1]
     n = _norm2(a) + _norm2(st * r[:, 1])
-    return float(2.0 * abs(st * r[0, 0] * r[1, 1]) / n)
+    return float(_resolved(p.s, p.sigma, 2.0 * abs(st * r[0, 0] * r[1, 1]) / n)[0])
 
 
 def _branch_fi(a: np.ndarray, da: np.ndarray) -> np.ndarray:
@@ -264,6 +278,7 @@ def _branch_fi(a: np.ndarray, da: np.ndarray) -> np.ndarray:
     return 4.0 * (_norm2(da) / n2 - (np.sum(a * da, axis=-1) / n2) ** 2)
 
 
+@np.errstate(all="ignore")     # non-finite results end in _resolved
 def _numeric_f_tot(s, sigma: float, thetas, n_points: int = 4096,
                    halfwidth: float | None = None):
     """Grid reconstruction of the weighted FI ``N1 F1 + N2 F2`` (the oracle
@@ -277,4 +292,5 @@ def _numeric_f_tot(s, sigma: float, thetas, n_points: int = 4096,
     g = np.cos(theta)[..., None]
     a = plus + g * minus
     f1 = _branch_fi(a, d_plus + g * d_minus)
-    return 0.5 * _norm2(a) * f1 + 0.5 * np.sin(theta) ** 2 * _branch_fi(minus, d_minus)
+    f_tot = 0.5 * _norm2(a) * f1 + 0.5 * np.sin(theta) ** 2 * _branch_fi(minus, d_minus)
+    return _resolved(s, sigma, f_tot)[0]

@@ -72,6 +72,7 @@ from .state_model import (
     _checked_terms,
     _concurrence_terms,
     _eigenvalues,
+    _per_sigma,
     _require_gamma,
 )
 
@@ -103,8 +104,9 @@ class PrecisionPair:
 
 
 def _theta_block(terms, ct, st, omc):
-    """``(lambda1, lambda2, F_ss, F_tt, F_st, H_s)`` for (s, theta) from the
-    separation terms of :func:`state_model._separation_terms` and
+    """``(lambda1, lambda2, F_ss, F_tt, F_st, H_s)`` for (u, theta) at
+    ``sigma = 1`` from the separation terms of
+    :func:`state_model._separation_terms` and
     ``cos theta``, ``sin theta``, ``1 - cos theta``, for floats and arrays
     alike.  The classical block is the rank-one form of the module
     docstring, in which ``(d lambda1)^2 / (lambda1 lambda2)`` has lost its
@@ -130,8 +132,9 @@ def _to_gamma(f_ss, f_tt, f_st, st):
 
 def _to_concurrence(f_ss, f_tt, f_st, terms, ct, st, c_max):
     """The theta-chart matrix transported to (s, C), ``(G_ss, G_CC, G_sC)``,
-    with ``c_max = sqrt(1 - d^2)``.  ``C = sin(theta) c_max`` depends on
-    both parameters: with ``t_s = d theta/ds|_C`` and ``t_C = d theta/dC|_s``,
+    with ``c_max = sqrt(1 - d^2)``, all at ``sigma = 1`` (``s`` is ``u``
+    there).  ``C = sin(theta) c_max`` depends on both parameters: with
+    ``t_s = d theta/ds|_C`` and ``t_C = d theta/dC|_s``,
     ``G_ss = F_ss + 2 t_s F_st + t_s^2 F_tt``, ``G_sC = t_C (F_st + t_s F_tt)``
     and ``G_CC = t_C^2 F_tt``.
     """
@@ -159,21 +162,19 @@ def _chart_singular(ct):
 
 
 def _theta_chart(s: float, sigma: float, terms, theta: float):
-    """``(cos theta, sin theta, (F_ss, F_tt, F_st, H_s))`` at ``theta`` from
-    the separation terms at ``s``, for the chart transports."""
+    """``(cos theta, sin theta, (F_ss, F_tt, F_st, H_s))`` at ``theta`` and
+    ``u = s / sigma`` at ``sigma = 1`` (all finite), for the chart transports."""
     if s == 0.0:
         raise DegenerateGeometryError("qfim is undefined at s = 0")
     # the block divides by 1 - d^2, which is subnormal for s below ~3e-154 sigma
-    if terms[3] >= _OM_MIN:
-        ct, st, omc = _angle_terms(theta)
-        f = _theta_block(terms, ct, st, omc)[2:]
-        if math.isfinite(f[0] + f[1] + f[2]):
-            return ct, st, f
-    raise DomainError(f"the closed forms do not resolve s = {s!r} at sigma = {sigma!r}")
+    if terms[3] < _OM_MIN:
+        raise DomainError(f"the closed forms do not resolve s = {s!r} at sigma = {sigma!r}")
+    ct, st, omc = _angle_terms(theta)
+    return ct, st, _theta_block(terms, ct, st, omc)[2:]
 
 
 def _params_chart(p: ModelParams):
-    """``(F_ss, F_tt, F_st, H_s)`` at the point ``p``."""
+    """``(F_ss, F_tt, F_st, H_s)`` at the point ``p``, at ``sigma = 1``."""
     p.require_phi_zero("qfim")
     return _theta_chart(p.s, p.sigma, _checked_terms(p.s, p.sigma), p.theta)[2]
 
@@ -186,18 +187,20 @@ def qfim(p: ModelParams) -> Qfim2:
     ``(F_ss, F_tt, F_st) = (4 lambda2 a4^2, (1-d)/(1+d), 0)``.
     """
     f_ss, f_tt, f_st, _ = _params_chart(p)
-    return Qfim2(f_ss, f_tt, f_st, "theta")
+    # F_st / sigma cannot overflow where F_ss / sigma^2 does not: F_st^2 <= F_ss F_tt
+    return Qfim2(_per_sigma(p.s, p.sigma, f_ss, 2), f_tt, f_st / p.sigma, "theta")
 
 
-def _h_pair(f_ss: float, f_tt: float, f_st: float, h_s: float) -> PrecisionPair:
-    if _below_floor(f_tt, f_st):
-        return PrecisionPair(h_s, f_tt)
-    return PrecisionPair(h_s, _h_nuisance(f_ss, f_tt, h_s))
+def _h_pair(s, sigma, g_ss, g_nn, g_sn, h_s) -> PrecisionPair:
+    """``(H_s, H_nuisance)`` of a chart at ``sigma = 1``: ``H_nuisance``
+    does not scale, and is taken there so that no underflow reads 0/0."""
+    h_n = g_nn if _below_floor(g_nn, g_sn) else _h_nuisance(g_ss, g_nn, h_s)
+    return PrecisionPair(_per_sigma(s, sigma, h_s, 2), h_n)
 
 
 def precision(p: ModelParams) -> PrecisionPair:
     """Nuisance-corrected informations ``H_s`` and ``H_theta``."""
-    return _h_pair(*_params_chart(p))
+    return _h_pair(p.s, p.sigma, *_params_chart(p))
 
 
 def _gamma_chart(s: float, sigma: float, gamma: float) -> tuple[float, float, float, float]:
@@ -221,7 +224,7 @@ def qfim_gamma(s: float, sigma: float, gamma: float) -> Qfim2:
     block diverges; use :func:`precision_gamma`, which carries the limit.
     """
     g_ss, g_gg, g_sg, _ = _gamma_chart(s, sigma, gamma)
-    return Qfim2(g_ss, g_gg, g_sg, "gamma")
+    return Qfim2(_per_sigma(s, sigma, g_ss, 2), g_gg, g_sg / sigma, "gamma")
 
 
 def precision_gamma(s: float, sigma: float, gamma: float) -> PrecisionPair:
@@ -233,8 +236,8 @@ def precision_gamma(s: float, sigma: float, gamma: float) -> PrecisionPair:
     """
     if gamma == 1.0:
         h_s = _theta_chart(s, sigma, _checked_terms(s, sigma), 0.0)[2][3]
-        return PrecisionPair(h_s, math.inf)
-    return _h_pair(*_gamma_chart(s, sigma, gamma))
+        return PrecisionPair(_per_sigma(s, sigma, h_s, 2), math.inf)
+    return _h_pair(s, sigma, *_gamma_chart(s, sigma, gamma))
 
 
 def _concurrence_chart(s: float, sigma: float, c: float) -> tuple[float, float, float, float]:
@@ -256,9 +259,9 @@ def qfim_concurrence(s: float, sigma: float, c: float) -> Qfim2:
     """QFIM for (s, C): Jacobian transport of the theta-parametrized matrix
     (formulas in :func:`_concurrence_chart`)."""
     g_ss, g_cc, g_sc, _ = _concurrence_chart(s, sigma, c)
-    return Qfim2(g_ss, g_cc, g_sc, "concurrence")
+    return Qfim2(_per_sigma(s, sigma, g_ss, 2), g_cc, g_sc / sigma, "concurrence")
 
 
 def precision_concurrence(s: float, sigma: float, c: float) -> PrecisionPair:
     """``H_s`` and ``H_C`` under the concurrence nuisance (theta < pi/2)."""
-    return _h_pair(*_concurrence_chart(s, sigma, c))
+    return _h_pair(s, sigma, *_concurrence_chart(s, sigma, c))

@@ -39,30 +39,37 @@ from .errors import DegenerateGeometryError, DomainError, OutOfReachError
 
 _HALF_PI = math.pi / 2
 _INF = math.inf
-# the closed forms divide by sigma^4: inside this range it and its
-# reciprocal are normal floats
-_SIGMA_MIN, _SIGMA_MAX = 1e-75, 1e75
 # the smallest normal float: a 1 - d^2 below it (s below ~3e-154 sigma) has
 # lost bits, so the forms that divide by it or by its root reject it
 _OM_MIN = sys.float_info.min
 
 
-def _reject_s_sigma(s: float, sigma: float) -> None:
-    """Raise the ``DomainError`` for an out-of-range ``(s, sigma)``.  Callers
-    (``ModelParams``, :func:`_checked_terms`, the grid oracle) test the range
-    inline, as ``_SIGMA_MIN <= sigma <= _SIGMA_MAX and 0.0 <= s < _INF``
-    (NaN fails it), to keep a function call off the scalar hot path."""
-    if not (_SIGMA_MIN <= sigma <= _SIGMA_MAX):
-        raise DomainError(f"sigma must lie in [{_SIGMA_MIN:g}, {_SIGMA_MAX:g}], got {sigma}")
-    raise DomainError(f"separation s must be finite and nonnegative, got {s}")
+def _require_s_sigma(s, sigma) -> None:
+    """The one range rule of ``(s, sigma)``: ``sigma`` positive and finite,
+    ``s`` finite and nonnegative (NaN fails both)."""
+    if not (0.0 < sigma < _INF):
+        raise DomainError(f"sigma must be positive and finite, got {sigma}")
+    if not (0.0 <= s < _INF):
+        raise DomainError(f"separation s must be finite and nonnegative, got {s}")
+
+
+def _per_sigma(s, sigma, x, k):
+    """``x / sigma^k`` (``k`` = 1, 2) for an output ``x`` taken at ``sigma = 1``
+    on ``u = s / sigma``, divided once per power (``sigma^2`` may underflow
+    where the output does not); the closed forms do not resolve an overflow."""
+    x = x / sigma if k == 1 else x / sigma / sigma
+    if -_INF < x < _INF:
+        return x
+    raise DomainError(f"the closed forms do not resolve s = {s!r} at sigma = {sigma!r}")
 
 
 def _checked_terms(s, sigma):
     """The prologue of every scalar entry point: the range rule of
-    ``(s, sigma)``, then the call's one :func:`_separation_terms`."""
-    if not (_SIGMA_MIN <= sigma <= _SIGMA_MAX and 0.0 <= s < _INF):
-        _reject_s_sigma(s, sigma)
-    return _separation_terms(s, sigma)
+    ``(s, sigma)`` (tested inline first, to keep a call off the hot path),
+    then the call's one :func:`_separation_terms` at ``u = s / sigma``."""
+    if not (0.0 < sigma < _INF and 0.0 <= s < _INF):
+        _require_s_sigma(s, sigma)
+    return _separation_terms(s / sigma)
 
 
 def _out_of_reach(c, om):
@@ -101,7 +108,9 @@ class ModelParams:
     s : float
         Source separation (length units), ``s >= 0``.
     sigma : float
-        PSF width (length units), ``1e-75 <= sigma <= 1e75``.
+        PSF width (length units), positive and finite.  The closed forms
+        are taken at ``sigma = 1`` on ``u = s / sigma`` and scaled back by
+        their power of ``1 / sigma``; an output that overflows is an error.
     theta : float
         Auxiliary mixing angle in radians, ``0 <= theta <= pi/2``.
     phi : float
@@ -122,8 +131,7 @@ class ModelParams:
         self.__post_init__()
 
     def __post_init__(self):
-        if not (_SIGMA_MIN <= self.sigma <= _SIGMA_MAX and 0.0 <= self.s < _INF):
-            _reject_s_sigma(self.s, self.sigma)
+        _require_s_sigma(self.s, self.sigma)
         if not (0.0 <= self.theta <= _HALF_PI):
             raise DomainError(f"theta must lie in [0, pi/2], got {self.theta}")
         if not (-math.pi < self.phi <= math.pi):
@@ -174,19 +182,20 @@ class SpectralData:
 
 def overlap(s: float, sigma: float) -> OverlapTriple:
     """Overlap ``d = exp(-s^2/8 sigma^2)`` of the displaced PSF amplitudes,
-    with its first and second derivatives in ``s``.
+    with its first and second derivatives in ``s``: those by ``u = s / sigma``
+    over ``sigma`` and ``sigma^2``.
 
     Raises
     ------
     DomainError
-        If ``s`` is negative or not finite, or ``sigma`` lies outside
-        ``[1e-75, 1e75]`` (NaN included).
+        If ``s`` is negative or not finite, ``sigma`` is not positive and
+        finite (NaN included), or a derivative overflows.
     """
     d, d1, _, _, _, _ = _checked_terms(s, sigma)
-    sig2 = sigma * sigma
-    # d = 0: where s^2 overflows the product would read 0 * inf
-    d2 = (d / (4.0 * sig2)) * (s * s / (4.0 * sig2) - 1.0) if d != 0.0 else 0.0
-    return OverlapTriple(d, d1, d2)
+    u = s / sigma
+    # d = 0: where u^2 overflows the product would read 0 * inf
+    d2 = (d / 4.0) * (u * u / 4.0 - 1.0) if d != 0.0 else 0.0
+    return OverlapTriple(d, _per_sigma(s, sigma, d1, 1), _per_sigma(s, sigma, d2, 2))
 
 
 def concurrence_max(s: float, sigma: float) -> float:
@@ -241,39 +250,39 @@ def theta_from_concurrence(s: float, sigma: float, c: float) -> float:
     return math.asin(min(c / math.sqrt(om), 1.0))
 
 
-def _separation_terms(s, sigma):
-    """``(d, d' = dd/ds, 1 - d, 1 - d^2, a3, a4)``, the terms of the
-    separation alone, unchecked (scalar callers go through
-    :func:`_checked_terms`).  With ``t = s^2/8 sigma^2``
+def _separation_terms(u):
+    """``(d, d' = dd/du, 1 - d, 1 - d^2, a3, a4)`` at ``sigma = 1``, the terms
+    of the separation ``u = s / sigma`` alone, unchecked (scalar callers go
+    through :func:`_checked_terms`); ``d'``, ``a3`` and ``a4`` at ``sigma``
+    are these over ``sigma``.  With ``t = u^2/8``
 
-        a3^2 = [1 + d(1 - 2t)] / (16 sigma^2 (1-d)) - d'^2/(4(1-d)^2),
-        a4^2 = [1 - d(1 - 2t)] / (16 sigma^2 (1+d)) - d'^2/(4(1+d)^2),
+        a3^2 = [1 + d(1 - 2t)] / (16 (1-d)) - d'^2/(4(1-d)^2),
+        a4^2 = [1 - d(1 - 2t)] / (16 (1+d)) - d'^2/(4(1+d)^2),
 
     written so that their leading O(1/t) pieces cancel algebraically; below
     ``t = 1e-3`` the a3 numerator (an O(t^3) residue) runs out of bits and a
     series takes over.  Large t enters as ``2 t d``: as ``2 t - 2 t e`` it
     cancels to 0 past t ~ 1e17 (for a3 that form is kept below t = 1, where
     it is the more accurate).  Where ``d`` underflows to 0, ``d'`` and
-    ``2 t d`` are 0, also once ``s^2`` or ``s / sigma^2`` overflows (there
-    the products would read ``inf * 0``).
+    ``2 t d`` are 0, also once ``u`` or ``u^2`` overflows (there the
+    products would read ``inf * 0``).
     """
-    sig2 = sigma * sigma
-    t = s * s / (8.0 * sig2)
+    t = u * u / 8.0
     d = math.exp(-t)
     if d != 0.0:
-        d1 = -(s / (4.0 * sig2)) * d
+        d1 = -(u / 4.0) * d
         td = 2.0 * t * d
-    else:       # no overlap left, where t or s / sigma^2 may be inf
+    else:       # no overlap left, where t or u may be inf
         d1, td = -0.0, 0.0
-    e = -math.expm1(-t)                         # 1 - d
-    om = -math.expm1(-s * s / (4.0 * sig2))     # 1 - d^2
+    e = -math.expm1(-t)                 # 1 - d
+    om = -math.expm1(-u * u / 4.0)      # 1 - d^2
     if t < 1e-3:
-        a3sq = t * (1.0 - t * t / 30.0) / (48.0 * sig2)
+        a3sq = t * (1.0 - t * t / 30.0) / 48.0
     elif t < 1.0:
-        a3sq = (2.0 * (e - t) - e * e + 2.0 * t * e) / (16.0 * sig2 * e * e)
+        a3sq = (2.0 * (e - t) - e * e + 2.0 * t * e) / (16.0 * e * e)
     else:
-        a3sq = (2.0 * e - e * e - td) / (16.0 * sig2 * e * e)
-    a4sq = (2.0 * e - e * e + td) / (16.0 * sig2 * ((2.0 - e) * (2.0 - e)))
+        a3sq = (2.0 * e - e * e - td) / (16.0 * e * e)
+    a4sq = (2.0 * e - e * e + td) / (16.0 * ((2.0 - e) * (2.0 - e)))
     return d, d1, e, om, math.sqrt(max(a3sq, 0.0)), math.sqrt(max(a4sq, 0.0))
 
 
@@ -318,4 +327,5 @@ def spectral(p: ModelParams) -> SpectralData:
     d, _, e, _, a3, a4 = _checked_terms(p.s, p.sigma)
     ct, _, omc = _angle_terms(p.theta)
     lam1, lam2, _ = _eigenvalues(d, e, ct, omc)
-    return SpectralData(lam1, lam2, a3, a4)
+    return SpectralData(lam1, lam2, _per_sigma(p.s, p.sigma, a3, 1),
+                        _per_sigma(p.s, p.sigma, a4, 1))

@@ -33,7 +33,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from .errors import DomainError
-from .fisher_single import _EPS, _coherence_form, _concurrence_form
+from .fisher_single import _EPS, _f_tot_form
 from .float_text import E16_SLOT, REPR_SLOT, e16_cells, repr_cells, write_rows
 from .numeric_oracle import _numeric_f_tot, numeric_qfim_cells
 from .qfim_two_param import (
@@ -44,7 +44,8 @@ from .qfim_two_param import (
     _to_concurrence,
     _to_gamma,
 )
-from .state_model import _OM_MIN, _angle_terms, _out_of_reach, _separation_terms, concurrence_max
+from .state_model import (_OM_MIN, _angle_terms, _out_of_reach, _require_s_sigma,
+                          _separation_terms, concurrence_max)
 
 MODES = ("single", "qfim", "verify")
 NUISANCES = ("theta", "concurrence", "coherence")
@@ -103,8 +104,7 @@ class SweepSpec:
                 f"nuisance must be one of {NUISANCES}, got {self.nuisance!r}"
             )
         _require_real("sigma", self.sigma)
-        if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
-            raise DomainError(f"sigma must be positive and finite, got {self.sigma}")
+        _require_s_sigma(0.0, self.sigma)       # the s axis has its own checks below
         if self.phi != 0.0:
             raise DomainError(
                 f"closed-form sweeps require phi = 0, got phi = {self.phi}"
@@ -180,41 +180,37 @@ def _on_axis(fn, x: np.ndarray):
     return tuple(c.reshape(x.shape) for c in out.T) if out.ndim == 2 else out.reshape(x.shape)
 
 
-def _single_block(nuisance: str, s, nu, sigma: float, terms) -> dict:
+def _single_block(nuisance: str, u, nu, sigma: float, terms) -> dict:
     """Columns of a single-mode block: ``f_tot_coherence`` and
     ``f_tot_concurrence`` cell by cell, with their branches as masks."""
-    d, _, _, om, _, _ = terms
-
-    def no_overlap(f):
-        # d = 0: both correction terms vanish (0 * inf where s^2 overflows)
-        return np.where(d == 0.0, 1.0 / (4.0 * sigma * sigma), f)
-
+    d, _, e, om, _, _ = terms
     if nuisance == "concurrence":
         c = nu
-        # at s = 0 only the C = 0 column is reachable
-        reach = np.where(s == 0.0, c == 0.0, ~_out_of_reach(c, om))
+        # at u = 0 only the C = 0 column is reachable
+        reach = np.where(u == 0.0, c == 0.0, ~_out_of_reach(c, om))
         rem = om - c * c
         rem = np.where(rem < 4.0 * _EPS * om, 0.0, rem)
         root = np.sqrt(rem)
         root_om = np.sqrt(om)
-        f = _concurrence_form(s, sigma, d, om, rem, root, root_om)
-        gamma = np.minimum(root / root_om, 1.0)
-        # the s = 0, C = 0 cell is the full-coherence limit
-        at_zero = (s == 0.0) & (c == 0.0)
-        gamma = np.where(at_zero, 1.0, gamma)
-        f = np.where(at_zero, _coherence_form(s, sigma, d, 1.0), f)
-        theta = np.arccos(gamma)
-        return {"theta": theta, "gamma": gamma, "f_tot": no_overlap(f), "_reach": reach}
-    gamma = nu if nuisance == "coherence" else _on_axis(math.cos, nu)
-    return {"theta": _on_axis(math.acos, gamma), "gamma": gamma,
-            "C": np.sqrt((1.0 - gamma * gamma) * om),
-            "f_tot": no_overlap(_coherence_form(s, sigma, d, gamma)), "_reach": np.True_}
+        # the u = 0, C = 0 cell is the full-coherence limit
+        at_zero = (u == 0.0) & (c == 0.0)
+        gamma = np.where(at_zero, 1.0, np.minimum(root / root_om, 1.0))
+        omg = np.where(at_zero, 0.0, (om - rem) / (om + root_om * root))
+        cells = {"theta": np.arccos(gamma), "_reach": reach}
+    else:
+        gamma = nu if nuisance == "coherence" else _on_axis(math.cos, nu)
+        omg = 1.0 - gamma
+        cells = {"theta": _on_axis(math.acos, gamma), "_reach": np.True_,
+                 "C": np.sqrt((1.0 - gamma * gamma) * om)}
+    # d = 0: the u^2 term vanishes (0 * inf where u^2 overflows)
+    f = np.where(d == 0.0, 0.25, _f_tot_form(u, d, e, gamma, omg))
+    return {**cells, "gamma": gamma, "f_tot": f / sigma / sigma}
 
 
-def _qfim_block(nuisance: str, s, nu, sigma: float, terms) -> dict:
+def _qfim_block(nuisance: str, u, nu, sigma: float, terms) -> dict:
     """Columns of a qfim-mode block: the theta-chart QFIM of ``qfim``, its
     transport to the block's chart, and the precisions, with each scalar
-    branch as a mask."""
+    branch as a mask.  As there, ``H_nuisance`` is taken at ``sigma = 1``."""
     om = terms[3]
     if nuisance == "concurrence":
         c_max = np.sqrt(om)
@@ -242,10 +238,10 @@ def _qfim_block(nuisance: str, s, nu, sigma: float, terms) -> dict:
                             _to_concurrence(f_ss, f_tt, f_st, terms, ct, st, c_max))
         gamma = ct
     h_n = np.where(_below_floor(g_tt, g_st), g_tt, _h_nuisance(g_ss, g_tt, h_s))
-    cells = {"theta": theta, "gamma": gamma,
-             "f_ss": g_ss, "f_tt": g_tt, "f_st": g_st, "h_s": h_s, "h_nuisance": h_n,
-             "_reach": reach,
-             "_theta_f_ss": f_ss, "_theta_f_tt": f_tt, "_theta_f_st": f_st}
+    cells = {"theta": theta, "gamma": gamma, "f_ss": g_ss / sigma / sigma, "f_tt": g_tt,
+             "f_st": g_st / sigma, "h_s": h_s / sigma / sigma, "h_nuisance": h_n,
+             "_reach": reach, "_theta_f_ss": f_ss / sigma / sigma, "_theta_f_tt": f_tt,
+             "_theta_f_st": f_st / sigma}
     if nuisance != "concurrence":
         cells["C"] = st * np.sqrt(om)
     return cells
@@ -253,30 +249,29 @@ def _qfim_block(nuisance: str, s, nu, sigma: float, terms) -> dict:
 
 def _kernel(spec: SweepSpec) -> dict[str, np.ndarray]:
     """Evaluate a whole block at once over the broadcast ``(s, nuisance)``
-    grid, every quantity exactly once per cell, flattened s-major.
+    grid, every quantity exactly once per cell, flattened s-major: at
+    ``sigma = 1`` on ``u = s / sigma``, scaled back as in the scalar API.
 
     Returns the populated columns (unmasked), the ``_reach`` mask, and the
     theta-chart QFIM the oracle compares (``_``-prefixed).
     """
     s = _axis(spec.s_range)[:, None]
     nu = _axis(spec.nuisance_range)[None, :]
-    # a numpy sigma: where sigma^2 underflows, the scalar forms give inf/NaN
-    # (caught below) instead of raising ZeroDivisionError
-    sigma = np.float64(spec.sigma)
+    u = s / spec.sigma
     block = _single_block if spec.mode == "single" else _qfim_block
     # masked cells (out of reach, chart singularities) may divide by zero;
     # the finiteness check below catches any unmasked overflow
     with np.errstate(all="ignore"):
         # the scalar API's separation terms, one call per separation
-        terms = _on_axis(lambda v: _separation_terms(v, sigma), s)
+        terms = _on_axis(_separation_terms, u)
         # these blocks divide by 1 - d^2, which has lost bits where it is
         # subnormal (the s = 0 column of single mode has its own limit)
         tiny = (s > 0.0) & (terms[3] < _OM_MIN)
         if (spec.mode != "single" or spec.nuisance == "concurrence") and tiny.any():
             raise DomainError(f"the closed forms do not resolve s = {float(s[tiny][0])!r} "
                               f"at sigma = {spec.sigma!r}")
-        cells = block(spec.nuisance, s, nu, sigma, terms)
-    cells.update(s=s, sigma=sigma, d=terms[0])
+        cells = block(spec.nuisance, u, nu, spec.sigma, terms)
+    cells.update(s=s, sigma=spec.sigma, d=terms[0])
     if spec.nuisance == "concurrence":
         cells["C"] = nu                       # the request, also out of reach
     shape = (s.size, nu.size)

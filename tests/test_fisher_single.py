@@ -91,6 +91,14 @@ class TestConcurrenceForm:
         with pytest.raises(DomainError):
             f_tot_concurrence(1e-161, 1.0, 0.5 * concurrence_max(1e-161, 1.0))
 
+    def test_resolves_where_sigma_to_the_fourth_underflows(self):
+        # sigma^4 = 1e-300 times C_max ~ 1e-85 underflowed to 0 in the
+        # concurrence form: a bare ZeroDivisionError
+        rec = f_tot_concurrence(1e-160, 1e-75, 1e-86)
+        assert math.isfinite(rec.f_tot)
+        want = f_tot_coherence(1e-160, 1e-75, rec.gamma).f_tot
+        assert rec.f_tot == pytest.approx(want, rel=1e-14)
+
     @pytest.mark.parametrize("s, sigma, c", [(1.0, 1.0, math.nan),
                                              (math.nan, 1.0, 0.1),
                                              (1.0, math.nan, 0.1)])

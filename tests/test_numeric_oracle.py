@@ -89,8 +89,11 @@ class TestMakeSources:
     lambda: numeric_qfim_cells(math.nan, 1.0, [0.3]),
     lambda: _numeric_f_tot(-1.0, 1.0, [0.3]),
     lambda: numeric_qfim(ModelParams(0.0, 1.0, 0.5)),
+    lambda: numeric_qfim(ModelParams(1e6, 1.0, 0.7)),
+    lambda: numeric_concurrence(ModelParams(1e6, 1.0, 0.7)),
+    lambda: _numeric_f_tot(1e6, 1.0, [0.3]),
 ], ids=["row-tiny-sigma", "row-inf-s", "row-negative-s", "row-nan-s", "f_tot-negative-s",
-        "qfim-zero-s"])
+        "qfim-zero-s", "qfim-far-s", "concurrence-far-s", "f_tot-far-s"])
 def test_oracle_applies_the_model_range_rule(call):
     # these gave NaN fields, a bare ZeroDivisionError, a LinAlgError, or
     # numbers for a negative separation; the QFIM is singular at s = 0

@@ -4,6 +4,7 @@ installed)."""
 
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,11 +12,13 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+import superres  # noqa: E402
 from helpers import cell_by_cell_text, e16_cell_texts, repr_cell_texts  # noqa: E402
 from superres import (  # noqa: E402
     ModelParams,
     SweepTable,
     concurrence,
+    concurrence_max,
     emit,
     precision,
     precision_concurrence,
@@ -73,6 +76,66 @@ def test_scaling(r, sigma, theta, k):
     p, pk = ModelParams(s, sigma, theta), ModelParams(k * s, k * sigma, theta)
     assert qfim(pk).f_ss * (k * k) == pytest.approx(qfim(p).f_ss, rel=1e-12)
     assert precision(pk).h_s * (k * k) == pytest.approx(precision(p).h_s, rel=1e-12)
+
+
+# every public scalar entry point, called at (s, sigma) with a nuisance in
+# [0, 1) (a fraction of C_max for the concurrence charts), and the power of
+# 1/sigma of each numeric field of its result (records as dicts)
+SCALED = {
+    "overlap": (lambda s, sg, x: superres.overlap(s, sg), {"d": 0, "d1": 1, "d2": 2}),
+    "concurrence_max": (lambda s, sg, x: superres.concurrence_max(s, sg), 0),
+    "concurrence": (lambda s, sg, x: superres.concurrence(ModelParams(s, sg, x)), 0),
+    "concurrence_normalized": (
+        lambda s, sg, x: superres.concurrence_normalized(ModelParams(s, sg, x)), 0),
+    "theta_from_concurrence": (
+        lambda s, sg, x: superres.theta_from_concurrence(s, sg, x * concurrence_max(s, sg)), 0),
+    "spectral": (lambda s, sg, x: superres.spectral(ModelParams(s, sg, x)),
+                 {"lambda1": 0, "lambda2": 0, "a3": 1, "a4": 1}),
+    "f_tot_coherence": (superres.f_tot_coherence,
+                        {"theta": 0, "gamma": 0, "concurrence": 0, "f_tot": 2}),
+    "f_tot_concurrence": (lambda s, sg, x: superres.f_tot_concurrence(
+        s, sg, x * concurrence_max(s, sg)), {"theta": 0, "gamma": 0, "concurrence": 0, "f_tot": 2}),
+    "weighted_fi_reconstruct": (
+        lambda s, sg, x: superres.weighted_fi_reconstruct(ModelParams(s, sg, x)), 2),
+    "qfim": (lambda s, sg, x: qfim(ModelParams(s, sg, x)), {"f_ss": 2, "f_tt": 0, "f_st": 1}),
+    "precision": (lambda s, sg, x: precision(ModelParams(s, sg, x)),
+                  {"h_s": 2, "h_nuisance": 0}),
+    "qfim_gamma": (superres.qfim_gamma, {"f_ss": 2, "f_tt": 0, "f_st": 1}),
+    "precision_gamma": (precision_gamma, {"h_s": 2, "h_nuisance": 0}),
+    "precision_gamma-limit": (lambda s, sg, x: precision_gamma(s, sg, 1.0),
+                              {"h_s": 2, "h_nuisance": 0}),
+    "qfim_concurrence": (lambda s, sg, x: superres.qfim_concurrence(
+        s, sg, x * concurrence_max(s, sg)), {"f_ss": 2, "f_tt": 0, "f_st": 1}),
+    "precision_concurrence": (lambda s, sg, x: precision_concurrence(
+        s, sg, x * concurrence_max(s, sg)), {"h_s": 2, "h_nuisance": 0}),
+}
+
+
+@pytest.mark.parametrize("name", SCALED)
+@common
+@given(u=st.floats(1e-2, 30.0), log_sigma=st.floats(-150.0, 150.0),
+       x=st.floats(0.0, 0.999))
+def test_scale_law(name, u, log_sigma, x):
+    # sigma^k f(s, sigma) = f(s / sigma, 1): every output is evaluated at
+    # sigma = 1 on u = s / sigma and divided by sigma once per power, so
+    # the k = 0 fields agree bit for bit and the others within the two
+    # roundings of that division and the two of multiplying it back
+    sigma = 10.0 ** log_sigma
+    s = u * sigma
+    call, powers = SCALED[name]
+    got, want = call(s, sigma, x), call(s / sigma, 1.0, x)
+    if isinstance(powers, int):
+        got, want, powers = {"value": got}, {"value": want}, {"value": powers}
+    else:
+        got, want = vars(got), vars(want)
+    for field, k in powers.items():
+        back = got[field] * sigma ** k if k else got[field]
+        if k and abs(got[field]) < sys.float_info.min:
+            continue        # a subnormal output has lost bits
+        if k == 0:
+            assert back == want[field], field
+        else:
+            assert abs(back - want[field]) <= 4.0 * math.ulp(want[field]), field
 
 
 # few values, so that columns repeat: signed zeros, infinities, NaN,

@@ -132,6 +132,14 @@ class TestConcurrence:
         p = ModelParams(2.0, 1.0, math.pi / 4)
         assert abs(concurrence(p) - concurrence_normalized(p)) > 0.1
 
+    def test_max_where_s_squared_is_subnormal_but_u_is_not(self):
+        # s * s = 1e-320 is subnormal while u = s / sigma = 1e-85 is not: with
+        # sigma^2 carried through the closed forms C_max was 5.6e-6 off
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            want = mp.sqrt(-mp.expm1(-(mp.mpf(1e-160) / mp.mpf(1e-75)) ** 2 / 4))
+            assert abs(concurrence_max(1e-160, 1e-75) / want - 1) < 1e-15
+
     @pytest.mark.parametrize("s, sigma", [(math.nan, 1.0), (1.0, math.nan)])
     def test_max_rejects_nan(self, s, sigma):
         with pytest.raises(DomainError):

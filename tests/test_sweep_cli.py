@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -354,6 +355,32 @@ class TestCli:
         assert main(argv) == 2
         assert "do not resolve" in capsys.readouterr().err
 
+    def test_verify_where_the_grid_samples_no_psf(self, capsys):
+        # the grid spacing is ~490 sigma at s = 1e6: no sample reached the
+        # PSF, every delta was NaN, and verify printed PASS at 0.000e+00
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["verify", "--s-min", "1e6", "--s-max", "1e6", "--s-steps", "1",
+                         "--n-steps", "2"])
+        assert code == 2
+        assert "the grid does not resolve s = 1000000.0 at sigma = 1.0" in capsys.readouterr().err
+
+    def test_scalar_api_takes_the_sigma_of_a_sweep(self, capsys):
+        # one range rule: ModelParams rejected sigma = 1e-80 (outside
+        # [1e-75, 1e75]) while a sweep at that sigma emitted rows
+        p = ModelParams(1e-3, 1e-80, 0.5)
+        argv = ["qfim", "--sigma", "1e-80", "--nuisance", "theta", "--s-min", "1e-3",
+                "--s-max", "1e-3", "--s-steps", "1", "--n-min", "0.5", "--n-max", "0.5",
+                "--n-steps", "1"]
+        assert main(argv) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        got = {k: float(v) for k, v in zip(header.split(","), row.split(",")) if v not in ("", "ok")}
+        q, h = qfim(p), precision(p)
+        assert got == {"s": 1e-3, "sigma": 1e-80, "theta": 0.5, "gamma": math.cos(0.5),
+                       "C": concurrence(p), "d": 0.0, "f_ss": q.f_ss, "f_tt": q.f_tt,
+                       "f_st": q.f_st, "h_s": h.h_s, "h_nuisance": h.h_nuisance}
+        assert q.f_ss == pytest.approx(2.5e159, rel=1e-15)
+
     def test_tiny_separation_single_coherence(self, capsys):
         argv = ["single", "--nuisance", "coherence", "--s-min", "1e-200",
                 "--s-max", "1e-200", "--s-steps", "1", "--n-steps", "3"]
@@ -552,6 +579,24 @@ class TestKernelMatchesScalarApi:
         self.check_cells(SweepSpec(mode=mode, nuisance="theta", s_range=(1e-3, 5.0, 40),
                                    nuisance_range=(0.0, math.pi / 2, 40)))
 
+    @pytest.mark.parametrize("sigma", [2.5, 1e-80])
+    @pytest.mark.parametrize("preset", ["fig1a", "fig1b", "fig1c", "fig2a", "fig2b"])
+    def test_preset_cells_at_other_sigma(self, preset, sigma):
+        # both scale the same outputs computed at sigma = 1 on u = s / sigma;
+        # at 1e-80 no overlap is left and f_ss is 2.5e159
+        for block in figure_preset(preset):
+            self.check_cells(dataclasses.replace(
+                block, sigma=sigma,
+                s_range=(*block.s_range[:2], min(block.s_range[2], 12)),
+                nuisance_range=(*block.nuisance_range[:2], 12),
+            ))
+
+    @pytest.mark.parametrize("sigma", [2.5, 1e-80])
+    @pytest.mark.parametrize("mode", ["single", "qfim"])
+    def test_theta_blocks_at_other_sigma(self, mode, sigma):
+        self.check_cells(SweepSpec(mode=mode, nuisance="theta", sigma=sigma,
+                                   s_range=(1e-3, 5.0, 12), nuisance_range=(0.0, math.pi / 2, 12)))
+
     def check_cells(self, spec):
         table = run_sweep(spec)
         s_axis = np.linspace(*spec.s_range) if spec.s_range[2] > 1 else [spec.s_range[0]]
@@ -562,7 +607,7 @@ class TestKernelMatchesScalarApi:
         for row, status, (s, nu) in zip(rows, table.status, cells):
             rec = dict(zip(CSV_FIELDS, row))
             want_status, want = scalar_cell(spec, s, nu)
-            assert status == want_status and rec["s"] == s and rec["sigma"] == 1.0
+            assert status == want_status and rec["s"] == s and rec["sigma"] == spec.sigma
             for name in CSV_FIELDS[2:]:
                 got = rec[name]
                 where = (spec.mode, spec.nuisance, s, nu, name)
