@@ -307,25 +307,29 @@ def _attach_deltas(spec: SweepSpec, columns: dict[str, np.ndarray], cells: dict,
                    rows: np.ndarray) -> None:
     """Grid-oracle relative deltas for the in-reach rows, one oracle call per
     ``_ORACLE_CELLS`` of them.  qfim deltas always compare the
-    theta-parametrized matrix; ``f_tt`` and ``f_st`` are left blank where
-    ``sin(theta) = 0``, where the closed form is the continuous extension and
-    the oracle the pointwise QFI of a pure state."""
+    theta-parametrized matrix, ``f_st`` on its Cauchy-Schwarz scale
+    ``sqrt(F_ss F_tt)`` of the oracle (it falls far below both, as ~1e-66
+    at ``s = 35 sigma``, and a relative delta would read the grid's round-off);
+    ``f_tt`` and ``f_st`` are left blank where ``sin(theta) = 0``, where the
+    closed form is the continuous extension and the oracle the pointwise QFI
+    of a pure state."""
     grid_kw = {"n_points": spec.grid_points, "halfwidth": spec.grid_halfwidth}
     for part in np.split(rows, range(_ORACLE_CELLS, rows.size, _ORACLE_CELLS)):
         s, thetas = columns["s"][part], columns["theta"][part]
         if spec.mode == "single":
             num = _numeric_f_tot(s, spec.sigma, thetas, **grid_kw)
-            columns["delta_f_tot"][part] = _rel_delta(columns["f_tot"][part], num)
+            columns["delta_f_tot"][part] = _rel_delta(columns["f_tot"][part], num, num)
             continue
         nums = numeric_qfim_cells(s, spec.sigma, thetas, **grid_kw)
         blank = np.sin(thetas) == 0.0
-        for name, num in zip(("f_ss", "f_tt", "f_st"), nums):
-            delta = _rel_delta(cells["_theta_" + name][part], num)
+        scales = (nums[0], nums[1], np.sqrt(nums[0] * nums[1]))
+        for name, num, scale in zip(("f_ss", "f_tt", "f_st"), nums, scales):
+            delta = _rel_delta(cells["_theta_" + name][part], num, scale)
             columns["delta_" + name][part] = np.where(blank & (name != "f_ss"), np.nan, delta)
 
 
-def _rel_delta(analytic, numeric):
-    return np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-300)
+def _rel_delta(analytic, numeric, scale):
+    return np.abs(analytic - numeric) / np.maximum(np.abs(scale), 1e-300)
 
 
 def worst_oracle_delta(table: SweepTable) -> tuple[float, int | None, str | None]:

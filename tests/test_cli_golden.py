@@ -65,7 +65,7 @@ OUTPUT_PINS = {
     "figure fig2b": "d6a35cb69abaf281a654b52312feee9de2e60b1b728d2e09a053b7c127446fcb",
     "figure fig2b --format json":
         "d89e14a5d5ee429c21544c35c8c2383323d1a9f606be4ae67b48bd44ffa4a939",
-    "verify": "592e8a3fea5ead93cf44e6ef740cab5aa0021b7bf526dddb179b87ff59916ec6",
+    "verify": "47f220066674b05e7af65df291f6ae7796927de4a3d08d1bcd712b87c850b903",
 }
 
 

@@ -459,6 +459,14 @@ class TestCli:
         assert code == 0
         assert "PASS" in capsys.readouterr().err
 
+    def test_verify_passes_at_far_separation(self, capsys):
+        # F_st falls to ~1e-66 at s = 35 while the grid's round-off is ~1e-32:
+        # relative to F_st the delta read 1.0 (exit 3); on its Cauchy-Schwarz
+        # scale sqrt(F_ss F_tt) it reads the oracle's accuracy
+        code = main(["verify", "--s-min", "20", "--s-max", "60", "--s-steps", "3"])
+        assert code == 0
+        assert "PASS" in capsys.readouterr().err
+
     def test_verify_failure_exit_code(self, monkeypatch, capsys):
         from superres import sweep as sweep_mod
 
