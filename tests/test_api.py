@@ -1,6 +1,8 @@
 """The public surface, pinned: adding or removing a name changes one line."""
 
 import dataclasses
+import hashlib
+import math
 import pickle
 
 import pytest
@@ -87,3 +89,53 @@ def test_result_records_are_plain_frozen_dataclasses(cls, args, kwargs, text):
 def test_replace_revalidates_model_params():
     with pytest.raises(DomainError):
         dataclasses.replace(ModelParams(1.0, 1.0, 0.5), theta=2.0)
+
+
+# every public scalar entry point on a fixed grid: 40 log-spaced u = s / sigma
+# in [1e-4, 20] x sigma in {1, 0.37, 2.5} x 7 values of each nuisance chart
+# (concurrence as fractions of C_max, the last one out of reach)
+PIN_U = [1e-4 * 2e5 ** (k / 39) for k in range(40)]
+PIN_SIGMA = (1.0, 0.37, 2.5)
+PIN_THETA = (0.0, 0.1, 0.4, math.pi / 4, 1.0, 1.5, math.pi / 2)
+PIN_GAMMA = (0.0, 0.05, 0.3, 0.5, 0.8, 0.999, 1.0)
+PIN_C_SHARE = (0.0, 0.05, 0.4, 0.8, 0.999, 1.0, 1.25)
+PIN_CHARTS = {
+    None: ("overlap", "concurrence_max"),
+    "theta": ("concurrence", "concurrence_normalized", "spectral",
+              "weighted_fi_reconstruct", "qfim", "precision"),
+    "gamma": ("f_tot_coherence", "qfim_gamma", "precision_gamma"),
+    "concurrence": ("theta_from_concurrence", "f_tot_concurrence", "qfim_concurrence",
+                    "precision_concurrence"),
+}
+# sha256 of the lines of _scalar_pin_lines; a change that moves any result
+# bit, or which exception a call raises, updates the pin and says why
+SCALAR_PIN = "cb0d1c4757d1bf461b57cb53d6a149eefd1315c4cf9314a1cf894d8ce75df149"
+
+
+def _pin_text(result) -> str:
+    if isinstance(result, float):
+        return result.hex()
+    return ",".join(v.hex() if isinstance(v, float) else v for v in vars(result).values())
+
+
+def _scalar_pin_lines():
+    for sigma in PIN_SIGMA:
+        for u in PIN_U:
+            s = u * sigma
+            c_max = superres.concurrence_max(s, sigma)
+            args = {None: [(s, sigma)], "theta": [(ModelParams(s, sigma, th),) for th in PIN_THETA],
+                    "gamma": [(s, sigma, g) for g in PIN_GAMMA],
+                    "concurrence": [(s, sigma, k * c_max) for k in PIN_C_SHARE]}
+            for chart, names in PIN_CHARTS.items():
+                for name in names:
+                    for a in args[chart]:
+                        try:
+                            text = _pin_text(getattr(superres, name)(*a))
+                        except DomainError as exc:
+                            text = type(exc).__name__
+                        yield f"{name} {sigma!r} {u!r} {text}\n"
+
+
+def test_scalar_results_are_pinned_bit_for_bit():
+    digest = hashlib.sha256("".join(_scalar_pin_lines()).encode()).hexdigest()
+    assert digest == SCALAR_PIN
