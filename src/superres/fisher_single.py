@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import acos, sqrt
 
 from .state_model import ModelParams, _checked_terms, _concurrence_terms, _per_sigma, _require_gamma
 
@@ -38,8 +39,13 @@ class FiRecord:
     f_tot: float
 
     def __init__(self, s, sigma, theta, gamma, concurrence, f_tot):
-        self.__dict__.update(s=s, sigma=sigma, theta=theta, gamma=gamma,
-                             concurrence=concurrence, f_tot=f_tot)
+        fields = self.__dict__
+        fields["s"] = s
+        fields["sigma"] = sigma
+        fields["theta"] = theta
+        fields["gamma"] = gamma
+        fields["concurrence"] = concurrence
+        fields["f_tot"] = f_tot
 
 
 def _f_tot_form(u, d, e, gamma, omg):
@@ -57,11 +63,11 @@ def f_tot_coherence(s: float, sigma: float, gamma: float) -> FiRecord:
     exactly zero (the resolution limit in its sharpest form).
     """
     _require_gamma(gamma)
-    d, _, e, om, _, _ = _checked_terms(s, sigma)
+    d, _, e, om = _checked_terms(s, sigma)
     # no overlap left: the u^2 term vanishes (d * u^2 = 0 * inf where u^2 overflows)
     f = 0.25 if d == 0.0 else _f_tot_form(s / sigma, d, e, gamma, 1.0 - gamma)
-    return FiRecord(s, sigma, math.acos(gamma), gamma,
-                    math.sqrt((1.0 - gamma * gamma) * om), _per_sigma(s, sigma, f, 2))
+    return FiRecord(s, sigma, acos(gamma), gamma,
+                    sqrt((1.0 - gamma * gamma) * om), _per_sigma(s, sigma, f, 2))
 
 
 def f_tot_concurrence(s: float, sigma: float, c: float) -> FiRecord:
@@ -79,19 +85,19 @@ def f_tot_concurrence(s: float, sigma: float, c: float) -> FiRecord:
         If ``c`` is out of reach by the rule of
         :func:`~superres.state_model.theta_from_concurrence`.
     """
-    d, _, e, om, _, _ = _concurrence_terms(s, sigma, c)
+    d, _, e, om = _concurrence_terms(s, sigma, c)
     rem = om - c * c
     if rem < 4.0 * _EPS * om:
         # c sits at (or within rounding of) the reachable boundary; the
         # subtraction carries no information there and the exact boundary
         # value is 1/(4 sigma^2), which 1 - gamma = 1 gives
         rem = 0.0
-    root = math.sqrt(rem)
-    root_om = math.sqrt(om)
+    root = sqrt(rem)
+    root_om = sqrt(om)
     gamma = min(root / root_om, 1.0)
     f = (0.25 if d == 0.0     # as in f_tot_coherence
          else _f_tot_form(s / sigma, d, e, gamma, (om - rem) / (om + root_om * root)))
-    return FiRecord(s, sigma, math.acos(gamma), gamma, c, _per_sigma(s, sigma, f, 2))
+    return FiRecord(s, sigma, acos(gamma), gamma, c, _per_sigma(s, sigma, f, 2))
 
 
 def weighted_fi_reconstruct(p: ModelParams) -> float:
@@ -111,7 +117,7 @@ def weighted_fi_reconstruct(p: ModelParams) -> float:
     At ``theta = 0`` the second branch has zero weight and contributes zero.
     """
     p.require_phi_zero("weighted_fi_reconstruct")
-    d, d1, _, _, _, _ = _checked_terms(p.s, p.sigma)
+    d, d1, _, _ = _checked_terms(p.s, p.sigma)
     u = p.s / p.sigma
     g = math.cos(p.theta)
 

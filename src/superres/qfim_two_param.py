@@ -63,17 +63,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import acos, asin, sqrt
 
 from .errors import DegenerateGeometryError, DomainError
 from .state_model import (
+    _INF,
     _OM_MIN,
     ModelParams,
     _angle_terms,
     _checked_terms,
     _concurrence_terms,
     _eigenvalues,
+    _mode_norms,
     _per_sigma,
     _require_gamma,
+    _unresolved,
 )
 
 _NUISANCE_FLOOR = 1e-14     # F_tt below this (with F_st ~ 0): no correction
@@ -89,7 +93,11 @@ class Qfim2:
     tag: str = "theta"    # "theta" | "gamma" | "concurrence"
 
     def __init__(self, f_ss, f_tt, f_st, tag="theta"):
-        self.__dict__.update(f_ss=f_ss, f_tt=f_tt, f_st=f_st, tag=tag)
+        fields = self.__dict__
+        fields["f_ss"] = f_ss
+        fields["f_tt"] = f_tt
+        fields["f_st"] = f_st
+        fields["tag"] = tag
 
 
 @dataclass(frozen=True, init=False)
@@ -100,49 +108,55 @@ class PrecisionPair:
     h_nuisance: float
 
     def __init__(self, h_s, h_nuisance):
-        self.__dict__.update(h_s=h_s, h_nuisance=h_nuisance)
+        fields = self.__dict__
+        fields["h_s"] = h_s
+        fields["h_nuisance"] = h_nuisance
 
 
-def _theta_block(terms, ct, st, omc):
-    """``(lambda1, lambda2, F_ss, F_tt, F_st, H_s)`` for (u, theta) at
-    ``sigma = 1`` from the separation terms of
-    :func:`state_model._separation_terms` and
+def _theta_block(terms, norms, ct, st, omc):
+    """``(F_ss, F_tt, F_st, H_s)`` for (u, theta) at ``sigma = 1`` from the
+    separation terms of :func:`state_model._separation_terms`, the mode
+    norms ``(a3, a4)`` of :func:`state_model._mode_norms` and
     ``cos theta``, ``sin theta``, ``1 - cos theta``, for floats and arrays
     alike.  The classical block is the rank-one form of the module
     docstring, in which ``(d lambda1)^2 / (lambda1 lambda2)`` has lost its
     ``sin^2(theta)``; ``F_ss`` adds it to the same ``H_s`` float, so
     ``0 <= H_s <= F_ss`` holds bit for bit.
     """
-    d, d1, e, om, a3, a4 = terms
+    d, d1, e, om = terms
+    a3, a4 = norms
     lam1, lam2, den = _eigenvalues(d, e, ct, omc)
     b = d1 * st
     h_s = 4.0 * (lam1 * (a3 * a3) + lam2 * (a4 * a4))
     f_ss = b * b / (om * den * den) + h_s
     f_tt = om / (den * den)
     f_st = -b / (den * den)
-    return lam1, lam2, f_ss, f_tt, f_st, h_s
+    return f_ss, f_tt, f_st, h_s
 
 
-def _to_gamma(f_ss, f_tt, f_st, st):
-    """The theta-chart matrix transported to coherence ``gamma = cos(theta)``
-    by ``d theta/d gamma = -1/sin(theta)``: ``(G_ss, G_gg, G_sg)``."""
+def _to_gamma(block, st):
+    """The theta-chart block of :func:`_theta_block` transported to
+    coherence ``gamma = cos(theta)`` by ``d theta/d gamma = -1/sin(theta)``:
+    ``(G_ss, G_gg, G_sg, H_s)`` (``H_s`` is chart-invariant)."""
+    f_ss, f_tt, f_st, h_s = block
     j = -1.0 / st
-    return f_ss, f_tt * j * j, f_st * j
+    return f_ss, f_tt * j * j, f_st * j, h_s
 
 
-def _to_concurrence(f_ss, f_tt, f_st, terms, ct, st, c_max):
-    """The theta-chart matrix transported to (s, C), ``(G_ss, G_CC, G_sC)``,
-    with ``c_max = sqrt(1 - d^2)``, all at ``sigma = 1`` (``s`` is ``u``
-    there).  ``C = sin(theta) c_max`` depends on both parameters: with
+def _to_concurrence(block, terms, ct, st, c_max):
+    """The theta-chart block transported to (s, C), ``(G_ss, G_CC, G_sC,
+    H_s)``, with ``c_max = sqrt(1 - d^2)``, all at ``sigma = 1`` (``s`` is
+    ``u`` there).  ``C = sin(theta) c_max`` depends on both parameters: with
     ``t_s = d theta/ds|_C`` and ``t_C = d theta/dC|_s``,
     ``G_ss = F_ss + 2 t_s F_st + t_s^2 F_tt``, ``G_sC = t_C (F_st + t_s F_tt)``
     and ``G_CC = t_C^2 F_tt``.
     """
-    d, d1, _, om, _, _ = terms
+    f_ss, f_tt, f_st, h_s = block
+    d, d1, _, om = terms
     th_c = 1.0 / (ct * c_max)                  # d theta/dC at fixed s
     th_s = st * d * d1 / (ct * om)             # d theta/ds at fixed C
     g_ss = f_ss + 2.0 * th_s * f_st + th_s * th_s * f_tt
-    return g_ss, th_c * th_c * f_tt, th_c * (f_st + th_s * f_tt)
+    return g_ss, th_c * th_c * f_tt, th_c * (f_st + th_s * f_tt), h_s
 
 
 def _h_nuisance(g_ss, g_tt, h_s):
@@ -168,15 +182,9 @@ def _theta_chart(s: float, sigma: float, terms, theta: float):
         raise DegenerateGeometryError("qfim is undefined at s = 0")
     # the block divides by 1 - d^2, which is subnormal for s below ~3e-154 sigma
     if terms[3] < _OM_MIN:
-        raise DomainError(f"the closed forms do not resolve s = {s!r} at sigma = {sigma!r}")
+        raise _unresolved(s, sigma)
     ct, st, omc = _angle_terms(theta)
-    return ct, st, _theta_block(terms, ct, st, omc)[2:]
-
-
-def _params_chart(p: ModelParams):
-    """``(F_ss, F_tt, F_st, H_s)`` at the point ``p``, at ``sigma = 1``."""
-    p.require_phi_zero("qfim")
-    return _theta_chart(p.s, p.sigma, _checked_terms(p.s, p.sigma), p.theta)[2]
+    return ct, st, _theta_block(terms, _mode_norms(s / sigma, terms[0], terms[2]), ct, st, omc)
 
 
 def qfim(p: ModelParams) -> Qfim2:
@@ -186,21 +194,29 @@ def qfim(p: ModelParams) -> Qfim2:
     At theta = 0 these reduce to the continuous limits
     ``(F_ss, F_tt, F_st) = (4 lambda2 a4^2, (1-d)/(1+d), 0)``.
     """
-    f_ss, f_tt, f_st, _ = _params_chart(p)
+    if p.phi != 0.0:
+        p.require_phi_zero("qfim")
+    s, sigma = p.s, p.sigma
+    f_ss, f_tt, f_st, _ = _theta_chart(s, sigma, _checked_terms(s, sigma), p.theta)[2]
     # F_st / sigma cannot overflow where F_ss / sigma^2 does not: F_st^2 <= F_ss F_tt
-    return Qfim2(_per_sigma(p.s, p.sigma, f_ss, 2), f_tt, f_st / p.sigma, "theta")
+    return Qfim2(_per_sigma(s, sigma, f_ss, 2), f_tt, f_st / sigma, "theta")
 
 
-def _h_pair(s, sigma, g_ss, g_nn, g_sn, h_s) -> PrecisionPair:
-    """``(H_s, H_nuisance)`` of a chart at ``sigma = 1``: ``H_nuisance``
-    does not scale, and is taken there so that no underflow reads 0/0."""
+def _h_pair(s, sigma, chart) -> PrecisionPair:
+    """``(H_s, H_nuisance)`` of a chart ``(G_ss, G_nn, G_sn, H_s)`` at
+    ``sigma = 1``: ``H_nuisance`` does not scale, and is taken there so
+    that no underflow reads 0/0."""
+    g_ss, g_nn, g_sn, h_s = chart
     h_n = g_nn if _below_floor(g_nn, g_sn) else _h_nuisance(g_ss, g_nn, h_s)
     return PrecisionPair(_per_sigma(s, sigma, h_s, 2), h_n)
 
 
 def precision(p: ModelParams) -> PrecisionPair:
     """Nuisance-corrected informations ``H_s`` and ``H_theta``."""
-    return _h_pair(p.s, p.sigma, *_params_chart(p))
+    if p.phi != 0.0:
+        p.require_phi_zero("qfim")
+    s, sigma = p.s, p.sigma
+    return _h_pair(s, sigma, _theta_chart(s, sigma, _checked_terms(s, sigma), p.theta)[2])
 
 
 def _gamma_chart(s: float, sigma: float, gamma: float) -> tuple[float, float, float, float]:
@@ -211,9 +227,8 @@ def _gamma_chart(s: float, sigma: float, gamma: float) -> tuple[float, float, fl
             "the coherence-parametrized matrix diverges at gamma = 1; "
             "precision_gamma handles that limit"
         )
-    _, st, (f_ss, f_tt, f_st, h_s) = _theta_chart(
-        s, sigma, _checked_terms(s, sigma), math.acos(gamma))
-    return (*_to_gamma(f_ss, f_tt, f_st, st), h_s)
+    _, st, block = _theta_chart(s, sigma, _checked_terms(s, sigma), acos(gamma))
+    return _to_gamma(block, st)
 
 
 def qfim_gamma(s: float, sigma: float, gamma: float) -> Qfim2:
@@ -237,22 +252,27 @@ def precision_gamma(s: float, sigma: float, gamma: float) -> PrecisionPair:
     if gamma == 1.0:
         h_s = _theta_chart(s, sigma, _checked_terms(s, sigma), 0.0)[2][3]
         return PrecisionPair(_per_sigma(s, sigma, h_s, 2), math.inf)
-    return _h_pair(s, sigma, *_gamma_chart(s, sigma, gamma))
+    return _h_pair(s, sigma, _gamma_chart(s, sigma, gamma))
 
 
 def _concurrence_chart(s: float, sigma: float, c: float) -> tuple[float, float, float, float]:
     """``(G_ss, G_CC, G_sC, H_s)``: the theta chart transported to (s, C)
     (see :func:`_to_concurrence`)."""
     terms = _concurrence_terms(s, sigma, c)
-    c_max = math.sqrt(terms[3])
-    ct, st, (f_ss, f_tt, f_st, h_s) = _theta_chart(
-        s, sigma, terms, math.asin(min(c / c_max, 1.0)))
+    c_max = sqrt(terms[3])
+    ct, st, block = _theta_chart(s, sigma, terms, asin(min(c / c_max, 1.0)))
     if _chart_singular(ct):
         raise DomainError(
             "the concurrence chart is singular at the reachable maximum "
             "(theta = pi/2); use the theta or gamma chart there"
         )
-    return (*_to_concurrence(f_ss, f_tt, f_st, terms, ct, st, c_max), h_s)
+    chart = _to_concurrence(block, terms, ct, st, c_max)
+    # where 1 - d^2 is barely normal the transport can overflow (inf/inf
+    # then read as H_C = nan)
+    g_ss, g_cc, g_sc, _ = chart
+    if not (-_INF < g_ss < _INF and -_INF < g_cc < _INF and -_INF < g_sc < _INF):
+        raise _unresolved(s, sigma)
+    return chart
 
 
 def qfim_concurrence(s: float, sigma: float, c: float) -> Qfim2:
@@ -264,4 +284,4 @@ def qfim_concurrence(s: float, sigma: float, c: float) -> Qfim2:
 
 def precision_concurrence(s: float, sigma: float, c: float) -> PrecisionPair:
     """``H_s`` and ``H_C`` under the concurrence nuisance (theta < pi/2)."""
-    return _h_pair(s, sigma, *_concurrence_chart(s, sigma, c))
+    return _h_pair(s, sigma, _concurrence_chart(s, sigma, c))

@@ -34,9 +34,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from math import exp, expm1, sqrt
 
 from .errors import DegenerateGeometryError, DomainError, OutOfReachError
 
+_PI = math.pi
 _HALF_PI = math.pi / 2
 _INF = math.inf
 # the smallest normal float: a 1 - d^2 below it (s below ~3e-154 sigma) has
@@ -53,6 +55,11 @@ def _require_s_sigma(s, sigma) -> None:
         raise DomainError(f"separation s must be finite and nonnegative, got {s}")
 
 
+def _unresolved(s, sigma) -> DomainError:
+    """The error of an output the closed forms cannot give as a finite float."""
+    return DomainError(f"the closed forms do not resolve s = {s!r} at sigma = {sigma!r}")
+
+
 def _per_sigma(s, sigma, x, k):
     """``x / sigma^k`` (``k`` = 1, 2) for an output ``x`` taken at ``sigma = 1``
     on ``u = s / sigma``, divided once per power (``sigma^2`` may underflow
@@ -60,7 +67,7 @@ def _per_sigma(s, sigma, x, k):
     x = x / sigma if k == 1 else x / sigma / sigma
     if -_INF < x < _INF:
         return x
-    raise DomainError(f"the closed forms do not resolve s = {s!r} at sigma = {sigma!r}")
+    raise _unresolved(s, sigma)
 
 
 def _checked_terms(s, sigma):
@@ -90,7 +97,7 @@ def _concurrence_terms(s, sigma, c):
             f"at s = {s!r} the reachable concurrence is zero or subnormal; "
             "use the theta or coherence forms")
     if _out_of_reach(c, om):
-        raise OutOfReachError(c, math.sqrt(om))
+        raise OutOfReachError(c, sqrt(om))
     return terms
 
 
@@ -127,14 +134,20 @@ class ModelParams:
     # the records store their fields by one dict write, not one frozen
     # object.__setattr__ each as the generated __init__ does
     def __init__(self, s, sigma, theta, phi=0.0):
-        self.__dict__.update(s=s, sigma=sigma, theta=theta, phi=phi)
+        fields = self.__dict__
+        fields["s"] = s
+        fields["sigma"] = sigma
+        fields["theta"] = theta
+        fields["phi"] = phi
         self.__post_init__()
 
     def __post_init__(self):
-        _require_s_sigma(self.s, self.sigma)
+        # the range rule tested inline first, as in _checked_terms
+        if not (0.0 < self.sigma < _INF and 0.0 <= self.s < _INF):
+            _require_s_sigma(self.s, self.sigma)
         if not (0.0 <= self.theta <= _HALF_PI):
             raise DomainError(f"theta must lie in [0, pi/2], got {self.theta}")
-        if not (-math.pi < self.phi <= math.pi):
+        if not (-_PI < self.phi <= _PI):
             raise DomainError(f"phi must lie in (-pi, pi], got {self.phi}")
 
     def require_phi_zero(self, what: str) -> None:
@@ -157,7 +170,10 @@ class OverlapTriple:
     d2: float
 
     def __init__(self, d, d1, d2):
-        self.__dict__.update(d=d, d1=d1, d2=d2)
+        fields = self.__dict__
+        fields["d"] = d
+        fields["d1"] = d1
+        fields["d2"] = d2
 
 
 @dataclass(frozen=True, init=False)
@@ -177,7 +193,11 @@ class SpectralData:
     a4: float
 
     def __init__(self, lambda1, lambda2, a3, a4):
-        self.__dict__.update(lambda1=lambda1, lambda2=lambda2, a3=a3, a4=a4)
+        fields = self.__dict__
+        fields["lambda1"] = lambda1
+        fields["lambda2"] = lambda2
+        fields["a3"] = a3
+        fields["a4"] = a4
 
 
 def overlap(s: float, sigma: float) -> OverlapTriple:
@@ -191,7 +211,7 @@ def overlap(s: float, sigma: float) -> OverlapTriple:
         If ``s`` is negative or not finite, ``sigma`` is not positive and
         finite (NaN included), or a derivative overflows.
     """
-    d, d1, _, _, _, _ = _checked_terms(s, sigma)
+    d, d1, _, _ = _checked_terms(s, sigma)
     u = s / sigma
     # d = 0: where u^2 overflows the product would read 0 * inf
     d2 = (d / 4.0) * (u * u / 4.0 - 1.0) if d != 0.0 else 0.0
@@ -200,7 +220,7 @@ def overlap(s: float, sigma: float) -> OverlapTriple:
 
 def concurrence_max(s: float, sigma: float) -> float:
     """Largest reachable concurrence at separation ``s``: ``sqrt(1 - d^2)``."""
-    return math.sqrt(_checked_terms(s, sigma)[3])
+    return sqrt(_checked_terms(s, sigma)[3])
 
 
 def concurrence(p: ModelParams) -> float:
@@ -210,7 +230,7 @@ def concurrence(p: ModelParams) -> float:
     It vanishes at ``s = 0`` (where the spatial factor drops out) and at
     ``theta = 0`` (where the auxiliary factor drops out).
     """
-    return math.sin(p.theta) * math.sqrt(_checked_terms(p.s, p.sigma)[3])
+    return math.sin(p.theta) * sqrt(_checked_terms(p.s, p.sigma)[3])
 
 
 def concurrence_normalized(p: ModelParams) -> float:
@@ -225,10 +245,10 @@ def concurrence_normalized(p: ModelParams) -> float:
     2 cos(theta) cos^2(phi/2))``, free of cancellation near ``phi = pi``.
     Equals :func:`concurrence` when theta = pi/2 or in the d -> 0 limit.
     """
-    d, _, e, om, _, _ = _checked_terms(p.s, p.sigma)
+    d, _, e, om = _checked_terms(p.s, p.sigma)
     ct, st, omc = _angle_terms(p.theta)
     half = math.cos(p.phi / 2.0)
-    return st * math.sqrt(om) / (e + d * (omc + 2.0 * ct * (half * half)))
+    return st * sqrt(om) / (e + d * (omc + 2.0 * ct * (half * half)))
 
 
 def theta_from_concurrence(s: float, sigma: float, c: float) -> float:
@@ -247,14 +267,28 @@ def theta_from_concurrence(s: float, sigma: float, c: float) -> float:
         is clamped at 1, so that ``C_max`` itself round-trips.
     """
     om = _concurrence_terms(s, sigma, c)[3]
-    return math.asin(min(c / math.sqrt(om), 1.0))
+    return math.asin(min(c / sqrt(om), 1.0))
 
 
 def _separation_terms(u):
-    """``(d, d' = dd/du, 1 - d, 1 - d^2, a3, a4)`` at ``sigma = 1``, the terms
-    of the separation ``u = s / sigma`` alone, unchecked (scalar callers go
-    through :func:`_checked_terms`); ``d'``, ``a3`` and ``a4`` at ``sigma``
-    are these over ``sigma``.  With ``t = u^2/8``
+    """``(d, d' = dd/du, 1 - d, 1 - d^2)`` at ``sigma = 1``, the terms of the
+    separation ``u = s / sigma`` alone, unchecked (scalar callers go through
+    :func:`_checked_terms`); ``d'`` at ``sigma`` is this over ``sigma``.
+    Where ``d`` underflows to 0, ``d'`` is 0, also once ``u`` or ``u^2``
+    overflows (there the product would read ``inf * 0``).
+    """
+    t = u * u / 8.0
+    d = exp(-t)
+    # no overlap left, where t or u may be inf
+    d1 = -(u / 4.0) * d if d != 0.0 else -0.0
+    return d, d1, -expm1(-t), -expm1(-u * u / 4.0)
+
+
+def _mode_norms(u, d, e):
+    """``(a3, a4)`` at ``sigma = 1`` from ``u = s / sigma`` and its
+    :func:`_separation_terms` ``d`` and ``e = 1 - d``, for the entry points
+    that return them or a QFIM (the rest skip them); at ``sigma`` they are
+    these over ``sigma``.  With ``t = u^2/8``
 
         a3^2 = [1 + d(1 - 2t)] / (16 (1-d)) - d'^2/(4(1-d)^2),
         a4^2 = [1 - d(1 - 2t)] / (16 (1+d)) - d'^2/(4(1+d)^2),
@@ -263,19 +297,11 @@ def _separation_terms(u):
     ``t = 1e-3`` the a3 numerator (an O(t^3) residue) runs out of bits and a
     series takes over.  Large t enters as ``2 t d``: as ``2 t - 2 t e`` it
     cancels to 0 past t ~ 1e17 (for a3 that form is kept below t = 1, where
-    it is the more accurate).  Where ``d`` underflows to 0, ``d'`` and
-    ``2 t d`` are 0, also once ``u`` or ``u^2`` overflows (there the
-    products would read ``inf * 0``).
+    it is the more accurate).  Where ``d`` underflows to 0, ``2 t d`` is 0,
+    also once ``u^2`` overflows.  A rounded-negative square is clamped at 0.
     """
     t = u * u / 8.0
-    d = math.exp(-t)
-    if d != 0.0:
-        d1 = -(u / 4.0) * d
-        td = 2.0 * t * d
-    else:       # no overlap left, where t or u may be inf
-        d1, td = -0.0, 0.0
-    e = -math.expm1(-t)                 # 1 - d
-    om = -math.expm1(-u * u / 4.0)      # 1 - d^2
+    td = 2.0 * t * d if d != 0.0 else 0.0
     if t < 1e-3:
         a3sq = t * (1.0 - t * t / 30.0) / 48.0
     elif t < 1.0:
@@ -283,7 +309,7 @@ def _separation_terms(u):
     else:
         a3sq = (2.0 * e - e * e - td) / (16.0 * e * e)
     a4sq = (2.0 * e - e * e + td) / (16.0 * ((2.0 - e) * (2.0 - e)))
-    return d, d1, e, om, math.sqrt(max(a3sq, 0.0)), math.sqrt(max(a4sq, 0.0))
+    return sqrt(0.0 if a3sq < 0.0 else a3sq), sqrt(0.0 if a4sq < 0.0 else a4sq)
 
 
 def _angle_terms(theta, cos=math.cos, sin=math.sin):
@@ -312,7 +338,7 @@ def spectral(p: ModelParams) -> SpectralData:
         lambda2 = (1 + d)(1 + cos theta) / (2 (1 + d cos theta)).
 
     The derivative-direction norms ``a3``, ``a4`` are those of
-    :func:`_separation_terms`.
+    :func:`_mode_norms`.
 
     Raises
     ------
@@ -324,7 +350,8 @@ def spectral(p: ModelParams) -> SpectralData:
         raise DegenerateGeometryError(
             "the antisymmetric mode direction is undefined at s = 0"
         )
-    d, _, e, _, a3, a4 = _checked_terms(p.s, p.sigma)
+    d, _, e, _ = _checked_terms(p.s, p.sigma)
+    a3, a4 = _mode_norms(p.s / p.sigma, d, e)
     ct, _, omc = _angle_terms(p.theta)
     lam1, lam2, _ = _eigenvalues(d, e, ct, omc)
     return SpectralData(lam1, lam2, _per_sigma(p.s, p.sigma, a3, 1),

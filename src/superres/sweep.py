@@ -12,7 +12,7 @@ A block is evaluated in one array pass that calls the scalar API's closed
 forms, written with ``+ - * /`` only so that they take the broadcast
 ``(s, nuisance)`` grid as they take floats; each scalar branch becomes a
 mask.  Functions of one axis alone (``state_model._separation_terms``
-among them) go through the scalar API once per axis value, so theta- and
+and, in qfim mode, ``state_model._mode_norms`` among them) go through the scalar API once per axis value, so theta- and
 coherence-nuisance blocks agree with it bit for bit; in concurrence blocks
 theta depends on both axes and goes through numpy's vectorized
 arcsin/arccos/cos/sin, which may differ by an ulp.
@@ -44,8 +44,8 @@ from .qfim_two_param import (
     _to_concurrence,
     _to_gamma,
 )
-from .state_model import (_OM_MIN, _angle_terms, _out_of_reach, _require_s_sigma,
-                          _separation_terms, concurrence_max)
+from .state_model import (_OM_MIN, _angle_terms, _mode_norms, _out_of_reach,
+                          _require_s_sigma, _separation_terms, concurrence_max)
 
 MODES = ("single", "qfim", "verify")
 NUISANCES = ("theta", "concurrence", "coherence")
@@ -171,19 +171,20 @@ def _axis(rng: tuple[float, float, int]) -> np.ndarray:
     return np.array([lo]) if steps == 1 else np.linspace(lo, hi, steps)
 
 
-def _on_axis(fn, x: np.ndarray):
+def _on_axis(fn, x: np.ndarray, *more: np.ndarray):
     """``fn``, a scalar function, element by element over an axis-shaped
-    array (a tuple of arrays if ``fn`` returns a tuple): quantities of one
-    axis alone then match the scalar API bit for bit, at the cost of
-    O(steps) calls per block."""
-    out = np.array([fn(v) for v in x.ravel().tolist()])
+    array and any more arrays of its shape, as its arguments (a tuple of
+    arrays if ``fn`` returns a tuple): quantities of one axis alone then
+    match the scalar API bit for bit, at the cost of O(steps) calls per
+    block."""
+    out = np.array([fn(*v) for v in zip(*(a.ravel().tolist() for a in (x, *more)))])
     return tuple(c.reshape(x.shape) for c in out.T) if out.ndim == 2 else out.reshape(x.shape)
 
 
 def _single_block(nuisance: str, u, nu, sigma: float, terms) -> dict:
     """Columns of a single-mode block: ``f_tot_coherence`` and
     ``f_tot_concurrence`` cell by cell, with their branches as masks."""
-    d, _, e, om, _, _ = terms
+    d, _, e, om = terms
     if nuisance == "concurrence":
         c = nu
         # at u = 0 only the C = 0 column is reachable
@@ -211,7 +212,8 @@ def _qfim_block(nuisance: str, u, nu, sigma: float, terms) -> dict:
     """Columns of a qfim-mode block: the theta-chart QFIM of ``qfim``, its
     transport to the block's chart, and the precisions, with each scalar
     branch as a mask.  As there, ``H_nuisance`` is taken at ``sigma = 1``."""
-    om = terms[3]
+    d, _, e, om = terms
+    norms = _on_axis(_mode_norms, u, d, e)
     if nuisance == "concurrence":
         c_max = np.sqrt(om)
         reach = ~_out_of_reach(nu, om)
@@ -221,26 +223,28 @@ def _qfim_block(nuisance: str, u, nu, sigma: float, terms) -> dict:
         reach = np.True_
         theta = nu if nuisance == "theta" else _on_axis(math.acos, nu)
         ct, st, omc = _on_axis(_angle_terms, theta)
-    _, _, f_ss, f_tt, f_st, h_s = _theta_block(terms, ct, st, omc)
+    block = _theta_block(terms, norms, ct, st, omc)
+    f_ss, f_tt, f_st, h_s = block
 
     if nuisance == "theta":
         g_ss, g_tt, g_st = f_ss, f_tt, f_st
-        gamma = ct
+        gamma, regular = ct, np.True_
     elif nuisance == "coherence":
-        g_ss, g_tt, g_st = _to_gamma(f_ss, f_tt, f_st, st)
+        g_ss, g_tt, g_st, _ = _to_gamma(block, st)
         # gamma = 1: infinite nuisance block, only F_ss = H_s survives
-        g_tt, g_st = (np.where(nu == 1.0, np.nan, g) for g in (g_tt, g_st))
+        regular = nu != 1.0
+        g_tt, g_st = (np.where(regular, g, np.nan) for g in (g_tt, g_st))
         gamma = nu
     else:
         # the chart is singular at maximum reach; H_s is chart-invariant
-        chart = ~_chart_singular(ct)
-        g_ss, g_tt, g_st = (np.where(chart, g, np.nan) for g in
-                            _to_concurrence(f_ss, f_tt, f_st, terms, ct, st, c_max))
+        regular = ~_chart_singular(ct)
+        g_ss, g_tt, g_st = (np.where(regular, g, np.nan) for g in
+                            _to_concurrence(block, terms, ct, st, c_max)[:3])
         gamma = ct
     h_n = np.where(_below_floor(g_tt, g_st), g_tt, _h_nuisance(g_ss, g_tt, h_s))
     cells = {"theta": theta, "gamma": gamma, "f_ss": g_ss / sigma / sigma, "f_tt": g_tt,
              "f_st": g_st / sigma, "h_s": h_s / sigma / sigma, "h_nuisance": h_n,
-             "_reach": reach, "_theta_f_ss": f_ss / sigma / sigma, "_theta_f_tt": f_tt,
+             "_reach": reach, "_regular": regular, "_theta_f_ss": f_ss / sigma / sigma, "_theta_f_tt": f_tt,
              "_theta_f_st": f_st / sigma}
     if nuisance != "concurrence":
         cells["C"] = st * np.sqrt(om)
@@ -280,6 +284,10 @@ def _kernel(spec: SweepSpec) -> dict[str, np.ndarray]:
     must = ("theta", "gamma", "C", "d") + (
         ("f_tot",) if spec.mode == "single" else ("h_s", "_theta_f_ss", "_theta_f_tt", "_theta_f_st"))
     bad = reach & ~np.logical_and.reduce([np.isfinite(cells[n]) for n in must])
+    if spec.mode != "single":
+        # the chart's own matrix, blank by design where the chart is singular
+        bad |= reach & cells["_regular"] & ~np.logical_and.reduce(
+            [np.isfinite(cells[n]) for n in ("f_ss", "f_tt", "f_st", "h_nuisance")])
     if bad.any():
         i = int(np.argmax(bad))
         raise DomainError(

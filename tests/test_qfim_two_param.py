@@ -384,6 +384,13 @@ def test_underflowing_one_minus_d_squared_is_a_domain_error(call):
         call()
 
 
+def test_overflowing_concurrence_transport_is_a_domain_error():
+    # 1 - d^2 = 5.7e-308 is normal, but G_ss = G_CC = inf in the concurrence
+    # chart: precision_concurrence returned h_nuisance = nan (inf / inf)
+    with pytest.raises(DomainError, match="do not resolve"):
+        precision_concurrence(4.7782171712299286e-154, 1.0, 2.389108585614964e-154)
+
+
 def test_tiny_separation_resolves_while_one_minus_d_squared_is_normal():
     h = precision_gamma(1e-100, 1.0, 0.5)
     assert math.isfinite(h.h_s) and math.isfinite(h.h_nuisance) and h.h_s > 0.0

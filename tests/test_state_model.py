@@ -27,7 +27,7 @@ from superres import (
     theta_from_concurrence,
     weighted_fi_reconstruct,
 )
-from superres import state_model
+from superres import qfim_two_param, state_model
 
 # values pinned by the position-grid oracle (trapezoid quadrature and
 # central differences agree with the closed forms to <= 1e-9 relative)
@@ -346,24 +346,37 @@ SCALAR_CALLS = {
 }
 
 
+# the entry points that return the mode norms a3, a4 or a QFIM built from them
+NORM_CALLS = {"spectral", "qfim", "precision", "qfim_gamma", "precision_gamma",
+              "precision_gamma-limit", "qfim_concurrence", "precision_concurrence"}
+
+
 @pytest.mark.parametrize("name", SCALAR_CALLS)
 def test_scalar_entry_points_evaluate_the_separation_terms_once(name, monkeypatch):
     # one check of each input and one evaluation of the separation terms per
-    # call, with no ModelParams built (and checked again) on the way
+    # call, with no ModelParams built (and checked again) on the way; the
+    # mode norms are evaluated once where they are used, and never elsewhere
     p = ModelParams(1.3, 1.0, 0.6)
-    counts = {"terms": 0, "params": 0}
+    counts = {"terms": 0, "params": 0, "norms": 0}
     terms = state_model._separation_terms
+    norms = state_model._mode_norms
     post_init = ModelParams.__post_init__
 
     def counted_terms(*args):
         counts["terms"] += 1
         return terms(*args)
 
+    def counted_norms(*args):
+        counts["norms"] += 1
+        return norms(*args)
+
     def counted_post_init(self):
         counts["params"] += 1
         post_init(self)
 
     monkeypatch.setattr(state_model, "_separation_terms", counted_terms)
+    for module in (state_model, qfim_two_param):
+        monkeypatch.setattr(module, "_mode_norms", counted_norms)
     monkeypatch.setattr(ModelParams, "__post_init__", counted_post_init)
     SCALAR_CALLS[name](p)
-    assert counts == {"terms": 1, "params": 0}
+    assert counts == {"terms": 1, "params": 0, "norms": int(name in NORM_CALLS)}

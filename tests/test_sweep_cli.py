@@ -192,6 +192,19 @@ class TestRunSweep:
                          nuisance_range=(0.0, 1.0, 3))
         assert run_sweep(spec).columns["f_tot"].tolist() == [0.25] * 3
 
+    @pytest.mark.parametrize("s, sigma, c", [
+        # F_ss / sigma^2 overflows in the chart's matrix alone: an ok row
+        # carried f_ss = inf, where qfim_concurrence raises
+        (1e-152, 1e-152, 0.4703182081618728),
+        # G_ss = G_CC = inf at sigma = 1: an ok row carried h_nuisance = nan
+        (4.7782171712299286e-154, 1.0, 2.389108585614964e-154),
+    ], ids=["f_ss", "h_nuisance"])
+    def test_qfim_concurrence_overflow_is_a_domain_error(self, s, sigma, c):
+        spec = SweepSpec(mode="qfim", nuisance="concurrence", sigma=sigma,
+                         s_range=(s, s, 1), nuisance_range=(c, c, 1))
+        with pytest.raises(DomainError, match="do not resolve"):
+            run_sweep(spec)
+
     def test_unresolvable_scale_is_a_domain_error(self):
         # sigma^4 underflows: the closed forms would give NaN in every cell
         with pytest.raises(DomainError, match="do not resolve"):
@@ -350,7 +363,12 @@ class TestCli:
         # likewise: exit 0 with gamma = 1 at C = 1e-162
         ["single", "--nuisance", "concurrence", "--s-min", "1e-161", "--s-max", "1e-161",
          "--s-steps", "1", "--n-min", "0", "--n-max", "2e-162", "--n-steps", "3"],
-    ], ids=["tiny-s", "huge-sigma", "tiny-sigma", "subnormal-qfim", "subnormal-concurrence"])
+        # the concurrence chart's F_ss / sigma^2 overflows: exit 0, f_ss blank
+        ["qfim", "--nuisance", "concurrence", "--sigma", "1e-152", "--s-min", "1e-152",
+         "--s-max", "1e-152", "--s-steps", "1", "--n-min", "0.4703182081618728",
+         "--n-max", "0.4703182081618728", "--n-steps", "1"],
+    ], ids=["tiny-s", "huge-sigma", "tiny-sigma", "subnormal-qfim", "subnormal-concurrence",
+            "concurrence-overflow"])
     def test_unresolved_cells_exit_code(self, argv, capsys):
         assert main(argv) == 2
         assert "do not resolve" in capsys.readouterr().err
