@@ -18,12 +18,6 @@ from .fisher_single import (
     f_tot_concurrence,
     weighted_fi_reconstruct,
 )
-from .numeric_oracle import (
-    Grid,
-    default_grid,
-    numeric_concurrence,
-    numeric_qfim,
-)
 from .qfim_two_param import (
     PrecisionPair,
     Qfim2,
@@ -45,13 +39,34 @@ from .state_model import (
     spectral,
     theta_from_concurrence,
 )
-from .sweep import (
-    SweepSpec,
-    SweepTable,
-    emit,
-    figure_preset,
-    run_sweep,
-)
+
+# The grid oracle and the sweeps need numpy; the scalar API does not.  Their
+# names resolve on first use (PEP 562), so that importing superres and calling
+# the closed forms loads no numpy.  Nothing is cached here: each lookup reads
+# the defining module, where a monkeypatched name is seen too.
+_ARRAY_SIDE = {
+    **dict.fromkeys(("Grid", "default_grid", "numeric_concurrence", "numeric_qfim"),
+                    "numeric_oracle"),
+    **dict.fromkeys(("SweepSpec", "SweepTable", "emit", "figure_preset", "run_sweep"),
+                    "sweep"),
+}
+_ARRAY_MODULES = ("float_text", "numeric_oracle", "sweep")
+
+
+def __getattr__(name):
+    from importlib import import_module
+
+    if name in _ARRAY_MODULES:
+        return import_module(f".{name}", __name__)
+    if name in _ARRAY_SIDE:
+        return getattr(import_module(f".{_ARRAY_SIDE[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    names = {*globals(), *_ARRAY_SIDE, *_ARRAY_MODULES}
+    return sorted(names - {"_ARRAY_SIDE", "_ARRAY_MODULES", "__getattr__", "__dir__"})
+
 
 __version__ = "0.1.0"
 

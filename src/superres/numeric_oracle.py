@@ -117,12 +117,13 @@ def _row_samples(s: float, sigma: float, n_points: int,
     grid = _fitted_grid(s, sigma, n_points=n_points, halfwidth=halfwidth)
     sigma = np.float64(sigma)   # where sigma^2 underflows: NaN, not ZeroDivisionError
     root_w = np.sqrt(grid.weights)
-    scaled = np.empty((grid.n_points, 4))
+    # column-major, the layout LAPACK factors in, so qr copies no rows
+    scaled = np.empty((grid.n_points, 4), order="F")
     for j, sign in ((0, +1.0), (1, -1.0)):
         u = grid.x + sign * s / 2.0
-        scaled[:, j] = _psf(u, sigma) * root_w
+        np.multiply(_psf(u, sigma), root_w, out=scaled[:, j])
         # d h(x +- s/2) / ds = +- h'(u) / 2 = -+ u h(u) / (4 sigma^2)
-        scaled[:, j + 2] = (-sign / (4.0 * sigma * sigma)) * u * scaled[:, j]
+        np.multiply((-sign / (4.0 * sigma * sigma)) * u, scaled[:, j], out=scaled[:, j + 2])
     return np.linalg.qr(scaled, mode="r")
 
 

@@ -4,10 +4,13 @@ import dataclasses
 import hashlib
 import math
 import pickle
+import subprocess
+import sys
 
 import pytest
 
 import superres
+from helpers import SRC_ENV
 from superres import DomainError, ModelParams
 
 # superres.__all__ by defining module, each line sorted
@@ -84,6 +87,31 @@ def test_result_records_are_plain_frozen_dataclasses(cls, args, kwargs, text):
     moved = dataclasses.replace(rec, **{name: 0.0625})
     assert getattr(moved, name) == 0.0625 and moved != rec
     assert pickle.loads(pickle.dumps(rec)) == rec
+
+
+def test_scalar_api_loads_no_numpy():
+    # numpy was loaded by `import superres` through the oracle and the sweeps
+    code = """if True:
+        import sys
+        import superres as S
+        p = S.ModelParams(1.3, 1.0, 0.6)
+        for fn in (S.concurrence, S.concurrence_normalized, S.spectral,
+                   S.weighted_fi_reconstruct, S.qfim, S.precision):
+            fn(p)
+        for fn in (S.overlap, S.concurrence_max):
+            fn(1.3, 1.0)
+        for fn in (S.f_tot_coherence, S.qfim_gamma, S.precision_gamma):
+            fn(1.3, 1.0, 0.4)
+        for fn in (S.theta_from_concurrence, S.f_tot_concurrence, S.qfim_concurrence,
+                   S.precision_concurrence):
+            fn(1.3, 1.0, 0.2)
+        dir(S)
+        assert "numpy" not in sys.modules
+        print(S.run_sweep.__module__, "numpy" in sys.modules)
+    """
+    out = subprocess.run([sys.executable, "-c", code], env=SRC_ENV, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "superres.sweep True\n"
 
 
 def test_replace_revalidates_model_params():
