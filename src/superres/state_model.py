@@ -131,8 +131,8 @@ class ModelParams:
     theta: float
     phi: float = 0.0
 
-    # the records store their fields by one dict write, not one frozen
-    # object.__setattr__ each as the generated __init__ does
+    # the records write their fields into the instance dict, not through one
+    # frozen object.__setattr__ each as the generated __init__ does
     def __init__(self, s, sigma, theta, phi=0.0):
         fields = self.__dict__
         fields["s"] = s

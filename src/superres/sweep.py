@@ -11,11 +11,11 @@ byte-identical output files.
 A block is evaluated in one array pass that calls the scalar API's closed
 forms, written with ``+ - * /`` only so that they take the broadcast
 ``(s, nuisance)`` grid as they take floats; each scalar branch becomes a
-mask.  Functions of one axis alone (``state_model._separation_terms``
-and, in qfim mode, ``state_model._mode_norms`` among them) go through the scalar API once per axis value, so theta- and
-coherence-nuisance blocks agree with it bit for bit; in concurrence blocks
-theta depends on both axes and goes through numpy's vectorized
-arcsin/arccos/cos/sin, which may differ by an ulp.
+mask.  Functions of one axis alone (``state_model._separation_terms`` and,
+in qfim mode, ``state_model._mode_norms`` among them) go through the scalar
+API once per axis value, so theta- and coherence-nuisance blocks agree with
+it bit for bit; in concurrence blocks theta depends on both axes and goes
+through numpy's vectorized arcsin/arccos/cos/sin, which may differ by an ulp.
 Results come back as a columnar :class:`SweepTable`, and the emitters
 format whole rows from its columns.
 """
@@ -244,8 +244,8 @@ def _qfim_block(nuisance: str, u, nu, sigma: float, terms) -> dict:
     h_n = np.where(_below_floor(g_tt, g_st), g_tt, _h_nuisance(g_ss, g_tt, h_s))
     cells = {"theta": theta, "gamma": gamma, "f_ss": g_ss / sigma / sigma, "f_tt": g_tt,
              "f_st": g_st / sigma, "h_s": h_s / sigma / sigma, "h_nuisance": h_n,
-             "_reach": reach, "_regular": regular, "_theta_f_ss": f_ss / sigma / sigma, "_theta_f_tt": f_tt,
-             "_theta_f_st": f_st / sigma}
+             "_reach": reach, "_regular": regular, "_theta_f_ss": f_ss / sigma / sigma,
+             "_theta_f_tt": f_tt, "_theta_f_st": f_st / sigma}
     if nuisance != "concurrence":
         cells["C"] = st * np.sqrt(om)
     return cells
@@ -256,8 +256,9 @@ def _kernel(spec: SweepSpec) -> dict[str, np.ndarray]:
     grid, every quantity exactly once per cell, flattened s-major: at
     ``sigma = 1`` on ``u = s / sigma``, scaled back as in the scalar API.
 
-    Returns the populated columns (unmasked), the ``_reach`` mask, and the
-    theta-chart QFIM the oracle compares (``_``-prefixed).
+    Returns the populated columns (unmasked), the ``_reach`` mask, the
+    ``_regular`` mask of qfim-mode cells where the chart is not singular, and
+    the theta-chart QFIM the oracle compares (``_``-prefixed).
     """
     s = _axis(spec.s_range)[:, None]
     nu = _axis(spec.nuisance_range)[None, :]
