@@ -43,7 +43,8 @@ from .state_model import (
 # The grid oracle and the sweeps need numpy; the scalar API does not.  Their
 # names resolve on first use (PEP 562), so that importing superres and calling
 # the closed forms loads no numpy.  Nothing is cached here: each lookup reads
-# the defining module, where a monkeypatched name is seen too.
+# the defining module, so a name replaced there at run time (a tracing
+# wrapper, say) is the one returned.
 _ARRAY_SIDE = {
     **dict.fromkeys(("Grid", "default_grid", "numeric_concurrence", "numeric_qfim"),
                     "numeric_oracle"),

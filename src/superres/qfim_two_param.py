@@ -177,7 +177,8 @@ def _chart_singular(ct):
 
 def _theta_chart(s: float, sigma: float, terms, theta: float):
     """``(cos theta, sin theta, (F_ss, F_tt, F_st, H_s))`` at ``theta`` and
-    ``u = s / sigma`` at ``sigma = 1`` (all finite), for the chart transports."""
+    ``u = s / sigma`` at ``sigma = 1`` (all finite), for the chart transports:
+    the one evaluation of the mode norms of a QFIM entry point."""
     if s == 0.0:
         raise DegenerateGeometryError("qfim is undefined at s = 0")
     # the block divides by 1 - d^2, which is subnormal for s below ~3e-154 sigma
