@@ -105,7 +105,7 @@ def test_scalar_api_loads_no_numpy():
         for fn in (S.theta_from_concurrence, S.f_tot_concurrence, S.qfim_concurrence,
                    S.precision_concurrence):
             fn(1.3, 1.0, 0.2)
-        dir(S)
+        assert set(S.__all__) <= set(dir(S))
         assert "numpy" not in sys.modules
         print(S.run_sweep.__module__, "numpy" in sys.modules)
     """
