@@ -19,7 +19,7 @@ DROP = 0xFF
 CHUNK_BYTES = 512 * 12 * 24
 
 
-def write_rows(fh: IO[str], columns: list[np.ndarray], status: list[str], cells, slot: int,
+def write_rows(fh: IO[str], columns: list, status: list[str], cells, slot: int,
                prefixes: list[bytes], sep: bytes, head: bytes, status_text,
                drop_blank: bool = False, lead: int = 0) -> None:
     """Write rows a chunk at a time, as one ``(rows, width)`` byte matrix.
@@ -27,43 +27,91 @@ def write_rows(fh: IO[str], columns: list[np.ndarray], status: list[str], cells,
     for ``cells``' text of a finite cell, and ``sep``; then its
     ``status_text``.  A non-finite cell writes none of its slot, with
     ``drop_blank`` neither its prefix nor its separator, and the first row
-    not the first ``lead`` bytes of its head."""
-    pad = max(map(len, prefixes))             # prefixes end where the slot starts
-    row = np.full((len(columns), pad + slot + len(sep)), DROP, np.uint8)
-    for i, prefix in enumerate(prefixes):
-        row[i, pad - len(prefix):pad] = np.frombuffer(prefix, np.uint8)
-    row[:, pad + slot:] = np.frombuffer(sep, np.uint8)
-    row = np.concatenate([np.frombuffer(head, np.uint8), row.ravel()])
+    not the first ``lead`` bytes of its head.
+
+    A column is a float array, or a pair ``(values, index)`` that stands for
+    ``values[index]``: its values are formatted once, in the first chunk's
+    call of ``cells``, and each chunk gathers their prefix, slot and
+    separator by ``index``.  A column with no finite value has no slot:
+    with ``drop_blank`` it writes nothing, else its prefix and separator
+    open the next slotted column's prefix, or the status."""
+    laid, carry = [], b""                     # (column, prefix) of the slotted columns
+    for column, prefix in zip(columns, prefixes):
+        if np.isfinite(column[0] if isinstance(column, tuple) else column).any():
+            laid.append((column, carry + prefix))
+            carry = b""
+        elif not drop_blank:
+            carry += prefix + sep
+    slotted, prefixes = [column for column, _ in laid], [prefix for _, prefix in laid]
+    per_cell = [j for j, column in enumerate(slotted) if not isinstance(column, tuple)]
+    on_axis = [j for j, column in enumerate(slotted) if isinstance(column, tuple)]
+    pad = max(map(len, prefixes), default=0)  # prefixes end where the slot starts
+    segments = np.full((len(slotted), pad + slot + len(sep)), DROP, np.uint8)
+    for j, prefix in enumerate(prefixes):
+        segments[j, pad - len(prefix):pad] = np.frombuffer(prefix, np.uint8)
+    segments[:, pad + slot:] = np.frombuffer(sep, np.uint8)
+    row = np.concatenate([np.frombuffer(head, np.uint8), segments.ravel()])
     labels = {st: i for i, st in enumerate(dict.fromkeys(status))}
-    encoded = [status_text(st) for st in labels]
+    encoded = [carry + status_text(st) for st in labels]
     width = max(map(len, encoded), default=1)
     texts = np.frombuffer(b"".join(raw.ljust(width, b"\xff") for raw in encoded),
                           np.uint8).reshape(-1, width)
     codes = np.fromiter(map(labels.__getitem__, status), np.intp, len(status))
+    gathered = []                             # (j, each value's segment, index) per axis column
 
-    def chunk_text(values: np.ndarray, rows: slice) -> str:
+    def format_axes(text: np.ndarray) -> None:
+        """The segments of the axis columns, from the text of their values."""
+        at = 0
+        for j in on_axis:
+            values, index = slotted[j]
+            shown = np.isfinite(values)
+            seg = np.repeat(segments[j:j + 1], values.size, axis=0)
+            seg[shown, pad:pad + slot] = text[at:at + np.count_nonzero(shown)]
+            at += np.count_nonzero(shown)
+            if drop_blank:
+                seg[~shown] = DROP
+            gathered.append((j, _runs(seg), index))
+
+    def chunk_text(rows: slice) -> str:
+        codes_here = codes[rows]
+        values = np.empty((codes_here.size, len(per_cell)))
+        for i, j in enumerate(per_cell):
+            values[:, i] = slotted[j][rows]
         finite = np.isfinite(values)
-        text, _ = cells(values[finite])
+        fresh = values[finite]
+        if rows.start == 0:
+            # the axis values go with the first chunk's cells: a kernel call
+            # of their own costs more than they do on a small table
+            axis_values = [slotted[j][0] for j in on_axis]
+            text, _ = cells(np.concatenate([fresh] + [v[np.isfinite(v)] for v in axis_values]))
+            format_axes(text[fresh.size:])
+        else:
+            text, _ = cells(fresh)
         # bytes.translate drops a byte value faster than a masked copy drops
         # a run, and reads a bytearray in place
-        buffer = bytearray(len(values) * (row.size + width))
-        matrix = np.frombuffer(buffer, np.uint8).reshape(len(values), -1)
-        _runs(matrix[:, :row.size])[:] = _runs(row)
+        buffer = bytearray(codes_here.size * (row.size + width))
+        matrix = np.frombuffer(buffer, np.uint8).reshape(codes_here.size, -1)
+        if row.size:                          # a CSV row of blank columns has none
+            _runs(matrix[:, :row.size])[:] = _runs(row)
         # the cell region as (rows, columns, prefix + slot + separator)
-        region = matrix[:, len(head):row.size].reshape(values.shape + (-1,))
-        _runs(region[..., pad:pad + slot])[finite] = _runs(text)
+        region = matrix[:, len(head):row.size].reshape((codes_here.size,) + segments.shape)
+        shown = np.zeros(region.shape[:2], bool)
+        shown[:, per_cell] = finite
+        _runs(region[..., pad:pad + slot])[shown] = _runs(text[:fresh.size])
         del text                              # before the text is copied out
+        for j, seg, index in gathered:
+            _runs(region[:, j])[:] = seg.take(index[rows])
         if drop_blank:
-            region[~finite] = DROP
-        _runs(matrix[:, row.size:])[:] = _runs(texts).take(codes[rows])
+            shown[:, on_axis] = True
+            region[~shown] = DROP
+        _runs(matrix[:, row.size:])[:] = _runs(texts).take(codes_here)
         if rows.start == 0:
             matrix[0, :lead] = DROP
         return buffer.translate(None, b"\xff").decode()
 
-    step = max(1, CHUNK_BYTES // (len(columns) * slot))
+    step = max(1, CHUNK_BYTES // (max(1, len(slotted)) * slot))
     for lo in range(0, len(status), step):
-        rows = slice(lo, lo + step)
-        fh.write(chunk_text(np.stack([c[rows] for c in columns], axis=1), rows))
+        fh.write(chunk_text(slice(lo, lo + step)))
 
 
 def _runs(a: np.ndarray) -> np.ndarray:

@@ -144,18 +144,39 @@ class SweepSpec:
 
 class SweepTable:
     """Columnar sweep result: one float64 array per field in ``CSV_FIELDS``
-    and ``DELTA_FIELDS`` (NaN marks a blank cell) and one status per row."""
+    and ``DELTA_FIELDS`` (NaN marks a blank cell) and one status per row.
 
-    def __init__(self, columns: dict[str, np.ndarray], status: Sequence[str]):
+    ``axes`` maps a field that varies along one sweep axis alone (or not at
+    all) to ``(values, index)`` with ``columns[name] == values[index]``;
+    fields on one axis share its index array.  Emit formats such values
+    once.  A table without it is emitted the same."""
+
+    def __init__(self, columns: dict[str, np.ndarray], status: Sequence[str],
+                 axes: dict[str, tuple[np.ndarray, np.ndarray]] | None = None):
         self.columns = columns
         self.status = list(status)
+        self.axes = {} if axes is None else axes
 
     @classmethod
     def concat(cls, tables: Iterable[SweepTable]) -> SweepTable:
+        """The rows of ``tables`` in order; a field on an axis in every table
+        stays on one, its index offset by the values of the tables before."""
         tables = list(tables)
+        if len(tables) == 1:
+            return tables[0]
         columns = {name: np.concatenate([t.columns[name] for t in tables])
                    for name in _FIELDS}
-        return cls(columns, [st for t in tables for st in t.status])
+        axes, indices = {}, {}
+        for name in [n for n in tables[0].axes if all(n in t.axes for t in tables[1:])]:
+            parts = [t.axes[name] for t in tables]
+            # fields that share their index in every table share it here too
+            key = tuple((id(index), values.size) for values, index in parts)
+            if key not in indices:
+                offsets = np.cumsum([0] + [values.size for values, _ in parts[:-1]])
+                indices[key] = np.concatenate([index + at for (_, index), at
+                                               in zip(parts, offsets.tolist())])
+            axes[name] = (np.concatenate([values for values, _ in parts]), indices[key])
+        return cls(columns, [st for t in tables for st in t.status], axes)
 
     def __len__(self) -> int:
         return len(self.status)
@@ -251,14 +272,17 @@ def _qfim_block(nuisance: str, u, nu, sigma: float, terms) -> dict:
     return cells
 
 
-def _kernel(spec: SweepSpec) -> dict[str, np.ndarray]:
+def _kernel(spec: SweepSpec) -> tuple[dict[str, np.ndarray], dict[str, tuple]]:
     """Evaluate a whole block at once over the broadcast ``(s, nuisance)``
     grid, every quantity exactly once per cell, flattened s-major: at
     ``sigma = 1`` on ``u = s / sigma``, scaled back as in the scalar API.
 
     Returns the populated columns (unmasked), the ``_reach`` mask, the
     ``_regular`` mask of qfim-mode cells where the chart is not singular, and
-    the theta-chart QFIM the oracle compares (``_``-prefixed).
+    the theta-chart QFIM the oracle compares (``_``-prefixed); and, for the
+    fields computed on one axis alone or as a constant, their ``(values,
+    index)`` (see :class:`SweepTable`), read off the shapes they broadcast
+    from.
     """
     s = _axis(spec.s_range)[:, None]
     nu = _axis(spec.nuisance_range)[None, :]
@@ -280,6 +304,13 @@ def _kernel(spec: SweepSpec) -> dict[str, np.ndarray]:
     if spec.nuisance == "concurrence":
         cells["C"] = nu                       # the request, also out of reach
     shape = (s.size, nu.size)
+    axes, indices = {}, {}
+    for name, v in cells.items():
+        if name in _FIELDS and np.size(v) < s.size * nu.size:
+            if np.shape(v) not in indices:
+                at = np.arange(np.size(v)).reshape(np.shape(v))
+                indices[np.shape(v)] = np.broadcast_to(at, shape).ravel()
+            axes[name] = (np.ravel(v).astype(float), indices[np.shape(v)])
     cells = {name: np.broadcast_to(v, shape).ravel() for name, v in cells.items()}
     reach = cells["_reach"]
     must = ("theta", "gamma", "C", "d") + (
@@ -295,13 +326,13 @@ def _kernel(spec: SweepSpec) -> dict[str, np.ndarray]:
             f"the closed forms do not resolve s = {float(cells['s'][i])!r} with "
             f"{spec.nuisance} = {float(nu.ravel()[i % nu.size])!r} at sigma = {spec.sigma!r}"
         )
-    return cells
+    return cells, axes
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate the Cartesian product of the two axes, s-major, in one
     array pass (see :func:`_kernel`)."""
-    cells = _kernel(spec)
+    cells, axes = _kernel(spec)
     reach = cells["_reach"]
     columns = {name: np.where(reach | (name in _KEPT_OUT_OF_REACH),
                               cells.get(name, np.nan), np.nan)
@@ -309,7 +340,10 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     status = ["ok" if r else "out_of_reach" for r in reach.tolist()]
     if spec.oracle:
         _attach_deltas(spec, columns, cells, np.flatnonzero(reach))
-    return SweepTable(columns, status)
+    # an out-of-reach row blanks the fields not kept there
+    if not reach.all():
+        axes = {name: ax for name, ax in axes.items() if name in _KEPT_OUT_OF_REACH}
+    return SweepTable(columns, status, axes)
 
 
 def _attach_deltas(spec: SweepSpec, columns: dict[str, np.ndarray], cells: dict,
@@ -408,7 +442,7 @@ def emit(table: SweepTable, fmt: str, destination: str | Path | IO[str],
 
 def _emit_stream(table: SweepTable, fmt: str, fh: IO[str], include_deltas: bool) -> None:
     names = CSV_FIELDS + (DELTA_FIELDS if include_deltas else ())
-    columns = [table.columns[name] for name in names]
+    columns = [table.axes.get(name, table.columns[name]) for name in names]
     if fmt == "csv":
         fh.write(",".join(names + ("status",)) + "\n")
         write_rows(fh, columns, table.status, e16_cells, E16_SLOT, [b""] * len(names), b",",

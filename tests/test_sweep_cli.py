@@ -787,6 +787,143 @@ class TestSweepTable:
             ["s", "sigma", "status"], ["h_s", "s", "sigma", "status"]]
 
 
+def preset_table(name, steps=50):
+    """A figure preset's table on ``steps``-point axes (fig1c keeps its one
+    ``s``)."""
+    return SweepTable.concat(run_sweep(dataclasses.replace(
+        spec, s_range=spec.s_range[:2] + (min(spec.s_range[2], steps),),
+        nuisance_range=spec.nuisance_range[:2] + (steps,)))
+        for spec in figure_preset(name))
+
+
+def emitted(table, fmt, include_deltas=False):
+    out = io.StringIO()
+    emit(table, fmt, out, include_deltas=include_deltas)
+    return out.getvalue()
+
+
+class TestAxisColumns:
+    """Fields computed on one sweep axis alone, or as a constant, carry their
+    values and a row index; emit formats those values once and gives a field
+    blank on every row no slot.  The bytes are those of the same table
+    without axis data, and of per-cell formatting."""
+
+    def check(self, table, include_deltas=False, formats=("csv", "json")):
+        for name, (values, index) in table.axes.items():
+            np.testing.assert_array_equal(table.columns[name], values[index], err_msg=name)
+        plain = SweepTable(table.columns, table.status)
+        for fmt in formats:
+            text = emitted(table, fmt, include_deltas)
+            assert text == emitted(plain, fmt, include_deltas)
+            assert text == cell_by_cell_text(table, fmt, include_deltas)
+
+    @pytest.mark.parametrize("source, fmt", [
+        *((name, "csv") for name in ("fig1a", "fig1b", "fig1c", "fig2a", "fig2b")),
+        ("fig2a", "json"), ("fig2b", "json"), ("verify", "csv"), ("verify", "json"),
+    ])
+    def test_tables_emit_as_without_axes(self, source, fmt):
+        if source == "verify":
+            table = run_sweep(SweepSpec(mode="verify", nuisance="theta", oracle=True,
+                                        s_range=(1e-3, 5.0, 12),
+                                        nuisance_range=(0.0, math.pi / 2, 12)))
+        else:
+            table = preset_table(source)
+        assert {"s", "sigma", "d"} <= set(table.axes)
+        self.check(table, include_deltas=source == "verify", formats=(fmt,))
+
+    def test_one_index_per_axis(self):
+        axes = run_sweep(SweepSpec(mode="qfim", nuisance="coherence",
+                                   s_range=(0.5, 2.0, 4), nuisance_range=(0.0, 1.0, 3))).axes
+        assert set(axes) == {"s", "sigma", "d", "theta", "gamma"}
+        assert axes["s"][1] is axes["d"][1] and axes["theta"][1] is axes["gamma"][1]
+        assert axes["s"][1].tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]
+        assert axes["gamma"][1].tolist() == [0, 1, 2] * 4
+        assert axes["sigma"][0].tolist() == [1.0] and not axes["sigma"][1].any()
+        np.testing.assert_array_equal(axes["s"][0], np.linspace(0.5, 2.0, 4))
+
+    def test_concat(self):
+        coherence, concurrence = (run_sweep(dataclasses.replace(spec, nuisance_range=(
+            *spec.nuisance_range[:2], 7))) for spec in figure_preset("fig1c"))
+        assert SweepTable.concat([coherence]) is coherence
+        table = SweepTable.concat([coherence, concurrence, coherence])
+        assert set(table.axes) == {"s", "sigma", "d"}
+        values, index = table.axes["s"]
+        assert values.tolist() == [0.3] * 3 and index.tolist() == [0] * 7 + [1] * 7 + [2] * 7
+        assert table.axes["d"][1] is index
+        self.check(table)
+
+    def test_out_of_reach_rows_keep_only_the_kept_fields_on_an_axis(self, monkeypatch):
+        """Out of reach, only ``s``, ``sigma``, ``C`` and ``d`` keep their
+        value; a field of one axis that is blank there is emitted per cell."""
+        from superres import sweep as sweep_mod
+
+        block = sweep_mod._single_block
+        monkeypatch.setattr(sweep_mod, "_single_block", lambda nuisance, u, *rest: {
+            **block(nuisance, u, *rest), "f_tot": u * 2.0})
+        table = run_sweep(small_single_spec(nuisance="concurrence",
+                                            nuisance_range=(0.0, 1.0, 6)))
+        assert set(table.status) == {"ok", "out_of_reach"}
+        assert set(table.axes) == {"s", "sigma", "C", "d"}
+        assert np.isnan(table.columns["f_tot"][np.array(table.status) == "out_of_reach"]).all()
+        self.check(table)
+        coherence = run_sweep(small_single_spec())
+        assert "f_tot" in coherence.axes
+        self.check(coherence)
+
+    def test_non_finite_axis_values_are_blank(self):
+        index = np.repeat(np.arange(3), 2)
+        columns = {n: np.full(6, math.nan) for n in CSV_FIELDS + DELTA_FIELDS}
+        axes = {"s": (np.array([1.0, math.nan, 2.5]), index),
+                "sigma": (np.array([math.inf]), np.zeros(6, np.intp)),
+                "gamma": (np.array([-math.inf, 0.5]), np.tile([0, 1], 3)),
+                "h_s": (np.array([math.nan, math.nan, math.nan]), index)}
+        for name, (values, at) in axes.items():
+            columns[name] = values[at]
+        columns["f_ss"] = np.array([0.25, math.nan, 1e-300, -0.0, math.inf, 3.0])
+        table = SweepTable(columns, ["ok", "x", "ok", "ok", "y", "ok"], axes)
+        for include_deltas in (False, True):
+            self.check(table, include_deltas)
+
+    @pytest.mark.parametrize("blank", [
+        ("s", "sigma"), ("f_tot", "f_tt"), ("h_s", "h_nuisance"),
+        ("s", "f_tot", "h_nuisance", "delta_f_tot", "delta_f_st"), CSV_FIELDS + DELTA_FIELDS,
+    ])
+    def test_blank_columns_have_no_slot(self, blank):
+        """Runs of columns blank on every row at the start, middle and end of
+        a row, and a table blank everywhere."""
+        rng = np.random.default_rng(len(blank))
+        columns = {n: math.nan if n in blank else rng.standard_normal(9) * 10.0 ** (
+            rng.integers(-20, 20, 9)) for n in CSV_FIELDS + DELTA_FIELDS}
+        columns = {n: np.broadcast_to(v, 9).astype(float) for n, v in columns.items()}
+        columns["d"][2] = math.nan            # a blank cell in a populated column
+        index = np.repeat(np.arange(3), 3)
+        axes = {n: (columns[n][::3].copy(), index) for n in ("s", "sigma", "C") if n not in blank}
+        for name, (values, at) in axes.items():
+            columns[name] = values[at]
+        table = SweepTable(columns, ["ok", "out_of_reach", "ok"] * 3, axes)
+        for include_deltas in (False, True):
+            self.check(table, include_deltas)
+        if blank == CSV_FIELDS + DELTA_FIELDS:
+            assert emitted(table, "csv").splitlines()[1] == "," * len(CSV_FIELDS) + "ok"
+
+    def test_axis_values_are_formatted_once(self, monkeypatch):
+        """fig1a on 50 x 50 sends its per-cell populated cells and each
+        distinct value of ``s``, ``sigma``, ``C`` and ``d`` to the CSV cell
+        kernel once, not every populated cell."""
+        from superres import sweep as sweep_mod
+
+        sent = []
+        kernel = sweep_mod.e16_cells
+        monkeypatch.setattr(sweep_mod, "e16_cells", lambda v: sent.append(v.size) or kernel(v))
+        table = preset_table("fig1a")
+        axis_fields = ("s", "sigma", "C", "d")
+        per_cell = sum(np.isfinite(table.columns[n]).sum() for n in CSV_FIELDS
+                       if n not in axis_fields)
+        assert per_cell == 5532 and len(table) == 2500
+        emitted(table, "csv")
+        assert sum(sent) == per_cell + 50 + 1 + 50 + 50       # not 5532 + 4 * 2500
+
+
 class TestCsvCells:
     """The vectorized '%.16e' kernel of CSV emit, against '%' itself."""
 
