@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
+import shutil
 import sys
 
 from . import sweep as sweep_mod
@@ -82,22 +84,35 @@ def _add_common(parser: argparse.ArgumentParser, mode: str) -> None:
     parser.add_argument("--grid-halfwidth", type=float, default=None)
 
 
+_COMMANDS = sweep_mod.MODES + ("figure",)
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser, with every subcommand but only ``command``'s options where
-    it names one: argparse builds a help formatter per option."""
+    """The parser, with only ``command``'s subparser where it names one, else
+    every subcommand: argparse builds a parser per subcommand and a help
+    formatter per option, each of which would ask the terminal its width."""
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="superres",
         description="Fisher-information analysis of two-point-source resolution "
                     "under entanglement and coherence",
+        formatter_class=formatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    commands = sweep_mod.MODES + ("figure",)
+    if command in _COMMANDS:
+        # the usage names every command, as the full parser's does; usage
+        # errors about the command itself come from the full parser alone
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(_COMMANDS) + "}")
+        commands = (command,)
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+        commands = _COMMANDS
     for mode in commands:
-        p = sub.add_parser(mode)
-        if command == mode or command not in commands:
-            if mode == "figure":
-                p.add_argument("preset", help="fig1a | fig1b | fig1c | fig2a | fig2b")
-            _add_common(p, mode)
+        p = sub.add_parser(mode, formatter_class=formatter)
+        if mode == "figure":
+            p.add_argument("preset", help="fig1a | fig1b | fig1c | fig2a | fig2b")
+        _add_common(p, mode)
     return parser
 
 
