@@ -215,7 +215,7 @@ def _h_pair(s, sigma, chart) -> PrecisionPair:
 def precision(p: ModelParams) -> PrecisionPair:
     """Nuisance-corrected informations ``H_s`` and ``H_theta``."""
     if p.phi != 0.0:
-        p.require_phi_zero("qfim")
+        p.require_phi_zero("precision")
     s, sigma = p.s, p.sigma
     return _h_pair(s, sigma, _theta_chart(s, sigma, _checked_terms(s, sigma), p.theta)[2])
 

@@ -193,6 +193,11 @@ class TestPrecision:
             assert 0.0 <= h.h_s <= q.f_ss + 1e-15
             assert 0.0 <= h.h_nuisance <= q.f_tt + 1e-15
 
+    @pytest.mark.parametrize("call", [qfim, precision, spectral])
+    def test_nonzero_phi_error_names_the_function_called(self, call):
+        with pytest.raises(DomainError, match=f"^{call.__name__} requires phi = 0, "):
+            call(ModelParams(1.0, 1.0, 0.5, 0.3))
+
 
 class TestCoherenceChart:
     def test_gamma_zero_matches_theta_chart(self):
