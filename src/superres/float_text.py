@@ -35,19 +35,19 @@ def write_rows(fh: IO[str], columns: list, status: list[str], cells, slot: int,
     separator by ``index``.  A column with no finite value has no slot:
     with ``drop_blank`` it writes nothing, else its prefix and separator
     open the next slotted column's prefix, or the status."""
-    laid, carry = [], b""                     # (column, prefix) of the slotted columns
+    slotted, slot_prefixes, carry = [], [], b""
     for column, prefix in zip(columns, prefixes):
         if np.isfinite(column[0] if isinstance(column, tuple) else column).any():
-            laid.append((column, carry + prefix))
+            slotted.append(column)
+            slot_prefixes.append(carry + prefix)
             carry = b""
         elif not drop_blank:
             carry += prefix + sep
-    slotted, prefixes = [column for column, _ in laid], [prefix for _, prefix in laid]
     per_cell = [j for j, column in enumerate(slotted) if not isinstance(column, tuple)]
     on_axis = [j for j, column in enumerate(slotted) if isinstance(column, tuple)]
-    pad = max(map(len, prefixes), default=0)  # prefixes end where the slot starts
+    pad = max(map(len, slot_prefixes), default=0)  # prefixes end where the slot starts
     segments = np.full((len(slotted), pad + slot + len(sep)), DROP, np.uint8)
-    for j, prefix in enumerate(prefixes):
+    for j, prefix in enumerate(slot_prefixes):
         segments[j, pad - len(prefix):pad] = np.frombuffer(prefix, np.uint8)
     segments[:, pad + slot:] = np.frombuffer(sep, np.uint8)
     row = np.concatenate([np.frombuffer(head, np.uint8), segments.ravel()])
@@ -59,19 +59,6 @@ def write_rows(fh: IO[str], columns: list, status: list[str], cells, slot: int,
     codes = np.fromiter(map(labels.__getitem__, status), np.intp, len(status))
     gathered = []                             # (j, each value's segment, index) per axis column
 
-    def format_axes(text: np.ndarray) -> None:
-        """The segments of the axis columns, from the text of their values."""
-        at = 0
-        for j in on_axis:
-            values, index = slotted[j]
-            shown = np.isfinite(values)
-            seg = np.repeat(segments[j:j + 1], values.size, axis=0)
-            seg[shown, pad:pad + slot] = text[at:at + np.count_nonzero(shown)]
-            at += np.count_nonzero(shown)
-            if drop_blank:
-                seg[~shown] = DROP
-            gathered.append((j, _runs(seg), index))
-
     def chunk_text(rows: slice) -> str:
         codes_here = codes[rows]
         values = np.empty((codes_here.size, len(per_cell)))
@@ -82,9 +69,18 @@ def write_rows(fh: IO[str], columns: list, status: list[str], cells, slot: int,
         if rows.start == 0:
             # the axis values go with the first chunk's cells: a kernel call
             # of their own costs more than they do on a small table
-            axis_values = [slotted[j][0] for j in on_axis]
-            text, _ = cells(np.concatenate([fresh] + [v[np.isfinite(v)] for v in axis_values]))
-            format_axes(text[fresh.size:])
+            axis_shown = [np.isfinite(slotted[j][0]) for j in on_axis]
+            text, _ = cells(np.concatenate(
+                [fresh] + [slotted[j][0][ok] for j, ok in zip(on_axis, axis_shown)]))
+            at = fresh.size
+            for j, ok in zip(on_axis, axis_shown):
+                axis_values, index = slotted[j]
+                seg = np.repeat(segments[j:j + 1], axis_values.size, axis=0)
+                seg[ok, pad:pad + slot] = text[at:at + np.count_nonzero(ok)]
+                at += np.count_nonzero(ok)
+                if drop_blank:
+                    seg[~ok] = DROP
+                gathered.append((j, _runs(seg), index))
         else:
             text, _ = cells(fresh)
         # bytes.translate drops a byte value faster than a masked copy drops
