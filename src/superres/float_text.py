@@ -1,7 +1,12 @@
 """Float arrays to text at numpy speed for sweep emit: ``'%.16e' % v`` (CSV)
 and ``repr(v)`` (JSON) into byte slots, where an error bound proves a cell's
 text (Python formats the others), and ``write_rows``, which lays the slots out
-as one byte matrix per chunk and writes the bytes that are not ``DROP``."""
+as one byte matrix per chunk and writes the bytes that are not ``DROP``.
+
+A column given as values and a row index (a sweep field that is constant or
+varies along one axis alone, such as ``sigma``, ``s``, ``d`` or the
+nuisance request) is formatted once per value, not once per row; a column
+blank on every row is given no slot."""
 
 from __future__ import annotations
 
@@ -12,8 +17,8 @@ import numpy as np
 
 # the byte of a slot or row that no text writes: UTF-8 never holds it
 DROP = 0xFF
-# A chunk holds 144 kB of cell slots (512 CSV or 256 JSON rows of 12 cells),
-# and its temporaries ~1 MB, which the allocator reuses from chunk to chunk.
+# A chunk holds 144 kB of cell slots (512 CSV or 256 JSON rows of 12 slots,
+# more rows of fewer), and its temporaries ~1 MB, which the allocator reuses from chunk to chunk.
 # 4096-row CSV chunks (a whole 50 x 50 preset) raised the peak memory of
 # `superres figure` by 15 % and were slower for the fresh pages they touch.
 CHUNK_BYTES = 512 * 12 * 24

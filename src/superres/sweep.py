@@ -308,8 +308,9 @@ def _kernel(spec: SweepSpec) -> tuple[dict[str, np.ndarray], dict[str, tuple]]:
     for name, v in cells.items():
         if name in _FIELDS and np.size(v) < s.size * nu.size:
             if np.shape(v) not in indices:
-                at = np.arange(np.size(v)).reshape(np.shape(v))
-                indices[np.shape(v)] = np.broadcast_to(at, shape).ravel()
+                index = np.empty(shape, np.intp)
+                index[...] = np.arange(np.size(v)).reshape(np.shape(v))
+                indices[np.shape(v)] = index.ravel()
             axes[name] = (np.ravel(v).astype(float), indices[np.shape(v)])
     cells = {name: np.broadcast_to(v, shape).ravel() for name, v in cells.items()}
     reach = cells["_reach"]
