@@ -66,6 +66,11 @@ OUTPUT_PINS = {
     "figure fig2b --format json":
         "d89e14a5d5ee429c21544c35c8c2383323d1a9f606be4ae67b48bd44ffa4a939",
     "verify": "47f220066674b05e7af65df291f6ae7796927de4a3d08d1bcd712b87c850b903",
+    # oracle outputs: fig1c's two blocks through concat, with deltas
+    "figure fig1c --oracle": "77f29c2cbbeea13c80ba35746422137d16d8224cfc9ddf24744d133d81800583",
+    "qfim --oracle --nuisance concurrence --s-steps 6 --n-steps 6 --format json":
+        "55ee2db295c613ec6ea05da6e90aae2242a9d87d5f7be6d79243087e8412a396",
+    "verify --format json": "14e763ae38ad175b7ac6576a3d246ecd0bd885e38a3efa3a421940c2258e0ba4",
 }
 
 
