@@ -168,8 +168,7 @@ def main(argv=None) -> int:
                 nuisance_range=_range_from_args(args, spec.nuisance_range, "n",
                                                 keys=("steps",)))
                 for spec in blocks]
-            emit(SweepTable.concat(map(run_sweep, blocks)), args.format, out,
-                 include_deltas=args.oracle)
+            emit(SweepTable.concat(map(run_sweep, blocks)), args.format, out)
             return 0
 
         spec = _spec_from_args(args, args.command)
@@ -188,9 +187,9 @@ def main(argv=None) -> int:
                 print(f"verify: worst delta in {element} at s = {s!r}, "
                       f"theta = {theta!r}", file=sys.stderr)
             if args.out is not None:
-                emit(table, args.format, out, include_deltas=True)
+                emit(table, args.format, out)
             return 0 if ok else 3
-        emit(table, args.format, out, include_deltas=spec.oracle)
+        emit(table, args.format, out)
         return 0
     except (DomainError, ConfigurationError) as exc:
         print(f"superres: error: {exc}", file=sys.stderr)

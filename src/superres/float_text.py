@@ -24,15 +24,15 @@ DROP = 0xFF
 CHUNK_BYTES = 512 * 12 * 24
 
 
-def write_rows(fh: IO[str], columns: list, status: list[str], cells, slot: int,
-               prefixes: list[bytes], sep: bytes, head: bytes, status_text,
+def write_rows(fh: IO[str], columns: list, reach: np.ndarray, cells, slot: int,
+               prefixes: list[bytes], sep: bytes, head: bytes, status: list[bytes],
                drop_blank: bool = False, lead: int = 0) -> None:
     """Write rows a chunk at a time, as one ``(rows, width)`` byte matrix.
     A row holds ``head``; per column its prefix, a slot of ``slot`` bytes
-    for ``cells``' text of a finite cell, and ``sep``; then its
-    ``status_text``.  A non-finite cell writes none of its slot, with
-    ``drop_blank`` neither its prefix nor its separator, and the first row
-    not the first ``lead`` bytes of its head.
+    for ``cells``' text of a finite cell, and ``sep``; then ``status[1]``
+    where the bool ``reach`` holds, else ``status[0]``.  A non-finite cell
+    writes none of its slot, with ``drop_blank`` neither its prefix nor its
+    separator, and the first row not the first ``lead`` bytes of its head.
 
     A column is a float array, or a pair ``(values, index)`` that stands for
     ``values[index]``: its values are formatted once, in the first chunk's
@@ -56,17 +56,15 @@ def write_rows(fh: IO[str], columns: list, status: list[str], cells, slot: int,
         segments[j, pad - len(prefix):pad] = np.frombuffer(prefix, np.uint8)
     segments[:, pad + slot:] = np.frombuffer(sep, np.uint8)
     row = np.concatenate([np.frombuffer(head, np.uint8), segments.ravel()])
-    labels = {st: i for i, st in enumerate(dict.fromkeys(status))}
-    encoded = [carry + status_text(st) for st in labels]
-    width = max(map(len, encoded), default=1)
+    encoded = [carry + text for text in status]
+    width = max(map(len, encoded))
     texts = np.frombuffer(b"".join(raw.ljust(width, b"\xff") for raw in encoded),
                           np.uint8).reshape(-1, width)
-    codes = np.fromiter(map(labels.__getitem__, status), np.intp, len(status))
     gathered = []                             # (j, each value's segment, index) per axis column
 
     def chunk_text(rows: slice) -> str:
-        codes_here = codes[rows]
-        values = np.empty((codes_here.size, len(per_cell)))
+        reach_here = reach[rows]
+        values = np.empty((reach_here.size, len(per_cell)))
         for i, j in enumerate(per_cell):
             values[:, i] = slotted[j][rows]
         finite = np.isfinite(values)
@@ -90,12 +88,12 @@ def write_rows(fh: IO[str], columns: list, status: list[str], cells, slot: int,
             text, _ = cells(fresh)
         # bytes.translate drops a byte value faster than a masked copy drops
         # a run, and reads a bytearray in place
-        buffer = bytearray(codes_here.size * (row.size + width))
-        matrix = np.frombuffer(buffer, np.uint8).reshape(codes_here.size, -1)
+        buffer = bytearray(reach_here.size * (row.size + width))
+        matrix = np.frombuffer(buffer, np.uint8).reshape(reach_here.size, -1)
         if row.size:                          # a CSV row of blank columns has none
             _runs(matrix[:, :row.size])[:] = _runs(row)
         # the cell region as (rows, columns, prefix + slot + separator)
-        region = matrix[:, len(head):row.size].reshape((codes_here.size,) + segments.shape)
+        region = matrix[:, len(head):row.size].reshape((reach_here.size,) + segments.shape)
         shown = np.zeros(region.shape[:2], bool)
         shown[:, per_cell] = finite
         _runs(region[..., pad:pad + slot])[shown] = _runs(text[:fresh.size])
@@ -105,13 +103,13 @@ def write_rows(fh: IO[str], columns: list, status: list[str], cells, slot: int,
         if drop_blank:
             shown[:, on_axis] = True
             region[~shown] = DROP
-        _runs(matrix[:, row.size:])[:] = _runs(texts).take(codes_here)
+        _runs(matrix[:, row.size:])[:] = _runs(texts).take(reach_here)
         if rows.start == 0:
             matrix[0, :lead] = DROP
         return buffer.translate(None, b"\xff").decode()
 
     step = max(1, CHUNK_BYTES // (max(1, len(slotted)) * slot))
-    for lo in range(0, len(status), step):
+    for lo in range(0, reach.size, step):
         fh.write(chunk_text(slice(lo, lo + step)))
 
 

@@ -22,10 +22,8 @@ format whole rows from its columns.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
-from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable
@@ -55,6 +53,7 @@ CSV_FIELDS = (
     "f_tot", "f_ss", "f_tt", "f_st", "h_s", "h_nuisance",
 )
 DELTA_FIELDS = ("delta_f_tot", "delta_f_ss", "delta_f_tt", "delta_f_st")
+_STATUS = ("out_of_reach", "ok")                # a row's status, by its reach
 VERIFY_TOLERANCE = 1e-6
 # cells per oracle call: the QFIM oracle's temporaries take ~0.9 kB a cell
 _ORACLE_CELLS = 8192
@@ -126,6 +125,8 @@ class SweepSpec:
                 raise DomainError(f"{name}-steps must be >= 1, got {steps}")
             if hi < lo:
                 raise DomainError(f"{name}-range must have max >= min, got {rng}")
+            if hi == lo and steps > 1:
+                raise DomainError(f"{name}-range with max = min must have 1 step, got {rng}")
         if self.s_range[0] < 0.0:
             raise DomainError(f"s-range must be nonnegative, got {self.s_range}")
         if self.mode in ("qfim", "verify") and self.s_range[0] <= 0.0:
@@ -143,29 +144,32 @@ class SweepSpec:
 
 
 class SweepTable:
-    """Columnar sweep result: one float64 array per field in ``CSV_FIELDS``
-    and ``DELTA_FIELDS`` (NaN marks a blank cell) and one status per row.
+    """Columnar sweep result: one float64 array per field in ``CSV_FIELDS``,
+    and in ``DELTA_FIELDS`` where the oracle ran (NaN marks a blank cell),
+    and the bool ``reach`` mask of the rows in reach (the others are
+    emitted with ``status=out_of_reach``).
 
     ``axes`` maps a field that varies along one sweep axis alone (or not at
     all) to ``(values, index)`` with ``columns[name] == values[index]``;
     fields on one axis share its index array.  Emit formats such values
     once.  A table without it is emitted the same."""
 
-    def __init__(self, columns: dict[str, np.ndarray], status: Sequence[str],
+    def __init__(self, columns: dict[str, np.ndarray], reach: np.ndarray,
                  axes: dict[str, tuple[np.ndarray, np.ndarray]] | None = None):
         self.columns = columns
-        self.status = list(status)
+        self.reach = reach
         self.axes = {} if axes is None else axes
 
     @classmethod
     def concat(cls, tables: Iterable[SweepTable]) -> SweepTable:
-        """The rows of ``tables`` in order; a field on an axis in every table
-        stays on one, its index offset by the values of the tables before."""
+        """The rows of ``tables`` in order, in the first one's columns; a
+        field on an axis in every table stays on one, its index offset by the
+        values of the tables before."""
         tables = list(tables)
         if len(tables) == 1:
             return tables[0]
         columns = {name: np.concatenate([t.columns[name] for t in tables])
-                   for name in _FIELDS}
+                   for name in tables[0].columns}
         axes, indices = {}, {}
         for name in [n for n in tables[0].axes if all(n in t.axes for t in tables[1:])]:
             parts = [t.axes[name] for t in tables]
@@ -176,20 +180,14 @@ class SweepTable:
                 indices[key] = np.concatenate([index + at for (_, index), at
                                                in zip(parts, offsets.tolist())])
             axes[name] = (np.concatenate([values for values, _ in parts]), indices[key])
-        return cls(columns, [st for t in tables for st in t.status], axes)
+        return cls(columns, np.concatenate([t.reach for t in tables]), axes)
 
     def __len__(self) -> int:
-        return len(self.status)
+        return self.reach.size
 
 
-_FIELDS = CSV_FIELDS + DELTA_FIELDS
 # populated on out-of-reach rows too, so that surface layouts stay rectangular
 _KEPT_OUT_OF_REACH = {"s", "sigma", "C", "d"}
-
-
-def _axis(rng: tuple[float, float, int]) -> np.ndarray:
-    lo, hi, steps = rng
-    return np.array([lo]) if steps == 1 else np.linspace(lo, hi, steps)
 
 
 def _on_axis(fn, x: np.ndarray, *more: np.ndarray):
@@ -284,13 +282,13 @@ def _kernel(spec: SweepSpec) -> tuple[dict[str, np.ndarray], dict[str, tuple]]:
     index)`` (see :class:`SweepTable`), read off the shapes they broadcast
     from.
     """
-    s = _axis(spec.s_range)[:, None]
-    nu = _axis(spec.nuisance_range)[None, :]
-    u = s / spec.sigma
+    s = np.linspace(*spec.s_range)[:, None]
+    nu = np.linspace(*spec.nuisance_range)[None, :]
     block = _single_block if spec.mode == "single" else _qfim_block
     # masked cells (out of reach, chart singularities) may divide by zero;
     # the finiteness check below catches any unmasked overflow
     with np.errstate(all="ignore"):
+        u = s / spec.sigma
         # the scalar API's separation terms, one call per separation
         terms = _on_axis(_separation_terms, u)
         # these blocks divide by 1 - d^2, which has lost bits where it is
@@ -306,7 +304,7 @@ def _kernel(spec: SweepSpec) -> tuple[dict[str, np.ndarray], dict[str, tuple]]:
     shape = (s.size, nu.size)
     axes, indices = {}, {}
     for name, v in cells.items():
-        if name in _FIELDS and np.size(v) < s.size * nu.size:
+        if name in CSV_FIELDS and np.size(v) < s.size * nu.size:
             if np.shape(v) not in indices:
                 index = np.empty(shape, np.intp)
                 index[...] = np.arange(np.size(v)).reshape(np.shape(v))
@@ -335,29 +333,30 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     array pass (see :func:`_kernel`)."""
     cells, axes = _kernel(spec)
     reach = cells["_reach"]
-    columns = {name: np.where(reach | (name in _KEPT_OUT_OF_REACH),
-                              cells.get(name, np.nan), np.nan)
-               for name in _FIELDS}
-    status = ["ok" if r else "out_of_reach" for r in reach.tolist()]
+    # the fields the kernel did not produce share one read-only blank column
+    columns = dict.fromkeys(CSV_FIELDS, np.broadcast_to(np.nan, reach.shape))
+    columns.update((name, v if name in _KEPT_OUT_OF_REACH else np.where(reach, v, np.nan))
+                   for name, v in cells.items() if name in CSV_FIELDS)
     if spec.oracle:
         _attach_deltas(spec, columns, cells, np.flatnonzero(reach))
     # an out-of-reach row blanks the fields not kept there
     if not reach.all():
         axes = {name: ax for name, ax in axes.items() if name in _KEPT_OUT_OF_REACH}
-    return SweepTable(columns, status, axes)
+    return SweepTable(columns, reach, axes)
 
 
 def _attach_deltas(spec: SweepSpec, columns: dict[str, np.ndarray], cells: dict,
                    rows: np.ndarray) -> None:
-    """Grid-oracle relative deltas for the in-reach rows, one oracle call per
-    ``_ORACLE_CELLS`` of them.  qfim deltas always compare the
-    theta-parametrized matrix, ``f_st`` on its Cauchy-Schwarz scale
-    ``sqrt(F_ss F_tt)`` of the oracle (it falls far below both, as ~1e-66
-    at ``s = 35 sigma``, and a relative delta would read the grid's round-off);
-    ``f_tt`` and ``f_st`` are left blank where ``sin(theta) = 0``, where the
-    closed form is the continuous extension and the oracle the pointwise QFI
-    of a pure state."""
+    """Grid-oracle relative deltas for the in-reach rows, in new
+    ``DELTA_FIELDS`` columns, one oracle call per ``_ORACLE_CELLS`` rows.
+    qfim deltas always compare the theta-parametrized matrix, ``f_st`` on
+    its Cauchy-Schwarz scale ``sqrt(F_ss F_tt)`` of the oracle (it falls far
+    below both, as ~1e-66 at ``s = 35 sigma``, and a relative delta would
+    read the grid's round-off); ``f_tt`` and ``f_st`` are left blank where
+    ``sin(theta) = 0``, where the closed form is the continuous extension
+    and the oracle the pointwise QFI of a pure state."""
     grid_kw = {"n_points": spec.grid_points, "halfwidth": spec.grid_halfwidth}
+    columns.update((name, np.full(columns["s"].size, np.nan)) for name in DELTA_FIELDS)
     for part in np.split(rows, range(_ORACLE_CELLS, rows.size, _ORACLE_CELLS)):
         s, thetas = columns["s"][part], columns["theta"][part]
         if spec.mode == "single":
@@ -379,8 +378,9 @@ def _rel_delta(analytic, numeric, scale):
 def worst_oracle_delta(table: SweepTable) -> tuple[float, int | None, str | None]:
     """Largest populated oracle delta with the index of the row it sits on
     and its element (``f_tot``, ``f_ss``, ...); ``(0.0, None, None)`` if
-    none are populated."""
-    deltas = np.stack([table.columns[name] for name in DELTA_FIELDS])
+    none are populated or the table has no delta columns."""
+    blank = np.full(len(table), np.nan)
+    deltas = np.stack([table.columns.get(name, blank) for name in DELTA_FIELDS])
     if np.isnan(deltas).all():
         return 0.0, None, None
     k, i = np.unravel_index(np.nanargmax(deltas), deltas.shape)
@@ -423,39 +423,39 @@ def figure_preset(name: str) -> list[SweepSpec]:
     return presets[name]
 
 
-def emit(table: SweepTable, fmt: str, destination: str | Path | IO[str],
-         include_deltas: bool = False) -> None:
+def emit(table: SweepTable, fmt: str, destination: str | Path | IO[str]) -> None:
     """Write a table's rows as CSV (17-significant-digit scientific notation) or
-    JSON (array of objects, unpopulated keys absent).  Output is
-    byte-identical across runs for identical inputs."""
+    JSON (array of objects, unpopulated keys absent): the ``CSV_FIELDS``, the
+    ``DELTA_FIELDS`` where the table holds them, and each row's status.
+    Output is byte-identical across runs for identical inputs."""
     if fmt not in FORMATS:
         raise DomainError(f"format must be one of {FORMATS}, got {fmt!r}")
     if hasattr(destination, "write"):
-        _emit_stream(table, fmt, destination, include_deltas)
+        _emit_stream(table, fmt, destination)
         return
     path = Path(destination)
     try:
         with open(path, "w", newline="") as fh:
-            _emit_stream(table, fmt, fh, include_deltas)
+            _emit_stream(table, fmt, fh)
     except OSError as exc:
         raise OSError(f"cannot write sweep output to {path}: {exc}") from exc
 
 
-def _emit_stream(table: SweepTable, fmt: str, fh: IO[str], include_deltas: bool) -> None:
-    names = CSV_FIELDS + (DELTA_FIELDS if include_deltas else ())
+def _emit_stream(table: SweepTable, fmt: str, fh: IO[str]) -> None:
+    names = CSV_FIELDS + (DELTA_FIELDS if DELTA_FIELDS[0] in table.columns else ())
     columns = [table.axes.get(name, table.columns[name]) for name in names]
     if fmt == "csv":
         fh.write(",".join(names + ("status",)) + "\n")
-        write_rows(fh, columns, table.status, e16_cells, E16_SLOT, [b""] * len(names), b",",
-                   b"", lambda st: st.encode() + b"\n")
+        write_rows(fh, columns, table.reach, e16_cells, E16_SLOT, [b""] * len(names), b",",
+                   b"", [st.encode() + b"\n" for st in _STATUS])
     elif not len(table):
         fh.write("[]\n")
     else:
         # the layout of json.dump(..., indent=2): each row opens with the
         # ",\n" that ends the row before it, which the first row drops
         fh.write("[\n")
-        write_rows(fh, columns, table.status, repr_cells, REPR_SLOT,
+        write_rows(fh, columns, table.reach, repr_cells, REPR_SLOT,
                    [f'    "{name}": '.encode() for name in names], b",\n", b",\n  {\n",
-                   lambda st: b'    "status": ' + json.dumps(st).encode() + b"\n  }",
+                   [f'    "status": "{st}"\n  }}'.encode() for st in _STATUS],
                    drop_blank=True, lead=2)
         fh.write("\n]\n")

@@ -218,20 +218,22 @@ def commutator_expectation(p) -> float:
     return float(np.trace(rho4(p) @ (l_s @ l_t - l_t @ l_s)))
 
 
-def cell_by_cell_text(table, fmt: str, include_deltas: bool) -> str:
+def cell_by_cell_text(table, fmt: str) -> str:
     """What ``emit`` must write for a ``SweepTable``, built one cell at a
-    time: ``f"{v:.16e}"`` CSV cells, or ``json.dumps(..., indent=2)``; NaN
-    and inf cells blank."""
-    names = CSV_FIELDS + (DELTA_FIELDS if include_deltas else ())
+    time: the ``CSV_FIELDS``, and the ``DELTA_FIELDS`` where the table holds
+    them, as ``f"{v:.16e}"`` CSV cells or ``json.dumps(..., indent=2)``;
+    NaN and inf cells blank."""
+    names = CSV_FIELDS + tuple(n for n in DELTA_FIELDS if n in table.columns)
     columns = [table.columns[n].tolist() for n in names]
     cells = [{n: v for n, v in zip(names, row) if math.isfinite(v)}
              for row in zip(*columns)]
+    status = ["ok" if r else "out_of_reach" for r in table.reach.tolist()]
     if fmt == "json":
-        return json.dumps([{**c, "status": st} for c, st in zip(cells, table.status)],
+        return json.dumps([{**c, "status": st} for c, st in zip(cells, status)],
                           indent=2) + "\n"
     return ",".join(names + ("status",)) + "\n" + "".join(
         ",".join(f"{c[n]:.16e}" if n in c else "" for n in names) + f",{st}\n"
-        for c, st in zip(cells, table.status))
+        for c, st in zip(cells, status))
 
 
 def cell_texts(cells, values) -> tuple[list[str], np.ndarray]:

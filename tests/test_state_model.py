@@ -266,7 +266,7 @@ class TestSpectral:
         assert weighted_fi_reconstruct(p) == weighted_fi_reconstruct(near)
         spec = SweepSpec(mode="qfim", nuisance="theta", s_range=(s, s, 1),
                          nuisance_range=(0.0, math.pi / 2, 3), sigma=sigma)
-        assert run_sweep(spec).status == ["ok"] * 3
+        assert run_sweep(spec).reach.tolist() == [True] * 3
 
     def test_norms_match_mpmath_on_log_grid(self):
         # measured worst: a3^2 3.0e-10 (s ~ 0.1, just above the series
@@ -321,7 +321,7 @@ def test_every_concurrence_path_applies_one_reach_rule(s, k):
     for mode in ("single", "qfim"):
         spec = SweepSpec(mode=mode, nuisance="concurrence", s_range=(s, s, 1),
                          nuisance_range=(c, c, 1))
-        verdicts.append(run_sweep(spec).status == ["ok"])
+        verdicts.append(run_sweep(spec).reach.tolist() == [True])
     assert verdicts == [k < 5e-13] * 6
 
 

@@ -52,9 +52,16 @@ def small_single_spec(**kw):
 
 def table_of(*rows):
     """A ``SweepTable`` of ``rows``, each a dict of its populated cells,
-    every one with status ok."""
+    every one in reach; it has delta columns where a row names a delta."""
+    names = CSV_FIELDS + (DELTA_FIELDS if any(n in r for r in rows for n in DELTA_FIELDS)
+                          else ())
     return SweepTable({n: np.array([r.get(n, math.nan) for r in rows], dtype=float)
-                       for n in CSV_FIELDS + DELTA_FIELDS}, ["ok"] * len(rows))
+                       for n in names}, np.ones(len(rows), bool))
+
+
+def status_of(table):
+    """The status each row of ``table`` is emitted with."""
+    return np.where(table.reach, "ok", "out_of_reach").tolist()
 
 
 class TestSweepSpec:
@@ -87,6 +94,9 @@ class TestSweepSpec:
             dict(s_range=("0.1", 1.0, 3)),
             dict(grid_halfwidth="5", oracle=True),
             dict(s_range=(0.1, 1.0)),
+            # one point, several steps: every row came out that many times
+            dict(s_range=(1.0, 1.0, 3)),
+            dict(nuisance_range=(0.5, 0.5, 2)),
         ],
     )
     def test_rejects_invalid(self, kw):
@@ -128,7 +138,8 @@ class TestRunSweep:
         )
         table = run_sweep(spec)
         assert len(table) == 6
-        marked = np.array(table.status) == "out_of_reach"
+        assert table.reach.dtype == bool
+        marked = ~table.reach
         assert marked.sum() == 5                      # C_max(0.3) ~ 0.149
         assert np.isnan(table.columns["f_tot"][marked]).all()
         assert not np.isnan(table.columns["C"][marked]).any()
@@ -138,7 +149,7 @@ class TestRunSweep:
         spec = small_single_spec(nuisance="concurrence", s_range=(0.0, 0.0, 1),
                                  nuisance_range=(0.0, 1e-170, 3))
         table = run_sweep(spec)
-        assert table.status == ["ok", "out_of_reach", "out_of_reach"]
+        assert table.reach.tolist() == [True, False, False]
         assert table.columns["f_tot"][0] == f_tot_coherence(0.0, 1.0, 1.0).f_tot
 
     def test_theta_nuisance(self):
@@ -172,7 +183,7 @@ class TestRunSweep:
                          s_range=(1.0, 1.0, 1),
                          nuisance_range=(c_max, c_max, 1))
         table = run_sweep(spec)
-        assert table.status == ["ok"]
+        assert table.reach.tolist() == [True]
         assert not math.isnan(table.columns["h_s"][0]) and math.isnan(table.columns["f_tt"][0])
 
     def test_qfim_underflowing_lambda1_takes_the_limit(self):
@@ -222,6 +233,25 @@ class TestRunSweep:
         assert table.columns["delta_" + element][at] == worst
         assert worst_oracle_delta(run_sweep(small_single_spec())) == (0.0, None, None)
 
+    @pytest.mark.parametrize("oracle", [False, True])
+    @pytest.mark.parametrize("mode", ["single", "qfim"])
+    def test_delta_columns_only_with_the_oracle(self, mode, oracle):
+        spec = small_single_spec(mode=mode, s_range=(0.5, 2.5, 2), nuisance_range=(0.0, 0.9, 2),
+                                 oracle=oracle)
+        table = run_sweep(spec)
+        assert set(table.columns) == set(CSV_FIELDS + (DELTA_FIELDS if oracle else ()))
+        header = emitted(table, "csv").splitlines()[0].split(",")
+        assert len(header) == (17 if oracle else 13) and header[-1] == "status"
+
+    @pytest.mark.parametrize("mode", ["single", "qfim"])
+    def test_columns_never_computed_are_read_only(self, mode):
+        columns = run_sweep(small_single_spec(mode=mode)).columns
+        never = ("f_ss", "f_tt", "f_st", "h_s", "h_nuisance") if mode == "single" else ("f_tot",)
+        for name in never:
+            assert np.isnan(columns[name]).all()
+            with pytest.raises(ValueError, match="read-only"):
+                columns[name][0] = 1.0
+
     @pytest.mark.parametrize("mode", ["verify", "single"])
     def test_oracle_calls_of_bounded_size_match_one_call(self, mode, monkeypatch):
         from superres import sweep as sweep_mod
@@ -270,7 +300,7 @@ class TestEmit:
         data = json.loads(out.read_text())
         assert len(data) == len(table)
         for i, obj in enumerate(data):
-            assert obj["status"] == table.status[i]
+            assert obj["status"] == status_of(table)[i]
             for name in CSV_FIELDS:
                 v = float(table.columns[name][i])
                 if math.isnan(v):
@@ -372,6 +402,38 @@ class TestCli:
     def test_unresolved_cells_exit_code(self, argv, capsys):
         assert main(argv) == 2
         assert "do not resolve" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, code", [
+        # s / sigma overflows to inf, where the far-separation limit holds:
+        # numpy's overflow warning went to stderr
+        (["single", "--s-min", "1e308", "--s-max", "1.7e308", "--sigma", "0.5",
+          "--s-steps", "2", "--n-steps", "2"], 0),
+        # likewise, then "do not resolve": the warning, raised, was a traceback
+        (["figure", "fig2a", "--sigma", "1e-308", "--s-steps", "2", "--n-steps", "2"], 2),
+    ], ids=["single", "fig2a"])
+    def test_overflowing_separation_warns_nothing(self, argv, code, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == code
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert err == ""
+            rows = [row.split(",") for row in out.splitlines()[1:]]
+            assert [(row[CSV_FIELDS.index("f_tot")], row[-1]) for row in rows] == [
+                ("1.0000000000000000e+00", "ok")] * 4
+        else:
+            assert err.startswith("superres: error: the closed forms do not resolve")
+
+    @pytest.mark.parametrize("argv", [
+        ["single", "--s-min", "1", "--s-max", "1", "--s-steps", "3", "--n-steps", "2"],
+        ["single", "--n-min", "0.5", "--n-max", "0.5", "--n-steps", "2", "--s-steps", "2"],
+        ["figure", "fig1c", "--s-steps", "3", "--n-steps", "2"],
+    ], ids=["s", "nuisance", "fig1c"])
+    def test_one_point_axis_with_several_steps_exit_code(self, argv, capsys):
+        # every row came out once per step, with exit 0
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "-range with max = min must have 1 step" in err
 
     def test_verify_where_the_grid_samples_no_psf(self, capsys):
         # the grid spacing is ~490 sigma at s = 1e6: no sample reached the
@@ -630,7 +692,7 @@ class TestKernelMatchesScalarApi:
                  for nu in np.linspace(*spec.nuisance_range)]
         assert len(table) == len(cells)
         rows = zip(*(table.columns[name].tolist() for name in CSV_FIELDS))
-        for row, status, (s, nu) in zip(rows, table.status, cells):
+        for row, status, (s, nu) in zip(rows, status_of(table), cells):
             rec = dict(zip(CSV_FIELDS, row))
             want_status, want = scalar_cell(spec, s, nu)
             assert status == want_status and rec["s"] == s and rec["sigma"] == spec.sigma
@@ -647,20 +709,22 @@ class TestKernelMatchesScalarApi:
                     assert got == pytest.approx(want[name], rel=tol, abs=0.0), where
 
 
-def mixed_table():
+def mixed_table(oracle=True):
     """Every row shape a table holds: in-reach and out-of-reach rows, the
-    gamma = 1 column, an oracle delta, and an infinite cell."""
-    qfim_block = run_sweep(SweepSpec(mode="qfim", nuisance="coherence",
+    gamma = 1 column, an infinite cell and, with the oracle, its deltas."""
+    qfim_block = run_sweep(SweepSpec(mode="qfim", nuisance="coherence", oracle=oracle,
                                      s_range=(0.5, 2.0, 2), nuisance_range=(0.0, 1.0, 3)))
-    single_block = run_sweep(small_single_spec(nuisance="concurrence",
+    single_block = run_sweep(small_single_spec(nuisance="concurrence", oracle=oracle,
                                                s_range=(0.3, 0.3, 1),
                                                nuisance_range=(0.0, 0.5, 3)))
-    extra = table_of(dict(s=1.0, sigma=1.0, h_s=0.125, h_nuisance=math.inf, delta_f_ss=3e-9))
+    extra = table_of(dict(s=1.0, sigma=1.0, h_s=0.125, h_nuisance=math.inf,
+                          **({"delta_f_ss": 3e-9} if oracle else {})))
     return SweepTable.concat([qfim_block, single_block, extra])
 
 
 def read_back(path, fmt):
-    """Columns of an emitted file (NaN for blank cells) and its statuses."""
+    """Columns of an emitted file with delta columns (NaN for blank cells)
+    and its statuses."""
     names = CSV_FIELDS + DELTA_FIELDS
     if fmt == "csv":
         header, *rows = [line.split(",") for line in path.read_text().splitlines()]
@@ -677,11 +741,11 @@ class TestSweepTable:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_round_trip_through_emit(self, tmp_path, fmt):
         table = mixed_table()
-        assert set(table.status) == {"ok", "out_of_reach"}
+        assert set(table.reach.tolist()) == {True, False}
         out = tmp_path / f"table.{fmt}"
-        emit(table, fmt, out, include_deltas=True)
+        emit(table, fmt, out)
         cols, status = read_back(out, fmt)
-        assert status == table.status
+        assert status == status_of(table)
         for name in CSV_FIELDS + DELTA_FIELDS:
             col = table.columns[name]
             np.testing.assert_array_equal(cols[name], np.where(np.isfinite(col), col, np.nan))
@@ -708,15 +772,15 @@ class TestSweepTable:
             "0.0,", "-0.0,"] * 3
         assert [math.copysign(1.0, row["f_st"]) for row in json.loads(text)] == [1.0, -1.0] * 3
 
-    @pytest.mark.parametrize("include_deltas", [False, True])
-    def test_bytes_match_cell_by_cell_formatting(self, tmp_path, include_deltas):
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_bytes_match_cell_by_cell_formatting(self, tmp_path, oracle):
         """Whole-row templates write what per-cell formatting and json.dump
         write."""
-        table = mixed_table()
+        table = mixed_table(oracle)
         for fmt in ("csv", "json"):
             out = tmp_path / f"rows.{fmt}"
-            emit(table, fmt, out, include_deltas=include_deltas)
-            assert out.read_text() == cell_by_cell_text(table, fmt, include_deltas)
+            emit(table, fmt, out)
+            assert out.read_text() == cell_by_cell_text(table, fmt)
 
     @pytest.mark.parametrize("source, fmt", [
         *((name, "csv") for name in ("fig1a", "fig1b", "fig1c", "fig2a", "fig2b")),
@@ -735,54 +799,52 @@ class TestSweepTable:
                 spec, s_range=spec.s_range[:2] + (min(spec.s_range[2], 50),),
                 nuisance_range=spec.nuisance_range[:2] + (50,)))
                 for spec in figure_preset(source))
-        include_deltas = source == "verify"
         out = tmp_path / f"{source}.{fmt}"
-        emit(table, fmt, out, include_deltas=include_deltas)
-        assert out.read_text() == cell_by_cell_text(table, fmt, include_deltas)
+        emit(table, fmt, out)
+        assert out.read_text() == cell_by_cell_text(table, fmt)
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_chunk_edges_match_cell_by_cell_formatting(self, offset):
         """Tables one row short of, at, and one row past a chunk of each
         format, with and without deltas."""
         for fmt, slot in (("csv", float_text.E16_SLOT), ("json", float_text.REPR_SLOT)):
-            for include_deltas in (False, True):
-                names = CSV_FIELDS + (DELTA_FIELDS if include_deltas else ())
+            for oracle in (False, True):
+                names = CSV_FIELDS + (DELTA_FIELDS if oracle else ())
                 rows = float_text.CHUNK_BYTES // (len(names) * slot) + offset
                 rng = np.random.default_rng(rows)
                 pool = np.concatenate([
                     rng.standard_normal(64) * 10.0 ** rng.integers(-30, 30, 64),
                     [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300]])
-                table = SweepTable(
-                    {n: rng.choice(pool, rows) for n in CSV_FIELDS + DELTA_FIELDS},
-                    # statuses with a '%', a NUL and a two-byte character
-                    rng.choice(["ok", "out_of_reach", "50%s", "n\x00\u00e9"], rows).tolist())
+                table = SweepTable({n: rng.choice(pool, rows) for n in names},
+                                   rng.random(rows) < 0.5)
                 out = io.StringIO()
-                emit(table, fmt, out, include_deltas=include_deltas)
-                assert out.getvalue() == cell_by_cell_text(table, fmt, include_deltas)
+                emit(table, fmt, out)
+                assert out.getvalue() == cell_by_cell_text(table, fmt)
 
     @pytest.mark.parametrize("kind", ["all-out-of-reach", "empty", "all-blank"])
     def test_edge_tables_match_cell_by_cell_formatting(self, kind):
         if kind == "all-out-of-reach":
             table = run_sweep(SweepSpec(mode="single", nuisance="concurrence", oracle=True,
                                         s_range=(0.01, 0.02, 3), nuisance_range=(0.5, 1.0, 4)))
-            assert set(table.status) == {"out_of_reach"}
+            assert not table.reach.any()
         elif kind == "empty":
             table = table_of()
         else:
             table = SweepTable({n: np.full(3, math.nan) for n in CSV_FIELDS + DELTA_FIELDS},
-                               ["", "ok", "out_of_reach"])
+                               np.array([False, True, False]))
+        without_deltas = SweepTable({n: table.columns[n] for n in CSV_FIELDS}, table.reach)
         for fmt in ("csv", "json"):
-            for include_deltas in (False, True):
+            for each in (table, without_deltas):
                 out = io.StringIO()
-                emit(table, fmt, out, include_deltas=include_deltas)
-                assert out.getvalue() == cell_by_cell_text(table, fmt, include_deltas)
+                emit(each, fmt, out)
+                assert out.getvalue() == cell_by_cell_text(each, fmt)
 
     def test_infinite_cells_have_no_json_key(self):
         table = table_of(dict(s=1.0, sigma=1.0, f_st=math.inf),
                          dict(s=2.0, sigma=1.0, f_st=-math.inf, h_s=0.5))
         out = io.StringIO()
         emit(table, "json", out)
-        assert out.getvalue() == cell_by_cell_text(table, "json", False)
+        assert out.getvalue() == cell_by_cell_text(table, "json")
         assert [sorted(row) for row in json.loads(out.getvalue())] == [
             ["s", "sigma", "status"], ["h_s", "s", "sigma", "status"]]
 
@@ -796,9 +858,9 @@ def preset_table(name, steps=50):
         for spec in figure_preset(name))
 
 
-def emitted(table, fmt, include_deltas=False):
+def emitted(table, fmt):
     out = io.StringIO()
-    emit(table, fmt, out, include_deltas=include_deltas)
+    emit(table, fmt, out)
     return out.getvalue()
 
 
@@ -808,14 +870,14 @@ class TestAxisColumns:
     blank on every row no slot.  The bytes are those of the same table
     without axis data, and of per-cell formatting."""
 
-    def check(self, table, include_deltas=False, formats=("csv", "json")):
+    def check(self, table, formats=("csv", "json")):
         for name, (values, index) in table.axes.items():
             np.testing.assert_array_equal(table.columns[name], values[index], err_msg=name)
-        plain = SweepTable(table.columns, table.status)
+        plain = SweepTable(table.columns, table.reach)
         for fmt in formats:
-            text = emitted(table, fmt, include_deltas)
-            assert text == emitted(plain, fmt, include_deltas)
-            assert text == cell_by_cell_text(table, fmt, include_deltas)
+            text = emitted(table, fmt)
+            assert text == emitted(plain, fmt)
+            assert text == cell_by_cell_text(table, fmt)
 
     @pytest.mark.parametrize("source, fmt", [
         *((name, "csv") for name in ("fig1a", "fig1b", "fig1c", "fig2a", "fig2b")),
@@ -829,7 +891,7 @@ class TestAxisColumns:
         else:
             table = preset_table(source)
         assert {"s", "sigma", "d"} <= set(table.axes)
-        self.check(table, include_deltas=source == "verify", formats=(fmt,))
+        self.check(table, formats=(fmt,))
 
     def test_one_index_per_axis(self):
         axes = run_sweep(SweepSpec(mode="qfim", nuisance="coherence",
@@ -862,9 +924,9 @@ class TestAxisColumns:
             **block(nuisance, u, *rest), "f_tot": u * 2.0})
         table = run_sweep(small_single_spec(nuisance="concurrence",
                                             nuisance_range=(0.0, 1.0, 6)))
-        assert set(table.status) == {"ok", "out_of_reach"}
+        assert set(table.reach.tolist()) == {True, False}
         assert set(table.axes) == {"s", "sigma", "C", "d"}
-        assert np.isnan(table.columns["f_tot"][np.array(table.status) == "out_of_reach"]).all()
+        assert np.isnan(table.columns["f_tot"][~table.reach]).all()
         self.check(table)
         coherence = run_sweep(small_single_spec())
         assert "f_tot" in coherence.axes
@@ -880,9 +942,9 @@ class TestAxisColumns:
         for name, (values, at) in axes.items():
             columns[name] = values[at]
         columns["f_ss"] = np.array([0.25, math.nan, 1e-300, -0.0, math.inf, 3.0])
-        table = SweepTable(columns, ["ok", "x", "ok", "ok", "y", "ok"], axes)
-        for include_deltas in (False, True):
-            self.check(table, include_deltas)
+        for names in (CSV_FIELDS, CSV_FIELDS + DELTA_FIELDS):
+            self.check(SweepTable({n: columns[n] for n in names},
+                                  np.array([True, False, True, True, False, True]), axes))
 
     @pytest.mark.parametrize("blank", [
         ("s", "sigma"), ("f_tot", "f_tt"), ("h_s", "h_nuisance"),
@@ -900,9 +962,10 @@ class TestAxisColumns:
         axes = {n: (columns[n][::3].copy(), index) for n in ("s", "sigma", "C") if n not in blank}
         for name, (values, at) in axes.items():
             columns[name] = values[at]
-        table = SweepTable(columns, ["ok", "out_of_reach", "ok"] * 3, axes)
-        for include_deltas in (False, True):
-            self.check(table, include_deltas)
+        reach = np.array([True, False, True] * 3)
+        for names in (CSV_FIELDS + DELTA_FIELDS, CSV_FIELDS):
+            table = SweepTable({n: columns[n] for n in names}, reach, axes)
+            self.check(table)
         if blank == CSV_FIELDS + DELTA_FIELDS:
             assert emitted(table, "csv").splitlines()[1] == "," * len(CSV_FIELDS) + "ok"
 
