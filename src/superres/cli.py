@@ -21,6 +21,7 @@ import sys
 
 from . import sweep as sweep_mod
 from .errors import ConfigurationError, DomainError
+from .numeric_oracle import GRID_POINTS
 from .sweep import (
     SweepSpec,
     SweepTable,
@@ -80,7 +81,7 @@ def _add_common(parser: argparse.ArgumentParser, mode: str) -> None:
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
     parser.add_argument("--oracle", action="store_true",
                         help="attach brute-force comparison deltas")
-    parser.add_argument("--grid-points", type=int, default=4096)
+    parser.add_argument("--grid-points", type=int, default=GRID_POINTS)
     parser.add_argument("--grid-halfwidth", type=float, default=None)
 
 
@@ -137,7 +138,6 @@ def _spec_from_args(args, mode: str) -> SweepSpec:
         mode=mode,
         nuisance=args.nuisance,
         sigma=args.sigma,
-        phi=args.phi,
         s_range=_range_from_args(args, s_default, "s"),
         nuisance_range=_range_from_args(args, n_default, "n"),
         oracle=args.oracle or mode == "verify",
@@ -152,10 +152,11 @@ def main(argv=None) -> int:
     out = sys.stdout if args.out is None else args.out
     _keep_freed_heap()
     try:
+        # every command runs closed forms; only the oracle's API takes a phase
+        if args.phi != 0.0:
+            raise DomainError(f"closed-form sweeps require phi = 0, got phi = {args.phi}")
         if args.command == "figure":
             blocks = figure_preset(args.preset)
-            if args.phi != 0.0:
-                raise DomainError("figure presets require phi = 0")
             fixed = [f"--{name.replace('_', '-')}" for name in _PRESET_FIXED
                      if getattr(args, name) is not None]
             if fixed:

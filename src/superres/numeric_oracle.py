@@ -37,6 +37,17 @@ from .errors import ConfigurationError, DomainError
 from .qfim_two_param import Qfim2
 from .state_model import ModelParams, _require_s_sigma
 
+GRID_POINTS = 4096      # the grid size wherever none is given
+
+
+def _check_grid(n_points: int, halfwidth: float | None) -> None:
+    """The grid rule: ``n_points`` a power of two, at least 1024, and
+    ``halfwidth`` positive and finite, or ``None`` for the default."""
+    if n_points < 1024 or (n_points & (n_points - 1)) != 0:
+        raise ConfigurationError(f"n_points must be a power of two >= 1024, got {n_points}")
+    if halfwidth is not None and not (0.0 < halfwidth < math.inf):
+        raise ConfigurationError(f"halfwidth must be positive and finite, got {halfwidth}")
+
 
 @dataclass
 class Grid:
@@ -48,19 +59,13 @@ class Grid:
     """
 
     halfwidth: float
-    n_points: int = 4096
+    n_points: int = GRID_POINTS
     x: np.ndarray = field(init=False, repr=False)
     weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.n_points
-        if n < 1024 or (n & (n - 1)) != 0:
-            raise ConfigurationError(
-                f"n_points must be a power of two >= 1024, got {n}"
-            )
-        if not (0.0 < self.halfwidth < math.inf):
-            raise ConfigurationError(
-                f"halfwidth must be positive and finite, got {self.halfwidth}")
+        _check_grid(n, self.halfwidth)
         self.x = np.linspace(-self.halfwidth, self.halfwidth, n)
         w = np.full(n, self.spacing)
         w[0] *= 0.5
@@ -78,7 +83,7 @@ class Grid:
         return self.halfwidth >= 8.0 * sigma + s
 
 
-def default_grid(s: float, sigma: float, n_points: int = 4096,
+def default_grid(s: float, sigma: float, n_points: int = GRID_POINTS,
                  halfwidth: float | None = None) -> Grid:
     """Grid wide enough for sources at separation ``s``: halfwidth 8 sigma + s."""
     return Grid(halfwidth=8.0 * sigma + s if halfwidth is None else halfwidth,
@@ -89,8 +94,7 @@ def _psf(x: np.ndarray, sigma: float) -> np.ndarray:
     return (2.0 * math.pi * sigma * sigma) ** (-0.25) * np.exp(-x * x / (4.0 * sigma * sigma))
 
 
-def _fitted_grid(s: float, sigma: float, n_points: int = 4096,
-                 halfwidth: float | None = None) -> Grid:
+def _fitted_grid(s: float, sigma: float, n_points: int, halfwidth: float | None) -> Grid:
     """:func:`default_grid` for sources at separation ``s``, after checking
     ``(s, sigma)`` by the model's range rule and the grid's margin; every
     oracle entry point goes through it."""
@@ -163,8 +167,8 @@ def _cell_samples(s, thetas, sigma: float, n_points: int, halfwidth: float | Non
 
 
 @np.errstate(all="ignore")     # non-finite results end in _resolved
-def numeric_qfim_cells(s, sigma: float, thetas, phi: float = 0.0, n_points: int = 4096,
-                       halfwidth: float | None = None):
+def numeric_qfim_cells(s, sigma: float, thetas, phi: float = 0.0,
+                       n_points: int = GRID_POINTS, halfwidth: float | None = None):
     """QFIM arrays ``(f_ss, f_tt, f_st)`` at every cell of ``s`` and
     ``thetas`` broadcast together, in one call; see :func:`numeric_qfim`.
 
@@ -229,7 +233,7 @@ def numeric_qfim_cells(s, sigma: float, thetas, phi: float = 0.0, n_points: int 
                      _sld_sum(lam1, lam2, w22, ds, dt))
 
 
-def numeric_qfim(p: ModelParams, n_points: int = 4096,
+def numeric_qfim(p: ModelParams, n_points: int = GRID_POINTS,
                  halfwidth: float | None = None) -> Qfim2:
     """QFIM for (s, theta) from the exact derivatives of the projected
     density matrix and the spectral SLD sum over its support and kernel.
@@ -249,7 +253,7 @@ def numeric_qfim(p: ModelParams, n_points: int = 4096,
 
 
 @np.errstate(all="ignore")     # non-finite results end in _resolved
-def numeric_concurrence(p: ModelParams, n_points: int = 4096,
+def numeric_concurrence(p: ModelParams, n_points: int = GRID_POINTS,
                         halfwidth: float | None = None) -> float:
     """Concurrence of the unit-norm two-source state, ``2 sqrt(det rho_aux)``
     (Hill and Wootters, PRL 78, 5022 (1997)), from the ``R`` of
@@ -280,7 +284,7 @@ def _branch_fi(a: np.ndarray, da: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(all="ignore")     # non-finite results end in _resolved
-def _numeric_f_tot(s, sigma: float, thetas, n_points: int = 4096,
+def _numeric_f_tot(s, sigma: float, thetas, n_points: int = GRID_POINTS,
                    halfwidth: float | None = None):
     """Grid reconstruction of the weighted FI ``N1 F1 + N2 F2`` (the oracle
     side of single mode) at every cell of ``s`` and ``thetas`` broadcast

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import DomainError
 from .fisher_single import _EPS, _f_tot_form
 from .float_text import E16_SLOT, REPR_SLOT, e16_cells, repr_cells, write_rows
-from .numeric_oracle import _numeric_f_tot, numeric_qfim_cells
+from .numeric_oracle import GRID_POINTS, _check_grid, _numeric_f_tot, numeric_qfim_cells
 from .qfim_two_param import (
     _below_floor,
     _chart_singular,
@@ -79,17 +79,17 @@ def _require_real(name: str, value) -> None:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Validated description of one sweep block; ``dataclasses.replace``
+    """Validated description of one sweep block, the grid options by the
+    oracle's grid rule whether or not the oracle runs; ``dataclasses.replace``
     derives a variant and validates it again."""
 
     mode: str
     nuisance: str = "coherence"
     sigma: float = 1.0
-    phi: float = 0.0
     s_range: tuple[float, float, int] | None = None         # default_ranges
     nuisance_range: tuple[float, float, int] | None = None  # default_ranges
     oracle: bool = False
-    grid_points: int = 4096
+    grid_points: int = GRID_POINTS
     grid_halfwidth: float | None = None
 
     def __post_init__(self):
@@ -104,13 +104,10 @@ class SweepSpec:
             )
         _require_real("sigma", self.sigma)
         _require_s_sigma(0.0, self.sigma)       # the s axis has its own checks below
-        if self.phi != 0.0:
-            raise DomainError(
-                f"closed-form sweeps require phi = 0, got phi = {self.phi}"
-            )
         _require_int("grid_points", self.grid_points)
         if self.grid_halfwidth is not None:
             _require_real("grid_halfwidth", self.grid_halfwidth)
+        _check_grid(self.grid_points, self.grid_halfwidth)
         for name, rng in (("s", self.s_range), ("nuisance", self.nuisance_range)):
             try:
                 lo, hi, steps = rng
@@ -152,7 +149,8 @@ class SweepTable:
     ``axes`` maps a field that varies along one sweep axis alone (or not at
     all) to ``(values, index)`` with ``columns[name] == values[index]``;
     fields on one axis share its index array.  Emit formats such values
-    once.  A table without it is emitted the same."""
+    once.  A table without it is emitted the same; only :func:`_kernel`
+    builds it."""
 
     def __init__(self, columns: dict[str, np.ndarray], reach: np.ndarray,
                  axes: dict[str, tuple[np.ndarray, np.ndarray]] | None = None):
@@ -162,25 +160,13 @@ class SweepTable:
 
     @classmethod
     def concat(cls, tables: Iterable[SweepTable]) -> SweepTable:
-        """The rows of ``tables`` in order, in the first one's columns; a
-        field on an axis in every table stays on one, its index offset by the
-        values of the tables before."""
+        """A lone table itself; else the rows of ``tables`` in order, in the
+        first one's columns, with no axes."""
         tables = list(tables)
         if len(tables) == 1:
             return tables[0]
-        columns = {name: np.concatenate([t.columns[name] for t in tables])
-                   for name in tables[0].columns}
-        axes, indices = {}, {}
-        for name in [n for n in tables[0].axes if all(n in t.axes for t in tables[1:])]:
-            parts = [t.axes[name] for t in tables]
-            # fields that share their index in every table share it here too
-            key = tuple((id(index), values.size) for values, index in parts)
-            if key not in indices:
-                offsets = np.cumsum([0] + [values.size for values, _ in parts[:-1]])
-                indices[key] = np.concatenate([index + at for (_, index), at
-                                               in zip(parts, offsets.tolist())])
-            axes[name] = (np.concatenate([values for values, _ in parts]), indices[key])
-        return cls(columns, np.concatenate([t.reach for t in tables]), axes)
+        return cls({name: np.concatenate([t.columns[name] for t in tables])
+                    for name in tables[0].columns}, np.concatenate([t.reach for t in tables]))
 
     def __len__(self) -> int:
         return self.reach.size
@@ -280,7 +266,7 @@ def _kernel(spec: SweepSpec) -> tuple[dict[str, np.ndarray], dict[str, tuple]]:
     the theta-chart QFIM the oracle compares (``_``-prefixed); and, for the
     fields computed on one axis alone or as a constant, their ``(values,
     index)`` (see :class:`SweepTable`), read off the shapes they broadcast
-    from.
+    from: where a row is out of reach, only for the fields kept there.
     """
     s = np.linspace(*spec.s_range)[:, None]
     nu = np.linspace(*spec.nuisance_range)[None, :]
@@ -302,9 +288,12 @@ def _kernel(spec: SweepSpec) -> tuple[dict[str, np.ndarray], dict[str, tuple]]:
     if spec.nuisance == "concurrence":
         cells["C"] = nu                       # the request, also out of reach
     shape = (s.size, nu.size)
+    # an out-of-reach row blanks the fields not kept there
+    all_reach = bool(np.all(cells["_reach"]))
     axes, indices = {}, {}
     for name, v in cells.items():
-        if name in CSV_FIELDS and np.size(v) < s.size * nu.size:
+        if (name in CSV_FIELDS and np.size(v) < s.size * nu.size
+                and (all_reach or name in _KEPT_OUT_OF_REACH)):
             if np.shape(v) not in indices:
                 index = np.empty(shape, np.intp)
                 index[...] = np.arange(np.size(v)).reshape(np.shape(v))
@@ -339,9 +328,6 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
                    for name, v in cells.items() if name in CSV_FIELDS)
     if spec.oracle:
         _attach_deltas(spec, columns, cells, np.flatnonzero(reach))
-    # an out-of-reach row blanks the fields not kept there
-    if not reach.all():
-        axes = {name: ax for name, ax in axes.items() if name in _KEPT_OUT_OF_REACH}
     return SweepTable(columns, reach, axes)
 
 

@@ -13,6 +13,7 @@ import pytest
 
 from helpers import SRC_ENV, cell_by_cell_text, e16_cell_texts, repr_cell_texts
 from superres import (
+    ConfigurationError,
     DomainError,
     ModelParams,
     OutOfReachError,
@@ -78,7 +79,6 @@ class TestSweepSpec:
             dict(nuisance="purity"),
             dict(s_range=(-0.5, 1.0, 3)),
             dict(sigma=0.0),
-            dict(phi=0.3),
             dict(s_range=(1.0, 0.5, 5)),
             dict(s_range=(0.5, 2.0, 0)),
             dict(nuisance_range=(-0.2, 1.0, 5)),
@@ -101,6 +101,16 @@ class TestSweepSpec:
     )
     def test_rejects_invalid(self, kw):
         with pytest.raises(DomainError):
+            small_single_spec(**kw)
+
+    @pytest.mark.parametrize("kw", [
+        dict(grid_points=7), dict(grid_points=512), dict(grid_points=4095),
+        dict(grid_halfwidth=-1.0), dict(grid_halfwidth=0.0), dict(grid_halfwidth=math.nan),
+        dict(grid_halfwidth=math.inf), dict(grid_points=64, oracle=True),
+    ])
+    def test_rejects_grids_the_oracle_rejects(self, kw):
+        # the oracle's grid rule, whether or not the oracle runs
+        with pytest.raises(ConfigurationError):
             small_single_spec(**kw)
 
     def test_frozen_and_revalidated_on_replace(self):
@@ -379,6 +389,25 @@ class TestCli:
     def test_domain_error_exit_code(self, capsys):
         assert main(["single", "--phi", "0.4"]) == 2
         assert "phi" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["single"], ["qfim"], ["verify"], ["figure", "fig1c"]])
+    def test_every_command_rejects_phi(self, command, capsys):
+        # figure presets said "figure presets require phi = 0"
+        assert main([*command, "--phi", "0.1"]) == 2
+        assert capsys.readouterr() == (
+            "", "superres: error: closed-form sweeps require phi = 0, got phi = 0.1\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["single", "--grid-points", "7"], "n_points must be a power of two >= 1024, got 7"),
+        (["single", "--grid-halfwidth", "-1"], "halfwidth must be positive and finite, got -1.0"),
+        (["qfim", "--grid-halfwidth", "nan"], "halfwidth must be positive and finite, got nan"),
+    ], ids=["single-points", "single-halfwidth", "qfim-halfwidth"])
+    def test_grid_options_are_checked_without_the_oracle(self, argv, message, capsys):
+        # these exited 0 with the options unused, and 2 with --oracle
+        for oracle in ([], ["--oracle"]):
+            assert main([*argv, *oracle, "--s-steps", "2", "--n-steps", "2"]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err == f"superres: error: {message}\n"
 
     @pytest.mark.parametrize("argv", [
         # 1 - d^2 underflows: f_ss used to be blank on status=ok rows
@@ -890,7 +919,8 @@ class TestAxisColumns:
                                         nuisance_range=(0.0, math.pi / 2, 12)))
         else:
             table = preset_table(source)
-        assert {"s", "sigma", "d"} <= set(table.axes)
+        if source != "fig1c":       # a table joined from several blocks has no axes
+            assert {"s", "sigma", "d"} <= set(table.axes)
         self.check(table, formats=(fmt,))
 
     def test_one_index_per_axis(self):
@@ -906,12 +936,15 @@ class TestAxisColumns:
     def test_concat(self):
         coherence, concurrence = (run_sweep(dataclasses.replace(spec, nuisance_range=(
             *spec.nuisance_range[:2], 7))) for spec in figure_preset("fig1c"))
+        # every preset goes through concat, so a lone table keeps its axes
         assert SweepTable.concat([coherence]) is coherence
-        table = SweepTable.concat([coherence, concurrence, coherence])
-        assert set(table.axes) == {"s", "sigma", "d"}
-        values, index = table.axes["s"]
-        assert values.tolist() == [0.3] * 3 and index.tolist() == [0] * 7 + [1] * 7 + [2] * 7
-        assert table.axes["d"][1] is index
+        assert {"s", "sigma", "d"} <= set(coherence.axes)
+        blocks = [coherence, concurrence, coherence]
+        table = SweepTable.concat(blocks)
+        assert table.axes == {}
+        for name, column in table.columns.items():
+            np.testing.assert_array_equal(column, np.concatenate([t.columns[name] for t in blocks]))
+        assert table.reach.tolist() == sum((t.reach.tolist() for t in blocks), [])
         self.check(table)
 
     def test_out_of_reach_rows_keep_only_the_kept_fields_on_an_axis(self, monkeypatch):
