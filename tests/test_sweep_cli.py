@@ -392,7 +392,7 @@ class TestCli:
 
     @pytest.mark.parametrize("command", [["single"], ["qfim"], ["verify"], ["figure", "fig1c"]])
     def test_every_command_rejects_phi(self, command, capsys):
-        # figure presets said "figure presets require phi = 0"
+        # one check in cli.main, before any command runs
         assert main([*command, "--phi", "0.1"]) == 2
         assert capsys.readouterr() == (
             "", "superres: error: closed-form sweeps require phi = 0, got phi = 0.1\n")
