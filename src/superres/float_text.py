@@ -1,7 +1,8 @@
 """Float arrays to text at numpy speed for sweep emit: ``'%.16e' % v`` (CSV)
-and ``repr(v)`` (JSON) into byte slots, where an error bound proves a cell's
-text (Python formats the others), and ``write_rows``, which lays the slots out
-as one byte matrix per chunk and writes the bytes that are not ``DROP``.
+and ``repr(v)`` (JSON) into 24-byte slots, where an error bound proves a
+cell's text (Python formats the others), and ``write_rows``, which lays each
+column's slots out with its key and separator, one byte matrix per chunk,
+and writes the bytes that are not ``DROP``.
 
 A column given as values and a row index (a sweep field that is constant or
 varies along one axis alone, such as ``sigma``, ``s``, ``d`` or the
@@ -17,19 +18,26 @@ import numpy as np
 
 # the byte of a slot or row that no text writes: UTF-8 never holds it
 DROP = 0xFF
-# A chunk holds 144 kB of cell slots (512 CSV or 256 JSON rows of 12 slots,
-# more rows of fewer), and its temporaries ~1 MB, which the allocator reuses from chunk to chunk.
+# a cell's slot: the longest text of either format, "-1.2345678901234567e-308"
+SLOT = 24
+# A chunk holds 144 kB of cell slots (512 rows of 12 slots, more rows of
+# fewer), and its temporaries 1-1.4 MB, which the allocator reuses from chunk to chunk.
 # 4096-row CSV chunks (a whole 50 x 50 preset) raised the peak memory of
 # `superres figure` by 15 % and were slower for the fresh pages they touch.
-CHUNK_BYTES = 512 * 12 * 24
+CHUNK_BYTES = 512 * 12 * SLOT
 
 
-def write_rows(fh: IO[str], columns: list, reach: np.ndarray, cells, slot: int,
+def chunk_rows(slots: int) -> int:
+    """The rows ``write_rows`` writes per chunk for rows of ``slots`` slots."""
+    return max(1, CHUNK_BYTES // (max(1, slots) * SLOT))
+
+
+def write_rows(fh: IO[str], columns: list, reach: np.ndarray, cells,
                prefixes: list[bytes], sep: bytes, head: bytes, status: list[bytes],
                drop_blank: bool = False, lead: int = 0) -> None:
     """Write rows a chunk at a time, as one ``(rows, width)`` byte matrix.
-    A row holds ``head``; per column its prefix, a slot of ``slot`` bytes
-    for ``cells``' text of a finite cell, and ``sep``; then ``status[1]``
+    A row holds ``head``; per column its prefix, a ``SLOT``-byte slot for
+    ``cells``' text of a finite cell, and ``sep``; then ``status[1]``
     where the bool ``reach`` holds, else ``status[0]``.  A non-finite cell
     writes none of its slot, with ``drop_blank`` neither its prefix nor its
     separator, and the first row not the first ``lead`` bytes of its head.
@@ -50,12 +58,13 @@ def write_rows(fh: IO[str], columns: list, reach: np.ndarray, cells, slot: int,
             carry += prefix + sep
     per_cell = [j for j, column in enumerate(slotted) if not isinstance(column, tuple)]
     on_axis = [j for j, column in enumerate(slotted) if isinstance(column, tuple)]
-    pad = max(map(len, slot_prefixes), default=0)  # prefixes end where the slot starts
-    segments = np.full((len(slotted), pad + slot + len(sep)), DROP, np.uint8)
-    for j, prefix in enumerate(slot_prefixes):
-        segments[j, pad - len(prefix):pad] = np.frombuffer(prefix, np.uint8)
-    segments[:, pad + slot:] = np.frombuffer(sep, np.uint8)
-    row = np.concatenate([np.frombuffer(head, np.uint8), segments.ravel()])
+    # each slotted column is one segment of the row, edges[j]:edges[j + 1]:
+    # its prefix, its slot from slots[j] on, and the separator
+    segments = [np.frombuffer(prefix + b"\xff" * SLOT + sep, np.uint8)
+                for prefix in slot_prefixes]
+    edges = np.cumsum([len(head)] + [seg.size for seg in segments]).tolist()
+    slots = [edges[j] + len(prefix) for j, prefix in enumerate(slot_prefixes)]
+    row = np.concatenate([np.frombuffer(head, np.uint8)] + segments)
     encoded = [carry + text for text in status]
     width = max(map(len, encoded))
     texts = np.frombuffer(b"".join(raw.ljust(width, b"\xff") for raw in encoded),
@@ -64,9 +73,10 @@ def write_rows(fh: IO[str], columns: list, reach: np.ndarray, cells, slot: int,
 
     def chunk_text(rows: slice) -> str:
         reach_here = reach[rows]
-        values = np.empty((reach_here.size, len(per_cell)))
+        # one column after another, so that each column's text is one run
+        values = np.empty((len(per_cell), reach_here.size))
         for i, j in enumerate(per_cell):
-            values[:, i] = slotted[j][rows]
+            values[i] = slotted[j][rows]
         finite = np.isfinite(values)
         fresh = values[finite]
         if rows.start == 0:
@@ -78,8 +88,9 @@ def write_rows(fh: IO[str], columns: list, reach: np.ndarray, cells, slot: int,
             at = fresh.size
             for j, ok in zip(on_axis, axis_shown):
                 axis_values, index = slotted[j]
-                seg = np.repeat(segments[j:j + 1], axis_values.size, axis=0)
-                seg[ok, pad:pad + slot] = text[at:at + np.count_nonzero(ok)]
+                seg = np.repeat(segments[j][None], axis_values.size, axis=0)
+                lo = slots[j] - edges[j]
+                seg[ok, lo:lo + SLOT] = text[at:at + np.count_nonzero(ok)]
                 at += np.count_nonzero(ok)
                 if drop_blank:
                     seg[~ok] = DROP
@@ -92,23 +103,27 @@ def write_rows(fh: IO[str], columns: list, reach: np.ndarray, cells, slot: int,
         matrix = np.frombuffer(buffer, np.uint8).reshape(reach_here.size, -1)
         if row.size:                          # a CSV row of blank columns has none
             _runs(matrix[:, :row.size])[:] = _runs(row)
-        # the cell region as (rows, columns, prefix + slot + separator)
-        region = matrix[:, len(head):row.size].reshape((reach_here.size,) + segments.shape)
-        shown = np.zeros(region.shape[:2], bool)
-        shown[:, per_cell] = finite
-        _runs(region[..., pad:pad + slot])[shown] = _runs(text[:fresh.size])
+        at = 0
+        for i, j in enumerate(per_cell):
+            shown = finite[i]
+            count = np.count_nonzero(shown)
+            cell = _runs(matrix[:, slots[j]:slots[j] + SLOT])
+            if count == shown.size:           # a plain copy is faster than a masked one
+                cell[:] = _runs(text[at:at + count])
+            else:
+                cell[shown] = _runs(text[at:at + count])
+                if drop_blank:
+                    matrix[~shown, edges[j]:edges[j + 1]] = DROP
+            at += count
         del text                              # before the text is copied out
         for j, seg, index in gathered:
-            _runs(region[:, j])[:] = seg.take(index[rows])
-        if drop_blank:
-            shown[:, on_axis] = True
-            region[~shown] = DROP
+            _runs(matrix[:, edges[j]:edges[j + 1]])[:] = seg.take(index[rows])
         _runs(matrix[:, row.size:])[:] = _runs(texts).take(reach_here)
         if rows.start == 0:
             matrix[0, :lead] = DROP
         return buffer.translate(None, b"\xff").decode()
 
-    step = max(1, CHUNK_BYTES // (max(1, len(slotted)) * slot))
+    step = chunk_rows(len(slotted))
     for lo in range(0, reach.size, step):
         fh.write(chunk_text(slice(lo, lo + step)))
 
@@ -139,13 +154,16 @@ _SPLIT = 134217729.0      # 2**27 + 1, Dekker's splitter
 # (2**-47 more) and compare with interval half-widths of at most 12,
 # computed to a relative 2**-51: the same margin covers them.
 _MARGIN = 2.0**-40
-E16_SLOT = 24     # the longest '%.16e' text: "-d.dddddddddddddddde-ddd"
-# The JSON slot holds every byte that any of repr's layouts writes, in order:
-# the sign, "0.000", the 17 digits each with a point after it, two unused
-# bytes, and "e+0ddd" (the exponent's digits a uint32 at an aligned offset).
-# A layout's slot holds its constant bytes, DROP, and 0 where the digits go.
-REPR_SLOT = 48
-_REPR_BYTES = b"\x000.000" + b"\x00." * 17 + b"\x00\x00e" + b"\x00" * 5
+# repr_cells writes a cell's digits into a 48-byte union of every byte that
+# any of repr's layouts writes, in order: the sign, "0.000", the 17 digits
+# each with a point after it, two bytes no layout writes, and "e+0ddd" (the
+# exponent's digits a uint32 at an aligned offset).  The cell's text is the
+# bytes of its layout gathered from there, the rest of its slot DROP read
+# from _UNWRITTEN.  Bytes, not an array, until a call: an array made at
+# import raised the peak memory of point queries, which never emit.
+_UNION = b"-0.000" + b"0." * 17 + b"\xff\xffe+0000"
+_UNWRITTEN = 40
+_GATHER_CELLS = 1024      # a gather's int64 index then takes 192 kB
 _MANTISSA = 2**52 - 1
 
 
@@ -182,7 +200,7 @@ def e16_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     top = digits == _TEN17                    # 1.0000000000000000e+(k + 1)
     digits[top] = _TEN16
     k += top
-    text = np.empty((values.size, E16_SLOT), np.uint8)
+    text = np.empty((values.size, SLOT), np.uint8)
     text[:, 0] = np.where(np.signbit(values), ord("-"), DROP)
     text[:, 1] = digits // _TEN16 + (ord("0") - zero)
     text[:, 2], text[:, 19] = ord("."), ord("e")
@@ -196,18 +214,25 @@ def e16_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def repr_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``repr(v)`` of every float in the 1-D ``values``, as ``e16_cells``
-    gives ``'%.16e' % v``: ``(n, 48)`` slots and the mask of the certified
-    cells, with the digits of ``_shortest_digits`` in repr's layout: fixed
-    notation for ``1e-4 <= |x| < 1e16``, else ``1e-05`` and ``1.5e+16``."""
+    gives ``'%.16e' % v``, but left-aligned in its slot: ``(n, 24)`` slots and
+    the mask of the certified cells, with the digits of ``_shortest_digits``
+    in repr's layout: fixed notation for ``1e-4 <= |x| < 1e16``, else
+    ``1e-05`` and ``1.5e+16``."""
     digits, k, n, zero, sure = _shortest_digits(values)
-    text = np.zeros((values.size, REPR_SLOT), np.uint8)
-    text[:, 0] = np.where(np.signbit(values), ord("-"), DROP)
-    text[:, 6] = digits // _TEN16 + (ord("0") - zero)
-    _runs(text[:, 8:40])[:] = _runs(_digit_pairs().take(_quad_groups(digits)))
-    text[:, 43] = np.where(k < 0, ord("-"), ord("+"))
-    _runs(text[:, 44:])[:] = _runs(_digit_quads().take(np.abs(k))[:, None])
+    union = np.empty((values.size, len(_UNION)), np.uint8)
+    _runs(union)[:] = _runs(np.frombuffer(_UNION, np.uint8))
+    union[:, 6] = digits // _TEN16 + (ord("0") - zero)
+    _runs(union[:, 8:40])[:] = _runs(_digit_pairs().take(_quad_groups(digits)))
+    union[:, 43] = np.where(k < 0, ord("-"), ord("+"))
+    _runs(union[:, 44:])[:] = _runs(_digit_quads().take(np.abs(k))[:, None])
     layout = np.where((k >= -4) & (k < 16), k, 16 + (np.abs(k) >= 100))
-    text |= _repr_layouts().take((layout + 4) * 17 + n - 1, axis=0)
+    row = (np.signbit(values) * 22 + layout + 4) * 17 + n - 1
+    text = np.empty((values.size, SLOT), np.uint8)
+    for lo in range(0, values.size, _GATHER_CELLS):
+        block = union[lo:lo + _GATHER_CELLS]
+        index = _repr_layouts().take(row[lo:lo + _GATHER_CELLS], axis=0)
+        index += np.arange(0, block.size, len(_UNION))[:, None]
+        block.ravel().take(index, out=text[lo:lo + _GATHER_CELLS])
     _format_rest(values, ~sure, repr, text)
     return text, sure
 
@@ -264,25 +289,33 @@ def _clear(a: np.ndarray, b) -> np.ndarray:
 
 @functools.cache
 def _repr_layouts() -> np.ndarray:
-    """The JSON slot of each layout, row ``(e + 4) * 17 + n - 1`` for ``n``
-    digits: fixed notation with decimal exponent ``e`` in ``[-4, 15]``, or
-    scientific with a two- (``e = 16``) or three-digit (``e = 17``) exponent."""
+    """The union offsets of each layout's text in order, then ``_UNWRITTEN``:
+    row ``(sign * 22 + e + 4) * 17 + n - 1`` for ``n`` digits, without or with
+    the sign, in fixed notation with decimal exponent ``e`` in ``[-4, 15]``,
+    or scientific with a two- (``e = 16``) or three-digit (``e = 17``)
+    exponent.  Built from the three notations' closed forms, in a few array
+    operations: every ``superres`` command imports afresh."""
     e = np.arange(-4, 18)[:, None, None]
     n = np.arange(1, 18)[:, None]
-    digit = np.arange(17)
-    sci = e > 15
-    keep = np.zeros((22, 17, REPR_SLOT), bool)
-    keep[..., 0] = True                                   # the sign, ORed in
-    keep[..., 1:3] = e < 0                                # "0." ...
-    keep[..., 3:6] = np.arange(3) < -1 - e                # ... and its zeros
+    j = np.arange(SLOT)                               # the text's bytes
+    small, fixed, sci = e[:4], e[4:20], e[20:]
+    # "0.", then -1 - e zeros, then the digits
+    below = np.where(j < 1 - small, j + 1, 2 * (j + small) + 4)
+    # the digits with a point after the (e + 1)th
+    point = 2 * j + 6 - 2 * (j > fixed) + (j == fixed + 1)
+    # a digit, the point and the others if n > 1, then "e+dd" or "e+ddd"
+    m = np.where(n > 1, n + 1, 1)
+    tail = np.array([[42, 43, 46, 47, _UNWRITTEN], [42, 43, 45, 46, 47]])
+    exp = np.where(j < m, np.where(j < 2, j + 6, 2 * j + 4), tail[:, np.clip(j - m, 0, 4)])
+    offsets = np.concatenate([np.broadcast_to(below, (4, 17, SLOT)),
+                              np.broadcast_to(point, (16, 17, SLOT)), exp])
     # fixed notation writes at least one digit past the point: "123.0"
-    last = np.where(sci | (e < 0), n - 1, np.maximum(n - 1, e + 1))
-    keep[..., 6:40:2] = digit <= last
-    keep[..., 7:40:2] = np.where(sci, (digit == 0) & (n > 1), digit == e)
-    keep[..., 42:44] = keep[..., 46:] = sci
-    keep[..., 45] = e[..., 0] == 17
-    slot = np.frombuffer(_REPR_BYTES, np.uint8)
-    return np.where(keep, slot, DROP).astype(np.uint8).reshape(-1, REPR_SLOT)
+    length = np.concatenate([np.broadcast_to(n + 1 - small, (4, 17, 1)),
+                             np.maximum(n + 1, fixed + 3), m + 4 + (sci == 17)])
+    offsets = np.where(j < length, offsets, _UNWRITTEN).reshape(-1, SLOT)
+    # with the sign: "-", then the same bytes one place on
+    signed = np.concatenate([np.zeros_like(offsets[:, :1]), offsets[:, :-1]], axis=1)
+    return np.concatenate([offsets, signed])
 
 
 def _format_rest(values: np.ndarray, todo: np.ndarray, fmt, text: np.ndarray) -> None:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fisher_single import _EPS, _f_tot_form
-from .float_text import E16_SLOT, REPR_SLOT, e16_cells, repr_cells, write_rows
+from .float_text import e16_cells, repr_cells, write_rows
 from .numeric_oracle import GRID_POINTS, _check_grid, _numeric_f_tot, numeric_qfim_cells
 from .qfim_two_param import (
     _below_floor,
@@ -385,28 +385,29 @@ def figure_preset(name: str) -> list[SweepSpec]:
     """
     n = 200
     s_rng = (1e-3, 5.0, n)
+    # each preset is built, and its specs checked, only when it is asked for
     presets = {
-        "fig1a": [SweepSpec(mode="single", nuisance="concurrence",
-                            s_range=s_rng, nuisance_range=(0.0, 1.0, n))],
-        "fig1b": [SweepSpec(mode="single", nuisance="coherence",
-                            s_range=s_rng, nuisance_range=(0.0, 1.0, n))],
-        "fig1c": [
+        "fig1a": lambda: [SweepSpec(mode="single", nuisance="concurrence",
+                                    s_range=s_rng, nuisance_range=(0.0, 1.0, n))],
+        "fig1b": lambda: [SweepSpec(mode="single", nuisance="coherence",
+                                    s_range=s_rng, nuisance_range=(0.0, 1.0, n))],
+        "fig1c": lambda: [
             SweepSpec(mode="single", nuisance="coherence",
                       s_range=(0.3, 0.3, 1), nuisance_range=(0.0, 1.0, n)),
             SweepSpec(mode="single", nuisance="concurrence",
                       s_range=(0.3, 0.3, 1),
                       nuisance_range=(0.0, concurrence_max(0.3, 1.0), n)),
         ],
-        "fig2a": [SweepSpec(mode="qfim", nuisance="concurrence",
-                            s_range=s_rng, nuisance_range=(0.0, 1.0, n))],
-        "fig2b": [SweepSpec(mode="qfim", nuisance="coherence",
-                            s_range=s_rng, nuisance_range=(0.0, 1.0, n))],
+        "fig2a": lambda: [SweepSpec(mode="qfim", nuisance="concurrence",
+                                    s_range=s_rng, nuisance_range=(0.0, 1.0, n))],
+        "fig2b": lambda: [SweepSpec(mode="qfim", nuisance="coherence",
+                                    s_range=s_rng, nuisance_range=(0.0, 1.0, n))],
     }
     if name not in presets:
         raise DomainError(
             f"unknown figure preset {name!r}; available: {', '.join(sorted(presets))}"
         )
-    return presets[name]
+    return presets[name]()
 
 
 def emit(table: SweepTable, fmt: str, destination: str | Path | IO[str]) -> None:
@@ -432,15 +433,15 @@ def _emit_stream(table: SweepTable, fmt: str, fh: IO[str]) -> None:
     columns = [table.axes.get(name, table.columns[name]) for name in names]
     if fmt == "csv":
         fh.write(",".join(names + ("status",)) + "\n")
-        write_rows(fh, columns, table.reach, e16_cells, E16_SLOT, [b""] * len(names), b",",
-                   b"", [st.encode() + b"\n" for st in _STATUS])
+        write_rows(fh, columns, table.reach, e16_cells, [b""] * len(names), b",", b"",
+                   [st.encode() + b"\n" for st in _STATUS])
     elif not len(table):
         fh.write("[]\n")
     else:
         # the layout of json.dump(..., indent=2): each row opens with the
         # ",\n" that ends the row before it, which the first row drops
         fh.write("[\n")
-        write_rows(fh, columns, table.reach, repr_cells, REPR_SLOT,
+        write_rows(fh, columns, table.reach, repr_cells,
                    [f'    "{name}": '.encode() for name in names], b",\n", b",\n  {\n",
                    [f'    "status": "{st}"\n  }}'.encode() for st in _STATUS],
                    drop_blank=True, lead=2)

@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import io
 import json
 import math
@@ -344,7 +345,21 @@ class TestFigurePresets:
     def test_unknown_preset_lists_options(self):
         with pytest.raises(DomainError) as err:
             figure_preset("fig9")
-        assert "fig1a" in str(err.value) and "fig2b" in str(err.value)
+        assert str(err.value) == ("unknown figure preset 'fig9'; "
+                                  "available: fig1a, fig1b, fig1c, fig2a, fig2b")
+
+    def test_builds_only_the_named_preset(self, monkeypatch):
+        built = []
+        check = SweepSpec.__post_init__
+        monkeypatch.setattr(SweepSpec, "__post_init__",
+                            lambda spec: built.append(spec.nuisance) or check(spec))
+        figure_preset("fig2b")
+        assert built == ["coherence"]
+        figure_preset("fig1c")
+        assert built == ["coherence", "coherence", "concurrence"]
+        with pytest.raises(DomainError):
+            figure_preset("fig9")
+        assert len(built) == 3
 
     def test_fig1c_blocks(self):
         blocks = figure_preset("fig1c")
@@ -835,11 +850,12 @@ class TestSweepTable:
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_chunk_edges_match_cell_by_cell_formatting(self, offset):
         """Tables one row short of, at, and one row past a chunk of each
-        format, with and without deltas."""
-        for fmt, slot in (("csv", float_text.E16_SLOT), ("json", float_text.REPR_SLOT)):
+        format, with and without deltas: every column holds a finite cell,
+        so each has a slot and ``chunk_rows`` of them sets the chunk."""
+        for fmt in ("csv", "json"):
             for oracle in (False, True):
                 names = CSV_FIELDS + (DELTA_FIELDS if oracle else ())
-                rows = float_text.CHUNK_BYTES // (len(names) * slot) + offset
+                rows = float_text.chunk_rows(len(names)) + offset
                 rng = np.random.default_rng(rows)
                 pool = np.concatenate([
                     rng.standard_normal(64) * 10.0 ** rng.integers(-30, 30, 64),
@@ -1113,6 +1129,48 @@ class TestJsonCells:
         fallback = [abs(v) < 1e-280 and v != 0.0 or abs(v) > 1e280 or abs(v) == 1e23
                     for v in values]
         assert (sure == ~np.array(fallback)).all()
+
+    @staticmethod
+    def digits(v):
+        """The decimal exponent and the count of shortest digits of repr(v)."""
+        shortest = decimal.Decimal(repr(abs(v))).normalize()
+        return shortest.adjusted(), len(shortest.as_tuple().digits)
+
+    @classmethod
+    def with_digits(cls, e, n):
+        """The first float from ``n`` digits 1234567891... up whose repr has
+        decimal exponent ``e`` and ``n`` digits."""
+        m = int(("123456789" * 2)[:n])
+        while cls.digits(v := float(f"{m}e{e - n + 1}")) != (e, n):
+            m += 1
+        return v
+
+    def test_one_value_per_layout(self):
+        """repr's every layout, with and without the sign: 1 to 17 digits in
+        fixed notation with exponent -4 to 15, or in scientific notation with
+        a two- or three-digit exponent of either sign; rows such as 1e15 ->
+        "1000000000000000.0" that random floats seldom reach."""
+        exponents = [*range(-4, 16), -5, 16, -99, 99, -100, 100, -308, 308]
+        values = [s * self.with_digits(e, n) for e in exponents for n in range(1, 18)
+                  for s in (1.0, -1.0)]
+
+        def layout(v):
+            e, n = self.digits(v)
+            return v < 0, e if -4 <= e <= 15 else len(str(abs(e))), n
+
+        assert {layout(v) for v in values} == {
+            (sign, kind, n) for sign in (False, True) for n in range(1, 18)
+            for kind in (*range(-4, 16), 2, 3)}
+        values += [0.0, -0.0, 5e-324]
+        texts, _ = repr_cell_texts(values)
+        assert texts == [repr(v) for v in values]
+        assert "1000000000000000.0" in texts
+        assert max(map(len, texts)) == float_text.SLOT       # "-1.2345678912345683e-308"
+        # each text starts its slot: the bytes no text writes all follow it
+        slots, _ = float_text.repr_cells(np.array(values))
+        written = slots != float_text.DROP
+        assert (written.sum(axis=1) == [len(t) for t in texts]).all()
+        assert (written[:, :-1] >= written[:, 1:]).all()
 
     def test_powers_of_two(self):
         values = [2.0**k for k in range(-1074, 1024)]
