@@ -26,7 +26,6 @@ from .sweep import (
     SweepSpec,
     SweepTable,
     VERIFY_TOLERANCE,
-    default_ranges,
     emit,
     figure_preset,
     worst_oracle_delta,
@@ -63,29 +62,28 @@ def _keep_freed_heap() -> None:
         mallopt(_M_MMAP_THRESHOLD, 32 << 20)
 
 
-def _add_common(parser: argparse.ArgumentParser, mode: str) -> None:
-    parser.add_argument("--sigma", type=float, default=1.0, help="PSF width (default 1)")
-    parser.add_argument("--phi", type=float, default=0.0,
-                        help="auxiliary relative phase; closed forms require 0")
-    # a preset fixes its own axis; None tells an option given from one left out
-    parser.add_argument("--nuisance", choices=sweep_mod.NUISANCES,
-                        default={"verify": "theta", "figure": None}.get(mode, "coherence"),
-                        help="second sweep axis")
-    parser.add_argument("--s-min", type=float, default=None)
-    parser.add_argument("--s-max", type=float, default=None)
-    parser.add_argument("--s-steps", type=int, default=None)
-    parser.add_argument("--n-min", type=float, default=None)
-    parser.add_argument("--n-max", type=float, default=None)
-    parser.add_argument("--n-steps", type=int, default=None)
-    parser.add_argument("--format", choices=sweep_mod.FORMATS, default="csv")
-    parser.add_argument("--out", default=None, help="output path (default: stdout)")
-    parser.add_argument("--oracle", action="store_true",
-                        help="attach brute-force comparison deltas")
-    parser.add_argument("--grid-points", type=int, default=GRID_POINTS)
-    parser.add_argument("--grid-halfwidth", type=float, default=None)
+def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
+    """The options ``command`` reads: a figure preset fixes its nuisance axis
+    and ranges, and verify its nuisance and the oracle."""
+    add = parser.add_argument
+    add("--sigma", type=float, default=1.0, help="PSF width (default 1)")
+    if command in ("single", "qfim"):
+        add("--nuisance", choices=sweep_mod.NUISANCES, default="coherence",
+            help="second sweep axis")
+    for axis in ("s", "n"):
+        if command != "figure":
+            add(f"--{axis}-min", type=float)
+            add(f"--{axis}-max", type=float)
+        add(f"--{axis}-steps", type=int)
+    add("--format", choices=sweep_mod.FORMATS, default="csv")
+    add("--out", help="output path (default: stdout)")
+    if command != "verify":
+        add("--oracle", action="store_true", help="attach brute-force comparison deltas")
+    add("--grid-points", type=int, default=GRID_POINTS)
+    add("--grid-halfwidth", type=float)
 
 
-_COMMANDS = sweep_mod.MODES + ("figure",)
+_COMMANDS = ("single", "qfim", "verify", "figure")
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -109,41 +107,42 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     else:
         sub = parser.add_subparsers(dest="command", required=True)
         commands = _COMMANDS
-    for mode in commands:
-        p = sub.add_parser(mode, formatter_class=formatter)
-        if mode == "figure":
+    for name in commands:
+        p = sub.add_parser(name, formatter_class=formatter)
+        if name == "figure":
             p.add_argument("preset", help="fig1a | fig1b | fig1c | fig2a | fig2b")
-        _add_common(p, mode)
+        _add_options(p, name)
     return parser
 
-
-# the figure options a preset sets itself
-_PRESET_FIXED = ("nuisance", "s_min", "s_max", "n_min", "n_max")
 
 # verify samples a coarse grid away from the theta = 0 corner
 _VERIFY_RANGES = (0.5, 3.0, 4), (math.pi / 8, _HALF_PI, 4)
 
 
-def _range_from_args(args, defaults, prefix: str, keys=("min", "max", "steps")):
-    """``defaults`` with the ``--<prefix>-<key>`` options that were given."""
-    given = {k: getattr(args, f"{prefix}_{k}") for k in keys}
-    return tuple(d if given.get(k) is None else given[k]
-                 for d, k in zip(defaults, ("min", "max", "steps")))
+def _range_from_args(args, defaults, prefix: str):
+    """``defaults`` with the ``--<prefix>-<key>`` options the command has and
+    was given."""
+    given = (getattr(args, f"{prefix}_{key}", None) for key in ("min", "max", "steps"))
+    return tuple(d if g is None else g for d, g in zip(defaults, given))
 
 
-def _spec_from_args(args, mode: str) -> SweepSpec:
-    s_default, n_default = (_VERIFY_RANGES if mode == "verify"
-                            else default_ranges(args.nuisance))
-    return SweepSpec(
-        mode=mode,
-        nuisance=args.nuisance,
-        sigma=args.sigma,
-        s_range=_range_from_args(args, s_default, "s"),
-        nuisance_range=_range_from_args(args, n_default, "n"),
-        oracle=args.oracle or mode == "verify",
-        grid_points=args.grid_points,
-        grid_halfwidth=args.grid_halfwidth,
-    )
+def _blocks(args) -> list[SweepSpec]:
+    """The sweep blocks of a command, with the options it was given: a
+    figure's preset, verify's theta-chart qfim block with the oracle on, or a
+    single or qfim block over its nuisance's default ranges."""
+    if args.command == "figure":
+        blocks = figure_preset(args.preset)
+    elif args.command == "verify":
+        blocks = [SweepSpec(mode="qfim", nuisance="theta", oracle=True,
+                            s_range=_VERIFY_RANGES[0], nuisance_range=_VERIFY_RANGES[1])]
+    else:
+        blocks = [SweepSpec(mode=args.command, nuisance=args.nuisance)]
+    return [dataclasses.replace(
+        spec, sigma=args.sigma, oracle=spec.oracle or getattr(args, "oracle", False),
+        grid_points=args.grid_points, grid_halfwidth=args.grid_halfwidth,
+        s_range=_range_from_args(args, spec.s_range, "s"),
+        nuisance_range=_range_from_args(args, spec.nuisance_range, "n"))
+        for spec in blocks]
 
 
 def main(argv=None) -> int:
@@ -152,28 +151,7 @@ def main(argv=None) -> int:
     out = sys.stdout if args.out is None else args.out
     _keep_freed_heap()
     try:
-        # every command runs closed forms; only the oracle's API takes a phase
-        if args.phi != 0.0:
-            raise DomainError(f"closed-form sweeps require phi = 0, got phi = {args.phi}")
-        if args.command == "figure":
-            blocks = figure_preset(args.preset)
-            fixed = [f"--{name.replace('_', '-')}" for name in _PRESET_FIXED
-                     if getattr(args, name) is not None]
-            if fixed:
-                raise DomainError(f"figure presets fix {', '.join(fixed)}; "
-                                  "only the step counts can be changed")
-            blocks = [dataclasses.replace(
-                spec, sigma=args.sigma, oracle=args.oracle,
-                grid_points=args.grid_points, grid_halfwidth=args.grid_halfwidth,
-                s_range=_range_from_args(args, spec.s_range, "s", keys=("steps",)),
-                nuisance_range=_range_from_args(args, spec.nuisance_range, "n",
-                                                keys=("steps",)))
-                for spec in blocks]
-            emit(SweepTable.concat(map(run_sweep, blocks)), args.format, out)
-            return 0
-
-        spec = _spec_from_args(args, args.command)
-        table = run_sweep(spec)
+        table = SweepTable.concat(map(run_sweep, _blocks(args)))
         if args.command == "verify":
             worst, at, element = worst_oracle_delta(table)
             ok = worst < VERIFY_TOLERANCE

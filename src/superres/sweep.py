@@ -1,6 +1,7 @@
-"""Parameter sweeps over (separation, nuisance) with nuisance one of theta,
-concurrence, or coherence; figure-preset grids, oracle comparison, and
-deterministic CSV/JSON emission.
+"""Parameter sweeps in two modes, ``single`` (``F_tot``) and ``qfim`` (the
+QFIM and precisions), over (separation, nuisance) with nuisance one of
+theta, concurrence, or coherence; figure-preset grids, oracle comparison,
+and deterministic CSV/JSON emission.
 
 Sweeps walk the Cartesian product of the two axes in s-major order.
 Concurrence requests beyond the reachable maximum at a given separation are
@@ -45,7 +46,7 @@ from .qfim_two_param import (
 from .state_model import (_OM_MIN, _angle_terms, _mode_norms, _out_of_reach,
                           _require_s_sigma, _separation_terms, concurrence_max)
 
-MODES = ("single", "qfim", "verify")
+MODES = ("single", "qfim")
 NUISANCES = ("theta", "concurrence", "coherence")
 FORMATS = ("csv", "json")
 CSV_FIELDS = (
@@ -81,7 +82,9 @@ def _require_real(name: str, value) -> None:
 class SweepSpec:
     """Validated description of one sweep block, the grid options by the
     oracle's grid rule whether or not the oracle runs; ``dataclasses.replace``
-    derives a variant and validates it again."""
+    derives a variant and validates it again.  ``mode`` is ``single``
+    (``F_tot``) or ``qfim`` (the QFIM and precisions; ``superres verify`` runs
+    a theta-chart qfim block with the oracle on)."""
 
     mode: str
     nuisance: str = "coherence"
@@ -126,7 +129,7 @@ class SweepSpec:
                 raise DomainError(f"{name}-range with max = min must have 1 step, got {rng}")
         if self.s_range[0] < 0.0:
             raise DomainError(f"s-range must be nonnegative, got {self.s_range}")
-        if self.mode in ("qfim", "verify") and self.s_range[0] <= 0.0:
+        if self.mode == "qfim" and self.s_range[0] <= 0.0:
             raise DomainError("qfim/verify sweeps require s > 0 (start at e.g. 1e-3)")
         nu_lo, nu_hi, _ = self.nuisance_range
         if self.nuisance == "theta" and not (0.0 <= nu_lo and nu_hi <= _HALF_PI):
@@ -135,9 +138,6 @@ class SweepSpec:
             raise DomainError(f"coherence range must lie in [0, 1], got {self.nuisance_range}")
         if self.nuisance == "concurrence" and nu_lo < 0.0:
             raise DomainError(f"concurrence range must be nonnegative, got {self.nuisance_range}")
-        if self.mode == "verify" and self.nuisance != "theta":
-            raise DomainError("verify mode compares the theta-parametrized matrix; "
-                              "use --nuisance theta")
 
 
 class SweepTable:

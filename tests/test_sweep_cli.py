@@ -40,6 +40,9 @@ from superres.cli import main
 from superres import float_text
 from superres.sweep import CSV_FIELDS, DELTA_FIELDS, worst_oracle_delta
 
+# the usage line that argparse's errors about an option open with
+USAGE = "usage: superres [-h] {single,qfim,verify,figure} ...\n"
+
 
 def small_single_spec(**kw):
     base = dict(
@@ -122,9 +125,10 @@ class TestSweepSpec:
         with pytest.raises(DomainError):
             dataclasses.replace(spec, s_range=(0.5, 2.0, 0))
 
-    def test_verify_forces_theta(self):
-        with pytest.raises(DomainError):
-            SweepSpec(mode="verify", nuisance="coherence", s_range=(0.5, 1.0, 2))
+    def test_verify_is_not_a_mode(self):
+        # the verify command runs a qfim block in the theta chart with the oracle
+        with pytest.raises(DomainError, match="^mode must be one of "):
+            SweepSpec(mode="verify", nuisance="theta", s_range=(0.5, 1.0, 2))
 
 
 class TestRunSweep:
@@ -233,7 +237,7 @@ class TestRunSweep:
             run_sweep(small_single_spec(sigma=1e-160))
 
     def test_oracle_deltas(self):
-        spec = SweepSpec(mode="verify", nuisance="theta",
+        spec = SweepSpec(mode="qfim", nuisance="theta",
                          s_range=(1.0, 2.0, 2),
                          nuisance_range=(math.pi / 4, math.pi / 2, 2),
                          oracle=True)
@@ -263,7 +267,7 @@ class TestRunSweep:
             with pytest.raises(ValueError, match="read-only"):
                 columns[name][0] = 1.0
 
-    @pytest.mark.parametrize("mode", ["verify", "single"])
+    @pytest.mark.parametrize("mode", ["qfim", "single"])
     def test_oracle_calls_of_bounded_size_match_one_call(self, mode, monkeypatch):
         from superres import sweep as sweep_mod
 
@@ -402,15 +406,17 @@ class TestCli:
         assert len(data) == 6
 
     def test_domain_error_exit_code(self, capsys):
-        assert main(["single", "--phi", "0.4"]) == 2
-        assert "phi" in capsys.readouterr().err
+        assert main(["single", "--sigma", "-1"]) == 2
+        assert "sigma" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [["single"], ["qfim"], ["verify"], ["figure", "fig1c"]])
     def test_every_command_rejects_phi(self, command, capsys):
-        # one check in cli.main, before any command runs
-        assert main([*command, "--phi", "0.1"]) == 2
-        assert capsys.readouterr() == (
-            "", "superres: error: closed-form sweeps require phi = 0, got phi = 0.1\n")
+        # the closed forms take phi = 0 alone, so no command has the option
+        with pytest.raises(SystemExit) as err:
+            main([*command, "--phi", "0.1"])
+        assert err.value.code == 2
+        assert capsys.readouterr() == ("", USAGE + "superres: error: unrecognized arguments: "
+                                       "--phi 0.1\n")
 
     @pytest.mark.parametrize("argv, message", [
         (["single", "--grid-points", "7"], "n_points must be a power of two >= 1024, got 7"),
@@ -531,8 +537,12 @@ class TestCli:
         ["--n-min", "0"], ["--n-max", "0.5"],
     ])
     def test_figure_rejects_options_its_preset_fixes(self, option, capsys):
-        assert main(["figure", "fig1b", "--s-steps", "2", "--n-steps", "2", *option]) == 2
-        assert option[0] in capsys.readouterr().err
+        # the figure command has no such option
+        with pytest.raises(SystemExit) as err:
+            main(["figure", "fig1b", "--s-steps", "2", "--n-steps", "2", *option])
+        assert err.value.code == 2
+        assert capsys.readouterr() == ("", USAGE + "superres: error: unrecognized arguments: "
+                                       + " ".join(option) + "\n")
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as err:
@@ -834,7 +844,7 @@ class TestSweepTable:
         """As above on whole surfaces, where the repeated columns take the
         format-once path and the others are formatted in the template."""
         if source == "verify":
-            table = run_sweep(SweepSpec(mode="verify", nuisance="theta", oracle=True,
+            table = run_sweep(SweepSpec(mode="qfim", nuisance="theta", oracle=True,
                                         s_range=(1e-3, 5.0, 6),
                                         nuisance_range=(0.0, math.pi / 2, 6)))
         else:
@@ -930,7 +940,7 @@ class TestAxisColumns:
     ])
     def test_tables_emit_as_without_axes(self, source, fmt):
         if source == "verify":
-            table = run_sweep(SweepSpec(mode="verify", nuisance="theta", oracle=True,
+            table = run_sweep(SweepSpec(mode="qfim", nuisance="theta", oracle=True,
                                         s_range=(1e-3, 5.0, 12),
                                         nuisance_range=(0.0, math.pi / 2, 12)))
         else:
