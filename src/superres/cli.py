@@ -42,14 +42,14 @@ def _keep_freed_heap() -> None:
     """Have glibc's malloc keep freed memory for reuse instead of handing it
     back to the kernel after every large array.
 
-    The grid oracle allocates and frees ~2 MB per separation row at 16384
-    grid points (the sampled vectors and the QR's two copies of them).  With
-    glibc's default thresholds those pages go back to the kernel after each
-    row and are faulted in again on the next: ~3,000 minor faults per
-    six-row ``verify``, which took more time than the QR and made the run
-    time follow the machine's page-fault cost from one run to the next.  The
-    values set are the ceilings of glibc's own sliding thresholds (32 MiB
-    mmap, 64 MiB trim).  Does nothing off glibc.
+    The grid oracle allocates and frees ~1.1 MB per separation row at 16384
+    grid points (the row's grid points and the QR's two copies of the sample
+    buffer).  With glibc's default thresholds those pages go back to the
+    kernel after each row and are faulted in again on the next: ~1,300
+    minor faults per six-row ``verify``, which made it 1-2 ms slower and
+    its run time follow the machine's page-fault cost from one run to the
+    next.  The values set are the ceilings of glibc's own sliding thresholds
+    (32 MiB mmap, 64 MiB trim).  Does nothing off glibc.
     """
     try:
         libc = os.confstr("CS_GNU_LIBC_VERSION") or ""

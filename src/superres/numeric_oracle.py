@@ -4,8 +4,9 @@ Everything here is computed from sampled Gaussian amplitudes with trapezoid
 integration — none of the closed forms from the analytic modules are reused.
 
 The grid work depends on ``s`` alone and is done once per distinct
-separation: four sampled vectors, both sources and their derivatives by
-``s``, which the sampled PSF gives exactly:
+separation, in one row pass per oracle call: after every row's checks, one
+buffer is refilled in place for each ``s`` with four sampled vectors, both
+sources and their derivatives by ``s``, which the sampled PSF gives exactly:
 ``d h(x +- s/2)/ds = -+ (x +- s/2) h(x +- s/2) / (4 sigma^2)``.  An R-only
 Householder QR of their ``sqrt(w)``-scaled columns gives their coordinates
 in an orthonormal basis of their span, with no basis matrix formed (exact
@@ -28,8 +29,9 @@ milliseconds.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,30 +51,40 @@ def _check_grid(n_points: int, halfwidth: float | None) -> None:
         raise ConfigurationError(f"halfwidth must be positive and finite, got {halfwidth}")
 
 
+def _unresolved(s, sigma) -> DomainError:
+    """The error of a separation row the grid cannot sample."""
+    return DomainError(f"the grid does not resolve s = {s!r} at sigma = {sigma!r}")
+
+
 @dataclass
 class Grid:
     """Uniform symmetric position grid with trapezoid weights.
 
     ``n_points`` must be a power of two, at least 1024; the spacing is
     ``2 halfwidth / (n_points - 1)``.  The sample points and weights are
-    frozen after construction.
+    built on first use and frozen, so a grid that is only checked costs no
+    arrays.
     """
 
     halfwidth: float
     n_points: int = GRID_POINTS
-    x: np.ndarray = field(init=False, repr=False)
-    weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = self.n_points
-        _check_grid(n, self.halfwidth)
-        self.x = np.linspace(-self.halfwidth, self.halfwidth, n)
-        w = np.full(n, self.spacing)
+        _check_grid(self.n_points, self.halfwidth)
+
+    @functools.cached_property
+    def x(self) -> np.ndarray:
+        x = np.linspace(-self.halfwidth, self.halfwidth, self.n_points)
+        x.setflags(write=False)
+        return x
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        w = np.full(self.n_points, self.spacing)
         w[0] *= 0.5
         w[-1] *= 0.5
-        self.weights = w
-        self.x.setflags(write=False)
-        self.weights.setflags(write=False)
+        w.setflags(write=False)
+        return w
 
     @property
     def spacing(self) -> float:
@@ -85,50 +97,66 @@ class Grid:
 
 def default_grid(s: float, sigma: float, n_points: int = GRID_POINTS,
                  halfwidth: float | None = None) -> Grid:
-    """Grid wide enough for sources at separation ``s``: halfwidth 8 sigma + s."""
-    return Grid(halfwidth=8.0 * sigma + s if halfwidth is None else halfwidth,
-                n_points=n_points)
+    """Grid wide enough for sources at separation ``s``: halfwidth 8 sigma + s,
+    which must be finite."""
+    if halfwidth is None:
+        halfwidth = 8.0 * sigma + s
+        if halfwidth == math.inf:
+            raise _unresolved(s, sigma)
+    return Grid(halfwidth=halfwidth, n_points=n_points)
 
 
-def _psf(x: np.ndarray, sigma: float) -> np.ndarray:
-    return (2.0 * math.pi * sigma * sigma) ** (-0.25) * np.exp(-x * x / (4.0 * sigma * sigma))
+def _rows_samples(values, sigma: float, n_points: int,
+                  halfwidth: float | None) -> np.ndarray:
+    """The grid work of separation rows, each shared by all its nuisances:
+    for every ``s`` in ``values`` the ``(4, 4)`` ``R`` of the Householder QR
+    ``sqrt(w) S = Q R`` of the four sampled vectors ``S``, the columns
+    ``h(x + s/2)``, ``h(x - s/2)`` and their derivatives by ``s``.  Column
+    ``k`` of ``R`` is ``Q^T sqrt(w) S[:, k]``: the coordinates of
+    ``S[:, k]`` in a basis orthonormal under the trapezoid weights, with no
+    basis matrix formed.  It stays exact however close to collinear the
+    vectors get at small ``s``.
 
-
-def _fitted_grid(s: float, sigma: float, n_points: int, halfwidth: float | None) -> Grid:
-    """:func:`default_grid` for sources at separation ``s``, after checking
-    ``(s, sigma)`` by the model's range rule and the grid's margin; every
-    oracle entry point goes through it."""
-    _require_s_sigma(s, sigma)
-    grid = default_grid(s, sigma, n_points=n_points, halfwidth=halfwidth)
-    if not grid.fits(s, sigma):
-        raise ConfigurationError(
-            f"grid halfwidth {grid.halfwidth} too narrow for s = {s}, "
-            f"sigma = {sigma} (needs at least 8 sigma + s)"
-        )
-    return grid
+    Every row is checked by the model's range rule and the grid's margin
+    before any is sampled; every oracle entry point goes through here.  The
+    rows are sampled into one buffer, refilled in place for each ``s``.
+    """
+    for s in values:
+        _require_s_sigma(s, sigma)
+        grid = default_grid(s, sigma, n_points, halfwidth)
+        if not grid.fits(s, sigma):
+            raise ConfigurationError(f"grid halfwidth {grid.halfwidth} too narrow for s = {s}, "
+                                     f"sigma = {sigma} (needs at least 8 sigma + s)")
+    r = np.empty((len(values), 4, 4))
+    if not values:
+        return r
+    # column-major, the layout LAPACK factors in, so qr copies no rows
+    scaled, u = np.empty((n_points, 4), order="F"), np.empty(n_points)
+    sig = np.float64(sigma)     # where sigma^2 underflows: NaN, not ZeroDivisionError
+    amp, var4 = (2.0 * math.pi * sig * sig) ** (-0.25), 4.0 * sig * sig
+    for out, s in zip(r, values):
+        grid = default_grid(s, sigma, n_points, halfwidth)
+        # sqrt(w): the trapezoid weights, halved at both ends
+        root_w, root_end = math.sqrt(grid.spacing), math.sqrt(grid.spacing * 0.5)
+        for j, sign in ((0, +1.0), (1, -1.0)):
+            h = scaled[:, j]
+            np.add(grid.x, sign * s / 2.0, out=u)
+            # the PSF (2 pi sigma^2)^(-1/4) exp(-u^2 / (4 sigma^2)), where
+            # (u * u) / (-4 sigma^2) is (-u) * u / (4 sigma^2) bit for bit
+            np.divide(np.multiply(u, u, out=h), -var4, out=h)
+            np.multiply(np.exp(h, out=h), amp, out=h)
+            h[1:-1] *= root_w
+            h[::n_points - 1] *= root_end
+            # d h(x +- s/2) / ds = +- h'(u) / 2 = -+ u h(u) / (4 sigma^2)
+            np.multiply(np.multiply(u, -sign / var4, out=u), h, out=scaled[:, j + 2])
+        out[...] = np.linalg.qr(scaled, mode="r")
+    return r
 
 
 def _row_samples(s: float, sigma: float, n_points: int,
                  halfwidth: float | None) -> np.ndarray:
-    """The grid work of one separation row, shared by all its nuisances: the
-    ``(4, 4)`` ``R`` of the Householder QR ``sqrt(w) S = Q R`` of the four
-    sampled vectors ``S``, the columns ``h(x + s/2)``, ``h(x - s/2)`` and
-    their derivatives by ``s``.  Column ``k`` of ``R`` is
-    ``Q^T sqrt(w) S[:, k]``: the coordinates of ``S[:, k]`` in a basis
-    orthonormal under the trapezoid weights, with no basis matrix formed.
-    It stays exact however close to collinear the vectors get at small ``s``.
-    """
-    grid = _fitted_grid(s, sigma, n_points=n_points, halfwidth=halfwidth)
-    sigma = np.float64(sigma)   # where sigma^2 underflows: NaN, not ZeroDivisionError
-    root_w = np.sqrt(grid.weights)
-    # column-major, the layout LAPACK factors in, so qr copies no rows
-    scaled = np.empty((grid.n_points, 4), order="F")
-    for j, sign in ((0, +1.0), (1, -1.0)):
-        u = grid.x + sign * s / 2.0
-        np.multiply(_psf(u, sigma), root_w, out=scaled[:, j])
-        # d h(x +- s/2) / ds = +- h'(u) / 2 = -+ u h(u) / (4 sigma^2)
-        np.multiply((-sign / (4.0 * sigma * sigma)) * u, scaled[:, j], out=scaled[:, j + 2])
-    return np.linalg.qr(scaled, mode="r")
+    """The ``(4, 4)`` ``R`` of one separation row; see :func:`_rows_samples`."""
+    return _rows_samples([s], sigma, n_points, halfwidth)[0]
 
 
 def _resolved(s, sigma: float, *results):
@@ -137,8 +165,7 @@ def _resolved(s, sigma: float, *results):
     ``sigma``, as at ``s = 1e6 sigma``) or where ``sigma^2`` underflows."""
     bad = ~np.logical_and.reduce([np.isfinite(r) for r in results])
     if bad.any():
-        s_bad = float(np.broadcast_to(s, bad.shape)[bad][0])
-        raise DomainError(f"the grid does not resolve s = {s_bad!r} at sigma = {sigma!r}")
+        raise _unresolved(float(np.broadcast_to(s, bad.shape)[bad][0]), sigma)
     return results
 
 
@@ -158,11 +185,10 @@ def _sld_sum(lam1, lam2, w22, x, y):
 def _cell_samples(s, thetas, sigma: float, n_points: int, halfwidth: float | None):
     """``s`` and ``thetas`` broadcast together, and the columns of ``R`` of
     every cell as ``(plus, minus, d_plus, d_minus)``, each ``(..., 4)``,
-    from one :func:`_row_samples` per distinct ``s``."""
+    from one :func:`_rows_samples` over the distinct ``s``."""
     s, theta = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(thetas, dtype=float))
     values, inverse = np.unique(s.ravel(), return_inverse=True)
-    r = np.array([_row_samples(float(v), sigma, n_points, halfwidth) for v in values])
-    r = r.reshape(-1, 4, 4)     # also with no cells
+    r = _rows_samples(values.tolist(), sigma, n_points, halfwidth)
     return theta, np.moveaxis(r[inverse.reshape(s.shape)], -1, 0)
 
 

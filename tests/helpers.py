@@ -25,10 +25,15 @@ from superres import (
 )
 from superres.float_text import DROP, e16_cells, repr_cells
 from superres.sweep import CSV_FIELDS, DELTA_FIELDS
-from superres.numeric_oracle import _branch_fi, _norm2, _psf, _row_samples
+from superres.numeric_oracle import _branch_fi, _norm2, _row_samples
 
 # environment for subprocesses that import this checkout's package
 SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+
+
+def psf(x: np.ndarray, sigma: float) -> np.ndarray:
+    """The Gaussian PSF amplitude ``(2 pi sigma^2)^(-1/4) exp(-x^2 / (4 sigma^2))``."""
+    return (2.0 * math.pi * sigma * sigma) ** (-0.25) * np.exp(-x * x / (4.0 * sigma * sigma))
 
 
 @dataclass(frozen=True)
@@ -54,7 +59,7 @@ def make_sources(s: float, sigma: float, grid: Grid | None = None) -> tuple[Grid
         raise ConfigurationError(f"grid halfwidth {grid.halfwidth} too narrow for s = {s}")
     fields = []
     for sign in (+1.0, -1.0):
-        v = _psf(grid.x + sign * s / 2.0, sigma)
+        v = psf(grid.x + sign * s / 2.0, sigma)
         # intensity below 1e-12 at the edges keeps trapezoid tails ~1e-15
         if v[0] ** 2 > 1e-12 or v[-1] ** 2 > 1e-12:
             raise ConfigurationError("intensity has not decayed at the grid edge")

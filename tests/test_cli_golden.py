@@ -71,6 +71,15 @@ OUTPUT_PINS = {
     "qfim --oracle --nuisance concurrence --s-steps 6 --n-steps 6 --format json":
         "55ee2db295c613ec6ea05da6e90aae2242a9d87d5f7be6d79243087e8412a396",
     "verify --format json": "14e763ae38ad175b7ac6576a3d246ecd0bd885e38a3efa3a421940c2258e0ba4",
+    # the oracle at the smallest and largest benchmarked grids, over every
+    # nuisance row of single mode, and at sigma != 1 on a given halfwidth
+    "verify --grid-points 1024": "6fee6c7b86d1503b6474f0cfa190d32d002853fb220c0b5c0a00ee0005599cbd",
+    "verify --grid-points 16384 --s-steps 6 --n-steps 6":
+        "d2b991f317b2c4592375fcc9135c42924dc75a1e04ded53c47cab712d89cd498",
+    "single --oracle --s-steps 6 --n-steps 6":
+        "fe2ad90175254e588ce90eedccc7c6517a0a05ba8ab6da6ac5b8e6b18fd13f1d",
+    "verify --sigma 2.5 --grid-halfwidth 30 --format json":
+        "685d921c75f10eb557d51ceaff95930ad4afe49effd7cab78f3f280797a3e534",
 }
 
 

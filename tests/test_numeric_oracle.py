@@ -8,6 +8,7 @@ from helpers import (
     hg_coefficients,
     hg_pure_qfi,
     make_sources,
+    psf,
     spectral_sum_qfim_row,
 )
 from superres import (
@@ -26,6 +27,7 @@ from superres import (
 from superres.numeric_oracle import (
     _numeric_f_tot,
     _row_samples,
+    _rows_samples,
     _sld_sum,
     numeric_qfim_cells,
 )
@@ -92,8 +94,10 @@ class TestMakeSources:
     lambda: numeric_qfim(ModelParams(1e6, 1.0, 0.7)),
     lambda: numeric_concurrence(ModelParams(1e6, 1.0, 0.7)),
     lambda: _numeric_f_tot(1e6, 1.0, [0.3]),
+    lambda: _row_samples(1e308, 1e307, 4096, None),
 ], ids=["row-tiny-sigma", "row-inf-s", "row-negative-s", "row-nan-s", "f_tot-negative-s",
-        "qfim-zero-s", "qfim-far-s", "concurrence-far-s", "f_tot-far-s"])
+        "qfim-zero-s", "qfim-far-s", "concurrence-far-s", "f_tot-far-s",
+        "row-overflowing-halfwidth"])
 def test_oracle_applies_the_model_range_rule(call):
     # these gave NaN fields, a bare ZeroDivisionError, a LinAlgError, or
     # numbers for a negative separation; the QFIM is singular at s = 0
@@ -152,6 +156,43 @@ class TestRowKernel:
         gram = sampled.T @ (grid.weights[:, None] * sampled)
         coords = _row_samples(s, sigma, grid.n_points, None)
         assert np.abs(coords.T @ coords - gram).max() < 1e-12 * np.abs(gram).max()
+
+    @pytest.mark.parametrize("given", [False, True], ids=["default", "given"])
+    @pytest.mark.parametrize("sigma", [1.0, 2.5e-3, 700.0])
+    @pytest.mark.parametrize("n_points", [1024, 4096, 16384])
+    def test_rows_are_the_qr_of_the_columns_sampled_on_the_grid(self, n_points, sigma, given):
+        # bit for bit: the rows share one buffer, refilled in place, and each
+        # must be the R of its own columns on its own public Grid
+        values = [*np.geomspace(1e-12, 20.0, 14).tolist(), 60.0]
+        halfwidth = 10.0 * sigma + 60.0 if given else None
+        expected = []
+        for s in values:
+            grid = default_grid(s, sigma, n_points, halfwidth)
+            root_w, columns = np.sqrt(grid.weights), {}
+            for j, sign in ((0, 1.0), (1, -1.0)):
+                u = grid.x + sign * s / 2.0
+                h = psf(u, np.float64(sigma)) * root_w
+                columns[j], columns[j + 2] = h, (-sign / (4.0 * sigma * sigma)) * u * h
+            expected.append(np.linalg.qr(np.stack([columns[k] for k in range(4)], axis=1),
+                                         mode="r"))
+        got = _rows_samples(values, sigma, n_points, halfwidth)
+        assert got.tobytes() == np.array(expected).tobytes()
+        assert all(_row_samples(s, sigma, n_points, halfwidth).tobytes() == r.tobytes()
+                   for s, r in zip(values, expected))
+
+    @pytest.mark.parametrize("halfwidth, error", [
+        (10.0, "grid halfwidth 10.0 too narrow for s = 3.0, sigma = 1.0 "
+               "(needs at least 8 sigma + s)"),
+        (math.nan, "halfwidth must be positive and finite, got nan"),
+        (-1.0, "halfwidth must be positive and finite, got -1.0"),
+    ], ids=["narrow", "nan", "negative"])
+    def test_rows_refuse_a_bad_grid_as_before(self, halfwidth, error):
+        # the first row that breaks the rule raises, before any is sampled
+        for call in (lambda: _row_samples(3.0, 1.0, 1024, halfwidth),
+                     lambda: _rows_samples([1.0, 3.0, 4.0], 1.0, 1024, halfwidth)):
+            with pytest.raises(ConfigurationError) as err:
+                call()
+            assert str(err.value) == error
 
     def test_row_equals_one_point_calls(self):
         # a result does not depend on how many thetas share its row

@@ -495,6 +495,16 @@ class TestCli:
         assert code == 2
         assert "the grid does not resolve s = 1000000.0 at sigma = 1.0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["verify"], ["single", "--oracle"]])
+    def test_overflowing_default_halfwidth_is_a_domain_error(self, command, capsys):
+        # 8 sigma + s overflows: the error named --grid-halfwidth, which was
+        # never given ("halfwidth must be positive and finite, got inf")
+        argv = [*command, "--sigma", "1e307", "--s-min", "1e308", "--s-max", "1e308",
+                "--s-steps", "1", "--n-steps", "1"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", "superres: error: the grid does not resolve s = 1e+308 at sigma = 1e+307\n")
+
     def test_scalar_api_takes_the_sigma_of_a_sweep(self, capsys):
         # one range rule: ModelParams rejected sigma = 1e-80 (outside
         # [1e-75, 1e75]) while a sweep at that sigma emitted rows
