@@ -22,7 +22,8 @@ import math
 from dataclasses import dataclass
 from math import acos, sqrt
 
-from .state_model import ModelParams, _checked_terms, _concurrence_terms, _per_sigma, _require_gamma
+from .state_model import (ModelParams, _angle_terms, _checked_terms, _concurrence_terms,
+                          _per_sigma, _require_gamma)
 
 _EPS = math.ulp(1.0)
 
@@ -117,20 +118,21 @@ def weighted_fi_reconstruct(p: ModelParams) -> float:
     At ``theta = 0`` the second branch has zero weight and contributes zero.
     """
     p.require_phi_zero("weighted_fi_reconstruct")
-    d, d1, _, _ = _checked_terms(p.s, p.sigma)
+    d, d1, e, _ = _checked_terms(p.s, p.sigma)
     u = p.s / p.sigma
-    g = math.cos(p.theta)
+    g, _, omg = _angle_terms(p.theta)
 
     big_m = 1.0 + g * g + 2.0 * d * g          # <v|v> for v = h_+ + gamma h_-
     n1 = 0.5 * big_m
     n2 = 0.5 * (1.0 - g * g)
 
     # at sigma = 1 on u: <dv|dv> = (1+g^2)/16 + 2 g <dh_+|dh_->, with
-    # <dh_+|dh_-> = -d (4 - u^2)/64; <v|dv> = g d1.  With no overlap left the
-    # cross term vanishes (d * u^2 = 0 * inf where u^2 overflows)
-    dvdv = (1.0 + g * g) / 16.0
+    # <dh_+|dh_-> = -d (4 - u^2)/64, summed with no cancellation as ((1-g)^2
+    # + 2 g (1-d))/16 + g d u^2/32; <v|dv> = g d1.  With no overlap left the
+    # u^2 term vanishes (d * u^2 = 0 * inf where u^2 overflows)
+    dvdv = (omg * omg + 2.0 * g * e) / 16.0
     if d != 0.0:
-        dvdv -= 2.0 * g * d * (4.0 - u * u) / 64.0
+        dvdv += g * d * (u * u) / 32.0
     f1 = 4.0 * (dvdv / big_m - (g * d1) ** 2 / (big_m * big_m))
     f2 = 0.25
 

@@ -21,7 +21,8 @@ DROP = 0xFF
 # a cell's slot: the longest text of either format, "-1.2345678901234567e-308"
 SLOT = 24
 # A chunk holds 144 kB of cell slots (512 rows of 12 slots, more rows of
-# fewer), and its temporaries 1-1.4 MB, which the allocator reuses from chunk to chunk.
+# fewer), and its temporaries 1-2 MB, which the allocator reuses from chunk to
+# chunk: JSON's the most, as repr_cells gathers its text by an int64 index.
 # 4096-row CSV chunks (a whole 50 x 50 preset) raised the peak memory of
 # `superres figure` by 15 % and were slower for the fresh pages they touch.
 CHUNK_BYTES = 512 * 12 * SLOT
@@ -163,7 +164,6 @@ _MARGIN = 2.0**-40
 # import raised the peak memory of point queries, which never emit.
 _UNION = b"-0.000" + b"0." * 17 + b"\xff\xffe+0000"
 _UNWRITTEN = 40
-_GATHER_CELLS = 1024      # a gather's int64 index then takes 192 kB
 _MANTISSA = 2**52 - 1
 
 
@@ -227,12 +227,9 @@ def repr_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     _runs(union[:, 44:])[:] = _runs(_digit_quads().take(np.abs(k))[:, None])
     layout = np.where((k >= -4) & (k < 16), k, 16 + (np.abs(k) >= 100))
     row = (np.signbit(values) * 22 + layout + 4) * 17 + n - 1
-    text = np.empty((values.size, SLOT), np.uint8)
-    for lo in range(0, values.size, _GATHER_CELLS):
-        block = union[lo:lo + _GATHER_CELLS]
-        index = _repr_layouts().take(row[lo:lo + _GATHER_CELLS], axis=0)
-        index += np.arange(0, block.size, len(_UNION))[:, None]
-        block.ravel().take(index, out=text[lo:lo + _GATHER_CELLS])
+    index = _repr_layouts().take(row, axis=0)
+    index += np.arange(0, union.size, len(_UNION))[:, None]
+    text = union.ravel().take(index)
     _format_rest(values, ~sure, repr, text)
     return text, sure
 

@@ -121,12 +121,15 @@ def _rows_samples(values, sigma: float, n_points: int,
     before any is sampled; every oracle entry point goes through here.  The
     rows are sampled into one buffer, refilled in place for each ``s``.
     """
+    grids = []
     for s in values:
         _require_s_sigma(s, sigma)
-        grid = default_grid(s, sigma, n_points, halfwidth)
+        if halfwidth is None or not grids:      # a given halfwidth: one grid for all rows
+            grid = default_grid(s, sigma, n_points, halfwidth)
         if not grid.fits(s, sigma):
             raise ConfigurationError(f"grid halfwidth {grid.halfwidth} too narrow for s = {s}, "
                                      f"sigma = {sigma} (needs at least 8 sigma + s)")
+        grids.append(grid)
     r = np.empty((len(values), 4, 4))
     if not values:
         return r
@@ -134,8 +137,9 @@ def _rows_samples(values, sigma: float, n_points: int,
     scaled, u = np.empty((n_points, 4), order="F"), np.empty(n_points)
     sig = np.float64(sigma)     # where sigma^2 underflows: NaN, not ZeroDivisionError
     amp, var4 = (2.0 * math.pi * sig * sig) ** (-0.25), 4.0 * sig * sig
-    for out, s in zip(r, values):
-        grid = default_grid(s, sigma, n_points, halfwidth)
+    # last row first, each grid dropped once sampled, with the points it built
+    for out, s in zip(r[::-1], values[::-1]):
+        grid = grids.pop()
         # sqrt(w): the trapezoid weights, halved at both ends
         root_w, root_end = math.sqrt(grid.spacing), math.sqrt(grid.spacing * 0.5)
         for j, sign in ((0, +1.0), (1, -1.0)):
@@ -151,12 +155,6 @@ def _rows_samples(values, sigma: float, n_points: int,
             np.multiply(np.multiply(u, -sign / var4, out=u), h, out=scaled[:, j + 2])
         out[...] = np.linalg.qr(scaled, mode="r")
     return r
-
-
-def _row_samples(s: float, sigma: float, n_points: int,
-                 halfwidth: float | None) -> np.ndarray:
-    """The ``(4, 4)`` ``R`` of one separation row; see :func:`_rows_samples`."""
-    return _rows_samples([s], sigma, n_points, halfwidth)[0]
 
 
 def _resolved(s, sigma: float, *results):
@@ -241,19 +239,20 @@ def numeric_qfim_cells(s, sigma: float, thetas, phi: float = 0.0,
 
     def frame(da, dv):
         """``(d11, d22 / det A, d12)`` of ``d rho = (dM - rho dn) / n`` in the
-        eigenframe, and the squared kernel parts ``|u_k^+ dM P_ker|^2`` of its
-        rows, the second times ``lam1 / lam2`` (0 where ``sin(theta) = 0``)."""
+        eigenframe."""
         dn = 2.0 * (np.sum(a.conj() * da, axis=-1).real + np.sum(v * dv, axis=-1))
         (d1, d2), (e1, e2) = on_frame(da), on_frame(dv)
         d11 = (2.0 * (al1 * d1.conj() + be1 * e1.conj()).real - lam1 * dn) / n
         d22 = (2.0 * (al2 * d2.conj() + be2 * e2.conj()).real - det / (n * n * lam1) * dn) / n
         d12 = (al1 * d2.conj() + be1 * e2.conj() + det * (d1 * al2.conj() + e1 * be2.conj())) / n
-        kernel = [_norm2(al[..., None] * da[..., 2:].conj() + be[..., None] * dv[..., 2:])
-                  for al, be in ((al1, be1), (-be1.conj(), al1.conj()))]
-        return (d11, d22, d12), kernel
+        return d11, d22, d12
 
-    ds, ker = frame(d_plus + (ct * phase) * d_minus, st * d_minus)
-    dt, _ = frame(-(st * phase) * minus, ct * minus)
+    da, dv = d_plus + (ct * phase) * d_minus, st * d_minus
+    ds, dt = frame(da, dv), frame(-(st * phase) * minus, ct * minus)
+    # the squared kernel parts |u_k^+ dM P_ker|^2 of the rows of d rho / ds,
+    # the second times lam1 / lam2 (0 where sin(theta) = 0)
+    ker = [_norm2(al[..., None] * da[..., 2:].conj() + be[..., None] * dv[..., 2:])
+           for al, be in ((al1, be1), (-be1.conj(), al1.conj()))]
     f_ss = _sld_sum(lam1, lam2, w22, ds, ds) + 4.0 * (ker[0] + ker[1]) / (n * n * lam1)
     return _resolved(s, sigma, f_ss, _sld_sum(lam1, lam2, w22, dt, dt),
                      _sld_sum(lam1, lam2, w22, ds, dt))
@@ -282,8 +281,8 @@ def numeric_qfim(p: ModelParams, n_points: int = GRID_POINTS,
 def numeric_concurrence(p: ModelParams, n_points: int = GRID_POINTS,
                         halfwidth: float | None = None) -> float:
     """Concurrence of the unit-norm two-source state, ``2 sqrt(det rho_aux)``
-    (Hill and Wootters, PRL 78, 5022 (1997)), from the ``R`` of
-    :func:`_row_samples`.  Any phi.
+    (Hill and Wootters, PRL 78, 5022 (1997)), from the ``R`` of its one
+    separation row (:func:`_rows_samples`).  Any phi.
 
     ``rho_aux`` is the Gram matrix of the branch amplitudes
     ``a = h_+ + cos(theta) e^{i phi} h_-`` and ``v = sin(theta) h_-`` over
@@ -294,7 +293,7 @@ def numeric_concurrence(p: ModelParams, n_points: int = GRID_POINTS,
     relative error grows about as ``1/s``: ~5e-13 at ``s = 1e-4 sigma``
     and ~1e-10 at ``1e-6 sigma``.
     """
-    r = _row_samples(p.s, p.sigma, n_points, halfwidth)
+    r = _rows_samples([p.s], p.sigma, n_points, halfwidth)[0]
     st = math.sin(p.theta)
     a = r[:, 0] + (math.cos(p.theta) * np.exp(1j * p.phi)) * r[:, 1]
     n = _norm2(a) + _norm2(st * r[:, 1])

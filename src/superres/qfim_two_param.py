@@ -268,10 +268,10 @@ def _concurrence_chart(s: float, sigma: float, c: float) -> tuple[float, float, 
             "(theta = pi/2); use the theta or gamma chart there"
         )
     chart = _to_concurrence(block, terms, ct, st, c_max)
-    # where 1 - d^2 is barely normal the transport can overflow (inf/inf
-    # then read as H_C = nan)
+    # where 1 - d^2 is barely normal the transport can overflow (inf/inf then
+    # read as H_C = nan); G_ss >= H_s > 0 can cancel to <= 0 below u ~ 2e-12
     g_ss, g_cc, g_sc, _ = chart
-    if not (-_INF < g_ss < _INF and -_INF < g_cc < _INF and -_INF < g_sc < _INF):
+    if not (0.0 < g_ss < _INF and -_INF < g_cc < _INF and -_INF < g_sc < _INF):
         raise _unresolved(s, sigma)
     return chart
 

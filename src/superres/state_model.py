@@ -131,8 +131,8 @@ class ModelParams:
     theta: float
     phi: float = 0.0
 
-    # the records write their fields into the instance dict, not through one
-    # frozen object.__setattr__ each as the generated __init__ does
+    # point queries' records write their fields into the instance dict, not
+    # through one frozen object.__setattr__ each as the generated __init__ does
     def __init__(self, s, sigma, theta, phi=0.0):
         fields = self.__dict__
         fields["s"] = s
@@ -156,7 +156,7 @@ class ModelParams:
             raise DomainError(f"{what} requires phi = 0, got phi = {self.phi}")
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class OverlapTriple:
     """Gaussian source overlap and its first two separation derivatives.
 
@@ -169,14 +169,8 @@ class OverlapTriple:
     d1: float
     d2: float
 
-    def __init__(self, d, d1, d2):
-        fields = self.__dict__
-        fields["d"] = d
-        fields["d1"] = d1
-        fields["d2"] = d2
 
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class SpectralData:
     """Eigenvalues of the reduced spatial state plus the norms of the
     eigenvector separation-derivatives.
@@ -191,13 +185,6 @@ class SpectralData:
     lambda2: float
     a3: float
     a4: float
-
-    def __init__(self, lambda1, lambda2, a3, a4):
-        fields = self.__dict__
-        fields["lambda1"] = lambda1
-        fields["lambda2"] = lambda2
-        fields["a3"] = a3
-        fields["a4"] = a4
 
 
 def overlap(s: float, sigma: float) -> OverlapTriple:

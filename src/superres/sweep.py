@@ -245,6 +245,8 @@ def _qfim_block(nuisance: str, u, nu, sigma: float, terms) -> dict:
         regular = ~_chart_singular(ct)
         g_ss, g_tt, g_st = (np.where(regular, g, np.nan) for g in
                             _to_concurrence(block, terms, ct, st, c_max)[:3])
+        # G_ss >= H_s > 0: one cancelled to 0 or below is unresolved (_kernel)
+        g_ss = np.where(g_ss > 0.0, g_ss, np.nan)
         gamma = ct
     h_n = np.where(_below_floor(g_tt, g_st), g_tt, _h_nuisance(g_ss, g_tt, h_s))
     cells = {"theta": theta, "gamma": gamma, "f_ss": g_ss / sigma / sigma, "f_tt": g_tt,
@@ -373,6 +375,18 @@ def worst_oracle_delta(table: SweepTable) -> tuple[float, int | None, str | None
     return float(deltas[k, i]), int(i), DELTA_FIELDS[k][len("delta_"):]
 
 
+_S_RANGE, _UNIT_RANGE = (1e-3, 5.0, 200), (0.0, 1.0, 200)
+# each preset's blocks, (mode, nuisance, s range, nuisance range)
+_PRESETS = {
+    "fig1a": [("single", "concurrence", _S_RANGE, _UNIT_RANGE)],
+    "fig1b": [("single", "coherence", _S_RANGE, _UNIT_RANGE)],
+    "fig1c": [("single", "coherence", (0.3, 0.3, 1), _UNIT_RANGE),
+              ("single", "concurrence", (0.3, 0.3, 1), (0.0, concurrence_max(0.3, 1.0), 200))],
+    "fig2a": [("qfim", "concurrence", _S_RANGE, _UNIT_RANGE)],
+    "fig2b": [("qfim", "coherence", _S_RANGE, _UNIT_RANGE)],
+}
+
+
 def figure_preset(name: str) -> list[SweepSpec]:
     """Sweep blocks reproducing the bundled figure data sets.
 
@@ -383,31 +397,12 @@ def figure_preset(name: str) -> list[SweepSpec]:
     s in [1e-3, 5] (the closed forms are singular at s = 0) and 200-point
     axes by default.
     """
-    n = 200
-    s_rng = (1e-3, 5.0, n)
-    # each preset is built, and its specs checked, only when it is asked for
-    presets = {
-        "fig1a": lambda: [SweepSpec(mode="single", nuisance="concurrence",
-                                    s_range=s_rng, nuisance_range=(0.0, 1.0, n))],
-        "fig1b": lambda: [SweepSpec(mode="single", nuisance="coherence",
-                                    s_range=s_rng, nuisance_range=(0.0, 1.0, n))],
-        "fig1c": lambda: [
-            SweepSpec(mode="single", nuisance="coherence",
-                      s_range=(0.3, 0.3, 1), nuisance_range=(0.0, 1.0, n)),
-            SweepSpec(mode="single", nuisance="concurrence",
-                      s_range=(0.3, 0.3, 1),
-                      nuisance_range=(0.0, concurrence_max(0.3, 1.0), n)),
-        ],
-        "fig2a": lambda: [SweepSpec(mode="qfim", nuisance="concurrence",
-                                    s_range=s_rng, nuisance_range=(0.0, 1.0, n))],
-        "fig2b": lambda: [SweepSpec(mode="qfim", nuisance="coherence",
-                                    s_range=s_rng, nuisance_range=(0.0, 1.0, n))],
-    }
-    if name not in presets:
+    if name not in _PRESETS:
         raise DomainError(
-            f"unknown figure preset {name!r}; available: {', '.join(sorted(presets))}"
+            f"unknown figure preset {name!r}; available: {', '.join(sorted(_PRESETS))}"
         )
-    return presets[name]()
+    return [SweepSpec(mode=mode, nuisance=nuisance, s_range=s_rng, nuisance_range=n_rng)
+            for mode, nuisance, s_rng, n_rng in _PRESETS[name]]
 
 
 def emit(table: SweepTable, fmt: str, destination: str | Path | IO[str]) -> None:

@@ -25,7 +25,7 @@ from superres import (
 )
 from superres.float_text import DROP, e16_cells, repr_cells
 from superres.sweep import CSV_FIELDS, DELTA_FIELDS
-from superres.numeric_oracle import _branch_fi, _norm2, _row_samples
+from superres.numeric_oracle import _branch_fi, _norm2, _rows_samples
 
 # environment for subprocesses that import this checkout's package
 SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
@@ -112,7 +112,7 @@ def grid_branch_fi(s: float, plus: float, minus: float, sigma: float = 1.0) -> f
     """Pure-state FI of the normalized family ``plus h(x + s/2) + minus
     h(x - s/2)`` by the grid oracle's one pure-state FI (its row kernel's
     branch FI)."""
-    r = _row_samples(s, sigma, 4096, None)
+    r = _rows_samples([s], sigma, 4096, None)[0]
     a = plus * r[:, 0] + minus * r[:, 1]
     da = plus * r[:, 2] + minus * r[:, 3]
     return float(_branch_fi(a[None], da[None])[0])
@@ -131,7 +131,7 @@ def spectral_sum_qfim_row(s: float, sigma: float, thetas, phi: float = 0.0,
     arrays ``(f_ss, f_tt, f_st)``.  ``eigh`` resolves the small eigenvalue
     only to an absolute ~1e-16, so this is accurate only where it is far
     above that."""
-    r_plus, r_minus, r_d_plus, r_d_minus = _row_samples(s, sigma, n_points, None).T
+    r_plus, r_minus, r_d_plus, r_d_minus = _rows_samples([s], sigma, n_points, None)[0].T
     theta = np.asarray(thetas, dtype=float).reshape(-1, 1)
     phase = np.exp(1j * phi)
     ct, st = np.cos(theta), np.sin(theta)

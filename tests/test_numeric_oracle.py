@@ -26,7 +26,6 @@ from superres import (
 )
 from superres.numeric_oracle import (
     _numeric_f_tot,
-    _row_samples,
     _rows_samples,
     _sld_sum,
     numeric_qfim_cells,
@@ -94,7 +93,7 @@ class TestMakeSources:
     lambda: numeric_qfim(ModelParams(1e6, 1.0, 0.7)),
     lambda: numeric_concurrence(ModelParams(1e6, 1.0, 0.7)),
     lambda: _numeric_f_tot(1e6, 1.0, [0.3]),
-    lambda: _row_samples(1e308, 1e307, 4096, None),
+    lambda: _rows_samples([1e308], 1e307, 4096, None)[0],
 ], ids=["row-tiny-sigma", "row-inf-s", "row-negative-s", "row-nan-s", "f_tot-negative-s",
         "qfim-zero-s", "qfim-far-s", "concurrence-far-s", "f_tot-far-s",
         "row-overflowing-halfwidth"])
@@ -154,7 +153,7 @@ class TestRowKernel:
             columns.append((h, -sign * u * h / (4.0 * sigma**2)))
         sampled = np.stack([columns[0][0], columns[1][0], columns[0][1], columns[1][1]], axis=1)
         gram = sampled.T @ (grid.weights[:, None] * sampled)
-        coords = _row_samples(s, sigma, grid.n_points, None)
+        coords = _rows_samples([s], sigma, grid.n_points, None)[0]
         assert np.abs(coords.T @ coords - gram).max() < 1e-12 * np.abs(gram).max()
 
     @pytest.mark.parametrize("given", [False, True], ids=["default", "given"])
@@ -177,7 +176,7 @@ class TestRowKernel:
                                          mode="r"))
         got = _rows_samples(values, sigma, n_points, halfwidth)
         assert got.tobytes() == np.array(expected).tobytes()
-        assert all(_row_samples(s, sigma, n_points, halfwidth).tobytes() == r.tobytes()
+        assert all(_rows_samples([s], sigma, n_points, halfwidth)[0].tobytes() == r.tobytes()
                    for s, r in zip(values, expected))
 
     @pytest.mark.parametrize("halfwidth, error", [
@@ -188,7 +187,7 @@ class TestRowKernel:
     ], ids=["narrow", "nan", "negative"])
     def test_rows_refuse_a_bad_grid_as_before(self, halfwidth, error):
         # the first row that breaks the rule raises, before any is sampled
-        for call in (lambda: _row_samples(3.0, 1.0, 1024, halfwidth),
+        for call in (lambda: _rows_samples([3.0], 1.0, 1024, halfwidth)[0],
                      lambda: _rows_samples([1.0, 3.0, 4.0], 1.0, 1024, halfwidth)):
             with pytest.raises(ConfigurationError) as err:
                 call()

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import superres  # noqa: E402
 from helpers import cell_by_cell_text, e16_cell_texts, repr_cell_texts  # noqa: E402
 from superres import (  # noqa: E402
+    DomainError,
     ModelParams,
     SweepTable,
     concurrence,
@@ -136,6 +137,44 @@ def test_scale_law(name, u, log_sigma, x):
             assert back == want[field], field
         else:
             assert abs(back - want[field]) <= 4.0 * math.ulp(want[field]), field
+
+
+# the outputs that are nonnegative: the informations, the eigenvalues, the
+# mode norms and the concurrences (a float result by its entry point's name)
+NONNEGATIVE = {"f_ss", "f_tt", "h_s", "h_nuisance", "f_tot", "lambda1", "lambda2", "a3", "a4",
+               "concurrence", "concurrence_max", "concurrence_normalized",
+               "weighted_fi_reconstruct"}
+
+
+@pytest.mark.parametrize("name", SCALED)
+@settings(deadline=None, max_examples=150)
+# 0, subnormals and the largest float among them; x is theta, gamma or C / C_max
+@given(s=st.floats(0.0, sys.float_info.max), sigma=st.floats(0.0, sys.float_info.max),
+       x=st.floats(0.0, math.pi / 2))
+# where the concurrence chart's G_ss cancelled: -1.03e-25 at 1e-4 C_max
+# (h_nuisance -0.12), and exactly 0 (ZeroDivisionError in the precision)
+@example(s=1.2589254117941661e-12, sigma=1.0, x=1e-4)
+@example(s=2.511886431509582e-13, sigma=1.0, x=1e-5)
+@example(s=1.2576392155256425e+173, sigma=9.356767809316603e+283, x=1.6029497940975682e-05)
+# weighted_fi_reconstruct's <dv|dv> cancelled: F_tot = -3.5e-69 at theta = 0
+@example(s=3.3496370837541587e-34, sigma=1.0, x=0.0)
+@example(s=1.0, sigma=1.0, x=1.0)
+def test_scalar_outputs_are_finite_and_signed_or_a_domain_error(name, s, sigma, x):
+    call = SCALED[name][0]
+    try:
+        got = call(s, sigma, x)
+    except DomainError:
+        return
+    fields = vars(got).items() if hasattr(got, "__dict__") else [(name, got)]
+    for field, value in fields:
+        if field == "tag":
+            continue
+        if field == "h_nuisance" and name.startswith("precision_gamma") and (
+                name.endswith("limit") or x == 1.0):
+            assert value == math.inf            # the documented gamma = 1 limit
+            continue
+        assert math.isfinite(value), field
+        assert value >= 0.0 or field not in NONNEGATIVE, field
 
 
 # few values, so that columns repeat: signed zeros, infinities, NaN,

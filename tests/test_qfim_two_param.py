@@ -396,6 +396,21 @@ def test_overflowing_concurrence_transport_is_a_domain_error():
         precision_concurrence(4.7782171712299286e-154, 1.0, 2.389108585614964e-154)
 
 
+@pytest.mark.parametrize("s, sigma, c", [
+    # G_ss = -1.03e-25: an ok result with h_nuisance = -0.12
+    (1.2589254117941661e-12, 1.0, 6.294627058970831e-17),
+    # G_ss = 0: precision_concurrence raised ZeroDivisionError
+    (2.511886431509582e-13, 1.0, 1e-5 * concurrence_max(2.511886431509582e-13, 1.0)),
+    (1.2576392155256425e+173, 9.356767809316603e+283, 1.0772590293245158e-116),
+], ids=["negative", "zero", "zero-huge-sigma"])
+@pytest.mark.parametrize("call", [qfim_concurrence, precision_concurrence])
+def test_cancelled_concurrence_transport_is_a_domain_error(call, s, sigma, c):
+    # G_ss = F_ss + 2 t_s F_st + t_s^2 F_tt >= H_s > 0, but its terms cancel
+    # where s / sigma is ~1e-12 and C a small share of C_max
+    with pytest.raises(DomainError, match="do not resolve"):
+        call(s, sigma, c)
+
+
 def test_tiny_separation_resolves_while_one_minus_d_squared_is_normal():
     h = precision_gamma(1e-100, 1.0, 0.5)
     assert math.isfinite(h.h_s) and math.isfinite(h.h_nuisance) and h.h_s > 0.0

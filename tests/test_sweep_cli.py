@@ -447,8 +447,14 @@ class TestCli:
         ["qfim", "--nuisance", "concurrence", "--sigma", "1e-152", "--s-min", "1e-152",
          "--s-max", "1e-152", "--s-steps", "1", "--n-min", "0.4703182081618728",
          "--n-max", "0.4703182081618728", "--n-steps", "1"],
+        # the concurrence chart's G_ss cancels to -1.03e-25: exit 0 with
+        # h_nuisance = -0.12
+        ["qfim", "--nuisance", "concurrence", "--s-min", "1.2589254117941661e-12",
+         "--s-max", "1.2589254117941661e-12", "--s-steps", "1",
+         "--n-min", "6.294627058970831e-17", "--n-max", "6.294627058970831e-17",
+         "--n-steps", "1"],
     ], ids=["tiny-s", "huge-sigma", "tiny-sigma", "subnormal-qfim", "subnormal-concurrence",
-            "concurrence-overflow"])
+            "concurrence-overflow", "concurrence-cancelled"])
     def test_unresolved_cells_exit_code(self, argv, capsys):
         assert main(argv) == 2
         assert "do not resolve" in capsys.readouterr().err
