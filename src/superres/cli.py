@@ -42,13 +42,15 @@ def _keep_freed_heap() -> None:
     """Have glibc's malloc keep freed memory for reuse instead of handing it
     back to the kernel after every large array.
 
-    The grid oracle allocates and frees ~1.1 MB per separation row at 16384
-    grid points (the row's grid points and the QR's two copies of the sample
-    buffer).  With glibc's default thresholds those pages go back to the
-    kernel after each row and are faulted in again on the next: ~1,300
-    minor faults per six-row ``verify``, which made it 1-2 ms slower and
-    its run time follow the machine's page-fault cost from one run to the
-    next.  The values set are the ceilings of glibc's own sliding thresholds
+    The grid oracle allocates and frees ~0.8 MB per separation row at 16384
+    grid points (the row's grid points with the temporaries that build
+    them, and the QR's two copies of the half-grid sample buffer).  With
+    glibc's default thresholds some of those pages go back to the kernel
+    after each row and are faulted in again on the next: ~130 minor faults
+    per six-row ``verify`` (2.7 ms against 2.5 ms, best in process), and
+    ~1,300 (1-2 ms) when the oracle sampled the whole grid, which made the
+    run time follow the machine's page-fault cost from one run to the next.
+    The values set are the ceilings of glibc's own sliding thresholds
     (32 MiB mmap, 64 MiB trim).  Does nothing off glibc.
     """
     try:

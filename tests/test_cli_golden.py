@@ -65,21 +65,21 @@ OUTPUT_PINS = {
     "figure fig2b": "d6a35cb69abaf281a654b52312feee9de2e60b1b728d2e09a053b7c127446fcb",
     "figure fig2b --format json":
         "d89e14a5d5ee429c21544c35c8c2383323d1a9f606be4ae67b48bd44ffa4a939",
-    "verify": "47f220066674b05e7af65df291f6ae7796927de4a3d08d1bcd712b87c850b903",
+    "verify": "1af67547d4994a7a2fec0691dbb6474ae3a04f1df3fdc4ca7e9391b63d318e23",
     # oracle outputs: fig1c's two blocks through concat, with deltas
-    "figure fig1c --oracle": "77f29c2cbbeea13c80ba35746422137d16d8224cfc9ddf24744d133d81800583",
+    "figure fig1c --oracle": "7b5ab83f8fda35b346145832a0082d5ab952cd7c728413dec19770ea81c9df28",
     "qfim --oracle --nuisance concurrence --s-steps 6 --n-steps 6 --format json":
-        "55ee2db295c613ec6ea05da6e90aae2242a9d87d5f7be6d79243087e8412a396",
-    "verify --format json": "14e763ae38ad175b7ac6576a3d246ecd0bd885e38a3efa3a421940c2258e0ba4",
+        "9fe88a976522965a3f9ff00f03f67e9240c9292060300c8ffbfdac697492d64f",
+    "verify --format json": "20aaa48a6f9a765ec28794f8af60181a447e722825dcd5dd176d444a4774dfa5",
     # the oracle at the smallest and largest benchmarked grids, over every
     # nuisance row of single mode, and at sigma != 1 on a given halfwidth
-    "verify --grid-points 1024": "6fee6c7b86d1503b6474f0cfa190d32d002853fb220c0b5c0a00ee0005599cbd",
+    "verify --grid-points 1024": "d476b681fb69c282f0f5aabc0cbcaec8e9bc196277fd433e17b2500875162e4e",
     "verify --grid-points 16384 --s-steps 6 --n-steps 6":
-        "d2b991f317b2c4592375fcc9135c42924dc75a1e04ded53c47cab712d89cd498",
+        "4f814fe55402be00a4576ed70ceebc0ba5b4270c1fec970e56c0e353817312e9",
     "single --oracle --s-steps 6 --n-steps 6":
-        "fe2ad90175254e588ce90eedccc7c6517a0a05ba8ab6da6ac5b8e6b18fd13f1d",
+        "2500d9c7ac4822f3e84c83fd7555f550c80ea3fdf02e19b94e6fa8a61453cead",
     "verify --sigma 2.5 --grid-halfwidth 30 --format json":
-        "685d921c75f10eb557d51ceaff95930ad4afe49effd7cab78f3f280797a3e534",
+        "8f8590b653341d23b25335a309232015dcf0fbaf6c2b7bf512c33428be2f7c81",
 }
 
 

@@ -8,7 +8,6 @@ from helpers import (
     hg_coefficients,
     hg_pure_qfi,
     make_sources,
-    psf,
     spectral_sum_qfim_row,
 )
 from superres import (
@@ -48,6 +47,18 @@ class TestGrid:
     def test_rejects_bad_point_counts(self, n):
         with pytest.raises(ConfigurationError):
             Grid(halfwidth=10.0, n_points=n)
+
+    @pytest.mark.parametrize("halfwidth", [8.001, 10.0, 10.001, 0.025000000001, 30.0, 7060.0])
+    @pytest.mark.parametrize("n_points", [1024, 4096, 16384])
+    def test_points_are_exactly_antisymmetric(self, n_points, halfwidth):
+        # the oracle samples the x > 0 half and takes the other by parity;
+        # linspace differed from its own mirror at 1,794 of 4,096 points at
+        # halfwidth 8.001
+        g = Grid(halfwidth=halfwidth, n_points=n_points)
+        assert g.x[::-1].tobytes() == (-g.x).tobytes()
+        assert g.x[n_points // 2] > 0.0
+        linspace = np.linspace(-halfwidth, halfwidth, n_points)
+        assert np.abs(g.x - linspace).max() <= 1.5 * math.ulp(halfwidth)
 
     def test_arrays_frozen(self):
         g = Grid(halfwidth=5.0, n_points=1024)
@@ -161,19 +172,33 @@ class TestRowKernel:
     @pytest.mark.parametrize("n_points", [1024, 4096, 16384])
     def test_rows_are_the_qr_of_the_columns_sampled_on_the_grid(self, n_points, sigma, given):
         # bit for bit: the rows share one buffer, refilled in place, and each
-        # must be the R of its own columns on its own public Grid
+        # must hold the R of its even block [S, dS] and odd block [D, dD],
+        # sampled on the x > 0 half of its own public Grid, as h_+- = (S -+ D) / 2
         values = [*np.geomspace(1e-12, 20.0, 14).tolist(), 60.0]
         halfwidth = 10.0 * sigma + 60.0 if given else None
+        half, sig = n_points // 2, np.float64(sigma)
+        amp, var4 = (2.0 * math.pi * sig * sig) ** (-0.25), 4.0 * sig * sig
         expected = []
         for s in values:
             grid = default_grid(s, sigma, n_points, halfwidth)
-            root_w, columns = np.sqrt(grid.weights), {}
-            for j, sign in ((0, 1.0), (1, -1.0)):
-                u = grid.x + sign * s / 2.0
-                h = psf(u, np.float64(sigma)) * root_w
-                columns[j], columns[j + 2] = h, (-sign / (4.0 * sigma * sigma)) * u * h
-            expected.append(np.linalg.qr(np.stack([columns[k] for k in range(4)], axis=1),
-                                         mode="r"))
+            x = grid.x[half:]
+            # h(x - s/2) times sqrt(2 w): the weight of a point and its mirror,
+            # halved at the end
+            assert set(grid.weights[half:-1]) == {grid.spacing}
+            assert grid.weights[-1] == grid.spacing / 2
+            h = np.exp((x - s / 2.0) * (x - s / 2.0) * (-1.0 / var4)) * (
+                amp * math.sqrt(2.0 * grid.spacing))
+            h[-1] *= math.sqrt(0.5)
+            em = np.expm1(x * (-s / (2.0 * sig * sig)))     # h_+ / h_- - 1
+            even, odd = h * (2.0 + em), -(em * h)
+            d_even = (x * odd - even * (s / 2.0)) * (1.0 / var4)
+            d_odd = (x * even - odd * (s / 2.0)) * (1.0 / var4)
+            e, o = np.linalg.qr(np.stack([np.stack([even, d_even], axis=1),
+                                          np.stack([odd, d_odd], axis=1)]), mode="r")
+            expected.append(0.5 * np.array([[e[0, 0], e[0, 0], e[0, 1], e[0, 1]],
+                                            [-o[0, 0], o[0, 0], -o[0, 1], o[0, 1]],
+                                            [e[1, 0], e[1, 0], e[1, 1], e[1, 1]],
+                                            [-o[1, 0], o[1, 0], -o[1, 1], o[1, 1]]]))
         got = _rows_samples(values, sigma, n_points, halfwidth)
         assert got.tobytes() == np.array(expected).tobytes()
         assert all(_rows_samples([s], sigma, n_points, halfwidth)[0].tobytes() == r.tobytes()
@@ -322,6 +347,15 @@ class TestNumericConcurrence:
                 p = ModelParams(s, 1.0, theta, phi)
                 assert numeric_concurrence(p) == pytest.approx(
                     concurrence_normalized(p), rel=1e-9, abs=0.0), (theta, phi)
+
+    @pytest.mark.parametrize("s", [1e-3, 1e-9, 1e-12])
+    def test_relative_accuracy_at_tiny_separation(self, s):
+        # no difference of the sources is sampled or computed: read off a QR
+        # of h_+ and h_- sampled as such, C was off by 8.3e-8 at s = 1e-9 and
+        # 7.1e-5 at 1e-12
+        p = ModelParams(s, 1.0, 0.7)
+        assert numeric_concurrence(p) == pytest.approx(
+            concurrence_normalized(p), rel=1e-13, abs=0.0)
 
     def test_rejects_narrow_grid(self):
         with pytest.raises(ConfigurationError):

@@ -585,9 +585,11 @@ class TestCli:
         assert code == 0
         assert "PASS" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("s", ["1e-3", "1e-2"])
+    @pytest.mark.parametrize("s", ["1e-3", "1e-2", "1e-12", "1e-100"])
     def test_verify_passes_at_small_separation(self, s, capsys):
-        # nearly collinear basis vectors here; 4096 grid points, tolerance 1e-6
+        # nearly collinear basis vectors here; 4096 grid points, tolerance 1e-6.
+        # Sampled as h_+ and h_- rather than their sum and difference, the
+        # f_tt delta read 1.4e-4 at s = 1e-12 and 1.0 at 1e-100 (exit 3)
         code = main(["verify", "--s-min", s, "--s-max", s, "--s-steps", "1",
                      "--grid-points", "4096"])
         first, where = capsys.readouterr().err.splitlines()
@@ -596,6 +598,23 @@ class TestCli:
                             r"\(tolerance 1e-06\): PASS", first)
         assert re.fullmatch(rf"verify: worst delta in f_(ss|tt|st) at "
                             rf"s = {float(s)!r}, theta = [0-9.e-]+", where)
+
+    @pytest.mark.parametrize("argv, edge", [
+        (["qfim", "--nuisance", "theta", "--n-min", "0", "--s-min", "1e-9"], ("theta", 0.0)),
+        (["single", "--nuisance", "coherence", "--s-min", "1e-12"], ("gamma", 1.0)),
+    ], ids=["qfim-theta", "single-coherence"])
+    def test_oracle_deltas_at_tiny_separation(self, argv, edge, capsys):
+        # theta = 0 and gamma = 1 put the state on h_+ + h_-: formed from
+        # samples of h_+ and h_-, its derivative by s cancelled to O(s), and
+        # the f_ss delta read 1.2e-7 (f_tt 1.7e-7) at s = 1e-9, the gamma = 1
+        # f_tot delta 1.1e-4 at s = 1e-12
+        s = argv[-1]
+        assert main([*argv, "--oracle", "--s-max", s, "--s-steps", "1", "--format", "json"]) == 0
+        table = json.loads(capsys.readouterr().out)
+        assert {r["status"] for r in table} == {"ok"} and edge[1] in [r[edge[0]] for r in table]
+        for r in table:
+            deltas = [v for k, v in r.items() if k.startswith("delta_") and v is not None]
+            assert deltas and max(deltas) <= 1e-11, r
 
     @pytest.mark.parametrize("argv", [
         ["--s-min", "1e-5", "--s-max", "1e-5", "--s-steps", "1"],
