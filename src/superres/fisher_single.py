@@ -22,8 +22,9 @@ import math
 from dataclasses import dataclass
 from math import acos, sqrt
 
+from .errors import OutOfReachError
 from .state_model import (ModelParams, _angle_terms, _checked_terms, _concurrence_terms,
-                          _per_sigma, _require_gamma)
+                          _out_of_reach, _per_sigma, _pick, _require_gamma)
 
 _EPS = math.ulp(1.0)
 
@@ -49,12 +50,26 @@ class FiRecord:
         fields["f_tot"] = f_tot
 
 
-def _f_tot_form(u, d, e, gamma, omg):
-    """``sigma^2 F_tot`` (module docstring) from ``u = s / sigma``, ``d > 0``,
-    ``e = 1 - d``, ``gamma`` and ``omg = 1 - gamma``, for floats and arrays
-    alike."""
+def _f_tot_form(u, d, e, gamma, omg, where=_pick):
+    """``sigma^2 F_tot`` (module docstring) from ``u = s / sigma``, ``d``,
+    ``e = 1 - d``, ``gamma`` and ``omg = 1 - gamma``; floats and arrays alike
+    (pass ``numpy.where``).  With no overlap left the u^2 term vanishes
+    (``d * u^2`` is ``0 * inf`` where ``u^2`` overflows)."""
     g2 = 1.0 + gamma * gamma
-    return (omg + gamma * e) / 4.0 + gamma * d * (u * u) * g2 / (16.0 * (g2 + 2.0 * d * gamma))
+    f = (omg + gamma * e) / 4.0 + gamma * d * (u * u) * g2 / (16.0 * (g2 + 2.0 * d * gamma))
+    return where(d == 0.0, 0.25, f)
+
+
+def _concurrence_to_gamma(c, om, sqrt=sqrt):
+    """``(gamma, 1 - gamma, out)`` of concurrence ``c`` at ``om = 1 - d^2``
+    (module docstring), ``out`` the reach rule's flag; floats and arrays alike
+    (pass numpy's ``sqrt``).  Within rounding of ``C_max``, ``R`` carries no
+    information and is 0, the exact boundary value ``1/(4 sigma^2)``."""
+    rem = om - c * c
+    # + 0.0: False * rem is -0.0 where rem < 0
+    rem = (rem >= 4.0 * _EPS * om) * rem + 0.0
+    root, root_om = sqrt(rem), sqrt(om)
+    return root / root_om, (om - rem) / (om + root_om * root), _out_of_reach(c, om)
 
 
 def f_tot_coherence(s: float, sigma: float, gamma: float) -> FiRecord:
@@ -65,8 +80,7 @@ def f_tot_coherence(s: float, sigma: float, gamma: float) -> FiRecord:
     """
     _require_gamma(gamma)
     d, _, e, om = _checked_terms(s, sigma)
-    # no overlap left: the u^2 term vanishes (d * u^2 = 0 * inf where u^2 overflows)
-    f = 0.25 if d == 0.0 else _f_tot_form(s / sigma, d, e, gamma, 1.0 - gamma)
+    f = _f_tot_form(s / sigma, d, e, gamma, 1.0 - gamma)
     return FiRecord(s, sigma, acos(gamma), gamma,
                     sqrt((1.0 - gamma * gamma) * om), _per_sigma(s, sigma, f, 2))
 
@@ -87,18 +101,11 @@ def f_tot_concurrence(s: float, sigma: float, c: float) -> FiRecord:
         :func:`~superres.state_model.theta_from_concurrence`.
     """
     d, _, e, om = _concurrence_terms(s, sigma, c)
-    rem = om - c * c
-    if rem < 4.0 * _EPS * om:
-        # c sits at (or within rounding of) the reachable boundary; the
-        # subtraction carries no information there and the exact boundary
-        # value is 1/(4 sigma^2), which 1 - gamma = 1 gives
-        rem = 0.0
-    root = sqrt(rem)
-    root_om = sqrt(om)
-    gamma = min(root / root_om, 1.0)
-    f = (0.25 if d == 0.0     # as in f_tot_coherence
-         else _f_tot_form(s / sigma, d, e, gamma, (om - rem) / (om + root_om * root)))
-    return FiRecord(s, sigma, acos(gamma), gamma, c, _per_sigma(s, sigma, f, 2))
+    gamma, omg, out = _concurrence_to_gamma(c, om)
+    if out:
+        raise OutOfReachError(c, sqrt(om))
+    return FiRecord(s, sigma, acos(gamma), gamma, c,
+                    _per_sigma(s, sigma, _f_tot_form(s / sigma, d, e, gamma, omg), 2))
 
 
 def weighted_fi_reconstruct(p: ModelParams) -> float:

@@ -63,19 +63,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import acos, asin, sqrt
+from math import acos
 
-from .errors import DegenerateGeometryError, DomainError
+from .errors import DegenerateGeometryError, DomainError, OutOfReachError
 from .state_model import (
     _INF,
     _OM_MIN,
     ModelParams,
     _angle_terms,
     _checked_terms,
+    _concurrence_angle,
     _concurrence_terms,
     _eigenvalues,
     _mode_norms,
     _per_sigma,
+    _pick,
     _require_gamma,
     _unresolved,
 )
@@ -134,13 +136,15 @@ def _theta_block(terms, norms, ct, st, omc):
     return f_ss, f_tt, f_st, h_s
 
 
-def _to_gamma(block, st):
+def _to_gamma(block, st, gamma):
     """The theta-chart block of :func:`_theta_block` transported to
-    coherence ``gamma = cos(theta)`` by ``d theta/d gamma = -1/sin(theta)``:
-    ``(G_ss, G_gg, G_sg, H_s)`` (``H_s`` is chart-invariant)."""
+    coherence ``gamma = cos(theta)`` by ``d theta/d gamma = -1/sin(theta)``,
+    ``(G_ss, G_gg, G_sg, H_s)``, and the flag of ``gamma = 1``, where only
+    ``G_ss = H_s`` holds (``sin(theta) = 0`` read as 1); floats and arrays."""
     f_ss, f_tt, f_st, h_s = block
-    j = -1.0 / st
-    return f_ss, f_tt * j * j, f_st * j, h_s
+    limit = gamma == 1.0
+    j = -1.0 / (st + limit)
+    return (f_ss, f_tt * j * j, f_st * j, h_s), limit
 
 
 def _to_concurrence(block, terms, ct, st, c_max):
@@ -149,30 +153,31 @@ def _to_concurrence(block, terms, ct, st, c_max):
     ``u`` there).  ``C = sin(theta) c_max`` depends on both parameters: with
     ``t_s = d theta/ds|_C`` and ``t_C = d theta/dC|_s``,
     ``G_ss = F_ss + 2 t_s F_st + t_s^2 F_tt``, ``G_sC = t_C (F_st + t_s F_tt)``
-    and ``G_CC = t_C^2 F_tt``.
+    and ``G_CC = t_C^2 F_tt``.  Floats and arrays alike, with the flags
+    ``singular``, theta = pi/2, where only ``H_s`` holds (``cos theta`` read
+    one larger), and ``resolved``, ``0 < G_ss < inf``, ``G_CC``, ``G_sC``
+    finite (the transport can overflow, and cancel below ``u ~ 2e-12``).
     """
     f_ss, f_tt, f_st, h_s = block
     d, d1, _, om = terms
+    singular = ct < 1e-9
+    ct = ct + singular
     th_c = 1.0 / (ct * c_max)                  # d theta/dC at fixed s
     th_s = st * d * d1 / (ct * om)             # d theta/ds at fixed C
     g_ss = f_ss + 2.0 * th_s * f_st + th_s * th_s * f_tt
-    return g_ss, th_c * th_c * f_tt, th_c * (f_st + th_s * f_tt), h_s
+    g_cc, g_sc = th_c * th_c * f_tt, th_c * (f_st + th_s * f_tt)
+    resolved = (0.0 < g_ss) & (g_ss < _INF) & (abs(g_cc) < _INF) & (abs(g_sc) < _INF)
+    return (g_ss, g_cc, g_sc, h_s), singular, resolved
 
 
-def _h_nuisance(g_ss, g_tt, h_s):
-    """``det F / F_ss = F_tt H_s / F_ss``, free of the cancellation in
-    ``F_tt - F_st^2 / F_ss``."""
-    return g_tt * h_s / g_ss
-
-
-def _below_floor(g_tt, g_st):
-    """No nuisance information and no cross term: no correction to apply."""
-    return (g_tt < _NUISANCE_FLOOR) & (abs(g_st) < _NUISANCE_FLOOR)
-
-
-def _chart_singular(ct):
-    """The concurrence chart is singular at maximum reach, theta = pi/2."""
-    return ct < 1e-9
+def _h_nuisance(chart, where=_pick):
+    """``H_nuisance = det G / G_ss = G_nn H_s / G_ss`` of a chart ``(G_ss,
+    G_nn, G_sn, H_s)``, free of the cancellation in ``G_nn - G_sn^2 / G_ss``;
+    below the floor (no nuisance information and no cross term) ``G_nn``.
+    Floats and arrays alike (pass ``numpy.where``)."""
+    g_ss, g_nn, g_sn, h_s = chart
+    below = (g_nn < _NUISANCE_FLOOR) & (abs(g_sn) < _NUISANCE_FLOOR)
+    return where(below, g_nn, g_nn * h_s / g_ss)
 
 
 def _theta_chart(s: float, sigma: float, terms, theta: float):
@@ -203,13 +208,12 @@ def qfim(p: ModelParams) -> Qfim2:
     return Qfim2(_per_sigma(s, sigma, f_ss, 2), f_tt, f_st / sigma, "theta")
 
 
-def _h_pair(s, sigma, chart) -> PrecisionPair:
+def _h_pair(s, sigma, chart, limit=False) -> PrecisionPair:
     """``(H_s, H_nuisance)`` of a chart ``(G_ss, G_nn, G_sn, H_s)`` at
     ``sigma = 1``: ``H_nuisance`` does not scale, and is taken there so
-    that no underflow reads 0/0."""
-    g_ss, g_nn, g_sn, h_s = chart
-    h_n = g_nn if _below_floor(g_nn, g_sn) else _h_nuisance(g_ss, g_nn, h_s)
-    return PrecisionPair(_per_sigma(s, sigma, h_s, 2), h_n)
+    that no underflow reads 0/0; it diverges (inf) where ``limit`` is set."""
+    return PrecisionPair(_per_sigma(s, sigma, chart[3], 2),
+                         math.inf if limit else _h_nuisance(chart))
 
 
 def precision(p: ModelParams) -> PrecisionPair:
@@ -220,16 +224,12 @@ def precision(p: ModelParams) -> PrecisionPair:
     return _h_pair(s, sigma, _theta_chart(s, sigma, _checked_terms(s, sigma), p.theta)[2])
 
 
-def _gamma_chart(s: float, sigma: float, gamma: float) -> tuple[float, float, float, float]:
-    """``(G_ss, G_gg, G_sg, H_s)``: the theta chart transported to gamma."""
+def _gamma_chart(s: float, sigma: float, gamma: float):
+    """``((G_ss, G_gg, G_sg, H_s), limit)``: the theta chart transported to
+    gamma, and the flag of ``gamma = 1`` (see :func:`_to_gamma`)."""
     _require_gamma(gamma)
-    if gamma == 1.0:
-        raise DomainError(
-            "the coherence-parametrized matrix diverges at gamma = 1; "
-            "precision_gamma handles that limit"
-        )
     _, st, block = _theta_chart(s, sigma, _checked_terms(s, sigma), acos(gamma))
-    return _to_gamma(block, st)
+    return _to_gamma(block, st, gamma)
 
 
 def qfim_gamma(s: float, sigma: float, gamma: float) -> Qfim2:
@@ -239,7 +239,12 @@ def qfim_gamma(s: float, sigma: float, gamma: float) -> Qfim2:
     ``d theta/d gamma = -1/sin(theta)``.  At ``gamma = 1`` the nuisance
     block diverges; use :func:`precision_gamma`, which carries the limit.
     """
-    g_ss, g_gg, g_sg, _ = _gamma_chart(s, sigma, gamma)
+    (g_ss, g_gg, g_sg, _), limit = _gamma_chart(s, sigma, gamma)
+    if limit:
+        raise DomainError(
+            "the coherence-parametrized matrix diverges at gamma = 1; "
+            "precision_gamma handles that limit"
+        )
     return Qfim2(_per_sigma(s, sigma, g_ss, 2), g_gg, g_sg / sigma, "gamma")
 
 
@@ -250,35 +255,31 @@ def precision_gamma(s: float, sigma: float, gamma: float) -> PrecisionPair:
     the theta -> 0 limit ``H_s = F_ss = 4 lambda2 a4^2`` while ``H_gamma``
     diverges (returned as inf).
     """
-    if gamma == 1.0:
-        h_s = _theta_chart(s, sigma, _checked_terms(s, sigma), 0.0)[2][3]
-        return PrecisionPair(_per_sigma(s, sigma, h_s, 2), math.inf)
-    return _h_pair(s, sigma, _gamma_chart(s, sigma, gamma))
+    return _h_pair(s, sigma, *_gamma_chart(s, sigma, gamma))
 
 
 def _concurrence_chart(s: float, sigma: float, c: float) -> tuple[float, float, float, float]:
     """``(G_ss, G_CC, G_sC, H_s)``: the theta chart transported to (s, C)
-    (see :func:`_to_concurrence`)."""
+    (see :func:`_to_concurrence`), refused where a flag is set."""
     terms = _concurrence_terms(s, sigma, c)
-    c_max = sqrt(terms[3])
-    ct, st, block = _theta_chart(s, sigma, terms, asin(min(c / c_max, 1.0)))
-    if _chart_singular(ct):
+    theta, c_max, out = _concurrence_angle(c, terms[3])
+    if out:
+        raise OutOfReachError(c, c_max)
+    ct, st, block = _theta_chart(s, sigma, terms, theta)
+    chart, singular, resolved = _to_concurrence(block, terms, ct, st, c_max)
+    if singular:
         raise DomainError(
             "the concurrence chart is singular at the reachable maximum "
             "(theta = pi/2); use the theta or gamma chart there"
         )
-    chart = _to_concurrence(block, terms, ct, st, c_max)
-    # where 1 - d^2 is barely normal the transport can overflow (inf/inf then
-    # read as H_C = nan); G_ss >= H_s > 0 can cancel to <= 0 below u ~ 2e-12
-    g_ss, g_cc, g_sc, _ = chart
-    if not (0.0 < g_ss < _INF and -_INF < g_cc < _INF and -_INF < g_sc < _INF):
+    if not resolved:
         raise _unresolved(s, sigma)
     return chart
 
 
 def qfim_concurrence(s: float, sigma: float, c: float) -> Qfim2:
     """QFIM for (s, C): Jacobian transport of the theta-parametrized matrix
-    (formulas in :func:`_concurrence_chart`)."""
+    (formulas in :func:`_to_concurrence`)."""
     g_ss, g_cc, g_sc, _ = _concurrence_chart(s, sigma, c)
     return Qfim2(_per_sigma(s, sigma, g_ss, 2), g_cc, g_sc / sigma, "concurrence")
 

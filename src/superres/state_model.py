@@ -85,19 +85,24 @@ def _out_of_reach(c, om):
     return c * c - om > 1e-12 * om
 
 
+def _concurrence_angle(c, om, sqrt=sqrt, asin=math.asin, minimum=min):
+    """``(theta, C_max, out)`` of :func:`theta_from_concurrence` at ``om =
+    C_max^2``, ``out`` the reach rule's flag; floats and arrays alike (pass
+    numpy's ``sqrt``, ``arcsin`` and ``minimum``)."""
+    c_max = sqrt(om)
+    return asin(minimum(c / c_max, 1.0)), c_max, _out_of_reach(c, om)
+
+
 def _concurrence_terms(s, sigma, c):
     """:func:`_checked_terms` for a concurrence ``c``, after its checks:
-    ``c >= 0``, ``1 - d^2`` normal (it is divided by) and ``c`` in reach."""
+    ``c >= 0`` and ``1 - d^2`` normal (it is divided by)."""
     if not (c >= 0.0):
         raise DomainError(f"concurrence must be nonnegative, got {c}")
     terms = _checked_terms(s, sigma)
-    om = terms[3]
-    if om < _OM_MIN:
+    if terms[3] < _OM_MIN:
         raise DegenerateGeometryError(
             f"at s = {s!r} the reachable concurrence is zero or subnormal; "
             "use the theta or coherence forms")
-    if _out_of_reach(c, om):
-        raise OutOfReachError(c, sqrt(om))
     return terms
 
 
@@ -253,8 +258,10 @@ def theta_from_concurrence(s: float, sigma: float, c: float) -> float:
         one reach rule of every concurrence path.  Below it ``c / C_max``
         is clamped at 1, so that ``C_max`` itself round-trips.
     """
-    om = _concurrence_terms(s, sigma, c)[3]
-    return math.asin(min(c / sqrt(om), 1.0))
+    theta, c_max, out = _concurrence_angle(c, _concurrence_terms(s, sigma, c)[3])
+    if out:
+        raise OutOfReachError(c, c_max)
+    return theta
 
 
 def _separation_terms(u):
@@ -297,6 +304,11 @@ def _mode_norms(u, d, e):
         a3sq = (2.0 * e - e * e - td) / (16.0 * e * e)
     a4sq = (2.0 * e - e * e + td) / (16.0 * ((2.0 - e) * (2.0 - e)))
     return sqrt(0.0 if a3sq < 0.0 else a3sq), sqrt(0.0 if a4sq < 0.0 else a4sq)
+
+
+def _pick(flag, a, b):
+    """``numpy.where`` for floats."""
+    return a if flag else b
 
 
 def _angle_terms(theta, cos=math.cos, sin=math.sin):

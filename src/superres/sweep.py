@@ -32,18 +32,11 @@ from typing import IO, Iterable
 import numpy as np
 
 from .errors import DomainError
-from .fisher_single import _EPS, _f_tot_form
+from .fisher_single import _concurrence_to_gamma, _f_tot_form
 from .float_text import e16_cells, repr_cells, write_rows
 from .numeric_oracle import GRID_POINTS, _check_grid, _numeric_f_tot, numeric_qfim_cells
-from .qfim_two_param import (
-    _below_floor,
-    _chart_singular,
-    _h_nuisance,
-    _theta_block,
-    _to_concurrence,
-    _to_gamma,
-)
-from .state_model import (_OM_MIN, _angle_terms, _mode_norms, _out_of_reach,
+from .qfim_two_param import _h_nuisance, _theta_block, _to_concurrence, _to_gamma
+from .state_model import (_OM_MIN, _angle_terms, _concurrence_angle, _mode_norms,
                           _require_s_sigma, _separation_terms, concurrence_max)
 
 MODES = ("single", "qfim")
@@ -188,69 +181,53 @@ def _on_axis(fn, x: np.ndarray, *more: np.ndarray):
 
 def _single_block(nuisance: str, u, nu, sigma: float, terms) -> dict:
     """Columns of a single-mode block: ``f_tot_coherence`` and
-    ``f_tot_concurrence`` cell by cell, with their branches as masks."""
+    ``f_tot_concurrence`` cell by cell, blank where their flags are set."""
     d, _, e, om = terms
     if nuisance == "concurrence":
         c = nu
-        # at u = 0 only the C = 0 column is reachable
-        reach = np.where(u == 0.0, c == 0.0, ~_out_of_reach(c, om))
-        rem = om - c * c
-        rem = np.where(rem < 4.0 * _EPS * om, 0.0, rem)
-        root = np.sqrt(rem)
-        root_om = np.sqrt(om)
-        # the u = 0, C = 0 cell is the full-coherence limit
+        gamma, omg, out = _concurrence_to_gamma(c, om, np.sqrt)
+        # at u = 0 only the C = 0 column is reachable, the full-coherence limit
         at_zero = (u == 0.0) & (c == 0.0)
-        gamma = np.where(at_zero, 1.0, np.minimum(root / root_om, 1.0))
-        omg = np.where(at_zero, 0.0, (om - rem) / (om + root_om * root))
-        cells = {"theta": np.arccos(gamma), "_reach": reach}
+        gamma = np.where(at_zero, 1.0, gamma)
+        omg = np.where(at_zero, 0.0, omg)
+        cells = {"theta": np.arccos(gamma), "_reach": np.where(u == 0.0, c == 0.0, ~out)}
     else:
         gamma = nu if nuisance == "coherence" else _on_axis(math.cos, nu)
         omg = 1.0 - gamma
         cells = {"theta": _on_axis(math.acos, gamma), "_reach": np.True_,
                  "C": np.sqrt((1.0 - gamma * gamma) * om)}
-    # d = 0: the u^2 term vanishes (0 * inf where u^2 overflows)
-    f = np.where(d == 0.0, 0.25, _f_tot_form(u, d, e, gamma, omg))
+    f = _f_tot_form(u, d, e, gamma, omg, np.where)
     return {**cells, "gamma": gamma, "f_tot": f / sigma / sigma}
 
 
 def _qfim_block(nuisance: str, u, nu, sigma: float, terms) -> dict:
     """Columns of a qfim-mode block: the theta-chart QFIM of ``qfim``, its
-    transport to the block's chart, and the precisions, with each scalar
-    branch as a mask.  As there, ``H_nuisance`` is taken at ``sigma = 1``."""
+    transport to the block's chart, and the precisions, blank where a chart
+    flag is set.  As there, ``H_nuisance`` is taken at ``sigma = 1``."""
     d, _, e, om = terms
     norms = _on_axis(_mode_norms, u, d, e)
     if nuisance == "concurrence":
-        c_max = np.sqrt(om)
-        reach = ~_out_of_reach(nu, om)
-        theta = np.arcsin(np.minimum(nu / c_max, 1.0))
+        theta, c_max, out = _concurrence_angle(nu, om, np.sqrt, np.arcsin, np.minimum)
         ct, st, omc = _angle_terms(theta, np.cos, np.sin)
     else:
-        reach = np.True_
         theta = nu if nuisance == "theta" else _on_axis(math.acos, nu)
         ct, st, omc = _on_axis(_angle_terms, theta)
     block = _theta_block(terms, norms, ct, st, omc)
-    f_ss, f_tt, f_st, h_s = block
-
-    if nuisance == "theta":
-        g_ss, g_tt, g_st = f_ss, f_tt, f_st
-        gamma, regular = ct, np.True_
-    elif nuisance == "coherence":
-        g_ss, g_tt, g_st, _ = _to_gamma(block, st)
-        # gamma = 1: infinite nuisance block, only F_ss = H_s survives
-        regular = nu != 1.0
-        g_tt, g_st = (np.where(regular, g, np.nan) for g in (g_tt, g_st))
-        gamma = nu
-    else:
-        # the chart is singular at maximum reach; H_s is chart-invariant
-        regular = ~_chart_singular(ct)
-        g_ss, g_tt, g_st = (np.where(regular, g, np.nan) for g in
-                            _to_concurrence(block, terms, ct, st, c_max)[:3])
-        # G_ss >= H_s > 0: one cancelled to 0 or below is unresolved (_kernel)
-        g_ss = np.where(g_ss > 0.0, g_ss, np.nan)
-        gamma = ct
-    h_n = np.where(_below_floor(g_tt, g_st), g_tt, _h_nuisance(g_ss, g_tt, h_s))
+    f_ss, f_tt, f_st, h_s = g_ss, g_tt, g_st, _ = block
+    reach = regular = np.True_
+    gamma = ct
+    if nuisance == "coherence":
+        (g_ss, g_tt, g_st, _), limit = _to_gamma(block, st, nu)
+        regular, gamma = ~limit, nu
+    elif nuisance == "concurrence":
+        (g_ss, g_tt, g_st, _), singular, resolved = _to_concurrence(block, terms, ct, st, c_max)
+        reach, regular = ~out, ~singular
+        # an unresolved G_ss in a regular cell is refused (_kernel)
+        g_ss = np.where(regular & resolved, g_ss, np.nan)
+    g_tt, g_st = (np.where(regular, g, np.nan) for g in (g_tt, g_st))
     cells = {"theta": theta, "gamma": gamma, "f_ss": g_ss / sigma / sigma, "f_tt": g_tt,
-             "f_st": g_st / sigma, "h_s": h_s / sigma / sigma, "h_nuisance": h_n,
+             "f_st": g_st / sigma, "h_s": h_s / sigma / sigma,
+             "h_nuisance": _h_nuisance((g_ss, g_tt, g_st, h_s), np.where),
              "_reach": reach, "_regular": regular, "_theta_f_ss": f_ss / sigma / sigma,
              "_theta_f_tt": f_tt, "_theta_f_st": f_st / sigma}
     if nuisance != "concurrence":
