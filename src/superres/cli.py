@@ -42,9 +42,9 @@ def _keep_freed_heap() -> None:
     """Have glibc's malloc keep freed memory for reuse instead of handing it
     back to the kernel after every large array.
 
-    The grid oracle allocates and frees ~0.8 MB per separation row at 16384
-    grid points (the row's grid points with the temporaries that build
-    them, and the QR's two copies of the half-grid sample buffer).  With
+    The grid oracle allocates and frees ~0.6 MB per separation row at 16384
+    grid points (the row's ``x > 0`` grid points with the temporaries that
+    build them, and the QR's two copies of the half-grid sample buffer).  With
     glibc's default thresholds some of those pages go back to the kernel
     after each row and are faulted in again on the next: ~130 minor faults
     per six-row ``verify`` (2.7 ms against 2.5 ms, best in process), and

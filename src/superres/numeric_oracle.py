@@ -25,12 +25,17 @@ routine and no cutoff.  It and the weighted FI of single mode run
 elementwise over all (s, theta) cells of a sweep in one call; the
 concurrence is read off the same coordinates.
 
-With the default grid (halfwidth ``10 sigma + s``) the oracle agrees with
-the closed forms to round-off at 1024, 4096 and 16384 points: within
-3.5e-15 relative in every QFIM element (``F_st`` on its Cauchy-Schwarz
-scale ``sqrt(F_ss F_tt)``), ``F_tot`` and the concurrence, for s from
-1e-12 sigma to 60 sigma and at 1e-100 sigma.  No error of it grows as s
-falls.  A sweep's oracle call runs in a few milliseconds.
+A row's grid keeps ``8 sigma + s`` of margin on points at most
+``MAX_SPACING = 0.68`` sigma apart, past which the trapezoid sums leave
+round-off (:meth:`Grid.coarse`); a row on a coarser grid raises
+``DomainError``.  The default grid (halfwidth ``10 sigma + s``) is coarse
+above ``s`` ~338 sigma at 1024 points, ~1,382 at 4096 and ~5,560 at 16384.
+Below, the oracle agrees with the closed forms to round-off at 1024, 4096
+and 16384 points: within 3.5e-15 relative in every QFIM element (``F_st``
+on its Cauchy-Schwarz scale ``sqrt(F_ss F_tt)``), ``F_tot`` and the
+concurrence, for s from 1e-12 sigma to 60 sigma and at 1e-100 sigma.  No
+error of it grows as s falls.  A sweep's oracle call runs in a few
+milliseconds.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from .qfim_two_param import Qfim2
 from .state_model import ModelParams, _require_s_sigma
 
 GRID_POINTS = 4096      # the grid size wherever none is given
+MAX_SPACING = 0.68      # the widest grid spacing, in sigma (Grid.coarse)
 
 
 def _check_grid(n_points: int, halfwidth: float | None) -> None:
@@ -70,8 +76,9 @@ class Grid:
     ``2 halfwidth / (n_points - 1)`` and the points are
     ``+-(j + 1/2) spacing``, so ``x[::-1] == -x`` exactly and no point lies
     at 0; the outermost are within ~1 ulp of ``+-halfwidth``.  The sample
-    points and weights are built on first use and frozen, so a grid that is
-    only checked costs no arrays.
+    points (``half`` holds those above 0, which the oracle reads) and weights
+    are built on first use and frozen, so a grid that is only checked costs
+    no arrays.
     """
 
     halfwidth: float
@@ -81,9 +88,14 @@ class Grid:
         _check_grid(self.n_points, self.halfwidth)
 
     @functools.cached_property
-    def x(self) -> np.ndarray:
+    def half(self) -> np.ndarray:
         half = (np.arange(self.n_points // 2) + 0.5) * self.spacing
-        x = np.concatenate((-half[::-1], half))
+        half.setflags(write=False)
+        return half
+
+    @functools.cached_property
+    def x(self) -> np.ndarray:
+        x = np.concatenate((-self.half[::-1], self.half))
         x.setflags(write=False)
         return x
 
@@ -99,9 +111,18 @@ class Grid:
     def spacing(self) -> float:
         return 2.0 * self.halfwidth / (self.n_points - 1)
 
+    def coarse(self, sigma: float) -> bool:
+        """Whether the points are more than ``MAX_SPACING = 0.68`` PSF widths
+        apart.  Beyond that the oracle leaves round-off: its worst delta to
+        the closed forms (QFIM and ``F_tot``, ``s`` in ``[1e-3, 40] sigma``)
+        reads 2.2e-15 at a spacing of 0.68 sigma, 7.5e-15 at 0.69, 2.0e-14 at
+        0.70 and 3.2e-11 at 0.78, alike at 1024 and 4096 points."""
+        return self.spacing > MAX_SPACING * sigma
+
     def fits(self, s: float, sigma: float) -> bool:
-        """Whether states of separation ``s`` keep eight PSF widths of margin."""
-        return self.halfwidth >= 8.0 * sigma + s
+        """The rule of a row: states of separation ``s`` keep eight PSF widths
+        of margin, on a grid that is not :meth:`coarse`."""
+        return self.halfwidth >= 8.0 * sigma + s and not self.coarse(sigma)
 
 
 def default_grid(s: float, sigma: float, n_points: int = GRID_POINTS,
@@ -139,9 +160,11 @@ def _rows_samples(values, sigma: float, n_points: int,
     is ``(e00, -o00, 0, 0) / 2`` and ``h_-`` is ``(e00, o00, 0, 0) / 2``,
     with ``e`` and ``o`` the blocks' ``R``.
 
-    Every row is checked by the model's range rule and the grid's margin
-    before any is sampled; every oracle entry point goes through here.  The
-    rows are sampled into one buffer, refilled in place for each ``s``.
+    Every row is checked by the model's range rule and :meth:`Grid.fits`
+    before any is sampled (a coarse grid does not resolve its ``s``, a narrow
+    one is a configuration error); every oracle entry point goes through
+    here.  The rows are sampled into one buffer, refilled in place for each
+    ``s``.
     """
     grids = []
     for s in values:
@@ -149,6 +172,8 @@ def _rows_samples(values, sigma: float, n_points: int,
         if halfwidth is None or not grids:      # a given halfwidth: one grid for all rows
             grid = default_grid(s, sigma, n_points, halfwidth)
         if not grid.fits(s, sigma):
+            if grid.coarse(sigma):
+                raise _unresolved(s, sigma)
             raise ConfigurationError(f"grid halfwidth {grid.halfwidth} too narrow for s = {s}, "
                                      f"sigma = {sigma} (needs at least 8 sigma + s)")
         grids.append(grid)
@@ -163,7 +188,7 @@ def _rows_samples(values, sigma: float, n_points: int,
     # last row first, each grid dropped once sampled, with the points it built
     for out, s in zip(blocks[::-1], values[::-1]):
         grid = grids.pop()
-        x = grid.x[m:]
+        x = grid.half
         # h(x - s/2) = (2 pi sigma^2)^(-1/4) exp(-(x - s/2)^2 / (4 sigma^2)),
         # times sqrt(2 w): the trapezoid weight, halved at the end
         np.subtract(x, s / 2.0, out=u)
@@ -188,8 +213,7 @@ def _rows_samples(values, sigma: float, n_points: int,
 
 def _resolved(s, sigma: float, *results):
     """The oracle's ``results``, after checking that every cell is finite:
-    they are not where the grid samples no PSF (a spacing far above
-    ``sigma``, as at ``s = 1e6 sigma``) or where ``sigma^2`` underflows."""
+    they are not where ``sigma^2`` underflows."""
     bad = ~np.logical_and.reduce([np.isfinite(r) for r in results])
     if bad.any():
         raise _unresolved(float(np.broadcast_to(s, bad.shape)[bad][0]), sigma)

@@ -39,11 +39,13 @@ under reparametrizing the nuisance by coherence ``gamma = cos(theta)`` or by
 concurrence; both charts are provided through exact Jacobian transport of
 the theta-parametrized matrix.
 
-Degenerate corners (all at phi = 0, s > 0):
+Degenerate corners (all at phi = 0, s > 0), each decided by one function
+that takes floats and arrays alike; the scalar entry points raise where its
+flag is set, and ``sweep`` blanks the cell:
 
-* ``theta = 0``: lambda1 vanishes and individual SLD entries diverge, but
-  in the QFIM the ``1/lambda1`` cancels against the ``sin^2(theta)`` of the
-  derivatives.  The classical block
+* ``theta = 0`` (:func:`_theta_block`, no flag): lambda1 vanishes and
+  individual SLD entries diverge, but in the QFIM the ``1/lambda1`` cancels
+  against the ``sin^2(theta)`` of the derivatives.  The classical block
 
       F_ss - H_s = (B sin(theta))^2 / ((1 - d^2) den^2),
       F_tt = (1 - d^2) / den^2,     F_st = -B sin(theta) / den^2
@@ -53,10 +55,16 @@ Degenerate corners (all at phi = 0, s > 0):
   at theta = 0 with no switch.  (Exactly at the point the state is pure
   and the pointwise theta-information is zero; the continuous extension is
   what the precision surfaces plot.)
-* ``gamma = 1``: the coherence chart has an infinite nuisance block;
-  ``precision_gamma`` returns the limiting ``h_s`` with ``h_nuisance = inf``.
-* concurrence at its reachable maximum (theta = pi/2): the concurrence
-  chart is singular there; use the theta chart, whose ``h_s`` is identical.
+* ``gamma = 1`` (the flag of :func:`_to_gamma`): the coherence chart has an
+  infinite nuisance block; ``precision_gamma`` returns the limiting ``h_s``
+  with ``h_nuisance = inf``.
+* concurrence at its reachable maximum (theta = pi/2, the ``singular`` flag
+  of :func:`_to_concurrence`): the concurrence chart is singular there; use
+  the theta chart, whose ``h_s`` is identical.  Its ``resolved`` flag marks
+  a transport that overflows or cancels; out of reach is the flag of
+  :func:`state_model._concurrence_angle`.
+* no nuisance information and no cross term (:func:`_h_nuisance`): below
+  the floor ``H_nuisance`` is ``G_nn``, uncorrected.
 """
 
 from __future__ import annotations

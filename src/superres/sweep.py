@@ -10,12 +10,19 @@ blank) so that rectangular surface layouts survive.  Identical specs produce
 byte-identical output files.
 
 A block is evaluated in one array pass that calls the scalar API's closed
-forms, written with ``+ - * /`` only so that they take the broadcast
-``(s, nuisance)`` grid as they take floats; each scalar branch becomes a
-mask.  Functions of one axis alone (``state_model._separation_terms`` and,
-in qfim mode, ``state_model._mode_norms`` among them) go through the scalar
-API once per axis value, so theta- and coherence-nuisance blocks agree with
-it bit for bit; in concurrence blocks theta depends on both axes and goes
+forms and chart functions, written so that they take the broadcast
+``(s, nuisance)`` grid as they take floats.  A chart function returns its
+values with a flag per branch, where the scalar API raises and a block
+blanks the cell: reach (``state_model._concurrence_angle``,
+``fisher_single._concurrence_to_gamma``, which also clamps ``C`` at
+``C_max``), ``gamma = 1`` (``qfim_two_param._to_gamma``), the singular and
+the unresolved concurrence chart (``qfim_two_param._to_concurrence``); the
+nuisance floor (``qfim_two_param._h_nuisance``) and ``d = 0``
+(``fisher_single._f_tot_form``) pick a value.  Functions of one axis alone
+(``state_model._separation_terms`` and, in qfim mode,
+``state_model._mode_norms`` among them) go through the scalar API once per
+axis value, so theta- and coherence-nuisance blocks agree with it bit for
+bit; in concurrence blocks theta depends on both axes and goes
 through numpy's vectorized arcsin/arccos/cos/sin, which may differ by an ulp.
 Results come back as a columnar :class:`SweepTable`, and the emitters
 format whole rows from its columns.
@@ -31,10 +38,11 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigurationError, DomainError
 from .fisher_single import _concurrence_to_gamma, _f_tot_form
 from .float_text import e16_cells, repr_cells, write_rows
-from .numeric_oracle import GRID_POINTS, _check_grid, _numeric_f_tot, numeric_qfim_cells
+from .numeric_oracle import (GRID_POINTS, MAX_SPACING, Grid, _check_grid, _numeric_f_tot,
+                             numeric_qfim_cells)
 from .qfim_two_param import _h_nuisance, _theta_block, _to_concurrence, _to_gamma
 from .state_model import (_OM_MIN, _angle_terms, _concurrence_angle, _mode_norms,
                           _require_s_sigma, _separation_terms, concurrence_max)
@@ -104,6 +112,13 @@ class SweepSpec:
         if self.grid_halfwidth is not None:
             _require_real("grid_halfwidth", self.grid_halfwidth)
         _check_grid(self.grid_points, self.grid_halfwidth)
+        # a given halfwidth is every row's grid, and its spacing rule needs no s
+        if (self.grid_halfwidth is not None
+                and Grid(self.grid_halfwidth, self.grid_points).coarse(self.sigma)):
+            raise ConfigurationError(
+                f"grid halfwidth {self.grid_halfwidth} with {self.grid_points} points is too "
+                f"coarse for sigma = {self.sigma} (needs a spacing of at most "
+                f"{MAX_SPACING} sigma)")
         for name, rng in (("s", self.s_range), ("nuisance", self.nuisance_range)):
             try:
                 lo, hi, steps = rng

@@ -173,9 +173,10 @@ class TestRowKernel:
     def test_rows_are_the_qr_of_the_columns_sampled_on_the_grid(self, n_points, sigma, given):
         # bit for bit: the rows share one buffer, refilled in place, and each
         # must hold the R of its even block [S, dS] and odd block [D, dD],
-        # sampled on the x > 0 half of its own public Grid, as h_+- = (S -+ D) / 2
-        values = [*np.geomspace(1e-12, 20.0, 14).tolist(), 60.0]
-        halfwidth = 10.0 * sigma + 60.0 if given else None
+        # sampled on the x > 0 half of its own public Grid, as h_+- = (S -+ D) / 2;
+        # s in units of sigma, so that every row's grid resolves it (Grid.fits)
+        values = [sigma * r for r in (*np.geomspace(1e-12, 20.0, 14).tolist(), 60.0)]
+        halfwidth = 70.0 * sigma if given else None
         half, sig = n_points // 2, np.float64(sigma)
         amp, var4 = (2.0 * math.pi * sig * sig) ** (-0.25), 4.0 * sig * sig
         expected = []

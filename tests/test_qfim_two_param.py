@@ -240,8 +240,12 @@ class TestConcurrenceChart:
         )
 
     def test_singular_at_maximum_reach(self):
-        with pytest.raises(DomainError):
-            qfim_concurrence(2.0, 1.0, concurrence_max(2.0, 1.0))
+        # at s = 3e-154 cos(theta) (1 - d^2) underflows to 0, which the
+        # transport divides by
+        for s in (2.0, 3e-154):
+            for chart in (qfim_concurrence, precision_concurrence):
+                with pytest.raises(DomainError, match="singular"):
+                    chart(s, 1.0, concurrence_max(s, 1.0))
 
     def test_matrix_is_jacobian_transport(self):
         s, c = 1.5, 0.3

@@ -111,6 +111,8 @@ class TestSweepSpec:
         dict(grid_points=7), dict(grid_points=512), dict(grid_points=4095),
         dict(grid_halfwidth=-1.0), dict(grid_halfwidth=0.0), dict(grid_halfwidth=math.nan),
         dict(grid_halfwidth=math.inf), dict(grid_points=64, oracle=True),
+        # spacing 3.9 sigma, with or without the oracle
+        dict(grid_halfwidth=2000.0, grid_points=1024),
     ])
     def test_rejects_grids_the_oracle_rejects(self, kw):
         # the oracle's grid rule, whether or not the oracle runs
@@ -501,6 +503,23 @@ class TestCli:
         assert code == 2
         assert "the grid does not resolve s = 1000000.0 at sigma = 1.0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, error", [
+        # points 5.9 sigma apart: exited 0 with delta_f_tot 0.68, 1.07 and 5.42
+        # where f_tot = 0.25 is exact
+        ("single --oracle --s-min 3000 --s-max 3000 --s-steps 1 --n-steps 3 --grid-points 1024",
+         "the grid does not resolve s = 3000.0 at sigma = 1.0"),
+        # points 2.4 to 5.9 and 3.9 sigma apart: false FAILs (exit 3) with
+        # deltas of 119 and 184
+        ("verify --s-min 300 --s-max 3000 --s-steps 4 --grid-points 1024",
+         "the grid does not resolve s = 1200.0 at sigma = 1.0"),
+        ("verify --grid-halfwidth 2000 --grid-points 1024 --s-min 1 --s-max 5",
+         "grid halfwidth 2000.0 with 1024 points is too coarse for sigma = 1.0 "
+         "(needs a spacing of at most 0.68 sigma)"),
+    ], ids=["single-default-grid", "verify-default-grid", "verify-given-halfwidth"])
+    def test_a_grid_too_coarse_to_resolve_is_refused(self, argv, error, capsys):
+        assert main(argv.split()) == 2
+        assert capsys.readouterr() == ("", f"superres: error: {error}\n")
+
     @pytest.mark.parametrize("command", [["verify"], ["single", "--oracle"]])
     def test_overflowing_default_halfwidth_is_a_domain_error(self, command, capsys):
         # 8 sigma + s overflows: the error named --grid-halfwidth, which was
@@ -773,6 +792,28 @@ class TestKernelMatchesScalarApi:
     def test_theta_blocks_at_other_sigma(self, mode, sigma):
         self.check_cells(SweepSpec(mode=mode, nuisance="theta", sigma=sigma,
                                    s_range=(1e-3, 5.0, 12), nuisance_range=(0.0, math.pi / 2, 12)))
+
+    @pytest.mark.parametrize("s", [0.3, 2.0])
+    @pytest.mark.parametrize("mode, nuisance, value", [
+        # concurrence in units of C_max: the clamp band, inside the 1e-12
+        # reach tolerance, and out of reach
+        ("single", "concurrence", 1.0 - 2.0**-52),
+        ("single", "concurrence", 1.0 + 1e-13),
+        ("single", "concurrence", 1.0 + 1e-11),
+        # the chart's singular column, and out of reach
+        ("qfim", "concurrence", 1.0),
+        ("qfim", "concurrence", 1.0 + 1e-11),
+        ("single", "coherence", 1.0), ("qfim", "coherence", 1.0),
+        ("single", "theta", 0.0), ("single", "theta", math.pi / 2),
+        ("qfim", "theta", 0.0), ("qfim", "theta", math.pi / 2),
+    ])
+    def test_branch_edges(self, mode, nuisance, value, s):
+        # one-value blocks on the edges of the chart functions' flags: the
+        # sweep blanks a cell exactly where the scalar API raises
+        if nuisance == "concurrence":
+            value *= concurrence_max(s, 1.0)
+        self.check_cells(SweepSpec(mode=mode, nuisance=nuisance, s_range=(s, s, 1),
+                                   nuisance_range=(value, value, 1)))
 
     def check_cells(self, spec):
         table = run_sweep(spec)
