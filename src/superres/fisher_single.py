@@ -63,8 +63,9 @@ def _f_tot_form(u, d, e, gamma, omg, where=_pick):
 def _concurrence_to_gamma(c, om, sqrt=sqrt):
     """``(gamma, 1 - gamma, out)`` of concurrence ``c`` at ``om = 1 - d^2``
     (module docstring), ``out`` the reach rule's flag; floats and arrays alike
-    (pass numpy's ``sqrt``).  Within rounding of ``C_max``, ``R`` carries no
-    information and is 0, the exact boundary value ``1/(4 sigma^2)``."""
+    (pass numpy's ``sqrt``).  Within rounding of ``C_max``, ``R = om - c^2``
+    carries no information and is 0, which gives ``F_tot``'s exact boundary
+    value ``1/(4 sigma^2)``."""
     rem = om - c * c
     # + 0.0: False * rem is -0.0 where rem < 0
     rem = (rem >= 4.0 * _EPS * om) * rem + 0.0
