@@ -228,7 +228,8 @@ def _qfim_block(nuisance: str, u, nu, sigma: float, terms) -> dict:
         theta = nu if nuisance == "theta" else _on_axis(math.acos, nu)
         ct, st, omc = _on_axis(_angle_terms, theta)
     block = _theta_block(terms, norms, ct, st, omc)
-    f_ss, f_tt, f_st, h_s = g_ss, g_tt, g_st, _ = block
+    f_ss, f_tt, f_st, h_s = block
+    g_ss, g_tt, g_st = f_ss, f_tt, f_st         # the theta chart's own
     reach = regular = np.True_
     gamma = ct
     if nuisance == "coherence":
