@@ -24,7 +24,7 @@ from math import acos, sqrt
 
 from .errors import OutOfReachError
 from .state_model import (ModelParams, _angle_terms, _checked_terms, _concurrence_terms,
-                          _out_of_reach, _per_sigma, _pick, _require_gamma)
+                          _out_of_reach, _per_sigma, _pick, _require_gamma, _separation_terms)
 
 _EPS = math.ulp(1.0)
 
@@ -95,8 +95,10 @@ def f_tot_concurrence(s: float, sigma: float, c: float) -> FiRecord:
     Raises
     ------
     DegenerateGeometryError
-        At ``s = 0``, or where ``1 - d^2`` is subnormal (``s`` below
-        ~3e-154 sigma); approach that column through the coherence form.
+        At ``s = 0``; approach that column through the coherence form.
+    DomainError
+        If ``c`` is negative or NaN, or ("the closed forms do not resolve")
+        where ``1 - d^2`` is subnormal, ``s`` below ~3e-154 sigma.
     OutOfReachError
         If ``c`` is out of reach by the rule of
         :func:`~superres.state_model.theta_from_concurrence`.
@@ -126,8 +128,8 @@ def weighted_fi_reconstruct(p: ModelParams) -> float:
     At ``theta = 0`` the second branch has zero weight and contributes zero.
     """
     p.require_phi_zero("weighted_fi_reconstruct")
-    d, d1, e, _ = _checked_terms(p.s, p.sigma)
     u = p.s / p.sigma
+    d, d1, e, _ = _separation_terms(u)
     g, _, omg = _angle_terms(p.theta)
 
     big_m = 1.0 + g * g + 2.0 * d * g          # <v|v> for v = h_+ + gamma h_-

@@ -155,15 +155,11 @@ _SPLIT = 134217729.0      # 2**27 + 1, Dekker's splitter
 # (2**-47 more) and compare with interval half-widths of at most 12,
 # computed to a relative 2**-51: the same margin covers them.
 _MARGIN = 2.0**-40
-# repr_cells writes a cell's digits into a 48-byte union of every byte that
-# any of repr's layouts writes, in order: the sign, "0.000", the 17 digits
-# each with a point after it, two bytes no layout writes, and "e+0ddd" (the
-# exponent's digits a uint32 at an aligned offset).  The cell's text is the
-# bytes of its layout gathered from there, the rest of its slot DROP read
-# from _UNWRITTEN.  Bytes, not an array, until a call: an array made at
-# import raised the peak memory of point queries, which never emit.
-_UNION = b"-0.000" + b"0." * 17 + b"\xff\xffe+0000"
-_UNWRITTEN = 40
+# repr_cells gathers a cell's text from the '%.16e' slot of its shortest
+# digits (digit i at byte 1 if i = 0, else i + 2; the point at 2, "e" at 19,
+# the exponent's sign at 20 and its digits at 22-23, or 21-23), followed by
+# a "0" byte and a DROP byte, which a layout's unwritten bytes read.
+_ZERO, _UNWRITTEN = SLOT, SLOT + 1
 _MANTISSA = 2**52 - 1
 
 
@@ -201,15 +197,22 @@ def e16_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     digits[top] = _TEN16
     k += top
     text = np.empty((values.size, SLOT), np.uint8)
+    _write_e16(text, values, digits, k, zero)
+    _format_rest(values, ~sure, "%.16e".__mod__, text)
+    return text, sure
+
+
+def _write_e16(text: np.ndarray, values: np.ndarray, digits, k, zero) -> None:
+    """``'%.16e'`` of the 17 ``digits`` times ``10**(k - 16)``, signed as
+    ``values`` (the ``zero`` cells' digits read 1e16), into the first ``SLOT``
+    bytes of each row of ``text``, the bytes no text writes ``DROP``."""
     text[:, 0] = np.where(np.signbit(values), ord("-"), DROP)
     text[:, 1] = digits // _TEN16 + (ord("0") - zero)
     text[:, 2], text[:, 19] = ord("."), ord("e")
     _runs(text[:, 3:19])[:] = _runs(_digit_quads().take(_quad_groups(digits)))
-    _runs(text[:, 20:])[:] = _runs(_digit_quads().take(np.abs(k))[:, None])  # "0ddd"
+    _runs(text[:, 20:SLOT])[:] = _runs(_digit_quads().take(np.abs(k))[:, None])  # "0ddd"
     text[:, 20] = np.where(k < 0, ord("-"), ord("+"))
     text[:, 21] |= (np.abs(k) < 100) * np.uint8(DROP)
-    _format_rest(values, ~sure, "%.16e".__mod__, text)
-    return text, sure
 
 
 def repr_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -219,17 +222,14 @@ def repr_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     in repr's layout: fixed notation for ``1e-4 <= |x| < 1e16``, else
     ``1e-05`` and ``1.5e+16``."""
     digits, k, n, zero, sure = _shortest_digits(values)
-    union = np.empty((values.size, len(_UNION)), np.uint8)
-    _runs(union)[:] = _runs(np.frombuffer(_UNION, np.uint8))
-    union[:, 6] = digits // _TEN16 + (ord("0") - zero)
-    _runs(union[:, 8:40])[:] = _runs(_digit_pairs().take(_quad_groups(digits)))
-    union[:, 43] = np.where(k < 0, ord("-"), ord("+"))
-    _runs(union[:, 44:])[:] = _runs(_digit_quads().take(np.abs(k))[:, None])
+    source = np.empty((values.size, _UNWRITTEN + 1), np.uint8)
+    _write_e16(source, values, digits, k, zero)
+    source[:, _ZERO], source[:, _UNWRITTEN] = ord("0"), DROP
     layout = np.where((k >= -4) & (k < 16), k, 16 + (np.abs(k) >= 100))
     row = (np.signbit(values) * 22 + layout + 4) * 17 + n - 1
     index = _repr_layouts().take(row, axis=0)
-    index += np.arange(0, union.size, len(_UNION))[:, None]
-    text = union.ravel().take(index)
+    index += np.arange(0, source.size, source.shape[1])[:, None]
+    text = source.ravel().take(index)
     _format_rest(values, ~sure, repr, text)
     return text, sure
 
@@ -286,24 +286,24 @@ def _clear(a: np.ndarray, b) -> np.ndarray:
 
 @functools.cache
 def _repr_layouts() -> np.ndarray:
-    """The union offsets of each layout's text in order, then ``_UNWRITTEN``:
-    row ``(sign * 22 + e + 4) * 17 + n - 1`` for ``n`` digits, without or with
-    the sign, in fixed notation with decimal exponent ``e`` in ``[-4, 15]``,
-    or scientific with a two- (``e = 16``) or three-digit (``e = 17``)
-    exponent.  Built from the three notations' closed forms, in a few array
-    operations: every ``superres`` command imports afresh."""
+    """The source offsets (``_ZERO``) of each layout's text in order, then
+    ``_UNWRITTEN``: row ``(sign * 22 + e + 4) * 17 + n - 1`` for ``n`` digits,
+    without or with the sign, in fixed notation with decimal exponent ``e`` in
+    ``[-4, 15]``, or scientific with a two- (``e = 16``) or three-digit (``e =
+    17``) exponent.  Built from the three notations' closed forms, in a few
+    array operations: every ``superres`` command imports afresh."""
     e = np.arange(-4, 18)[:, None, None]
     n = np.arange(1, 18)[:, None]
     j = np.arange(SLOT)                               # the text's bytes
     small, fixed, sci = e[:4], e[4:20], e[20:]
-    # "0.", then -1 - e zeros, then the digits
-    below = np.where(j < 1 - small, j + 1, 2 * (j + small) + 4)
+    # "0.", then -1 - e zeros, then the digits (digit i at i + 2, the first at 1)
+    below = np.where(j == 1, 2, np.where(j < 1 - small, _ZERO, j + 1 + small - (j == 1 - small)))
     # the digits with a point after the (e + 1)th
-    point = 2 * j + 6 - 2 * (j > fixed) + (j == fixed + 1)
+    point = np.where(j == fixed + 1, 2, j + 2 - (j > fixed) - (j == 0))
     # a digit, the point and the others if n > 1, then "e+dd" or "e+ddd"
     m = np.where(n > 1, n + 1, 1)
-    tail = np.array([[42, 43, 46, 47, _UNWRITTEN], [42, 43, 45, 46, 47]])
-    exp = np.where(j < m, np.where(j < 2, j + 6, 2 * j + 4), tail[:, np.clip(j - m, 0, 4)])
+    tail = np.array([[19, 20, 22, 23, _UNWRITTEN], [19, 20, 21, 22, 23]])
+    exp = np.where(j < m, j + 1, tail[:, np.clip(j - m, 0, 4)])
     offsets = np.concatenate([np.broadcast_to(below, (4, 17, SLOT)),
                               np.broadcast_to(point, (16, 17, SLOT)), exp])
     # fixed notation writes at least one digit past the point: "123.0"
@@ -369,14 +369,6 @@ def _power_of_ten(power: int) -> tuple[float, float, float, float]:
     c = _SPLIT * hi
     hi_hi = c - (c - hi)
     return hi, hi_hi, hi - hi_hi, (num * q - m * den) / (den * q)
-
-
-@functools.cache
-def _digit_pairs() -> np.ndarray:
-    """The text of 0000..9999 with a point after each digit, one uint64 each."""
-    pairs = np.full((10**4, 8), ord("."), np.uint8)
-    pairs[:, 0::2] = _digit_quads().view(np.uint8).reshape(-1, 4)
-    return pairs.view(np.uint64).ravel()
 
 
 @functools.cache

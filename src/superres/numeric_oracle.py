@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .qfim_two_param import Qfim2
-from .state_model import ModelParams, _require_s_sigma
+from .state_model import ModelParams, _require_s_sigma, _require_separated
 
 GRID_POINTS = 4096      # the grid size wherever none is given
 MAX_SPACING = 0.68      # the widest grid spacing, in sigma (Grid.coarse)
@@ -254,7 +254,7 @@ def numeric_qfim_cells(s, sigma: float, thetas, phi: float = 0.0,
     closed-form Hermitian 2x2 eigensolve runs elementwise on every cell.
     """
     if np.any(np.asarray(s) == 0.0):
-        raise DomainError("numeric_qfim requires s > 0")
+        _require_separated(0.0, "numeric_qfim")
     theta, (plus, minus, d_plus, d_minus) = _cell_samples(s, thetas, sigma, n_points, halfwidth)
     phase = np.exp(1j * phi)
     ct, st = np.cos(theta)[..., None], np.sin(theta)[..., None]

@@ -73,20 +73,21 @@ import math
 from dataclasses import dataclass
 from math import acos
 
-from .errors import DegenerateGeometryError, DomainError, OutOfReachError
+from .errors import DomainError, OutOfReachError
 from .state_model import (
     _INF,
-    _OM_MIN,
     ModelParams,
     _angle_terms,
     _checked_terms,
     _concurrence_angle,
     _concurrence_terms,
     _eigenvalues,
+    _floor_checked,
     _mode_norms,
     _per_sigma,
     _pick,
     _require_gamma,
+    _separation_terms,
     _unresolved,
 )
 
@@ -190,13 +191,9 @@ def _h_nuisance(chart, where=_pick):
 
 def _theta_chart(s: float, sigma: float, terms, theta: float):
     """``(cos theta, sin theta, (F_ss, F_tt, F_st, H_s))`` at ``theta`` and
-    ``u = s / sigma`` at ``sigma = 1`` (all finite), for the chart transports:
-    the one evaluation of the mode norms of a QFIM entry point."""
-    if s == 0.0:
-        raise DegenerateGeometryError("qfim is undefined at s = 0")
-    # the block divides by 1 - d^2, which is subnormal for s below ~3e-154 sigma
-    if terms[3] < _OM_MIN:
-        raise _unresolved(s, sigma)
+    ``u = s / sigma`` at ``sigma = 1`` (all finite) from ``terms`` past the
+    floor rule, for the chart transports: the one evaluation of the mode
+    norms of a QFIM entry point."""
     ct, st, omc = _angle_terms(theta)
     return ct, st, _theta_block(terms, _mode_norms(s / sigma, terms[0], terms[2]), ct, st, omc)
 
@@ -211,7 +208,8 @@ def qfim(p: ModelParams) -> Qfim2:
     if p.phi != 0.0:
         p.require_phi_zero("qfim")
     s, sigma = p.s, p.sigma
-    f_ss, f_tt, f_st, _ = _theta_chart(s, sigma, _checked_terms(s, sigma), p.theta)[2]
+    terms = _floor_checked(s, sigma, _separation_terms(s / sigma), "qfim")
+    f_ss, f_tt, f_st, _ = _theta_chart(s, sigma, terms, p.theta)[2]
     # F_st / sigma cannot overflow where F_ss / sigma^2 does not: F_st^2 <= F_ss F_tt
     return Qfim2(_per_sigma(s, sigma, f_ss, 2), f_tt, f_st / sigma, "theta")
 
@@ -229,14 +227,16 @@ def precision(p: ModelParams) -> PrecisionPair:
     if p.phi != 0.0:
         p.require_phi_zero("precision")
     s, sigma = p.s, p.sigma
-    return _h_pair(s, sigma, _theta_chart(s, sigma, _checked_terms(s, sigma), p.theta)[2])
+    terms = _floor_checked(s, sigma, _separation_terms(s / sigma), "qfim")
+    return _h_pair(s, sigma, _theta_chart(s, sigma, terms, p.theta)[2])
 
 
 def _gamma_chart(s: float, sigma: float, gamma: float):
     """``((G_ss, G_gg, G_sg, H_s), limit)``: the theta chart transported to
     gamma, and the flag of ``gamma = 1`` (see :func:`_to_gamma`)."""
     _require_gamma(gamma)
-    _, st, block = _theta_chart(s, sigma, _checked_terms(s, sigma), acos(gamma))
+    terms = _floor_checked(s, sigma, _checked_terms(s, sigma), "qfim")
+    _, st, block = _theta_chart(s, sigma, terms, acos(gamma))
     return _to_gamma(block, st, gamma)
 
 
@@ -281,7 +281,7 @@ def _concurrence_chart(s: float, sigma: float, c: float) -> tuple[float, float, 
             "(theta = pi/2); use the theta or gamma chart there"
         )
     if not resolved:
-        raise _unresolved(s, sigma)
+        raise _unresolved(s, sigma, "concurrence", c)
     return chart
 
 

@@ -41,8 +41,7 @@ from .errors import DegenerateGeometryError, DomainError, OutOfReachError
 _PI = math.pi
 _HALF_PI = math.pi / 2
 _INF = math.inf
-# the smallest normal float: a 1 - d^2 below it (s below ~3e-154 sigma) has
-# lost bits, so the forms that divide by it or by its root reject it
+# the smallest normal float, the floor of 1 - d^2 (see _floor_checked)
 _OM_MIN = sys.float_info.min
 
 
@@ -55,9 +54,41 @@ def _require_s_sigma(s, sigma) -> None:
         raise DomainError(f"separation s must be finite and nonnegative, got {s}")
 
 
-def _unresolved(s, sigma) -> DomainError:
-    """The error of an output the closed forms cannot give as a finite float."""
-    return DomainError(f"the closed forms do not resolve s = {s!r} at sigma = {sigma!r}")
+def _require_theta(theta) -> None:
+    if not (0.0 <= theta <= _HALF_PI):
+        raise DomainError(f"theta must lie in [0, pi/2], got {theta}")
+
+
+def _require_gamma(gamma) -> None:
+    if not (0.0 <= gamma <= 1.0):
+        raise DomainError(f"gamma must lie in [0, 1], got {gamma}")
+
+
+def _require_concurrence(c) -> None:
+    if not (c >= 0.0):
+        raise DomainError(f"concurrence must be nonnegative, got {c}")
+
+
+def _require_separated(s, what: str) -> None:
+    if not (s > 0.0):
+        raise DegenerateGeometryError(f"{what} is undefined at s = 0")
+
+
+def _unresolved(s, sigma, nuisance=None, value=None) -> DomainError:
+    """The error of an output the closed forms cannot give as a finite float,
+    at ``s`` and, where one cell is meant, its ``nuisance`` ``value``."""
+    at = "" if nuisance is None else f" with {nuisance} = {value!r}"
+    return DomainError(f"the closed forms do not resolve s = {s!r}{at} at sigma = {sigma!r}")
+
+
+def _floor_checked(s, sigma, terms, what: str):
+    """``terms`` past the floor rule of the forms that divide by ``1 - d^2 =
+    terms[3]``: at ``s = 0`` that of :func:`_require_separated`; where
+    ``1 - d^2`` is subnormal (``s`` below ~3e-154 sigma), unresolved."""
+    if terms[3] < _OM_MIN:
+        _require_separated(s, what)
+        raise _unresolved(s, sigma)
+    return terms
 
 
 def _per_sigma(s, sigma, x, k):
@@ -71,9 +102,9 @@ def _per_sigma(s, sigma, x, k):
 
 
 def _checked_terms(s, sigma):
-    """The prologue of every scalar entry point: the range rule of
-    ``(s, sigma)`` (tested inline first, to keep a call off the hot path),
-    then the call's one :func:`_separation_terms` at ``u = s / sigma``."""
+    """The prologue of every scalar entry point that takes floats: the range
+    rule of ``(s, sigma)`` (tested inline first, to keep a call off the hot
+    path), then the call's one :func:`_separation_terms` at ``u = s / sigma``."""
     if not (0.0 < sigma < _INF and 0.0 <= s < _INF):
         _require_s_sigma(s, sigma)
     return _separation_terms(s / sigma)
@@ -94,21 +125,10 @@ def _concurrence_angle(c, om, sqrt=sqrt, asin=math.asin, minimum=min):
 
 
 def _concurrence_terms(s, sigma, c):
-    """:func:`_checked_terms` for a concurrence ``c``, after its checks:
-    ``c >= 0`` and ``1 - d^2`` normal (it is divided by)."""
-    if not (c >= 0.0):
-        raise DomainError(f"concurrence must be nonnegative, got {c}")
-    terms = _checked_terms(s, sigma)
-    if terms[3] < _OM_MIN:
-        raise DegenerateGeometryError(
-            f"at s = {s!r} the reachable concurrence is zero or subnormal; "
-            "use the theta or coherence forms")
-    return terms
-
-
-def _require_gamma(gamma) -> None:
-    if not (0.0 <= gamma <= 1.0):
-        raise DomainError(f"gamma must lie in [0, 1], got {gamma}")
+    """:func:`_checked_terms` for a concurrence ``c``, after its rule and
+    the floor rule (the chart divides by ``1 - d^2``)."""
+    _require_concurrence(c)
+    return _floor_checked(s, sigma, _checked_terms(s, sigma), "the concurrence chart")
 
 
 @dataclass(frozen=True, init=False)
@@ -147,11 +167,11 @@ class ModelParams:
         self.__post_init__()
 
     def __post_init__(self):
-        # the range rule tested inline first, as in _checked_terms
-        if not (0.0 < self.sigma < _INF and 0.0 <= self.s < _INF):
+        # the rules tested inline first, as in _checked_terms
+        if not (0.0 < self.sigma < _INF and 0.0 <= self.s < _INF
+                and 0.0 <= self.theta <= _HALF_PI):
             _require_s_sigma(self.s, self.sigma)
-        if not (0.0 <= self.theta <= _HALF_PI):
-            raise DomainError(f"theta must lie in [0, pi/2], got {self.theta}")
+            _require_theta(self.theta)
         if not (-_PI < self.phi <= _PI):
             raise DomainError(f"phi must lie in (-pi, pi], got {self.phi}")
 
@@ -222,7 +242,7 @@ def concurrence(p: ModelParams) -> float:
     It vanishes at ``s = 0`` (where the spatial factor drops out) and at
     ``theta = 0`` (where the auxiliary factor drops out).
     """
-    return math.sin(p.theta) * sqrt(_checked_terms(p.s, p.sigma)[3])
+    return math.sin(p.theta) * sqrt(_separation_terms(p.s / p.sigma)[3])
 
 
 def concurrence_normalized(p: ModelParams) -> float:
@@ -237,7 +257,7 @@ def concurrence_normalized(p: ModelParams) -> float:
     2 cos(theta) cos^2(phi/2))``, free of cancellation near ``phi = pi``.
     Equals :func:`concurrence` when theta = pi/2 or in the d -> 0 limit.
     """
-    d, _, e, om = _checked_terms(p.s, p.sigma)
+    d, _, e, om = _separation_terms(p.s / p.sigma)
     ct, st, omc = _angle_terms(p.theta)
     half = math.cos(p.phi / 2.0)
     return st * sqrt(om) / (e + d * (omc + 2.0 * ct * (half * half)))
@@ -252,7 +272,10 @@ def theta_from_concurrence(s: float, sigma: float, c: float) -> float:
     ------
     DegenerateGeometryError
         At ``s = 0``, where only ``C = 0`` is reachable and theta is
-        undetermined, and where ``1 - d^2`` is subnormal.
+        undetermined.
+    DomainError
+        If ``c`` is negative or NaN, or ("the closed forms do not resolve")
+        where ``1 - d^2`` is subnormal, ``s`` below ~3e-154 sigma.
     OutOfReachError
         If ``c^2 - C_max^2 > 1e-12 C_max^2``, ``C_max = sqrt(1 - d^2)``: the
         one reach rule of every concurrence path.  Below it ``c / C_max``
@@ -266,8 +289,8 @@ def theta_from_concurrence(s: float, sigma: float, c: float) -> float:
 
 def _separation_terms(u):
     """``(d, d' = dd/du, 1 - d, 1 - d^2)`` at ``sigma = 1``, the terms of the
-    separation ``u = s / sigma`` alone, unchecked (scalar callers go through
-    :func:`_checked_terms`); ``d'`` at ``sigma`` is this over ``sigma``.
+    separation ``u = s / sigma`` alone, unchecked (:func:`_checked_terms` and
+    :class:`ModelParams` check ``(s, sigma)``); ``d'`` at ``sigma`` is this over ``sigma``.
     Where ``d`` underflows to 0, ``d'`` is 0, also once ``u`` or ``u^2``
     overflows (there the product would read ``inf * 0``).
     """
@@ -345,12 +368,10 @@ def spectral(p: ModelParams) -> SpectralData:
         At ``s = 0`` the antisymmetric direction ``e1`` is undefined.
     """
     p.require_phi_zero("spectral")
-    if p.s == 0.0:
-        raise DegenerateGeometryError(
-            "the antisymmetric mode direction is undefined at s = 0"
-        )
-    d, _, e, _ = _checked_terms(p.s, p.sigma)
-    a3, a4 = _mode_norms(p.s / p.sigma, d, e)
+    _require_separated(p.s, "spectral")
+    u = p.s / p.sigma
+    d, _, e, _ = _separation_terms(u)
+    a3, a4 = _mode_norms(u, d, e)
     ct, _, omc = _angle_terms(p.theta)
     lam1, lam2, _ = _eigenvalues(d, e, ct, omc)
     return SpectralData(lam1, lam2, _per_sigma(p.s, p.sigma, a3, 1),

@@ -45,7 +45,9 @@ from .numeric_oracle import (GRID_POINTS, MAX_SPACING, Grid, _check_grid, _numer
                              numeric_qfim_cells)
 from .qfim_two_param import _h_nuisance, _theta_block, _to_concurrence, _to_gamma
 from .state_model import (_OM_MIN, _angle_terms, _concurrence_angle, _mode_norms,
-                          _require_s_sigma, _separation_terms, concurrence_max)
+                          _require_concurrence, _require_gamma, _require_s_sigma,
+                          _require_separated, _require_theta, _separation_terms,
+                          _unresolved, concurrence_max)
 
 MODES = ("single", "qfim")
 NUISANCES = ("theta", "concurrence", "coherence")
@@ -61,6 +63,9 @@ VERIFY_TOLERANCE = 1e-6
 _ORACLE_CELLS = 8192
 
 _HALF_PI = math.pi / 2
+# the scalar API's rule of each nuisance, which a range end must pass
+_NUISANCE_RULES = {"theta": _require_theta, "coherence": _require_gamma,
+                   "concurrence": _require_concurrence}
 
 
 def default_ranges(nuisance: str) -> tuple[tuple[float, float, int], tuple[float, float, int]]:
@@ -107,18 +112,6 @@ class SweepSpec:
                 f"nuisance must be one of {NUISANCES}, got {self.nuisance!r}"
             )
         _require_real("sigma", self.sigma)
-        _require_s_sigma(0.0, self.sigma)       # the s axis has its own checks below
-        _require_int("grid_points", self.grid_points)
-        if self.grid_halfwidth is not None:
-            _require_real("grid_halfwidth", self.grid_halfwidth)
-        _check_grid(self.grid_points, self.grid_halfwidth)
-        # a given halfwidth is every row's grid, and its spacing rule needs no s
-        if (self.grid_halfwidth is not None
-                and Grid(self.grid_halfwidth, self.grid_points).coarse(self.sigma)):
-            raise ConfigurationError(
-                f"grid halfwidth {self.grid_halfwidth} with {self.grid_points} points is too "
-                f"coarse for sigma = {self.sigma} (needs a spacing of at most "
-                f"{MAX_SPACING} sigma)")
         for name, rng in (("s", self.s_range), ("nuisance", self.nuisance_range)):
             try:
                 lo, hi, steps = rng
@@ -135,17 +128,23 @@ class SweepSpec:
                 raise DomainError(f"{name}-range must have max >= min, got {rng}")
             if hi == lo and steps > 1:
                 raise DomainError(f"{name}-range with max = min must have 1 step, got {rng}")
-        if self.s_range[0] < 0.0:
-            raise DomainError(f"s-range must be nonnegative, got {self.s_range}")
-        if self.mode == "qfim" and self.s_range[0] <= 0.0:
-            raise DomainError("qfim/verify sweeps require s > 0 (start at e.g. 1e-3)")
-        nu_lo, nu_hi, _ = self.nuisance_range
-        if self.nuisance == "theta" and not (0.0 <= nu_lo and nu_hi <= _HALF_PI):
-            raise DomainError(f"theta range must lie in [0, pi/2], got {self.nuisance_range}")
-        if self.nuisance == "coherence" and not (0.0 <= nu_lo and nu_hi <= 1.0):
-            raise DomainError(f"coherence range must lie in [0, 1], got {self.nuisance_range}")
-        if self.nuisance == "concurrence" and nu_lo < 0.0:
-            raise DomainError(f"concurrence range must be nonnegative, got {self.nuisance_range}")
+        # the range ends (and sigma) by the scalar API's own rules
+        _require_s_sigma(self.s_range[0], self.sigma)
+        if self.mode == "qfim":
+            _require_separated(self.s_range[0], "qfim")
+        for end in self.nuisance_range[:2]:
+            _NUISANCE_RULES[self.nuisance](end)
+        _require_int("grid_points", self.grid_points)
+        if self.grid_halfwidth is not None:
+            _require_real("grid_halfwidth", self.grid_halfwidth)
+        _check_grid(self.grid_points, self.grid_halfwidth)
+        # a given halfwidth is every row's grid, and its spacing rule needs no s
+        if (self.grid_halfwidth is not None
+                and Grid(self.grid_halfwidth, self.grid_points).coarse(self.sigma)):
+            raise ConfigurationError(
+                f"grid halfwidth {self.grid_halfwidth} with {self.grid_points} points is too "
+                f"coarse for sigma = {self.sigma} (needs a spacing of at most "
+                f"{MAX_SPACING} sigma)")
 
 
 class SweepTable:
@@ -272,12 +271,11 @@ def _kernel(spec: SweepSpec) -> tuple[dict[str, np.ndarray], dict[str, tuple]]:
         u = s / spec.sigma
         # the scalar API's separation terms, one call per separation
         terms = _on_axis(_separation_terms, u)
-        # these blocks divide by 1 - d^2, which has lost bits where it is
-        # subnormal (the s = 0 column of single mode has its own limit)
+        # these blocks divide by 1 - d^2 (the floor rule, _floor_checked; a qfim
+        # sweep starts at s > 0, and single mode's s = 0 column has its limit)
         tiny = (s > 0.0) & (terms[3] < _OM_MIN)
         if (spec.mode != "single" or spec.nuisance == "concurrence") and tiny.any():
-            raise DomainError(f"the closed forms do not resolve s = {float(s[tiny][0])!r} "
-                              f"at sigma = {spec.sigma!r}")
+            raise _unresolved(float(s[tiny][0]), spec.sigma)
         cells = block(spec.nuisance, u, nu, spec.sigma, terms)
     cells.update(s=s, sigma=spec.sigma, d=terms[0])
     if spec.nuisance == "concurrence":
@@ -305,10 +303,8 @@ def _kernel(spec: SweepSpec) -> tuple[dict[str, np.ndarray], dict[str, tuple]]:
             [np.isfinite(cells[n]) for n in ("f_ss", "f_tt", "f_st", "h_nuisance")])
     if bad.any():
         i = int(np.argmax(bad))
-        raise DomainError(
-            f"the closed forms do not resolve s = {float(cells['s'][i])!r} with "
-            f"{spec.nuisance} = {float(nu.ravel()[i % nu.size])!r} at sigma = {spec.sigma!r}"
-        )
+        raise _unresolved(float(cells["s"][i]), spec.sigma, spec.nuisance,
+                          float(nu.ravel()[i % nu.size]))
     return cells, axes
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import decimal
+import functools
 import io
 import json
 import math
@@ -15,6 +16,7 @@ import pytest
 from helpers import SRC_ENV, cell_by_cell_text, e16_cell_texts, repr_cell_texts
 from superres import (
     ConfigurationError,
+    DegenerateGeometryError,
     DomainError,
     ModelParams,
     OutOfReachError,
@@ -131,6 +133,76 @@ class TestSweepSpec:
         # the verify command runs a qfim block in the theta chart with the oracle
         with pytest.raises(DomainError, match="^mode must be one of "):
             SweepSpec(mode="verify", nuisance="theta", s_range=(0.5, 1.0, 2))
+
+
+def raised(call):
+    """``(class, message)`` of the ``DomainError`` that ``call()`` raises."""
+    with pytest.raises(DomainError) as err:
+        call()
+    return type(err.value), str(err.value)
+
+
+# the scalar calls and sweeps that divide by 1 - d^2, at a separation s
+FLOOR_CALLS = {
+    "qfim": lambda s: qfim(ModelParams(s, 1.0, 0.3)),
+    "precision": lambda s: precision(ModelParams(s, 1.0, 0.3)),
+    "qfim_gamma": lambda s: qfim_gamma(s, 1.0, 0.5),
+    "precision_gamma": lambda s: precision_gamma(s, 1.0, 0.5),
+    "theta_from_concurrence": lambda s: theta_from_concurrence(s, 1.0, 0.0),
+    "f_tot_concurrence": lambda s: f_tot_concurrence(s, 1.0, 0.0),
+    "qfim_concurrence": lambda s: qfim_concurrence(s, 1.0, 0.0),
+    "precision_concurrence": lambda s: precision_concurrence(s, 1.0, 0.0),
+}
+FLOOR_SWEEPS = {"single-concurrence": ("single", "concurrence"),
+                "qfim-concurrence": ("qfim", "concurrence"),
+                "qfim-theta": ("qfim", "theta"), "qfim-coherence": ("qfim", "coherence")}
+
+
+class TestOneOwnerPerRule:
+    @pytest.mark.parametrize("name", [*FLOOR_CALLS, *FLOOR_SWEEPS])
+    def test_subnormal_one_minus_d_squared_raises_one_error(self, name):
+        # 1 - d^2 is subnormal at s = 1e-160 sigma: the concurrence calls
+        # raised DegenerateGeometryError ("the reachable concurrence is zero
+        # or subnormal"), the rest DomainError ("do not resolve")
+        s = 1e-160
+        if name in FLOOR_CALLS:
+            call = functools.partial(FLOOR_CALLS[name], s)
+        else:
+            mode, nuisance = FLOOR_SWEEPS[name]
+            call = functools.partial(run_sweep, SweepSpec(
+                mode=mode, nuisance=nuisance, s_range=(s, s, 1), nuisance_range=(0.0, 0.0, 1)))
+        assert raised(call) == (DomainError,
+                                "the closed forms do not resolve s = 1e-160 at sigma = 1.0")
+
+    @pytest.mark.parametrize("name", FLOOR_CALLS)
+    def test_zero_separation_is_degenerate(self, name):
+        assert raised(functools.partial(FLOOR_CALLS[name], 0.0))[0] is DegenerateGeometryError
+
+    @pytest.mark.parametrize("spec, scalar", [
+        (dict(mode="qfim", nuisance="theta", nuisance_range=(0.0, 2.0, 2)),
+         lambda: ModelParams(1.0, 1.0, 2.0)),
+        (dict(mode="qfim", nuisance="coherence", nuisance_range=(0.0, 1.5, 2)),
+         lambda: f_tot_coherence(1.0, 1.0, 1.5)),
+        (dict(mode="single", nuisance="concurrence", nuisance_range=(-0.1, 0.5, 2)),
+         lambda: f_tot_concurrence(1.0, 1.0, -0.1)),
+        (dict(mode="single", s_range=(-1.0, 1.0, 2)), lambda: overlap(-1.0, 1.0)),
+        (dict(mode="qfim", s_range=(0.0, 1.0, 2)), lambda: qfim(ModelParams(0.0, 1.0, 0.5))),
+    ], ids=["theta", "gamma", "concurrence", "s", "qfim-s"])
+    def test_sweep_spec_raises_the_scalar_error(self, spec, scalar):
+        # each range end goes through the scalar API's owner of its rule
+        assert raised(functools.partial(SweepSpec, **spec)) == raised(scalar)
+
+    @pytest.mark.parametrize("argv, scalar", [
+        (["single", "--nuisance", "concurrence", "--s-min", "1e-160", "--s-max", "1e-160",
+          "--s-steps", "1", "--n-steps", "2"], lambda: f_tot_concurrence(1e-160, 1.0, 0.0)),
+        (["qfim", "--s-min", "0", "--s-steps", "2", "--n-steps", "2"],
+         lambda: qfim(ModelParams(0.0, 1.0, 0.5))),
+        (["qfim", "--nuisance", "coherence", "--n-max", "1.5"],
+         lambda: precision_gamma(1.0, 1.0, 1.5)),
+    ], ids=["subnormal-concurrence", "qfim-s-zero", "gamma-above-one"])
+    def test_cli_prints_the_scalar_error(self, argv, scalar, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"superres: error: {raised(scalar)[1]}\n")
 
 
 class TestRunSweep:
