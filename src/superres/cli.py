@@ -82,7 +82,6 @@ def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
     if command != "verify":
         add("--oracle", action="store_true", help="attach brute-force comparison deltas")
     add("--grid-points", type=int, default=GRID_POINTS)
-    add("--grid-halfwidth", type=float)
 
 
 _COMMANDS = ("single", "qfim", "verify", "figure")
@@ -141,7 +140,7 @@ def _blocks(args) -> list[SweepSpec]:
         blocks = [SweepSpec(mode=args.command, nuisance=args.nuisance)]
     return [dataclasses.replace(
         spec, sigma=args.sigma, oracle=spec.oracle or getattr(args, "oracle", False),
-        grid_points=args.grid_points, grid_halfwidth=args.grid_halfwidth,
+        grid_points=args.grid_points,
         s_range=_range_from_args(args, spec.s_range, "s"),
         nuisance_range=_range_from_args(args, spec.nuisance_range, "n"))
         for spec in blocks]

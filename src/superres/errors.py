@@ -26,4 +26,4 @@ class OutOfReachError(DomainError):
 
 class ConfigurationError(ValueError):
     """A numerical configuration cannot hold the requested computation
-    (a malformed grid, or one too narrow for the sources)."""
+    (a malformed grid)."""

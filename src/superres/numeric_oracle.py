@@ -25,17 +25,16 @@ routine and no cutoff.  It and the weighted FI of single mode run
 elementwise over all (s, theta) cells of a sweep in one call; the
 concurrence is read off the same coordinates.
 
-A row's grid keeps ``8 sigma + s`` of margin on points at most
-``MAX_SPACING = 0.68`` sigma apart, past which the trapezoid sums leave
-round-off (:meth:`Grid.coarse`); a row on a coarser grid raises
-``DomainError``.  The default grid (halfwidth ``10 sigma + s``) is coarse
-above ``s`` ~338 sigma at 1024 points, ~1,382 at 4096 and ~5,560 at 16384.
-Below, the oracle agrees with the closed forms to round-off at 1024, 4096
-and 16384 points: within 3.5e-15 relative in every QFIM element (``F_st``
-on its Cauchy-Schwarz scale ``sqrt(F_ss F_tt)``), ``F_tot`` and the
-concurrence, for s from 1e-12 sigma to 60 sigma and at 1e-100 sigma.  No
-error of it grows as s falls.  A sweep's oracle call runs in a few
-milliseconds.
+Each row samples its own grid, :func:`default_grid`: halfwidth
+``10 sigma + s`` on points at most ``MAX_SPACING = 0.68`` sigma apart, past
+which the trapezoid sums leave round-off (:meth:`Grid.coarse`).  It is
+coarse, and the row raises ``DomainError``, above ``s`` ~338 sigma at 1024
+points, ~1,382 at 4096 and ~5,560 at 16384.  Below, the oracle agrees with
+the closed forms to round-off at 1024, 4096 and 16384 points: within
+3.5e-15 relative in every QFIM element (``F_st`` on its Cauchy-Schwarz
+scale ``sqrt(F_ss F_tt)``), ``F_tot`` and the concurrence, for s from
+1e-12 sigma to 60 sigma and at 1e-100 sigma.  No error of it grows as s
+falls.  A sweep's oracle call runs in a few milliseconds.
 """
 
 from __future__ import annotations
@@ -54,13 +53,10 @@ GRID_POINTS = 4096      # the grid size wherever none is given
 MAX_SPACING = 0.68      # the widest grid spacing, in sigma (Grid.coarse)
 
 
-def _check_grid(n_points: int, halfwidth: float | None) -> None:
-    """The grid rule: ``n_points`` a power of two, at least 1024, and
-    ``halfwidth`` positive and finite, or ``None`` for the default."""
+def _check_grid(n_points: int) -> None:
+    """The rule of a grid's size: a power of two, at least 1024."""
     if n_points < 1024 or (n_points & (n_points - 1)) != 0:
         raise ConfigurationError(f"n_points must be a power of two >= 1024, got {n_points}")
-    if halfwidth is not None and not (0.0 < halfwidth < math.inf):
-        raise ConfigurationError(f"halfwidth must be positive and finite, got {halfwidth}")
 
 
 def _unresolved(s, sigma) -> DomainError:
@@ -72,20 +68,23 @@ def _unresolved(s, sigma) -> DomainError:
 class Grid:
     """Uniform symmetric position grid with trapezoid weights.
 
-    ``n_points`` must be a power of two, at least 1024; the spacing is
-    ``2 halfwidth / (n_points - 1)`` and the points are
-    ``+-(j + 1/2) spacing``, so ``x[::-1] == -x`` exactly and no point lies
-    at 0; the outermost are within ~1 ulp of ``+-halfwidth``.  The sample
-    points (``half`` holds those above 0, which the oracle reads) and weights
-    are built on first use and frozen, so a grid that is only checked costs
-    no arrays.
+    ``n_points`` must be a power of two, at least 1024, and ``halfwidth``
+    positive and finite; the spacing is ``2 halfwidth / (n_points - 1)`` and
+    the points are ``+-(j + 1/2) spacing``, so ``x[::-1] == -x`` exactly and
+    no point lies at 0; the outermost are within ~1 ulp of ``+-halfwidth``.
+    The sample points (``half`` holds those above 0, which the oracle reads)
+    and weights are built on first use and frozen, so a grid that is only
+    checked costs no arrays.
     """
 
     halfwidth: float
     n_points: int = GRID_POINTS
 
     def __post_init__(self):
-        _check_grid(self.n_points, self.halfwidth)
+        _check_grid(self.n_points)
+        if not (0.0 < self.halfwidth < math.inf):
+            raise ConfigurationError(
+                f"halfwidth must be positive and finite, got {self.halfwidth}")
 
     @functools.cached_property
     def half(self) -> np.ndarray:
@@ -119,27 +118,23 @@ class Grid:
         0.70 and 3.2e-11 at 0.78, alike at 1024 and 4096 points."""
         return self.spacing > MAX_SPACING * sigma
 
-    def fits(self, s: float, sigma: float) -> bool:
-        """The rule of a row: states of separation ``s`` keep eight PSF widths
-        of margin, on a grid that is not :meth:`coarse`."""
-        return self.halfwidth >= 8.0 * sigma + s and not self.coarse(sigma)
+
+def default_grid(s: float, sigma: float, n_points: int = GRID_POINTS) -> Grid:
+    """The grid of the separation row ``s``, the one owner of its rule:
+    ``(s, sigma)`` by the model's range rule, and halfwidth ``10 sigma + s``,
+    two PSF widths more than the ``8 sigma + s`` that keep the truncated
+    tails below the oracle's round-off at every ``s``.  Where that halfwidth
+    overflows or the grid is :meth:`Grid.coarse`, the grid does not resolve
+    ``s`` (``DomainError``)."""
+    _require_s_sigma(s, sigma)
+    halfwidth = 10.0 * sigma + s
+    grid = None if halfwidth == math.inf else Grid(halfwidth, n_points)
+    if grid is None or grid.coarse(sigma):
+        raise _unresolved(s, sigma)
+    return grid
 
 
-def default_grid(s: float, sigma: float, n_points: int = GRID_POINTS,
-                 halfwidth: float | None = None) -> Grid:
-    """Grid wide enough for sources at separation ``s``: halfwidth
-    ``10 sigma + s``, which must be finite.  Two widths more than the
-    ``8 sigma + s`` that :meth:`Grid.fits` requires keep the truncated tails
-    below the oracle's round-off at every ``s``."""
-    if halfwidth is None:
-        halfwidth = 10.0 * sigma + s
-        if halfwidth == math.inf:
-            raise _unresolved(s, sigma)
-    return Grid(halfwidth=halfwidth, n_points=n_points)
-
-
-def _rows_samples(values, sigma: float, n_points: int,
-                  halfwidth: float | None) -> np.ndarray:
+def _rows_samples(values, sigma: float, n_points: int) -> np.ndarray:
     """The grid work of separation rows, each shared by all its nuisances:
     for every ``s`` in ``values`` a ``(4, 4)`` array whose column ``k`` holds
     the coordinates of ``h(x + s/2)``, ``h(x - s/2)`` and their derivatives
@@ -160,23 +155,11 @@ def _rows_samples(values, sigma: float, n_points: int,
     is ``(e00, -o00, 0, 0) / 2`` and ``h_-`` is ``(e00, o00, 0, 0) / 2``,
     with ``e`` and ``o`` the blocks' ``R``.
 
-    Every row is checked by the model's range rule and :meth:`Grid.fits`
-    before any is sampled (a coarse grid does not resolve its ``s``, a narrow
-    one is a configuration error); every oracle entry point goes through
-    here.  The rows are sampled into one buffer, refilled in place for each
-    ``s``.
+    Every row's grid is built, and so checked, by :func:`default_grid`
+    before any row is sampled; every oracle entry point goes through here.
+    The rows are sampled into one buffer, refilled in place for each ``s``.
     """
-    grids = []
-    for s in values:
-        _require_s_sigma(s, sigma)
-        if halfwidth is None or not grids:      # a given halfwidth: one grid for all rows
-            grid = default_grid(s, sigma, n_points, halfwidth)
-        if not grid.fits(s, sigma):
-            if grid.coarse(sigma):
-                raise _unresolved(s, sigma)
-            raise ConfigurationError(f"grid halfwidth {grid.halfwidth} too narrow for s = {s}, "
-                                     f"sigma = {sigma} (needs at least 8 sigma + s)")
-        grids.append(grid)
+    grids = [default_grid(s, sigma, n_points) for s in values]
     blocks = np.empty((len(values), 2, 2, 2))   # each row's R of its even and odd block
     # each block's columns contiguous: qr factors them column-major, as
     # LAPACK does, and copies no rows
@@ -233,19 +216,19 @@ def _sld_sum(lam1, lam2, w22, x, y):
             + 4.0 * (x[2].real * y[2].real + x[2].imag * y[2].imag) / (lam1 + lam2))
 
 
-def _cell_samples(s, thetas, sigma: float, n_points: int, halfwidth: float | None):
+def _cell_samples(s, thetas, sigma: float, n_points: int):
     """``s`` and ``thetas`` broadcast together, and the columns of ``R`` of
     every cell as ``(plus, minus, d_plus, d_minus)``, each ``(..., 4)``,
     from one :func:`_rows_samples` over the distinct ``s``."""
     s, theta = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(thetas, dtype=float))
     values, inverse = np.unique(s.ravel(), return_inverse=True)
-    r = _rows_samples(values.tolist(), sigma, n_points, halfwidth)
+    r = _rows_samples(values.tolist(), sigma, n_points)
     return theta, np.moveaxis(r[inverse.reshape(s.shape)], -1, 0)
 
 
 @np.errstate(all="ignore")     # non-finite results end in _resolved
 def numeric_qfim_cells(s, sigma: float, thetas, phi: float = 0.0,
-                       n_points: int = GRID_POINTS, halfwidth: float | None = None):
+                       n_points: int = GRID_POINTS):
     """QFIM arrays ``(f_ss, f_tt, f_st)`` at every cell of ``s`` and
     ``thetas`` broadcast together, in one call; see :func:`numeric_qfim`.
 
@@ -255,7 +238,7 @@ def numeric_qfim_cells(s, sigma: float, thetas, phi: float = 0.0,
     """
     if np.any(np.asarray(s) == 0.0):
         _require_separated(0.0, "numeric_qfim")
-    theta, (plus, minus, d_plus, d_minus) = _cell_samples(s, thetas, sigma, n_points, halfwidth)
+    theta, (plus, minus, d_plus, d_minus) = _cell_samples(s, thetas, sigma, n_points)
     phase = np.exp(1j * phi)
     ct, st = np.cos(theta)[..., None], np.sin(theta)[..., None]
     # branch amplitudes (the phase of the second drops out of its projector)
@@ -312,8 +295,7 @@ def numeric_qfim_cells(s, sigma: float, thetas, phi: float = 0.0,
                      _sld_sum(lam1, lam2, w22, ds, dt))
 
 
-def numeric_qfim(p: ModelParams, n_points: int = GRID_POINTS,
-                 halfwidth: float | None = None) -> Qfim2:
+def numeric_qfim(p: ModelParams, n_points: int = GRID_POINTS) -> Qfim2:
     """QFIM for (s, theta) from the exact derivatives of the projected
     density matrix and the spectral SLD sum over its support and kernel.
     Supports any phi.
@@ -328,13 +310,12 @@ def numeric_qfim(p: ModelParams, n_points: int = GRID_POINTS,
     is the continuous extension (Safranek, PRA 95, 052320 (2017)).
     """
     f_ss, f_tt, f_st = (f.item() for f in numeric_qfim_cells(
-        p.s, p.sigma, [p.theta], p.phi, n_points, halfwidth))
+        p.s, p.sigma, [p.theta], p.phi, n_points))
     return Qfim2(f_ss, f_tt, f_st, "theta")
 
 
 @np.errstate(all="ignore")     # non-finite results end in _resolved
-def numeric_concurrence(p: ModelParams, n_points: int = GRID_POINTS,
-                        halfwidth: float | None = None) -> float:
+def numeric_concurrence(p: ModelParams, n_points: int = GRID_POINTS) -> float:
     """Concurrence of the unit-norm two-source state, ``2 sqrt(det rho_aux)``
     (Hill and Wootters, PRL 78, 5022 (1997)), from the ``R`` of its one
     separation row (:func:`_rows_samples`).  Any phi.
@@ -348,7 +329,7 @@ def numeric_concurrence(p: ModelParams, n_points: int = GRID_POINTS,
     or computed: it stays within a few ulp of the closed form however small
     ``s`` gets.
     """
-    r = _rows_samples([p.s], p.sigma, n_points, halfwidth)[0]
+    r = _rows_samples([p.s], p.sigma, n_points)[0]
     st = math.sin(p.theta)
     a = r[:, 0] + (math.cos(p.theta) * np.exp(1j * p.phi)) * r[:, 1]
     n = _norm2(a) + _norm2(st * r[:, 1])
@@ -364,8 +345,7 @@ def _branch_fi(a: np.ndarray, da: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(all="ignore")     # non-finite results end in _resolved
-def _numeric_f_tot(s, sigma: float, thetas, n_points: int = GRID_POINTS,
-                   halfwidth: float | None = None):
+def _numeric_f_tot(s, sigma: float, thetas, n_points: int = GRID_POINTS):
     """Grid reconstruction of the weighted FI ``N1 F1 + N2 F2`` (the oracle
     side of single mode) at every cell of ``s`` and ``thetas`` broadcast
     together, in one call, from the same row samples as
@@ -373,7 +353,7 @@ def _numeric_f_tot(s, sigma: float, thetas, n_points: int = GRID_POINTS,
     normalized branches ``h_+ + cos(theta) h_-`` and ``h_-``,
     ``N1 = <Phi_1|Phi_1>``, ``N2 = sin^2(theta) / 2``.  Returns an array of
     the broadcast shape."""
-    theta, (plus, minus, d_plus, d_minus) = _cell_samples(s, thetas, sigma, n_points, halfwidth)
+    theta, (plus, minus, d_plus, d_minus) = _cell_samples(s, thetas, sigma, n_points)
     g = np.cos(theta)[..., None]
     a = plus + g * minus
     f1 = _branch_fi(a, d_plus + g * d_minus)

@@ -38,11 +38,10 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import DomainError
 from .fisher_single import _concurrence_to_gamma, _f_tot_form
 from .float_text import e16_cells, repr_cells, write_rows
-from .numeric_oracle import (GRID_POINTS, MAX_SPACING, Grid, _check_grid, _numeric_f_tot,
-                             numeric_qfim_cells)
+from .numeric_oracle import GRID_POINTS, _check_grid, _numeric_f_tot, numeric_qfim_cells
 from .qfim_two_param import _h_nuisance, _theta_block, _to_concurrence, _to_gamma
 from .state_model import (_OM_MIN, _angle_terms, _concurrence_angle, _mode_norms,
                           _require_concurrence, _require_gamma, _require_s_sigma,
@@ -86,11 +85,12 @@ def _require_real(name: str, value) -> None:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Validated description of one sweep block, the grid options by the
-    oracle's grid rule whether or not the oracle runs; ``dataclasses.replace``
-    derives a variant and validates it again.  ``mode`` is ``single``
-    (``F_tot``) or ``qfim`` (the QFIM and precisions; ``superres verify`` runs
-    a theta-chart qfim block with the oracle on)."""
+    """Validated description of one sweep block, ``grid_points`` by the
+    oracle's grid rule whether or not the oracle runs (each row's grid,
+    ``numeric_oracle.default_grid``, is checked where the oracle samples
+    it); ``dataclasses.replace`` derives a variant and validates it again.
+    ``mode`` is ``single`` (``F_tot``) or ``qfim`` (the QFIM and precisions;
+    ``superres verify`` runs a theta-chart qfim block with the oracle on)."""
 
     mode: str
     nuisance: str = "coherence"
@@ -99,7 +99,6 @@ class SweepSpec:
     nuisance_range: tuple[float, float, int] | None = None  # default_ranges
     oracle: bool = False
     grid_points: int = GRID_POINTS
-    grid_halfwidth: float | None = None
 
     def __post_init__(self):
         for name, default in zip(("s_range", "nuisance_range"), default_ranges(self.nuisance)):
@@ -135,16 +134,7 @@ class SweepSpec:
         for end in self.nuisance_range[:2]:
             _NUISANCE_RULES[self.nuisance](end)
         _require_int("grid_points", self.grid_points)
-        if self.grid_halfwidth is not None:
-            _require_real("grid_halfwidth", self.grid_halfwidth)
-        _check_grid(self.grid_points, self.grid_halfwidth)
-        # a given halfwidth is every row's grid, and its spacing rule needs no s
-        if (self.grid_halfwidth is not None
-                and Grid(self.grid_halfwidth, self.grid_points).coarse(self.sigma)):
-            raise ConfigurationError(
-                f"grid halfwidth {self.grid_halfwidth} with {self.grid_points} points is too "
-                f"coarse for sigma = {self.sigma} (needs a spacing of at most "
-                f"{MAX_SPACING} sigma)")
+        _check_grid(self.grid_points)
 
 
 class SweepTable:
@@ -332,15 +322,14 @@ def _attach_deltas(spec: SweepSpec, columns: dict[str, np.ndarray], cells: dict,
     read the grid's round-off); ``f_tt`` and ``f_st`` are left blank where
     ``sin(theta) = 0``, where the closed form is the continuous extension
     and the oracle the pointwise QFI of a pure state."""
-    grid_kw = {"n_points": spec.grid_points, "halfwidth": spec.grid_halfwidth}
     columns.update((name, np.full(columns["s"].size, np.nan)) for name in DELTA_FIELDS)
     for part in np.split(rows, range(_ORACLE_CELLS, rows.size, _ORACLE_CELLS)):
         s, thetas = columns["s"][part], columns["theta"][part]
         if spec.mode == "single":
-            num = _numeric_f_tot(s, spec.sigma, thetas, **grid_kw)
+            num = _numeric_f_tot(s, spec.sigma, thetas, n_points=spec.grid_points)
             columns["delta_f_tot"][part] = _rel_delta(columns["f_tot"][part], num, num)
             continue
-        nums = numeric_qfim_cells(s, spec.sigma, thetas, **grid_kw)
+        nums = numeric_qfim_cells(s, spec.sigma, thetas, n_points=spec.grid_points)
         blank = np.sin(thetas) == 0.0
         scales = (nums[0], nums[1], np.sqrt(nums[0] * nums[1]))
         for name, num, scale in zip(("f_ss", "f_tt", "f_st"), nums, scales):

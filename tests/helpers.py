@@ -55,7 +55,7 @@ def make_sources(s: float, sigma: float, grid: Grid | None = None) -> tuple[Grid
     unit-normalized under the trapezoid rule, on ``grid`` (by default
     :func:`default_grid`), which must keep eight PSF widths of margin."""
     grid = default_grid(s, sigma) if grid is None else grid
-    if not grid.fits(s, sigma):
+    if grid.halfwidth < 8.0 * sigma + s:
         raise ConfigurationError(f"grid halfwidth {grid.halfwidth} too narrow for s = {s}")
     fields = []
     for sign in (+1.0, -1.0):
@@ -112,7 +112,7 @@ def grid_branch_fi(s: float, plus: float, minus: float, sigma: float = 1.0) -> f
     """Pure-state FI of the normalized family ``plus h(x + s/2) + minus
     h(x - s/2)`` by the grid oracle's one pure-state FI (its row kernel's
     branch FI)."""
-    r = _rows_samples([s], sigma, 4096, None)[0]
+    r = _rows_samples([s], sigma, 4096)[0]
     a = plus * r[:, 0] + minus * r[:, 1]
     da = plus * r[:, 2] + minus * r[:, 3]
     return float(_branch_fi(a[None], da[None])[0])
@@ -131,7 +131,7 @@ def spectral_sum_qfim_row(s: float, sigma: float, thetas, phi: float = 0.0,
     arrays ``(f_ss, f_tt, f_st)``.  ``eigh`` resolves the small eigenvalue
     only to an absolute ~1e-16, so this is accurate only where it is far
     above that."""
-    r_plus, r_minus, r_d_plus, r_d_minus = _rows_samples([s], sigma, n_points, None)[0].T
+    r_plus, r_minus, r_d_plus, r_d_minus = _rows_samples([s], sigma, n_points)[0].T
     theta = np.asarray(thetas, dtype=float).reshape(-1, 1)
     phase = np.exp(1j * phi)
     ct, st = np.cos(theta), np.sin(theta)

@@ -106,7 +106,7 @@ def test_criterion_06_oracle_equivalence():
             for theta in (math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2):
                 p = ModelParams(s, 1.0, theta)
                 ana = qfim(p)
-                num = numeric_qfim(p)   # default grid: 4096 points, halfwidth 8 sigma + s
+                num = numeric_qfim(p)   # default grid: 4096 points, halfwidth 10 sigma + s
                 for a, n in ((ana.f_ss, num.f_ss), (ana.f_tt, num.f_tt),
                              (ana.f_st, num.f_st)):
                     assert abs(a - n) / abs(n) < 1e-6, (s, theta, a, n)

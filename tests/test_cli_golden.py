@@ -72,14 +72,14 @@ OUTPUT_PINS = {
         "9fe88a976522965a3f9ff00f03f67e9240c9292060300c8ffbfdac697492d64f",
     "verify --format json": "20aaa48a6f9a765ec28794f8af60181a447e722825dcd5dd176d444a4774dfa5",
     # the oracle at the smallest and largest benchmarked grids, over every
-    # nuisance row of single mode, and at sigma != 1 on a given halfwidth
+    # nuisance row of single mode, and at sigma != 1
     "verify --grid-points 1024": "d476b681fb69c282f0f5aabc0cbcaec8e9bc196277fd433e17b2500875162e4e",
     "verify --grid-points 16384 --s-steps 6 --n-steps 6":
         "4f814fe55402be00a4576ed70ceebc0ba5b4270c1fec970e56c0e353817312e9",
     "single --oracle --s-steps 6 --n-steps 6":
         "2500d9c7ac4822f3e84c83fd7555f550c80ea3fdf02e19b94e6fa8a61453cead",
-    "verify --sigma 2.5 --grid-halfwidth 30 --format json":
-        "8f8590b653341d23b25335a309232015dcf0fbaf6c2b7bf512c33428be2f7c81",
+    "verify --sigma 2.5 --format json":
+        "78d0c75a741c126218440bdc68ba65aed6adee75119410d331ada65b04ff5346",
 }
 
 

@@ -155,7 +155,7 @@ class TestPureStateFi:
         assert grid_branch_fi(1.0, 0.0, 1.0) == pytest.approx(0.25, abs=1e-7)
 
     def test_constant_family_gives_zero(self):
-        minus = _rows_samples([1.0], 1.0, 4096, None)[0][:, 1]
+        minus = _rows_samples([1.0], 1.0, 4096)[0][:, 1]
         constant = _branch_fi(minus[None], np.zeros_like(minus[None]))
         assert constant[0] == pytest.approx(0.0, abs=1e-15)
 

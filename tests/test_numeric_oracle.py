@@ -71,6 +71,18 @@ class TestGrid:
         with pytest.raises(ConfigurationError):
             Grid(halfwidth=halfwidth, n_points=1024)
 
+    @pytest.mark.parametrize("s, sigma, n_points", [
+        # points 5.9 sigma apart: the grid was returned, and only the oracle's
+        # row pass refused it
+        (3000.0, 1.0, 1024),
+        # 10 sigma + s overflows
+        (1e308, 1e307, 4096),
+    ], ids=["coarse", "overflowing"])
+    def test_default_grid_refuses_a_row_it_does_not_resolve(self, s, sigma, n_points):
+        with pytest.raises(DomainError) as err:
+            default_grid(s, sigma, n_points)
+        assert str(err.value) == f"the grid does not resolve s = {s!r} at sigma = {sigma!r}"
+
 
 class TestMakeSources:
     """The sampled sources of the test helpers, the quadrature reference for
@@ -104,10 +116,11 @@ class TestMakeSources:
     lambda: numeric_qfim(ModelParams(1e6, 1.0, 0.7)),
     lambda: numeric_concurrence(ModelParams(1e6, 1.0, 0.7)),
     lambda: _numeric_f_tot(1e6, 1.0, [0.3]),
-    lambda: _rows_samples([1e308], 1e307, 4096, None)[0],
+    lambda: _rows_samples([1e308], 1e307, 4096)[0],
+    lambda: default_grid(-1.0, 1.0),
 ], ids=["row-tiny-sigma", "row-inf-s", "row-negative-s", "row-nan-s", "f_tot-negative-s",
         "qfim-zero-s", "qfim-far-s", "concurrence-far-s", "f_tot-far-s",
-        "row-overflowing-halfwidth"])
+        "row-overflowing-halfwidth", "grid-negative-s"])
 def test_oracle_applies_the_model_range_rule(call):
     # these gave NaN fields, a bare ZeroDivisionError, a LinAlgError, or
     # numbers for a negative separation; the QFIM is singular at s = 0
@@ -164,24 +177,22 @@ class TestRowKernel:
             columns.append((h, -sign * u * h / (4.0 * sigma**2)))
         sampled = np.stack([columns[0][0], columns[1][0], columns[0][1], columns[1][1]], axis=1)
         gram = sampled.T @ (grid.weights[:, None] * sampled)
-        coords = _rows_samples([s], sigma, grid.n_points, None)[0]
+        coords = _rows_samples([s], sigma, grid.n_points)[0]
         assert np.abs(coords.T @ coords - gram).max() < 1e-12 * np.abs(gram).max()
 
-    @pytest.mark.parametrize("given", [False, True], ids=["default", "given"])
     @pytest.mark.parametrize("sigma", [1.0, 2.5e-3, 700.0])
     @pytest.mark.parametrize("n_points", [1024, 4096, 16384])
-    def test_rows_are_the_qr_of_the_columns_sampled_on_the_grid(self, n_points, sigma, given):
+    def test_rows_are_the_qr_of_the_columns_sampled_on_the_grid(self, n_points, sigma):
         # bit for bit: the rows share one buffer, refilled in place, and each
         # must hold the R of its even block [S, dS] and odd block [D, dD],
         # sampled on the x > 0 half of its own public Grid, as h_+- = (S -+ D) / 2;
-        # s in units of sigma, so that every row's grid resolves it (Grid.fits)
+        # s in units of sigma, so that every row's grid resolves it
         values = [sigma * r for r in (*np.geomspace(1e-12, 20.0, 14).tolist(), 60.0)]
-        halfwidth = 70.0 * sigma if given else None
         half, sig = n_points // 2, np.float64(sigma)
         amp, var4 = (2.0 * math.pi * sig * sig) ** (-0.25), 4.0 * sig * sig
         expected = []
         for s in values:
-            grid = default_grid(s, sigma, n_points, halfwidth)
+            grid = default_grid(s, sigma, n_points)
             x = grid.x[half:]
             # h(x - s/2) times sqrt(2 w): the weight of a point and its mirror,
             # halved at the end
@@ -200,24 +211,10 @@ class TestRowKernel:
                                             [-o[0, 0], o[0, 0], -o[0, 1], o[0, 1]],
                                             [e[1, 0], e[1, 0], e[1, 1], e[1, 1]],
                                             [-o[1, 0], o[1, 0], -o[1, 1], o[1, 1]]]))
-        got = _rows_samples(values, sigma, n_points, halfwidth)
+        got = _rows_samples(values, sigma, n_points)
         assert got.tobytes() == np.array(expected).tobytes()
-        assert all(_rows_samples([s], sigma, n_points, halfwidth)[0].tobytes() == r.tobytes()
+        assert all(_rows_samples([s], sigma, n_points)[0].tobytes() == r.tobytes()
                    for s, r in zip(values, expected))
-
-    @pytest.mark.parametrize("halfwidth, error", [
-        (10.0, "grid halfwidth 10.0 too narrow for s = 3.0, sigma = 1.0 "
-               "(needs at least 8 sigma + s)"),
-        (math.nan, "halfwidth must be positive and finite, got nan"),
-        (-1.0, "halfwidth must be positive and finite, got -1.0"),
-    ], ids=["narrow", "nan", "negative"])
-    def test_rows_refuse_a_bad_grid_as_before(self, halfwidth, error):
-        # the first row that breaks the rule raises, before any is sampled
-        for call in (lambda: _rows_samples([3.0], 1.0, 1024, halfwidth)[0],
-                     lambda: _rows_samples([1.0, 3.0, 4.0], 1.0, 1024, halfwidth)):
-            with pytest.raises(ConfigurationError) as err:
-                call()
-            assert str(err.value) == error
 
     def test_row_equals_one_point_calls(self):
         # a result does not depend on how many thetas share its row
@@ -357,10 +354,6 @@ class TestNumericConcurrence:
         p = ModelParams(s, 1.0, 0.7)
         assert numeric_concurrence(p) == pytest.approx(
             concurrence_normalized(p), rel=1e-13, abs=0.0)
-
-    def test_rejects_narrow_grid(self):
-        with pytest.raises(ConfigurationError):
-            numeric_concurrence(ModelParams(3.0, 1.0, 0.5), n_points=1024, halfwidth=6.0)
 
 
 class TestGridRefinement:

@@ -98,7 +98,6 @@ class TestSweepSpec:
             dict(s_range=(0.1, 1.0, True)),
             dict(sigma="1"),
             dict(s_range=("0.1", 1.0, 3)),
-            dict(grid_halfwidth="5", oracle=True),
             dict(s_range=(0.1, 1.0)),
             # one point, several steps: every row came out that many times
             dict(s_range=(1.0, 1.0, 3)),
@@ -111,10 +110,7 @@ class TestSweepSpec:
 
     @pytest.mark.parametrize("kw", [
         dict(grid_points=7), dict(grid_points=512), dict(grid_points=4095),
-        dict(grid_halfwidth=-1.0), dict(grid_halfwidth=0.0), dict(grid_halfwidth=math.nan),
-        dict(grid_halfwidth=math.inf), dict(grid_points=64, oracle=True),
-        # spacing 3.9 sigma, with or without the oracle
-        dict(grid_halfwidth=2000.0, grid_points=1024),
+        dict(grid_points=64, oracle=True),
     ])
     def test_rejects_grids_the_oracle_rejects(self, kw):
         # the oracle's grid rule, whether or not the oracle runs
@@ -483,20 +479,24 @@ class TestCli:
         assert main(["single", "--sigma", "-1"]) == 2
         assert "sigma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option", [
+        # the closed forms take phi = 0 alone
+        ["--phi", "0.1"],
+        # the oracle picks each row's grid, 10 sigma + s wide
+        ["--grid-halfwidth", "30"],
+    ], ids=["phi", "grid-halfwidth"])
     @pytest.mark.parametrize("command", [["single"], ["qfim"], ["verify"], ["figure", "fig1c"]])
-    def test_every_command_rejects_phi(self, command, capsys):
-        # the closed forms take phi = 0 alone, so no command has the option
+    def test_every_command_rejects_phi(self, command, option, capsys):
+        # no command has these options
         with pytest.raises(SystemExit) as err:
-            main([*command, "--phi", "0.1"])
+            main([*command, *option])
         assert err.value.code == 2
         assert capsys.readouterr() == ("", USAGE + "superres: error: unrecognized arguments: "
-                                       "--phi 0.1\n")
+                                       + " ".join(option) + "\n")
 
     @pytest.mark.parametrize("argv, message", [
         (["single", "--grid-points", "7"], "n_points must be a power of two >= 1024, got 7"),
-        (["single", "--grid-halfwidth", "-1"], "halfwidth must be positive and finite, got -1.0"),
-        (["qfim", "--grid-halfwidth", "nan"], "halfwidth must be positive and finite, got nan"),
-    ], ids=["single-points", "single-halfwidth", "qfim-halfwidth"])
+    ], ids=["single-points"])
     def test_grid_options_are_checked_without_the_oracle(self, argv, message, capsys):
         # these exited 0 with the options unused, and 2 with --oracle
         for oracle in ([], ["--oracle"]):
@@ -584,10 +584,7 @@ class TestCli:
         # deltas of 119 and 184
         ("verify --s-min 300 --s-max 3000 --s-steps 4 --grid-points 1024",
          "the grid does not resolve s = 1200.0 at sigma = 1.0"),
-        ("verify --grid-halfwidth 2000 --grid-points 1024 --s-min 1 --s-max 5",
-         "grid halfwidth 2000.0 with 1024 points is too coarse for sigma = 1.0 "
-         "(needs a spacing of at most 0.68 sigma)"),
-    ], ids=["single-default-grid", "verify-default-grid", "verify-given-halfwidth"])
+    ], ids=["single-default-grid", "verify-default-grid"])
     def test_a_grid_too_coarse_to_resolve_is_refused(self, argv, error, capsys):
         assert main(argv.split()) == 2
         assert capsys.readouterr() == ("", f"superres: error: {error}\n")
@@ -629,7 +626,6 @@ class TestCli:
         assert main(["figure", "fig9"]) == 2
 
     @pytest.mark.parametrize("option, message", [
-        (["--grid-halfwidth", "1"], "too narrow"),
         (["--grid-points", "64"], "power of two"),
     ])
     def test_figure_forwards_grid_options(self, option, message, capsys):
