@@ -83,6 +83,11 @@ class TestGrid:
             default_grid(s, sigma, n_points)
         assert str(err.value) == f"the grid does not resolve s = {s!r} at sigma = {sigma!r}"
 
+    def test_default_grid_is_ten_sigma_plus_s(self):
+        # the one halfwidth of a row's grid, at every size
+        for s, sigma, n_points in ((0.0, 1.0, 1024), (3.0, 2.5, 4096), (300.0, 1.0, 16384)):
+            assert default_grid(s, sigma, n_points) == Grid(10.0 * sigma + s, n_points)
+
 
 class TestMakeSources:
     """The sampled sources of the test helpers, the quadrature reference for
@@ -215,6 +220,22 @@ class TestRowKernel:
         assert got.tobytes() == np.array(expected).tobytes()
         assert all(_rows_samples([s], sigma, n_points)[0].tobytes() == r.tobytes()
                    for s, r in zip(values, expected))
+
+    @pytest.mark.parametrize("values, bad, sigma, error", [
+        ([1.0, 3000.0, 4000.0], 3000.0, 1.0,
+         "the grid does not resolve s = 3000.0 at sigma = 1.0"),
+        ([1e308, 1.7e308], 1e308, 1e307, "the grid does not resolve s = 1e+308 at sigma = 1e+307"),
+        ([1.0, math.nan, 4.0], math.nan, 1.0,
+         "separation s must be finite and nonnegative, got nan"),
+        ([1.0, -1.0, 4.0], -1.0, 1.0, "separation s must be finite and nonnegative, got -1.0"),
+    ], ids=["coarse", "overflowing", "nan", "negative"])
+    def test_rows_refuse_a_bad_grid_as_before(self, values, bad, sigma, error):
+        # the first row that breaks the rule raises, before any is sampled
+        for call in (lambda: _rows_samples([bad], sigma, 1024)[0],
+                     lambda: _rows_samples(values, sigma, 1024)):
+            with pytest.raises(DomainError) as err:
+                call()
+            assert str(err.value) == error
 
     def test_row_equals_one_point_calls(self):
         # a result does not depend on how many thetas share its row
@@ -354,6 +375,11 @@ class TestNumericConcurrence:
         p = ModelParams(s, 1.0, 0.7)
         assert numeric_concurrence(p) == pytest.approx(
             concurrence_normalized(p), rel=1e-13, abs=0.0)
+
+    def test_rejects_coarse_grid(self):
+        # points 5.9 sigma apart
+        with pytest.raises(DomainError, match="^the grid does not resolve s = 3000.0 "):
+            numeric_concurrence(ModelParams(3000.0, 1.0, 0.5), n_points=1024)
 
 
 class TestGridRefinement:

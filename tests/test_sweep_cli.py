@@ -95,6 +95,7 @@ class TestSweepSpec:
             dict(s_range=(0.1, 1.0, 2.5)),
             dict(nuisance_range=(0, 1, "3")),
             dict(grid_points=4096.0, oracle=True),
+            dict(grid_points=True),
             dict(s_range=(0.1, 1.0, True)),
             dict(sigma="1"),
             dict(s_range=("0.1", 1.0, 3)),
@@ -110,12 +111,18 @@ class TestSweepSpec:
 
     @pytest.mark.parametrize("kw", [
         dict(grid_points=7), dict(grid_points=512), dict(grid_points=4095),
-        dict(grid_points=64, oracle=True),
+        dict(grid_points=64, oracle=True), dict(grid_points=0), dict(grid_points=-4096),
+        dict(grid_points=1536), dict(grid_points=1023, oracle=True),
     ])
     def test_rejects_grids_the_oracle_rejects(self, kw):
         # the oracle's grid rule, whether or not the oracle runs
         with pytest.raises(ConfigurationError):
             small_single_spec(**kw)
+
+    def test_has_no_grid_halfwidth(self):
+        # the oracle picks each row's grid, 10 sigma + s wide
+        with pytest.raises(TypeError, match="grid_halfwidth"):
+            small_single_spec(grid_halfwidth=30.0)
 
     def test_frozen_and_revalidated_on_replace(self):
         spec = small_single_spec()
@@ -496,7 +503,9 @@ class TestCli:
 
     @pytest.mark.parametrize("argv, message", [
         (["single", "--grid-points", "7"], "n_points must be a power of two >= 1024, got 7"),
-    ], ids=["single-points"])
+        (["single", "--grid-points", "0"], "n_points must be a power of two >= 1024, got 0"),
+        (["qfim", "--grid-points", "1536"], "n_points must be a power of two >= 1024, got 1536"),
+    ], ids=["single-points", "single-zero-points", "qfim-points"])
     def test_grid_options_are_checked_without_the_oracle(self, argv, message, capsys):
         # these exited 0 with the options unused, and 2 with --oracle
         for oracle in ([], ["--oracle"]):
@@ -584,7 +593,13 @@ class TestCli:
         # deltas of 119 and 184
         ("verify --s-min 300 --s-max 3000 --s-steps 4 --grid-points 1024",
          "the grid does not resolve s = 1200.0 at sigma = 1.0"),
-    ], ids=["single-default-grid", "verify-default-grid"])
+        ("qfim --oracle --s-min 3000 --s-max 3000 --s-steps 1 --n-steps 3 --grid-points 1024",
+         "the grid does not resolve s = 3000.0 at sigma = 1.0"),
+        # past ~1,382 sigma at the default 4096 points
+        ("verify --s-min 1000 --s-max 2000 --s-steps 2 --n-steps 2",
+         "the grid does not resolve s = 2000.0 at sigma = 1.0"),
+    ], ids=["single-default-grid", "verify-default-grid", "qfim-default-grid",
+            "verify-default-points"])
     def test_a_grid_too_coarse_to_resolve_is_refused(self, argv, error, capsys):
         assert main(argv.split()) == 2
         assert capsys.readouterr() == ("", f"superres: error: {error}\n")
@@ -627,6 +642,8 @@ class TestCli:
 
     @pytest.mark.parametrize("option, message", [
         (["--grid-points", "64"], "power of two"),
+        # s = 5 is 5,000 sigma: past what 4096 points resolve
+        (["--sigma", "1e-3"], "the grid does not resolve s = 5.0 at sigma = 0.001"),
     ])
     def test_figure_forwards_grid_options(self, option, message, capsys):
         # the oracle refuses these grids, as in single --oracle
