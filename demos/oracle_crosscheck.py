@@ -35,10 +35,10 @@ for s in (0.5, 1.0, 2.0, 4.0):
     print(f"  s={s:<4} d={exact:.12f}  |delta|={abs(d - exact):.2e}")
 
 print("\nconcurrence: closed form vs the grid's Gram determinant")
-for theta, phi in ((math.pi / 2, 0.0), (math.pi / 4, 0.0), (math.pi / 4, 1.1)):
-    p = ModelParams(2.0, 1.0, theta, phi)
+for theta in (math.pi / 2, math.pi / 4):
+    p = ModelParams(2.0, 1.0, theta)
     a, n = concurrence_normalized(p), numeric_concurrence(p)
-    print(f"  theta={theta:.3f} phi={phi:<4} C={a:.10f}  |delta|={abs(a - n):.2e}")
+    print(f"  theta={theta:.3f} C={a:.10f}  |delta|={abs(a - n):.2e}")
 
 print("\nQFIM: element formulas vs grid derivatives + support-plus-kernel SLD sum")
 print(f"{'s':>5} {'theta':>7} {'rel dF_ss':>11} {'rel dF_tt':>11} {'rel dF_st':>11}")

@@ -20,7 +20,7 @@ import shutil
 import sys
 
 from . import sweep as sweep_mod
-from .errors import ConfigurationError, DomainError
+from .errors import DomainError
 from .numeric_oracle import GRID_POINTS
 from .sweep import (
     SweepSpec,
@@ -171,7 +171,7 @@ def main(argv=None) -> int:
             return 0 if ok else 3
         emit(table, args.format, out)
         return 0
-    except (DomainError, ConfigurationError) as exc:
+    except DomainError as exc:
         print(f"superres: error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

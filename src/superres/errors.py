@@ -24,6 +24,6 @@ class OutOfReachError(DomainError):
         self.c_max = c_max
 
 
-class ConfigurationError(ValueError):
+class ConfigurationError(DomainError):
     """A numerical configuration cannot hold the requested computation
     (a malformed grid)."""

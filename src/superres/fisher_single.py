@@ -3,7 +3,8 @@
 The total Fisher information of the two-source field is the weighted sum of
 the pure-state Fisher informations of its two auxiliary-basis branches,
 ``F_tot = <Phi_1|Phi_1> F_1 + <Phi_2|Phi_2> F_2``.  Carried out in closed
-form this gives, in terms of coherence ``gamma`` and ``u = s / sigma``,
+form this gives, in terms of coherence ``gamma = cos(theta)`` (the real
+auxiliary overlap) and ``u = s / sigma``,
 
     sigma^2 F_tot = [(1 - gamma) + gamma (1 - d)] / 4
                     + gamma d u^2 (1 + gamma^2) / (16 (1 + gamma^2 + 2 d gamma)),
@@ -116,7 +117,7 @@ def weighted_fi_reconstruct(p: ModelParams) -> float:
 
     The field splits into two auxiliary-basis branches with weights
     ``N1 = <Phi_1|Phi_1> = (1 + gamma^2 + 2 d gamma)/2`` and
-    ``N2 = <Phi_2|Phi_2> = (1 - gamma^2)/2`` (gamma = cos theta, phi = 0).
+    ``N2 = <Phi_2|Phi_2> = (1 - gamma^2)/2`` (gamma = cos theta).
     Branch FIs are the quantum Fisher informations of the *normalized*
     branch states, evaluated in closed form through the overlap algebra.
 
@@ -127,7 +128,6 @@ def weighted_fi_reconstruct(p: ModelParams) -> float:
 
     At ``theta = 0`` the second branch has zero weight and contributes zero.
     """
-    p.require_phi_zero("weighted_fi_reconstruct")
     u = p.s / p.sigma
     d, d1, e, _ = _separation_terms(u)
     g, _, omg = _angle_terms(p.theta)

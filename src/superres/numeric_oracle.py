@@ -15,13 +15,15 @@ R-only Householder QR of the even block ``[S, dS]`` and the odd block
 ``[D, dD]``, which span exactly orthogonal planes, gives their coordinates
 in an orthonormal basis of their span, with no basis matrix formed (exact
 however close to collinear the vectors get at small s).  The state and its
-derivatives by s and theta lie in that span, so theta and phi only set the
-branch coefficients.  There ``h(x +- s/2) = (e00, -+o00, 0, 0) / 2``, with
+derivatives by s and theta lie in that span, so theta only sets the branch
+coefficients.  There ``h(x +- s/2) = (e00, -+o00, 0, 0) / 2``, with
 ``e`` and ``o`` the blocks' ``R``: the density matrix lives on a 2x2
 support block and coordinates 2 and 3 are its exact kernel, so the QFIM is
 the support-plus-kernel SLD sum (Liu, Yuan, Lu and Wang, J. Phys. A 53,
 023001 (2020)) of a closed-form 2x2 eigensolve, with no eigendecomposition
-routine and no cutoff.  It and the weighted FI of single mode run
+routine and no cutoff.  The auxiliary overlap ``cos(theta)`` is real, so
+every amplitude, and rho with its derivatives, is real: the oracle runs
+on float64 alone.  It and the weighted FI of single mode run
 elementwise over all (s, theta) cells of a sweep in one call; the
 concurrence is read off the same coordinates.
 
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,9 +57,11 @@ MAX_SPACING = 0.68      # the widest grid spacing, in sigma (Grid.coarse)
 
 
 def _check_grid(n_points: int) -> None:
-    """The rule of a grid's size: a power of two, at least 1024."""
-    if n_points < 1024 or (n_points & (n_points - 1)) != 0:
-        raise ConfigurationError(f"n_points must be a power of two >= 1024, got {n_points}")
+    """The rule of a grid's size: an integer (a bool is not a count), a power
+    of two, at least 1024."""
+    if (isinstance(n_points, bool) or not isinstance(n_points, numbers.Integral)
+            or n_points < 1024 or (n_points & (n_points - 1)) != 0):
+        raise ConfigurationError(f"n_points must be a power of two >= 1024, got {n_points!r}")
 
 
 def _unresolved(s, sigma) -> DomainError:
@@ -64,7 +69,7 @@ def _unresolved(s, sigma) -> DomainError:
     return DomainError(f"the grid does not resolve s = {s!r} at sigma = {sigma!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Grid:
     """Uniform symmetric position grid with trapezoid weights.
 
@@ -72,9 +77,9 @@ class Grid:
     positive and finite; the spacing is ``2 halfwidth / (n_points - 1)`` and
     the points are ``+-(j + 1/2) spacing``, so ``x[::-1] == -x`` exactly and
     no point lies at 0; the outermost are within ~1 ulp of ``+-halfwidth``.
-    The sample points (``half`` holds those above 0, which the oracle reads)
-    and weights are built on first use and frozen, so a grid that is only
-    checked costs no arrays.
+    The grid is frozen; its sample points (``half`` holds those above 0,
+    which the oracle reads) and weights are built on first use, read-only,
+    so a grid that is only checked costs no arrays.
     """
 
     halfwidth: float
@@ -204,16 +209,16 @@ def _resolved(s, sigma: float, *results):
 
 
 def _norm2(a: np.ndarray) -> np.ndarray:
-    return np.sum((a * a.conj()).real, axis=-1)
+    return np.sum(a * a, axis=-1)
 
 
 def _sld_sum(lam1, lam2, w22, x, y):
-    """Support terms ``sum 2 Re[x_kl y_lk] / (lam_k + lam_l)`` of the spectral
+    """Support terms ``sum 2 x_kl y_lk / (lam_k + lam_l)`` of the spectral
     SLD sum for derivatives given in the eigenframe as ``(d11, d22 / det A,
     d12)``; the pair (2, 2) is ``w22 x22 y22`` with ``w22 = det A^2 / lam2``,
     or 0 where it is left out.  Symmetric in ``x``, ``y`` bit for bit."""
     return (x[0] * y[0] / lam1 + w22 * (x[1] * y[1])
-            + 4.0 * (x[2].real * y[2].real + x[2].imag * y[2].imag) / (lam1 + lam2))
+            + 4.0 * (x[2] * y[2]) / (lam1 + lam2))
 
 
 def _cell_samples(s, thetas, sigma: float, n_points: int):
@@ -227,69 +232,73 @@ def _cell_samples(s, thetas, sigma: float, n_points: int):
 
 
 @np.errstate(all="ignore")     # non-finite results end in _resolved
-def numeric_qfim_cells(s, sigma: float, thetas, phi: float = 0.0,
-                       n_points: int = GRID_POINTS):
+def numeric_qfim_cells(s, sigma: float, thetas, n_points: int = GRID_POINTS):
     """QFIM arrays ``(f_ss, f_tt, f_st)`` at every cell of ``s`` and
     ``thetas`` broadcast together, in one call; see :func:`numeric_qfim`.
 
     ``rho`` lives on coordinates 0 and 1 of the columns of ``R``, and 2
     and 3 are its exact kernel, which only the derivative by ``s`` reaches.  A
-    closed-form Hermitian 2x2 eigensolve runs elementwise on every cell.
+    closed-form real symmetric 2x2 eigensolve runs elementwise on every cell.
     """
     if np.any(np.asarray(s) == 0.0):
         _require_separated(0.0, "numeric_qfim")
     theta, (plus, minus, d_plus, d_minus) = _cell_samples(s, thetas, sigma, n_points)
-    phase = np.exp(1j * phi)
     ct, st = np.cos(theta)[..., None], np.sin(theta)[..., None]
-    # branch amplitudes (the phase of the second drops out of its projector)
-    a, v = plus + (ct * phase) * minus, st * minus
+    # branch amplitudes
+    a, v = plus + ct * minus, st * minus
     n = _norm2(a) + _norm2(v)
-    # rho = A A^+ / n = [[p, q], [q*, r]] on the support, with A = [a v]
-    diag = ((a * a.conj()).real + v * v) / n[..., None]
+    # rho = A A^T / n = [[p, q], [q, r]] on the support, with A = [a v].
+    # Four quotients below, q, the normalized (x, y), al2 and be2, and d12,
+    # are products with the reciprocal, as numpy divides a complex array by
+    # a real one: the rounding the pinned oracle outputs were taken with
+    # (a plain division moves a quarter of the cells, f_ss and f_tt by up to
+    # 1.8e-15 relative)
+    diag = (a * a + v * v) / n[..., None]
     p, r = diag[..., 0], diag[..., 1]
-    q = (a[..., 0] * a[..., 1].conj() + v[..., 0] * v[..., 1]) / n
+    q = (a[..., 0] * a[..., 1] + v[..., 0] * v[..., 1]) * (1.0 / n)
     g = 0.5 * (p - r)
-    h = np.hypot(g, np.abs(q))
+    h = np.hypot(g, q)
     lam1 = 0.5 * (p + r) + h
     # u1 = (x, y) from whichever row of rho - lam1 has no cancellation, any
-    # frame where rho is degenerate; u2 = (-y*, x*)
+    # frame where rho is degenerate; u2 = (-y, x)
     x = np.where(h == 0.0, 1.0, np.where(g >= 0.0, g + h, q))
-    y = np.where(g >= 0.0, q.conj(), h - g)
-    norm = np.hypot(abs(x), abs(y))
-    x, y = x / norm, y / norm
+    y = np.where(g >= 0.0, q, h - g)
+    norm = 1.0 / np.hypot(x, y)
+    x, y = x * norm, y * norm
 
     def on_frame(w):
-        """``(u1^+ w, u2^+ w)`` of the support part of ``w``."""
-        return x.conj() * w[..., 0] + y.conj() * w[..., 1], x * w[..., 1] - y * w[..., 0]
+        """``(u1^T w, u2^T w)`` of the support part of ``w``."""
+        return x * w[..., 0] + y * w[..., 1], x * w[..., 1] - y * w[..., 0]
 
     # det A = sin(theta) e00 o00 / 2, as h_+- = (e00, -+o00) / 2 on the
     # support; lam2 = (det A / n)^2 / lam1 and
-    # u2^+ A = det A (-(u1^+ v)*, (u1^+ a)*) / (n lam1) take no difference;
+    # u2^T A = det A (-u1^T v, u1^T a) / (n lam1) take no difference;
     # projected on u2, A would keep an absolute error ~1e-16 as it vanishes
     # with theta.  The u2 terms are kept over det A, so the pair (2, 2) is
     # left out exactly where sin(theta) = 0 and lam2 may underflow.
     det = 2.0 * st[..., 0] * plus[..., 0] * minus[..., 1]
     al1, be1 = on_frame(a)[0], on_frame(v)[0]
-    al2, be2 = -be1.conj() / (n * lam1), al1.conj() / (n * lam1)
+    scale = 1.0 / (n * lam1)
+    al2, be2 = -be1 * scale, al1 * scale
     lam2 = (det / n) ** 2 / lam1
     w22 = np.where(st[..., 0] != 0.0, n * n * lam1, 0.0)
 
     def frame(da, dv):
         """``(d11, d22 / det A, d12)`` of ``d rho = (dM - rho dn) / n`` in the
         eigenframe."""
-        dn = 2.0 * (np.sum(a.conj() * da, axis=-1).real + np.sum(v * dv, axis=-1))
+        dn = 2.0 * (np.sum(a * da, axis=-1) + np.sum(v * dv, axis=-1))
         (d1, d2), (e1, e2) = on_frame(da), on_frame(dv)
-        d11 = (2.0 * (al1 * d1.conj() + be1 * e1.conj()).real - lam1 * dn) / n
-        d22 = (2.0 * (al2 * d2.conj() + be2 * e2.conj()).real - det / (n * n * lam1) * dn) / n
-        d12 = (al1 * d2.conj() + be1 * e2.conj() + det * (d1 * al2.conj() + e1 * be2.conj())) / n
+        d11 = (2.0 * (al1 * d1 + be1 * e1) - lam1 * dn) / n
+        d22 = (2.0 * (al2 * d2 + be2 * e2) - det / (n * n * lam1) * dn) / n
+        d12 = (al1 * d2 + be1 * e2 + det * (d1 * al2 + e1 * be2)) * (1.0 / n)
         return d11, d22, d12
 
-    da, dv = d_plus + (ct * phase) * d_minus, st * d_minus
-    ds, dt = frame(da, dv), frame(-(st * phase) * minus, ct * minus)
-    # the squared kernel parts |u_k^+ dM P_ker|^2 of the rows of d rho / ds,
+    da, dv = d_plus + ct * d_minus, st * d_minus
+    ds, dt = frame(da, dv), frame(-st * minus, ct * minus)
+    # the squared kernel parts |u_k^T dM P_ker|^2 of the rows of d rho / ds,
     # the second times lam1 / lam2 (0 where sin(theta) = 0)
-    ker = [_norm2(al[..., None] * da[..., 2:].conj() + be[..., None] * dv[..., 2:])
-           for al, be in ((al1, be1), (-be1.conj(), al1.conj()))]
+    ker = [_norm2(al[..., None] * da[..., 2:] + be[..., None] * dv[..., 2:])
+           for al, be in ((al1, be1), (-be1, al1))]
     f_ss = _sld_sum(lam1, lam2, w22, ds, ds) + 4.0 * (ker[0] + ker[1]) / (n * n * lam1)
     return _resolved(s, sigma, f_ss, _sld_sum(lam1, lam2, w22, dt, dt),
                      _sld_sum(lam1, lam2, w22, ds, dt))
@@ -298,7 +307,6 @@ def numeric_qfim_cells(s, sigma: float, thetas, phi: float = 0.0,
 def numeric_qfim(p: ModelParams, n_points: int = GRID_POINTS) -> Qfim2:
     """QFIM for (s, theta) from the exact derivatives of the projected
     density matrix and the spectral SLD sum over its support and kernel.
-    Supports any phi.
 
     The density matrices are projected on the span of four sampled vectors
     (the sum and the difference of both sources and their derivatives by
@@ -310,7 +318,7 @@ def numeric_qfim(p: ModelParams, n_points: int = GRID_POINTS) -> Qfim2:
     is the continuous extension (Safranek, PRA 95, 052320 (2017)).
     """
     f_ss, f_tt, f_st = (f.item() for f in numeric_qfim_cells(
-        p.s, p.sigma, [p.theta], p.phi, n_points))
+        p.s, p.sigma, [p.theta], n_points))
     return Qfim2(f_ss, f_tt, f_st, "theta")
 
 
@@ -318,10 +326,10 @@ def numeric_qfim(p: ModelParams, n_points: int = GRID_POINTS) -> Qfim2:
 def numeric_concurrence(p: ModelParams, n_points: int = GRID_POINTS) -> float:
     """Concurrence of the unit-norm two-source state, ``2 sqrt(det rho_aux)``
     (Hill and Wootters, PRL 78, 5022 (1997)), from the ``R`` of its one
-    separation row (:func:`_rows_samples`).  Any phi.
+    separation row (:func:`_rows_samples`).
 
     ``rho_aux`` is the Gram matrix of the branch amplitudes
-    ``a = h_+ + cos(theta) e^{i phi} h_-`` and ``v = sin(theta) h_-`` over
+    ``a = h_+ + cos(theta) h_-`` and ``v = sin(theta) h_-`` over
     ``n = |a|^2 + |v|^2``.  Their Gram determinant is
     ``sin^2(theta)`` times that of ``h_+`` and ``h_-``, which in the parity
     coordinates is ``(e00 o00 / 2)^2``, so ``C = sin(theta) |e00 o00| / n``
@@ -331,7 +339,7 @@ def numeric_concurrence(p: ModelParams, n_points: int = GRID_POINTS) -> float:
     """
     r = _rows_samples([p.s], p.sigma, n_points)[0]
     st = math.sin(p.theta)
-    a = r[:, 0] + (math.cos(p.theta) * np.exp(1j * p.phi)) * r[:, 1]
+    a = r[:, 0] + math.cos(p.theta) * r[:, 1]
     n = _norm2(a) + _norm2(st * r[:, 1])
     return float(_resolved(p.s, p.sigma, 4.0 * abs(st * r[0, 0] * r[1, 1]) / n)[0])
 

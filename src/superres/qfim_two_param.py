@@ -39,7 +39,7 @@ under reparametrizing the nuisance by coherence ``gamma = cos(theta)`` or by
 concurrence; both charts are provided through exact Jacobian transport of
 the theta-parametrized matrix.
 
-Degenerate corners (all at phi = 0, s > 0), each decided by one function
+Degenerate corners (all at s > 0), each decided by one function
 that takes floats and arrays alike; the scalar entry points raise where its
 flag is set, and ``sweep`` blanks the cell:
 
@@ -205,8 +205,6 @@ def qfim(p: ModelParams) -> Qfim2:
     At theta = 0 these reduce to the continuous limits
     ``(F_ss, F_tt, F_st) = (4 lambda2 a4^2, (1-d)/(1+d), 0)``.
     """
-    if p.phi != 0.0:
-        p.require_phi_zero("qfim")
     s, sigma = p.s, p.sigma
     terms = _floor_checked(s, sigma, _separation_terms(s / sigma), "qfim")
     f_ss, f_tt, f_st, _ = _theta_chart(s, sigma, terms, p.theta)[2]
@@ -224,8 +222,6 @@ def _h_pair(s, sigma, chart, limit=False) -> PrecisionPair:
 
 def precision(p: ModelParams) -> PrecisionPair:
     """Nuisance-corrected informations ``H_s`` and ``H_theta``."""
-    if p.phi != 0.0:
-        p.require_phi_zero("precision")
     s, sigma = p.s, p.sigma
     terms = _floor_checked(s, sigma, _separation_terms(s / sigma), "qfim")
     return _h_pair(s, sigma, _theta_chart(s, sigma, terms, p.theta)[2])

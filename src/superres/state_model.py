@@ -14,9 +14,9 @@ displaced amplitudes ``h_pm(x) = h(x +- s/2)`` overlap by
     d = <h_+|h_-> = exp(-s^2 / 8 sigma^2).
 
 Each source carries an auxiliary (non-spatial) state; the two auxiliary
-vectors overlap by ``gamma = e^{i phi} cos(theta)``, so ``|gamma| =
-cos(theta)`` is the degree of coherence and ``theta`` interpolates between
-fully coherent (theta = 0) and fully incoherent (theta = pi/2) sources.
+vectors overlap by the real ``gamma = cos(theta)``, the degree of coherence,
+so ``theta`` interpolates between fully coherent (theta = 0) and fully
+incoherent (theta = pi/2) sources.  Every amplitude is real.
 The entanglement between the spatial and auxiliary factors is quantified by
 the (unnormalized-state) concurrence
 
@@ -24,9 +24,9 @@ the (unnormalized-state) concurrence
 
 which is the convention used on all concurrence axes in this package.  The
 field written with a bare 1/sqrt(2) prefactor has squared norm
-``1 + d cos(theta) cos(phi)``; every density-matrix quantity here refers to
-the state normalized to unit trace, and the physically normalized concurrence
-``C / (1 + d cos(theta) cos(phi))`` is exposed separately.
+``1 + d cos(theta)``; every density-matrix quantity here refers to the state
+normalized to unit trace, and the physically normalized concurrence
+``C / (1 + d cos(theta))`` is exposed separately.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from math import exp, expm1, sqrt
 
 from .errors import DegenerateGeometryError, DomainError, OutOfReachError
 
-_PI = math.pi
 _HALF_PI = math.pi / 2
 _INF = math.inf
 # the smallest normal float, the floor of 1 - d^2 (see _floor_checked)
@@ -145,25 +144,19 @@ class ModelParams:
         their power of ``1 / sigma``; an output that overflows is an error.
     theta : float
         Auxiliary mixing angle in radians, ``0 <= theta <= pi/2``.
-    phi : float
-        Relative phase of the auxiliary overlap, ``-pi < phi <= pi``.
-        All closed-form operations require ``phi = 0``; only the
-        brute-force oracle accepts other values.
     """
 
     s: float
     sigma: float
     theta: float
-    phi: float = 0.0
 
     # point queries' records write their fields into the instance dict, not
     # through one frozen object.__setattr__ each as the generated __init__ does
-    def __init__(self, s, sigma, theta, phi=0.0):
+    def __init__(self, s, sigma, theta):
         fields = self.__dict__
         fields["s"] = s
         fields["sigma"] = sigma
         fields["theta"] = theta
-        fields["phi"] = phi
         self.__post_init__()
 
     def __post_init__(self):
@@ -172,13 +165,6 @@ class ModelParams:
                 and 0.0 <= self.theta <= _HALF_PI):
             _require_s_sigma(self.s, self.sigma)
             _require_theta(self.theta)
-        if not (-_PI < self.phi <= _PI):
-            raise DomainError(f"phi must lie in (-pi, pi], got {self.phi}")
-
-    def require_phi_zero(self, what: str) -> None:
-        """Closed-form operations are derived at phi = 0 and reject other values."""
-        if self.phi != 0.0:
-            raise DomainError(f"{what} requires phi = 0, got phi = {self.phi}")
 
 
 @dataclass(frozen=True)
@@ -248,19 +234,18 @@ def concurrence(p: ModelParams) -> float:
 def concurrence_normalized(p: ModelParams) -> float:
     """Concurrence of the unit-normalized field.
 
-    Dividing the two-source field by its norm ``sqrt(1 + d cos(theta)
-    cos(phi))`` rescales the concurrence to
+    Dividing the two-source field by its norm ``sqrt(1 + d cos(theta))``
+    rescales the concurrence to
 
-        C_norm = sin(theta) sqrt(1 - d^2) / (1 + d cos(theta) cos(phi)),
+        C_norm = sin(theta) sqrt(1 - d^2) / (1 + d cos(theta)),
 
     whose denominator is summed as ``(1 - d) + d (2 sin^2(theta/2) +
-    2 cos(theta) cos^2(phi/2))``, free of cancellation near ``phi = pi``.
+    2 cos(theta))``, the rounding that the pinned outputs hold.
     Equals :func:`concurrence` when theta = pi/2 or in the d -> 0 limit.
     """
     d, _, e, om = _separation_terms(p.s / p.sigma)
     ct, st, omc = _angle_terms(p.theta)
-    half = math.cos(p.phi / 2.0)
-    return st * sqrt(om) / (e + d * (omc + 2.0 * ct * (half * half)))
+    return st * sqrt(om) / (e + d * (omc + 2.0 * ct))
 
 
 def theta_from_concurrence(s: float, sigma: float, c: float) -> float:
@@ -350,7 +335,7 @@ def _eigenvalues(d, e, ct, omc):
 
 
 def spectral(p: ModelParams) -> SpectralData:
-    """Eigensystem data of the reduced spatial state at phi = 0.
+    """Eigensystem data of the reduced spatial state.
 
     The unit-trace spatial state is diagonal in the antisymmetric/symmetric
     modes ``e1 = (h_- - h_+)/sqrt(2(1-d))``, ``e2 = (h_- + h_+)/sqrt(2(1+d))``
@@ -367,7 +352,6 @@ def spectral(p: ModelParams) -> SpectralData:
     DegenerateGeometryError
         At ``s = 0`` the antisymmetric direction ``e1`` is undefined.
     """
-    p.require_phi_zero("spectral")
     _require_separated(p.s, "spectral")
     u = p.s / p.sigma
     d, _, e, _ = _separation_terms(u)

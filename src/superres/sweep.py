@@ -133,7 +133,6 @@ class SweepSpec:
             _require_separated(self.s_range[0], "qfim")
         for end in self.nuisance_range[:2]:
             _NUISANCE_RULES[self.nuisance](end)
-        _require_int("grid_points", self.grid_points)
         _check_grid(self.grid_points)
 
 
@@ -371,9 +370,8 @@ def figure_preset(name: str) -> list[SweepSpec]:
     ``fig1a``/``fig1b``: single-parameter FI surfaces over (s, C) and
     (s, gamma).  ``fig1c``: the fixed s = 0.3 sigma line, once along each
     axis (two blocks).  ``fig2a``/``fig2b``: two-parameter precision H_s
-    over (s, C) and (s, gamma).  All use sigma = 1, phi = 0,
-    s in [1e-3, 5] (the closed forms are singular at s = 0) and 200-point
-    axes by default.
+    over (s, C) and (s, gamma).  All use sigma = 1, s in [1e-3, 5] (the
+    closed forms are singular at s = 0) and 200-point axes by default.
     """
     if name not in _PRESETS:
         raise DomainError(

@@ -119,11 +119,11 @@ def grid_branch_fi(s: float, plus: float, minus: float, sigma: float = 1.0) -> f
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a[..., :, None] * b[..., None, :].conj()
+    return a[..., :, None] * b[..., None, :]
 
 
-def spectral_sum_qfim_row(s: float, sigma: float, thetas, phi: float = 0.0,
-                          n_points: int = 4096, cutoff: float = 1e-12):
+def spectral_sum_qfim_row(s: float, sigma: float, thetas, n_points: int = 4096,
+                          cutoff: float = 1e-12):
     """The grid oracle's QFIM by its former route, a reference for its
     closed-form support solve: the full projected 4x4 density matrices of
     the same row samples, a stacked ``eigh``, and the spectral SLD sum over
@@ -133,29 +133,28 @@ def spectral_sum_qfim_row(s: float, sigma: float, thetas, phi: float = 0.0,
     above that."""
     r_plus, r_minus, r_d_plus, r_d_minus = _rows_samples([s], sigma, n_points)[0].T
     theta = np.asarray(thetas, dtype=float).reshape(-1, 1)
-    phase = np.exp(1j * phi)
     ct, st = np.cos(theta), np.sin(theta)
-    a = r_plus + (ct * phase) * r_minus
+    a = r_plus + ct * r_minus
     v = st * r_minus
     n = (_norm2(a) + _norm2(v))[:, None, None]
     rho = (_outer(a, a) + _outer(v, v)) / n
     lams, vecs = np.linalg.eigh(rho)
-    vecs_h = np.swapaxes(vecs, -1, -2).conj()
+    vecs_t = np.swapaxes(vecs, -1, -2)
 
     def d_rho(da, dv):
         dm = _outer(a, da) + _outer(da, a) + _outer(v, dv) + _outer(dv, v)
-        dn = 2.0 * (np.sum(a.conj() * da, axis=-1).real + np.sum(v.conj() * dv, axis=-1).real)
-        d = vecs_h @ ((dm - rho * dn[:, None, None]) / n) @ vecs
-        return 0.5 * (d + np.swapaxes(d, -1, -2).conj())
+        dn = 2.0 * (np.sum(a * da, axis=-1) + np.sum(v * dv, axis=-1))
+        d = vecs_t @ ((dm - rho * dn[:, None, None]) / n) @ vecs
+        return 0.5 * (d + np.swapaxes(d, -1, -2))
 
     def element(da, db):
         den = lams[..., :, None] + lams[..., None, :]
-        terms = np.divide((da * np.swapaxes(db, -1, -2)).real, den,
+        terms = np.divide(da * np.swapaxes(db, -1, -2), den,
                           out=np.zeros(den.shape), where=den > cutoff)
         return (terms + np.swapaxes(terms, -1, -2)).sum(axis=(-2, -1))
 
-    ds = d_rho(r_d_plus + (ct * phase) * r_d_minus, st * r_d_minus)
-    dt = d_rho(-(st * phase) * r_minus, ct * r_minus)
+    ds = d_rho(r_d_plus + ct * r_d_minus, st * r_d_minus)
+    dt = d_rho(-st * r_minus, ct * r_minus)
     return element(ds, ds), element(dt, dt), element(ds, dt)
 
 

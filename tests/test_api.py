@@ -64,9 +64,9 @@ RECORDS = [
      dict(lambda1=0.25, lambda2=0.75, a3=0.5, a4=0.125),
      "SpectralData(lambda1=0.25, lambda2=0.75, a3=0.5, a4=0.125)"),
     (ModelParams, (1.0, 2.0, 0.5), dict(s=1.0, sigma=2.0, theta=0.5),
-     "ModelParams(s=1.0, sigma=2.0, theta=0.5, phi=0.0)"),
+     "ModelParams(s=1.0, sigma=2.0, theta=0.5)"),
 ]
-DEFAULTS = {superres.Qfim2: {"tag": "theta"}, ModelParams: {"phi": 0.0}}
+DEFAULTS = {superres.Qfim2: {"tag": "theta"}}
 
 
 @pytest.mark.parametrize("cls, args, kwargs, text", RECORDS,
@@ -117,6 +117,17 @@ def test_scalar_api_loads_no_numpy():
 def test_replace_revalidates_model_params():
     with pytest.raises(DomainError):
         dataclasses.replace(ModelParams(1.0, 1.0, 0.5), theta=2.0)
+
+
+def test_model_params_has_no_phase():
+    # the auxiliary overlap cos(theta) is real: no fourth argument
+    with pytest.raises(TypeError):
+        ModelParams(1.0, 1.0, 0.3, 0.5)
+
+
+def test_every_refused_input_is_a_domain_error():
+    # the grid rules' error too, so that callers and the CLI catch one class
+    assert issubclass(superres.ConfigurationError, DomainError)
 
 
 # every public scalar entry point on a fixed grid: 40 log-spaced u = s / sigma

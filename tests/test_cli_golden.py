@@ -80,6 +80,9 @@ OUTPUT_PINS = {
         "2500d9c7ac4822f3e84c83fd7555f550c80ea3fdf02e19b94e6fa8a61453cead",
     "verify --sigma 2.5 --format json":
         "78d0c75a741c126218440bdc68ba65aed6adee75119410d331ada65b04ff5346",
+    # the oracle where 1 - d^2 is ~1e-300, the tiny-s edge of its reach
+    "verify --s-min 1e-150 --s-max 1e-150 --s-steps 1 --format json":
+        "1dcda5f840916b5577e29baf89a73014640f36546b2a55699fa175769b8bdcfa",
 }
 
 

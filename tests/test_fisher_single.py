@@ -207,10 +207,6 @@ class TestWeightedReconstruction:
         target = f_tot_coherence(1.0, 1.0, math.cos(math.pi / 4)).f_tot
         assert weight_term_reconstruct(p) > target + 1e-6
 
-    def test_requires_phi_zero(self):
-        with pytest.raises(DomainError):
-            weighted_fi_reconstruct(ModelParams(1.0, 1.0, 0.3, phi=0.2))
-
     @pytest.mark.parametrize("variant", ["quantum-only", "quantum-plus-weight"])
     @pytest.mark.parametrize("s", [1e160, 1e200])
     def test_far_separation_asymptote(self, s, variant):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -33,7 +34,6 @@ from superres.numeric_oracle import (
 D_S2 = 0.6065306597126334
 FSS_TH0_S2 = 0.1199805936513259
 CNORM_PI4 = 0.3934491505312938
-CNORM_PI4_PHI = 0.47063536569414455
 
 
 class TestGrid:
@@ -43,10 +43,27 @@ class TestGrid:
         assert len(g.x) == 2048
         assert g.weights[0] == pytest.approx(g.spacing / 2)
 
-    @pytest.mark.parametrize("n", [512, 1000, 4095])
-    def test_rejects_bad_point_counts(self, n):
-        with pytest.raises(ConfigurationError):
-            Grid(halfwidth=10.0, n_points=n)
+    @pytest.mark.parametrize("call", [
+        *(lambda n=n: Grid(halfwidth=10.0, n_points=n) for n in (512, 1000, 4095)),
+        # not integer counts; a float or a string was an uncaught TypeError
+        lambda: Grid(10.0, 1024.0),
+        lambda: Grid(10.0, True),
+        lambda: default_grid(1.0, 1.0, 2048.5),
+        lambda: numeric_qfim(ModelParams(1.0, 1.0, 0.5), n_points=4096.0),
+        lambda: numeric_concurrence(ModelParams(1.0, 1.0, 0.5), n_points="4096"),
+    ], ids=["512", "1000", "4095", "float", "bool", "default_grid-float",
+            "numeric_qfim-float", "numeric_concurrence-str"])
+    def test_rejects_bad_point_counts(self, call):
+        with pytest.raises(ConfigurationError, match="^n_points must be a power of two >= 1024"):
+            call()
+
+    def test_frozen(self):
+        # its arrays are built from the fields once, on first use
+        g = Grid(halfwidth=10.0, n_points=1024)
+        half = g.half
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.halfwidth = 20.0
+        assert g.halfwidth == 10.0 and g.half is half
 
     @pytest.mark.parametrize("halfwidth", [8.001, 10.0, 10.001, 0.025000000001, 30.0, 7060.0])
     @pytest.mark.parametrize("n_points", [1024, 4096, 16384])
@@ -158,15 +175,15 @@ class TestNumericQfim:
         w22 = np.where(lam2 > 0.0, rng.uniform(0.5, 2.0, 8), 0.0)
 
         def frame():
-            d12 = rng.normal(size=8) + 1j * rng.normal(size=8)
-            return rng.normal(size=8), rng.normal(size=8), d12
+            return rng.normal(size=8), rng.normal(size=8), rng.normal(size=8)
 
         ds, dt = frame(), frame()
         assert np.array_equal(_sld_sum(lam1, lam2, w22, ds, dt), _sld_sum(lam1, lam2, w22, dt, ds))
 
-    def test_supports_nonzero_phase(self):
-        q = numeric_qfim(ModelParams(1.5, 1.0, math.pi / 3, phi=0.7))
-        assert q.f_ss > 0.0 and q.f_tt > 0.0
+    def test_takes_no_phase(self):
+        # the auxiliary overlap cos(theta) is real
+        with pytest.raises(TypeError):
+            numeric_qfim_cells(1.3, 1.0, [0.4], phi=0.4)
 
 
 class TestRowKernel:
@@ -241,8 +258,8 @@ class TestRowKernel:
         # a result does not depend on how many thetas share its row
         thetas = np.linspace(0.0, math.pi / 2, 7)
         row = [Qfim2(f_ss=a, f_tt=b, f_st=c, tag="theta") for a, b, c in
-               zip(*(f.tolist() for f in numeric_qfim_cells(1.3, 1.0, thetas, phi=0.4)))]
-        assert row == [numeric_qfim(ModelParams(1.3, 1.0, t, phi=0.4)) for t in thetas]
+               zip(*(f.tolist() for f in numeric_qfim_cells(1.3, 1.0, thetas)))]
+        assert row == [numeric_qfim(ModelParams(1.3, 1.0, t)) for t in thetas]
         f_row = _numeric_f_tot(1.3, 1.0, thetas)
         assert f_row.tolist() == [_numeric_f_tot(1.3, 1.0, t) for t in thetas]
         # nor on how many cells of other s share its call, as a sweep makes
@@ -250,15 +267,15 @@ class TestRowKernel:
         s_axis, thetas = (2e-6, 1e-3, 0.7, 4.0), np.linspace(0.0, math.pi / 2, 5)
         s, theta = (v.ravel() for v in np.meshgrid(s_axis, thetas, indexing="ij"))
         order = np.random.default_rng(2).permutation(s.size)
-        rows = {v: list(zip(*(f.tolist() for f in numeric_qfim_cells(v, 1.0, thetas, phi=1.1))))
+        rows = {v: list(zip(*(f.tolist() for f in numeric_qfim_cells(v, 1.0, thetas))))
                 for v in s_axis}
         f_rows = {v: _numeric_f_tot(v, 1.0, thetas).tolist() for v in s_axis}
         for cells in ((s, theta), (s[order], theta[order])):
-            f_ss, f_tt, f_st = numeric_qfim_cells(cells[0], 1.0, cells[1], phi=1.1)
+            f_ss, f_tt, f_st = numeric_qfim_cells(cells[0], 1.0, cells[1])
             one_call = list(zip(f_ss.tolist(), f_tt.tolist(), f_st.tolist()))
             assert one_call == [rows[a][list(thetas).index(b)] for a, b in zip(*cells)]
             assert [Qfim2(f_ss=a, f_tt=b, f_st=c, tag="theta") for a, b, c in one_call] == [
-                numeric_qfim(ModelParams(a, 1.0, b, phi=1.1)) for a, b in zip(*cells)]
+                numeric_qfim(ModelParams(a, 1.0, b)) for a, b in zip(*cells)]
             f_tot = _numeric_f_tot(cells[0], 1.0, cells[1])
             assert f_tot.tolist() == [f_rows[a][list(thetas).index(b)] for a, b in zip(*cells)]
             assert f_tot.tolist() == [_numeric_f_tot(a, 1.0, b) for a, b in zip(*cells)]
@@ -306,13 +323,12 @@ class TestSupportSolve:
     """The closed-form solve on the exact 2x2 support of rho."""
 
     @pytest.mark.parametrize("n_points", [1024, 4096, 16384])
-    @pytest.mark.parametrize("phi", [0.4, 1.1])
-    def test_matches_the_spectral_sum_reference(self, phi, n_points):
+    def test_matches_the_spectral_sum_reference(self, n_points):
         # the stacked 4x4 eigh and spectral sum it replaced, on the same samples
         thetas = np.linspace(math.pi / 16, math.pi / 2, 6)
         for s in (1e-3, 1e-2, 0.1, 0.5, 1.0, 3.0, 5.0):
-            cells = numeric_qfim_cells(s, 1.0, thetas, phi, n_points)
-            reference = spectral_sum_qfim_row(s, 1.0, thetas, phi, n_points)
+            cells = numeric_qfim_cells(s, 1.0, thetas, n_points)
+            reference = spectral_sum_qfim_row(s, 1.0, thetas, n_points)
             for name, num, ref in zip(("f_ss", "f_tt", "f_st"), cells, reference):
                 assert num.tolist() == pytest.approx(ref.tolist(), rel=1e-11, abs=0.0), (s, name)
 
@@ -350,10 +366,6 @@ class TestNumericConcurrence:
         c = numeric_concurrence(ModelParams(2.0, 1.0, math.pi / 4))
         assert c == pytest.approx(CNORM_PI4, abs=1e-8)
 
-    def test_with_phase(self):
-        c = numeric_concurrence(ModelParams(2.0, 1.0, math.pi / 4, phi=1.1))
-        assert c == pytest.approx(CNORM_PI4_PHI, abs=1e-8)
-
     def test_product_state_at_zero_separation(self):
         assert numeric_concurrence(ModelParams(0.0, 1.0, math.pi / 2)) < 1e-8
 
@@ -362,10 +374,9 @@ class TestNumericConcurrence:
         # C is of order s / sigma here, far below the absolute 1e-8 of the tests
         # above; the bound is relative
         for theta in (math.pi / 8, math.pi / 2):
-            for phi in (0.0, 1.1):
-                p = ModelParams(s, 1.0, theta, phi)
-                assert numeric_concurrence(p) == pytest.approx(
-                    concurrence_normalized(p), rel=1e-9, abs=0.0), (theta, phi)
+            p = ModelParams(s, 1.0, theta)
+            assert numeric_concurrence(p) == pytest.approx(
+                concurrence_normalized(p), rel=1e-9, abs=0.0), theta
 
     @pytest.mark.parametrize("s", [1e-3, 1e-9, 1e-12])
     def test_relative_accuracy_at_tiny_separation(self, s):

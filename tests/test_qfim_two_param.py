@@ -62,8 +62,6 @@ class TestRho4:
     def test_rejections(self):
         with pytest.raises(DegenerateGeometryError):
             rho4(ModelParams(0.0, 1.0, 0.3))
-        with pytest.raises(DomainError):
-            rho4(ModelParams(1.0, 1.0, 0.3, phi=1.0))
 
 
 class TestDensityDerivatives:
@@ -192,11 +190,6 @@ class TestPrecision:
             q, h = qfim(p), precision(p)
             assert 0.0 <= h.h_s <= q.f_ss + 1e-15
             assert 0.0 <= h.h_nuisance <= q.f_tt + 1e-15
-
-    @pytest.mark.parametrize("call", [qfim, precision, spectral])
-    def test_nonzero_phi_error_names_the_function_called(self, call):
-        with pytest.raises(DomainError, match=f"^{call.__name__} requires phi = 0, "):
-            call(ModelParams(1.0, 1.0, 0.5, 0.3))
 
 
 class TestCoherenceChart:

@@ -35,7 +35,6 @@ D_S2 = 0.6065306597126334
 D1_S2 = -0.3032653298563167
 SQRT_1ME = 0.7950600976206501           # sqrt(1 - e^-1)
 CNORM_PI4 = 0.3934491505312938
-CNORM_PI4_PHI = 0.47063536569414455     # same point at phi = 1.1
 CMAX_03 = 0.14916019176262738
 A4SQ_S2 = 0.029995148412831477
 A3SQ_S2 = 0.010330629752552056
@@ -104,29 +103,10 @@ class TestConcurrence:
     def test_normalized_agrees_with_purity_oracle(self):
         for s in (0.5, 1.0, 2.0, 3.0):
             for theta in (0.0, math.pi / 8, math.pi / 4, math.pi / 2):
-                for phi in (0.0, 1.1, -2.0):
-                    p = ModelParams(s, 1.0, theta, phi)
-                    assert concurrence_normalized(p) == pytest.approx(
-                        numeric_concurrence(p), abs=1e-8
-                    )
-
-    def test_normalized_with_phase(self):
-        p = ModelParams(2.0, 1.0, math.pi / 4, 1.1)
-        assert concurrence_normalized(p) == pytest.approx(CNORM_PI4_PHI, abs=1e-12)
-
-    @pytest.mark.parametrize("s, theta, phi", [(1e-9, 1e-9, math.pi), (1e-4, 1e-4, math.pi),
-                                               (1e-3, 1e-3, math.pi - 1e-3)])
-    def test_normalized_matches_mpmath_near_opposite_phase(self, s, theta, phi):
-        # 1 + d cos(theta) cos(phi) cancels near phi = pi: at the first point
-        # it was a bare ZeroDivisionError (the value is 0.8), at the second
-        # 4.3e-9 off
-        mp = pytest.importorskip("mpmath")
-        with mp.workdps(50):
-            ms, mt, mf = mp.mpf(s), mp.mpf(theta), mp.mpf(phi)
-            d = mp.exp(-ms**2 / 8)
-            want = mp.sin(mt) * mp.sqrt(1 - d**2) / (1 + d * mp.cos(mt) * mp.cos(mf))
-            got = concurrence_normalized(ModelParams(s, 1.0, theta, phi))
-            assert abs(got / want - 1) < 1e-15
+                p = ModelParams(s, 1.0, theta)
+                assert concurrence_normalized(p) == pytest.approx(
+                    numeric_concurrence(p), abs=1e-8
+                )
 
     def test_conventions_differ_away_from_half_pi(self):
         p = ModelParams(2.0, 1.0, math.pi / 4)
@@ -279,11 +259,9 @@ class TestSpectral:
             worst4 = max(worst4, float(abs(spec.a4 * spec.a4 / want4 - 1)))
         assert worst3 < 3.5e-10 and worst4 < 1e-15
 
-    def test_degenerate_and_phase_rejections(self):
+    def test_degenerate_rejection(self):
         with pytest.raises(DegenerateGeometryError):
             spectral(ModelParams(0.0, 1.0, 0.3))
-        with pytest.raises(DomainError):
-            spectral(ModelParams(1.0, 1.0, 0.3, phi=0.5))
 
 
 def test_concurrence_coherence_identity():

@@ -487,7 +487,7 @@ class TestCli:
         assert "sigma" in capsys.readouterr().err
 
     @pytest.mark.parametrize("option", [
-        # the closed forms take phi = 0 alone
+        # the model has no phase: its auxiliary overlap cos(theta) is real
         ["--phi", "0.1"],
         # the oracle picks each row's grid, 10 sigma + s wide
         ["--grid-halfwidth", "30"],
