@@ -323,12 +323,14 @@ class TestSupportSolve:
     """The closed-form solve on the exact 2x2 support of rho."""
 
     @pytest.mark.parametrize("n_points", [1024, 4096, 16384])
-    def test_matches_the_spectral_sum_reference(self, n_points):
+    @pytest.mark.parametrize("sigma", [1.0, 2.5])
+    def test_matches_the_spectral_sum_reference(self, sigma, n_points):
         # the stacked 4x4 eigh and spectral sum it replaced, on the same samples
         thetas = np.linspace(math.pi / 16, math.pi / 2, 6)
-        for s in (1e-3, 1e-2, 0.1, 0.5, 1.0, 3.0, 5.0):
-            cells = numeric_qfim_cells(s, 1.0, thetas, n_points)
-            reference = spectral_sum_qfim_row(s, 1.0, thetas, n_points)
+        for u in (1e-3, 1e-2, 0.1, 0.5, 1.0, 3.0, 5.0):
+            s = u * sigma
+            cells = numeric_qfim_cells(s, sigma, thetas, n_points)
+            reference = spectral_sum_qfim_row(s, sigma, thetas, n_points)
             for name, num, ref in zip(("f_ss", "f_tt", "f_st"), cells, reference):
                 assert num.tolist() == pytest.approx(ref.tolist(), rel=1e-11, abs=0.0), (s, name)
 

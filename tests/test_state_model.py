@@ -108,6 +108,18 @@ class TestConcurrence:
                     numeric_concurrence(p), abs=1e-8
                 )
 
+    @pytest.mark.parametrize("s, theta", [(1e-9, 1e-9), (1e-4, 1e-4), (1e-3, 1e-3),
+                                          (1e-150, 1e-3)])
+    def test_normalized_matches_mpmath_at_tiny_separation(self, s, theta):
+        # 1 - d^2 cancels as s -> 0: the closed form carries it as -expm1
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            ms, mt = mp.mpf(s), mp.mpf(theta)
+            d = mp.exp(-ms**2 / 8)
+            want = mp.sin(mt) * mp.sqrt(-mp.expm1(-ms**2 / 4)) / (1 + d * mp.cos(mt))
+            got = concurrence_normalized(ModelParams(s, 1.0, theta))
+            assert abs(got / want - 1) < 1e-15
+
     def test_conventions_differ_away_from_half_pi(self):
         p = ModelParams(2.0, 1.0, math.pi / 4)
         assert abs(concurrence(p) - concurrence_normalized(p)) > 0.1
